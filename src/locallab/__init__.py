@@ -14,6 +14,7 @@ from .graphs import (
     InputError,
     LabeledGraph,
     View,
+    ball_distances,
     centered_isomorphism,
     complete_graph,
     cycle_graph,

@@ -11,6 +11,12 @@ nodes of N_T[A], the edges of the induced subgraph that have an endpoint at
 distance < T from A, and for every retained node its full per-port half-edge
 label data (a node can always see the labels of its own incident half-edges,
 even of edges the view drops).
+
+Each Graph also carries one neighbour tuple per node, aligned with its ports,
+so adjacency queries never resolve an edge id.  Views, balls (`neighborhood`,
+and through it `lcl.centered_ball` and SLOCAL queries) come from one
+radius-bounded BFS (`ball_distances`) that stops at depth T: their cost is
+O(|ball|), the nodes of N_T[A] and their incident edges, not O(n + m).
 """
 
 from __future__ import annotations
@@ -42,6 +48,22 @@ class Graph:
     edge_list: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     multi: bool = False
+    # neighbor_rows[v][i] is the far end of the edge on port i of v; derived
+    # from edge_list and adjacency, so it takes no part in equality or hashing
+    neighbor_rows: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.neighbor_rows is None:
+            rows = []
+            for v, ports in enumerate(self.adjacency):
+                row = []
+                for e in ports:
+                    u, w = self.edge_list[e]
+                    row.append(w if u == v else u)
+                rows.append(tuple(row))
+            object.__setattr__(self, "neighbor_rows", tuple(rows))
 
     @property
     def m(self) -> int:
@@ -72,13 +94,15 @@ class Graph:
         return len(self.incident(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.other(e, v) for e in self.incident(v))
+        """Far ends of v's ports, in port order (repeated across parallel edges)."""
+        self._check_node(v)
+        return self.neighbor_rows[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return any(self.other(e, u) == v for e in self.adjacency[u])
+        return v in self.neighbor_rows[u]
 
     def edges_between(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(e for e in self.adjacency[u] if self.other(e, u) == v)
+        return tuple(e for e, w in _ports(self, u) if w == v)
 
     def half_edges(self) -> Iterator[tuple[int, int]]:
         """All pairs (v, e) with v an endpoint of e."""
@@ -163,6 +187,11 @@ def star_graph(leaves: int) -> Graph:
 # distances and neighborhoods
 
 
+def _ports(g: Graph, v: int) -> Iterator[tuple[int, int]]:
+    """(edge id, far end) for each port of v, in port order."""
+    return zip(g.adjacency[v], g.neighbor_rows[v])
+
+
 def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
     """BFS distance from a source set; INFINITY where unreachable."""
     dist: list[float] = [INFINITY] * g.n
@@ -172,15 +201,42 @@ def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
         if dist[s] != 0:
             dist[s] = 0
             queue.append(s)
+    rows = g.neighbor_rows
     head = 0
     while head < len(queue):
         v = queue[head]
         head += 1
-        for e in g.adjacency[v]:
-            u = g.other(e, v)
+        for u in rows[v]:
             if dist[u] == INFINITY:
                 dist[u] = dist[v] + 1
                 queue.append(u)
+    return dist
+
+
+def ball_distances(g: Graph, sources: Iterable[int], t: int) -> dict[int, int]:
+    """{node: distance} for the nodes within distance t of the sources.
+
+    A BFS that never expands nodes at depth t: it reads the neighbour rows of
+    the nodes at distance < t only, so its cost is O(|N_t[sources]|).
+    """
+    dist: dict[int, int] = {}
+    frontier: list[int] = []
+    for s in sources:
+        g._check_node(s)
+        if s not in dist:
+            dist[s] = 0
+            frontier.append(s)
+    rows = g.neighbor_rows
+    for d in range(1, t + 1):
+        reached: list[int] = []
+        for v in frontier:
+            for u in rows[v]:
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        if not reached:
+            break
+        frontier = reached
     return dist
 
 
@@ -197,8 +253,7 @@ def neighborhood(g: Graph, a: Iterable[int], t: int) -> frozenset[int]:
     """N_T[A]: all nodes at distance at most T from A."""
     if t < 0:
         raise InputError("radius must be non-negative")
-    dist = distances_from(g, a)
-    return frozenset(v for v in range(g.n) if dist[v] <= t)
+    return frozenset(sorted(ball_distances(g, a, t)))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -213,8 +268,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for e in g.adjacency[v]:
-                u = g.other(e, v)
+            for u in g.neighbor_rows[v]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
@@ -255,20 +309,19 @@ def bridges(g: Graph) -> set[int]:
         if disc[s] != -1:
             continue
         # iterative DFS keeping the edge used to enter each node
-        stack: list[tuple[int, int, Iterator[int]]] = [(s, -1, iter(g.adjacency[s]))]
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [(s, -1, _ports(g, s))]
         disc[s] = low[s] = timer
         timer += 1
         while stack:
             v, pe, it = stack[-1]
             advanced = False
-            for e in it:
+            for e, u in it:
                 if e == pe:
                     continue
-                u = g.other(e, v)
                 if disc[u] == -1:
                     disc[u] = low[u] = timer
                     timer += 1
-                    stack.append((u, e, iter(g.adjacency[u])))
+                    stack.append((u, e, _ports(g, u)))
                     advanced = True
                     break
                 low[v] = min(low[v], disc[u])
@@ -295,21 +348,15 @@ def two_edge_components(g: Graph) -> list[frozenset[int]]:
         stack = [s]
         while stack:
             v = stack.pop()
-            for e in g.adjacency[v]:
+            for e, u in _ports(g, v):
                 if e in cut:
                     continue
-                u = g.other(e, v)
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
                     stack.append(u)
         comps.append(frozenset(comp))
     return comps
-
-
-def in_triangle(g: Graph, v: int) -> bool:
-    nb = set(g.neighbors(v))
-    return any(u2 in nb for u in nb for u2 in g.neighbors(u) if u2 != v)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +406,6 @@ def label_graph(
     return LabeledGraph(graph=g, node_labels=tuple(nl), port_labels=tuple(tuple(r) for r in pl))
 
 
-def relabel(lg: LabeledGraph, node_labels=None, half_edge_labels=None) -> LabeledGraph:
-    """Fresh LabeledGraph on the same structure with replacement labels."""
-    return label_graph(lg.graph, node_labels, half_edge_labels)
-
-
 def induced_labeled_subgraph(
     lg: LabeledGraph, nodes: Iterable[int]
 ) -> tuple[LabeledGraph, dict[int, int]]:
@@ -371,23 +413,22 @@ def induced_labeled_subgraph(
     keep = sorted(set(nodes))
     node_map = {v: i for i, v in enumerate(keep)}
     g = lg.graph
-    sub_edges = []
-    edge_map = {}
-    for e, (u, v) in enumerate(g.edge_list):
-        if u in node_map and v in node_map:
-            edge_map[e] = len(sub_edges)
-            sub_edges.append((node_map[u], node_map[v]))
-    # port order inherited from the original adjacency order
+    # inner edges come from the kept nodes' rows; sub-edge ids keep the old order
+    inner = sorted({e for v in keep for e, u in _ports(g, v) if u in node_map})
+    edge_map = {e: i for i, e in enumerate(inner)}
+    sub_edges = [(node_map[u], node_map[w]) for u, w in map(g.endpoints, inner)]
+    # port order and half-edge labels inherited from the original rows
     adjacency_order = []
-    for v in keep:
-        adjacency_order.append([edge_map[e] for e in g.adjacency[v] if e in edge_map])
-    sub = make_graph(len(keep), sub_edges, multi=g.multi, adjacency_order=adjacency_order)
-    nl = {node_map[v]: lg.node_labels[v] for v in keep}
     hl = {}
     for v in keep:
-        for e in g.adjacency[v]:
+        row = []
+        for e, lab in zip(g.adjacency[v], lg.port_labels[v]):
             if e in edge_map:
-                hl[(node_map[v], edge_map[e])] = lg.half_edge_label(v, e)
+                row.append(edge_map[e])
+                hl[(node_map[v], edge_map[e])] = lab
+        adjacency_order.append(row)
+    sub = make_graph(len(keep), sub_edges, multi=g.multi, adjacency_order=adjacency_order)
+    nl = {node_map[v]: lg.node_labels[v] for v in keep}
     return label_graph(sub, nl, hl), node_map
 
 
@@ -431,24 +472,6 @@ class View:
         g = self.source.graph
         return [g.other(e, v) for (_, e) in self.ports[v] if e is not None]
 
-    def distance_in_view(self, u: int, v: int) -> float:
-        """BFS distance using only retained edges."""
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = [u]
-        head = 0
-        while head < len(queue):
-            w = queue[head]
-            head += 1
-            for x in self.neighbors_in_view(w):
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    if x == v:
-                        return dist[x]
-                    queue.append(x)
-        return INFINITY
-
 
 def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
     """The view of anchor set A up to distance t (literal edge predicate)."""
@@ -458,12 +481,14 @@ def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
     if t < 0:
         raise InputError("radius must be non-negative")
     g = lg.graph
-    dist = distances_from(g, a)
-    keep = frozenset(v for v in range(g.n) if dist[v] <= t)
+    dist = ball_distances(g, a, t)
+    keep = frozenset(sorted(dist))
+    # an edge with an end at distance < t has both ends in the ball, so the
+    # literal predicate keeps exactly the incident edges of the inner nodes
     kept_edges = set()
-    for e, (u, v) in enumerate(g.edge_list):
-        if u in keep and v in keep and (dist[u] < t or dist[v] < t):
-            kept_edges.add(e)
+    for v, d in dist.items():
+        if d < t:
+            kept_edges.update(g.adjacency[v])
     node_label = {v: lg.node_labels[v] for v in keep}
     ports = {}
     for v in keep:

@@ -19,7 +19,7 @@ from .graphs import (
     InputError,
     LabeledGraph,
     View,
-    distances_from,
+    ball_distances,
     label_graph,
     make_graph,
 )
@@ -102,12 +102,12 @@ def make_dist_lp(
         raise InputError("variable names must be unique")
     by_name = {v.name: v for v in variables}
     for c in constraints:
-        dist = distances_from(g, [c.owner])
+        dist = ball_distances(g, [c.owner], 1)
         for name, _ in c.coeffs:
             if name not in by_name:
                 raise InputError(f"constraint {c.name!r} references unknown variable {name!r}")
             owners = by_name[name].owner_nodes(g)
-            if min(dist[u] for u in owners) > 1:
+            if min(dist.get(u, INFINITY) for u in owners) > 1:
                 raise InputError(
                     f"constraint {c.name!r} uses variable {name!r} owned outside radius 1"
                 )

@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, exact quantities, zero tolerance.
 
 Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line per
-criterion.  Criterion 8 is a faithful implementation of the stated check and
-is expected to fail: with node-granular sequential processing, a greedy
-matcher that is correct for every order needs observed locality 2 (claims on
-a neighbour are stored at the claimer, two hops away); locality 1 admits no
-such algorithm.  See the repository notes for the counterexample.
+criterion.  The four long suites are marked `slow`; `pytest -m "not slow"`
+skips them for a quick loop.  Criterion 8 is a faithful implementation of
+the stated check and is expected to fail: with node-granular sequential
+processing, a greedy matcher that is correct for every order needs observed
+locality 2 (claims on a neighbour are stored at the claimer, two hops away);
+locality 1 admits no such algorithm.  See the repository notes for the counterexample.
 """
 
 import pytest
@@ -30,6 +31,7 @@ def _run(name: str) -> bool:
     return report.passed
 
 
+@pytest.mark.slow
 def test_criterion_1_dequantization_soundness():
     assert _run("dequantize")
 
@@ -38,6 +40,7 @@ def test_criterion_2_local_expectation_equivalence():
     assert _run("local-expectation")
 
 
+@pytest.mark.slow
 def test_criterion_3_simulators_are_non_signaling():
     assert _run("non-signaling")
 
@@ -50,10 +53,12 @@ def test_criterion_5_factor_3_bound_and_konig():
     assert _run("factor3")
 
 
+@pytest.mark.slow
 def test_criterion_6_gadget_laws():
     assert _run("gadgets")
 
 
+@pytest.mark.slow
 def test_criterion_7_lift_end_to_end():
     assert _run("lift")
 

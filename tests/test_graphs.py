@@ -1,14 +1,20 @@
+import itertools
 import json
+from collections.abc import Sequence
+from dataclasses import replace
 
 import pytest
 
 from locallab.corpus import all_connected_graphs
 from locallab.graphs import (
     INFINITY,
+    CenteredGraph,
     InputError,
+    View,
     canonical_key,
     cycle_graph,
     distance,
+    distances_from,
     extract_view,
     graph_from_json,
     graph_to_json,
@@ -23,6 +29,8 @@ from locallab.graphs import (
     view_isomorphisms,
     views_isomorphic,
 )
+from locallab.lcl import centered_ball
+from locallab.outcomes import SlocalContext
 
 
 def test_distance_examples():
@@ -186,3 +194,158 @@ def test_canonical_key_detects_isomorphism():
     star = star_graph(3)
     assert canonical_key(g1) == canonical_key(g2)
     assert canonical_key(g1) != canonical_key(star)
+
+
+# ---------------------------------------------------------------------------
+# bounded BFS against the literal whole-graph definitions
+
+
+def _literal_neighborhood(g, anchor, t):
+    dist = distances_from(g, anchor)
+    return frozenset(v for v in range(g.n) if dist[v] <= t)
+
+
+def _literal_view(lg, anchor, t):
+    g = lg.graph
+    dist = distances_from(g, anchor)
+    keep = frozenset(v for v in range(g.n) if dist[v] <= t)
+    kept = frozenset(
+        e
+        for e, (u, v) in enumerate(g.edge_list)
+        if u in keep and v in keep and min(dist[u], dist[v]) < t
+    )
+    ports = {
+        v: tuple(
+            (lab, e if e in kept else None)
+            for e, lab in zip(g.adjacency[v], lg.port_labels[v])
+        )
+        for v in keep
+    }
+    return View(
+        source=lg,
+        anchor=frozenset(anchor),
+        radius=t,
+        node_set=keep,
+        edge_set=kept,
+        node_label={v: lg.node_labels[v] for v in keep},
+        ports=ports,
+    )
+
+
+def _literal_ball(lg, center, t):
+    g = lg.graph
+    keep = sorted(_literal_neighborhood(g, [center], t))
+    node_map = {v: i for i, v in enumerate(keep)}
+    edge_map = {}
+    sub_edges = []
+    for e, (u, v) in enumerate(g.edge_list):
+        if u in node_map and v in node_map:
+            edge_map[e] = len(sub_edges)
+            sub_edges.append((node_map[u], node_map[v]))
+    order = [[edge_map[e] for e in g.adjacency[v] if e in edge_map] for v in keep]
+    sub = make_graph(len(keep), sub_edges, multi=g.multi, adjacency_order=order)
+    half_edges = {
+        (node_map[v], edge_map[e]): lg.half_edge_label(v, e)
+        for v in keep
+        for e in g.adjacency[v]
+        if e in edge_map
+    }
+    base = label_graph(sub, {node_map[v]: lg.node_labels[v] for v in keep}, half_edges)
+    return CenteredGraph(base=base, center=node_map[center])
+
+
+def _distinctly_labeled(g):
+    return label_graph(
+        g,
+        node_labels={v: f"n{v}" for v in range(g.n)},
+        half_edge_labels={(v, e): (v, e) for v, e in g.half_edges()},
+    )
+
+
+def _assert_matches_literal(g, max_t=3):
+    lg = _distinctly_labeled(g)
+    singles = [(v,) for v in range(g.n)]
+    pairs = list(itertools.combinations(range(g.n), 2))
+    for t in range(max_t + 1):
+        for anchor in singles + pairs:
+            assert neighborhood(g, anchor, t) == _literal_neighborhood(g, anchor, t)
+            assert extract_view(lg, anchor, t) == _literal_view(lg, anchor, t)
+        for (v,) in singles:
+            assert centered_ball(lg, v, t) == _literal_ball(lg, v, t)
+
+
+def test_bounded_bfs_matches_literal_definition_on_corpus():
+    graphs = all_connected_graphs(6)
+    assert {g.n for g in graphs} == set(range(1, 7))
+    for g in graphs:
+        _assert_matches_literal(g)
+
+
+def test_bounded_bfs_matches_literal_definition_on_multigraph():
+    multi = make_graph(
+        4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (2, 3)], multi=True
+    )
+    _assert_matches_literal(multi)
+
+
+def test_bounded_bfs_matches_literal_definition_on_disconnected_graph():
+    parts = make_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (6, 5)])
+    _assert_matches_literal(parts, max_t=4)
+
+
+def test_graph_equality_ignores_neighbor_rows():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    twin = replace(g, neighbor_rows=((), (), ()))
+    assert twin == g and hash(twin) == hash(g)
+    assert g.neighbors(1) == (0, 2) and g.has_edge(2, 1) and not g.has_edge(0, 2)
+
+
+# ---------------------------------------------------------------------------
+# work bound: a ball query reads rows of the ball only
+
+
+class _CountingRows(Sequence):
+    """Read-counting stand-in for a graph's per-node rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.rows[i]
+
+    def __len__(self):
+        return len(self.rows)
+
+
+BIG_CYCLE = 100_000
+
+
+def _counting_cycle():
+    plain = label_graph(cycle_graph(BIG_CYCLE))
+    adjacency = _CountingRows(plain.graph.adjacency)
+    neighbors = _CountingRows(plain.graph.neighbor_rows)
+    graph = replace(plain.graph, adjacency=adjacency, neighbor_rows=neighbors)
+    return replace(plain, graph=graph), lambda: adjacency.reads + neighbors.reads
+
+
+def test_counting_rows_see_whole_graph_work():
+    lg, reads = _counting_cycle()
+    distances_from(lg.graph, [0])
+    assert reads() >= BIG_CYCLE
+
+
+@pytest.mark.parametrize(
+    "query, ball_size",
+    [
+        (lambda lg: extract_view(lg, [0], 1), 3),
+        (lambda lg: centered_ball(lg, 0, 1), 3),
+        (lambda lg: SlocalContext(lg, 0, 2, {}).query(2), 5),
+    ],
+    ids=["extract_view", "centered_ball", "slocal_query"],
+)
+def test_ball_queries_read_rows_of_the_ball_only(query, ball_size):
+    lg, reads = _counting_cycle()
+    query(lg)
+    assert 0 < reads() <= 4 * ball_size

@@ -270,6 +270,24 @@ def test_verify_non_signaling_checks_every_isomorphism():
     assert verify_non_signaling(symmetric, symmetric, [0, 1], [0, 1], 1).status == "ok"
 
 
+def test_verify_non_signaling_ignores_numeric_type_of_equal_labels():
+    # 1 == Fraction(1), so these two outcomes are the same distribution; their
+    # marginals sort differently by repr and must still compare equal
+    c4 = label_graph(cycle_graph(4))
+
+    def half_half(one):
+        return make_outcome(
+            c4,
+            [
+                (Labeling.of({v: one for v in range(4)}, {}), F(1, 2)),
+                (Labeling.of({v: 5 for v in range(4)}, {}), F(1, 2)),
+            ],
+        )
+
+    verdict = verify_non_signaling(half_half(1), half_half(F(1)), [0], [0], 1)
+    assert verdict.status == "ok", verdict.detail
+
+
 def test_outcome_json_roundtrip():
     _, outcome = k3_matching_outcome()
     back = outcome_from_json(outcome_to_json(outcome))
