@@ -57,6 +57,7 @@ from .outcomes import (
     make_outcome,
     outcome_from_json,
     outcome_to_json,
+    rand_local_marginal,
     restrict,
     run_local,
     run_rand_local,

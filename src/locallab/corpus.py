@@ -146,10 +146,6 @@ def maximum_matching_size(g: Graph) -> int:
     return best
 
 
-def all_permutations(items) -> list[tuple]:
-    return list(itertools.permutations(items))
-
-
 def best_half_integral_matching_value(g: Graph):
     """Max of sum x_e over x_e in {0, 1/2, 1} with node loads <= 1.
 

@@ -217,12 +217,6 @@ class OctopusWitness:
             out.extend(p.nodes)
         return out
 
-    def port_of_node(self, v: int) -> Optional[PortWitness]:
-        for p in self.ports:
-            if v in p.nodes:
-                return p
-        return None
-
 
 @dataclass(frozen=True)
 class OctopusGadget:
@@ -429,10 +423,6 @@ class PortMap:
     def edge_of(self, root: int) -> int:
         return dict(self.root_to_edge)[root]
 
-    def root_of(self, edge: int) -> int:
-        inv = {e: r for r, e in self.root_to_edge}
-        return inv[edge]
-
 
 def _octopus_expected_edges(w: OctopusWitness) -> set[frozenset[int]]:
     out: set[frozenset[int]] = set()
@@ -571,10 +561,6 @@ def _family_labeling(g: Graph, lam: Sequence[str], octopi: Sequence[OctopusWitne
             he[(root_end, e)] = "up"
             he[(head_end, e)] = ("hook", j)
     return label_graph(g, node_labels, he)
-
-
-def family_labeling(pi: ProperInstance) -> LabeledGraph:
-    return pi.labeling
 
 
 def _ceil_log2(n: int) -> int:

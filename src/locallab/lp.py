@@ -63,9 +63,6 @@ class LpConstraint:
     bound: Fraction
     owner: int  # node id
 
-    def coeff_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class DistLP:
@@ -132,10 +129,6 @@ class LpPoint:
 
 def edge_var(e: int) -> str:
     return f"e{e}"
-
-
-def node_var(v: int) -> str:
-    return f"v{v}"
 
 
 def build_fractional_matching_lp(g: Graph) -> DistLP:

@@ -9,9 +9,12 @@ larger instances and is excluded from exactness-critical suites.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, product
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
@@ -57,8 +60,8 @@ class Labeling:
         return dict(self.half_edge_items)[(v, e)]
 
     def domain(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        return (tuple(v for v, _ in self.node_items),
-                tuple(k for k, _ in self.half_edge_items))
+        return (tuple(map(itemgetter(0), self.node_items)),
+                tuple(map(itemgetter(0), self.half_edge_items)))
 
     def restrict_to(self, nodes: frozenset[int], half_edges: frozenset[tuple[int, int]]) -> "Labeling":
         ni = tuple((v, lab) for v, lab in self.node_items if v in nodes)
@@ -71,33 +74,57 @@ class Labeling:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Explicit probability distribution over output labelings of one network."""
+    """Explicit probability distribution over output labelings of one network.
+
+    Build it with `make_outcome` or a simulator: they check that every
+    support labeling has one domain, which `restrict` relies on.
+    """
 
     input: LabeledGraph
     support: tuple[tuple[Labeling, Fraction], ...]
+    # restrict() results by node set; immutable, so handing them out is safe
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def probabilities_sum(self) -> Fraction:
         return sum((p for _, p in self.support), Fraction(0))
 
 
-def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -> Outcome:
-    """Validate probabilities and domains, merging duplicate labelings."""
-    merged: dict[Labeling, Fraction] = {}
-    for labeling, p in pairs:
-        p = Fraction(p)
-        if p < 0:
+def _support(
+    weighted: Iterable[tuple[Labeling, int]], denominator: int
+) -> tuple[tuple[Labeling, Fraction], ...]:
+    """The one support validator, over integer weights with a common denominator.
+
+    Rejects negative weights, drops zero ones and merges duplicate labelings
+    (the first occurrence stays as the key), then requires the weights to sum
+    to the denominator and every labeling to share one domain.  The support
+    is sorted by `Labeling.sort_key`; a Fraction is made per entry only here.
+    """
+    merged: dict[Labeling, int] = {}
+    for labeling, w in weighted:
+        if w < 0:
             raise InputError("probabilities must be non-negative")
-        if p == 0:
-            continue
-        merged[labeling] = merged.get(labeling, Fraction(0)) + p
-    total = sum(merged.values(), Fraction(0))
-    if total != 1:
-        raise InputError(f"probabilities sum to {total}, expected exactly 1")
+        if w:
+            merged[labeling] = merged.get(labeling, 0) + w
+    total = sum(merged.values())
+    if total != denominator:
+        raise InputError(f"probabilities sum to {Fraction(total, denominator)}, expected exactly 1")
     domains = {labeling.domain() for labeling in merged}
     if len(domains) > 1:
         raise InputError("support labelings do not share one node/half-edge domain")
-    support = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
-    return Outcome(input=lg, support=support)
+    ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key())
+    return tuple((labeling, Fraction(w, denominator)) for labeling, w in ordered)
+
+
+def _common_denominator(weights: Iterable[Fraction]) -> int:
+    return math.lcm(*{p.denominator for p in weights})
+
+
+def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -> Outcome:
+    """Validate probabilities and domains, merging duplicate labelings."""
+    pairs = [(labeling, Fraction(p)) for labeling, p in pairs]
+    denominator = _common_denominator(p for _, p in pairs)
+    weighted = ((labeling, p.numerator * (denominator // p.denominator)) for labeling, p in pairs)
+    return Outcome(input=lg, support=_support(weighted, denominator))
 
 
 def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
@@ -113,19 +140,34 @@ class RestrictedOutcome:
     support: tuple[tuple[Labeling, Fraction], ...]
 
 
-def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
-    """Marginal distribution on S and H(G)[S]; duplicates merged."""
-    g = outcome.input.graph
-    nodes = frozenset(s)
+def _scope_half_edges(g, nodes: frozenset[int]) -> frozenset[tuple[int, int]]:
     for v in nodes:
         g._check_node(v)
-    scope_he = frozenset((v, e) for v in nodes for e in g.adjacency[v])
-    merged: dict[Labeling, Fraction] = {}
+    return frozenset((v, e) for v in nodes for e in g.adjacency[v])
+
+
+def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
+    """Marginal distribution on S and H(G)[S]; duplicates merged.
+
+    `make_outcome` gives every support labeling one domain, so the in-scope
+    positions are read once from the first labeling and picked out of all.
+    """
+    nodes = frozenset(s)
+    cached = outcome._marginals.get(nodes)
+    if cached is not None:
+        return cached
+    scope_he = _scope_half_edges(outcome.input.graph, nodes)
+    denominator = _common_denominator(p for _, p in outcome.support)
+    first = outcome.support[0][0]
+    node_keep = [v in nodes for v, _ in first.node_items]
+    he_keep = [k in scope_he for k, _ in first.half_edge_items]
+    merged: dict[tuple[tuple, tuple], int] = {}
     for labeling, p in outcome.support:
-        part = labeling.restrict_to(nodes, scope_he)
-        merged[part] = merged.get(part, Fraction(0)) + p
-    support = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
-    return RestrictedOutcome(scope_nodes=nodes, scope_half_edges=scope_he, support=support)
+        key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
+        merged[key] = merged.get(key, 0) + p.numerator * (denominator // p.denominator)
+    support = _support(((Labeling(*key), w) for key, w in merged.items()), denominator)
+    marginal = outcome._marginals[nodes] = RestrictedOutcome(nodes, scope_he, support)
+    return marginal
 
 
 def success_probability(outcome: Outcome, verifier: Callable[[Labeling], bool]) -> Fraction:
@@ -164,6 +206,10 @@ class LocalAlgorithm:
     and rule(view, seeds) additionally reads the seed symbols of all nodes in
     the view (per-node seeds are private, independent, and travel with the
     view as ordinary data).
+
+    The rule must be pure: the simulators call it once per distinct seed
+    assignment of its view and reuse that output for every seed vector that
+    agrees on the view.
     """
 
     locality: int
@@ -222,6 +268,87 @@ def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
     return _assemble(lg, per_node)
 
 
+# A node's items of a labeling: (node items, half-edge items).  The
+# randomized simulators count seed vectors per tuple of parts and build a
+# Labeling only per distinct tuple.
+_Part = tuple[tuple, tuple]
+
+
+def _node_part(v: int, out: NodeOutput) -> _Part:
+    """Node v's items: its node label and its half-edge labels sorted by edge."""
+    node_items = ((v, out.node_label),) if out.node_label is not None else ()
+    return node_items, tuple([((v, e), lab) for e, lab in sorted(out.half_edge_labels.items())])
+
+
+def _join_parts(parts: Sequence[_Part]) -> Labeling:
+    """Concatenate parts listed in node order; equals what `_assemble` builds."""
+    return Labeling(
+        node_items=tuple(chain.from_iterable(map(itemgetter(0), parts))),
+        half_edge_items=tuple(chain.from_iterable(map(itemgetter(1), parts))),
+    )
+
+
+class _NodeTable(dict):
+    """One node's randomized rule, memoised on the seeds of its radius-T view.
+
+    `ball` is the view's node set in iteration order; a key is the tuple of
+    those nodes' seeds, and the table maps it to the node's labeling part.
+    The rule runs only when a key is first looked up.
+    """
+
+    def __init__(self, alg: LocalAlgorithm, lg: LabeledGraph, v: int):
+        super().__init__()
+        self.alg, self.lg, self.v = alg, lg, v
+        self.view = extract_view(lg, [v], alg.locality)
+        self.ball = tuple(self.view.node_set)
+
+    def __missing__(self, key: tuple) -> _Part:
+        alg = self.alg
+        out = alg.rule(self.view, dict(zip(self.ball, key)))
+        _check_node_output(self.lg, self.v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
+        part = self[key] = _node_part(self.v, out)
+        return part
+
+
+def _seed_space(alphabet: tuple, nodes: int) -> int:
+    total = len(alphabet) ** nodes
+    if total > EXACT_SEED_SPACE_LIMIT:
+        raise InputError(
+            f"exact mode refuses {total} seed assignments (limit {EXACT_SEED_SPACE_LIMIT})"
+        )
+    return total
+
+
+def _seed_alphabet(alg: LocalAlgorithm) -> tuple:
+    alphabet = tuple(alg.seed_alphabet or ())
+    if not alphabet:
+        raise InputError("randomized algorithm declares an empty seed alphabet")
+    return alphabet
+
+
+def _tables_support(
+    tables: Sequence[_NodeTable],
+    universe: Sequence[int],
+    assignments: Iterable[tuple],
+    denominator: int,
+) -> tuple[tuple[Labeling, Fraction], ...]:
+    """Distribution of the tables' labeling over the given seed vectors.
+
+    An assignment lists one seed per node of `universe`, which must contain
+    every table's ball; tables are in node order.  Seed vectors are counted
+    per tuple of parts: equal part tuples are equal labelings, and the first
+    occurrence stays as the key, as when merging whole labelings.
+    """
+    index = {u: i for i, u in enumerate(universe)}
+    lookups = [(table, tuple(index[u] for u in table.ball)) for table in tables]
+    counts: dict[tuple[_Part, ...], int] = {}
+    for assignment in assignments:
+        seeds = assignment.__getitem__
+        key = tuple([table[tuple(map(seeds, ball))] for table, ball in lookups])
+        counts[key] = counts.get(key, 0) + 1
+    return _support(((_join_parts(parts), c) for parts, c in counts.items()), denominator)
+
+
 def run_rand_local(
     alg: LocalAlgorithm,
     lg: LabeledGraph,
@@ -233,7 +360,10 @@ def run_rand_local(
 
     Exact mode enumerates |alphabet|^n seed vectors (guarded at 2^24); the
     sampling mode draws `samples` vectors with a seeded RNG instead and is not
-    exactness-preserving.
+    exactness-preserving.  A node's output depends only on the seeds of its
+    view, so the rule runs once per node and distinct view assignment: in
+    exact mode, sum over v of |alphabet|^|ball_v| rule calls, plus one table
+    lookup per node and seed vector (n * |alphabet|^n) to count labelings.
     """
     if not alg.randomized:
         labeling = run_local(
@@ -246,43 +376,41 @@ def run_rand_local(
             lg,
         )
         return deterministic_outcome(lg, labeling)
-    g = lg.graph
-    alphabet = tuple(alg.seed_alphabet or ())
-    if not alphabet:
-        raise InputError("randomized algorithm declares an empty seed alphabet")
-    views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
-
-    def run_with(assignment: Sequence) -> Labeling:
-        per_node = {}
-        for v in range(g.n):
-            view = views[v]
-            seeds = {u: assignment[u] for u in view.node_set}
-            out = alg.rule(view, seeds)
-            _check_node_output(lg, v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
-            per_node[v] = out
-        return _assemble(lg, per_node)
-
-    weighted: list[tuple[Labeling, Fraction]] = []
+    n = lg.graph.n
+    alphabet = _seed_alphabet(alg)
+    assignments: Iterable[tuple]
     if exact:
-        total = len(alphabet) ** g.n
-        if total > EXACT_SEED_SPACE_LIMIT:
-            raise InputError(
-                f"exact mode refuses {total} seed assignments (limit {EXACT_SEED_SPACE_LIMIT})"
-            )
-        import itertools
-
-        w = Fraction(1, total)
-        for assignment in itertools.product(alphabet, repeat=g.n):
-            weighted.append((run_with(assignment), w))
+        denominator = _seed_space(alphabet, n)
+        assignments = product(alphabet, repeat=n)
     else:
         if samples <= 0:
             raise InputError("sampling mode needs a positive sample count")
+        denominator = samples
         rng = random.Random(seed)
-        w = Fraction(1, samples)
-        for _ in range(samples):
-            assignment = tuple(rng.choice(alphabet) for _ in range(g.n))
-            weighted.append((run_with(assignment), w))
-    return make_outcome(lg, weighted)
+        assignments = (tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(samples))
+    tables = [_NodeTable(alg, lg, v) for v in range(n)]
+    return Outcome(input=lg, support=_tables_support(tables, range(n), assignments, denominator))
+
+
+def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> RestrictedOutcome:
+    """Exact marginal of `run_rand_local(alg, lg)` on S and H(G)[S].
+
+    The outputs on S depend only on the seeds of N_T[S], the union of the
+    radius-T views of S, so only those |alphabet|^|N_T[S]| assignments are
+    enumerated and the 2^24 guard applies to them rather than to all n
+    nodes.  Equal to `restrict(run_rand_local(alg, lg), S)`.
+    """
+    if not alg.randomized:
+        raise InputError("rand_local_marginal needs a randomized algorithm; use run_local")
+    alphabet = _seed_alphabet(alg)
+    nodes = frozenset(s)
+    scope_he = _scope_half_edges(lg.graph, nodes)
+    tables = [_NodeTable(alg, lg, v) for v in sorted(nodes)]
+    universe = sorted(set().union(*(table.ball for table in tables)))
+    denominator = _seed_space(alphabet, len(universe))
+    assignments = product(alphabet, repeat=len(universe))
+    support = _tables_support(tables, universe, assignments, denominator)
+    return RestrictedOutcome(scope_nodes=nodes, scope_half_edges=scope_he, support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +577,19 @@ def outcome_to_json(outcome: Outcome) -> dict:
 def outcome_from_json(data: Mapping) -> Outcome:
     from .graphs import _label_from_json, labeled_graph_from_json
 
+    if "graph" not in data or "support" not in data:
+        raise InputError('outcome JSON needs "graph" and "support"')
     lg = labeled_graph_from_json(data["graph"])
     pairs = []
     for entry in data["support"]:
-        nodes = {int(v): _label_from_json(lab) for v, lab in entry["labels"].get("nodes", {}).items()}
-        half_edges = {}
-        for key, lab in entry["labels"].get("half_edges", {}).items():
-            v, e = key.split(":")
-            half_edges[(int(v), int(e))] = _label_from_json(lab)
-        pairs.append((Labeling.of(nodes, half_edges), Fraction(entry["p"])))
+        try:
+            nodes = {int(v): _label_from_json(lab) for v, lab in entry["labels"].get("nodes", {}).items()}
+            half_edges = {}
+            for key, lab in entry["labels"].get("half_edges", {}).items():
+                v, e = key.split(":")
+                half_edges[(int(v), int(e))] = _label_from_json(lab)
+            p = Fraction(entry["p"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as err:
+            raise InputError(f"malformed outcome support entry {entry!r}: {err!r}") from None
+        pairs.append((Labeling.of(nodes, half_edges), p))
     return make_outcome(lg, pairs)

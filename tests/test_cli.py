@@ -117,6 +117,46 @@ def test_lcl_verify_full_problem(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _ns_verify_exit_code(tmp_path, entry):
+    data = {"graph": labeled_graph_to_json(label_graph(path_graph(2)))}
+    if entry is not None:
+        data["support"] = [entry]
+    path = tmp_path / "outcome.json"
+    path.write_text(json.dumps(data))
+    return main(["ns", "verify", "--g", str(path), "--h", str(path), "--ag", "0", "--ah", "0", "-T", "0"])
+
+
+def _entry(p="1/1", nodes=None, half_edges=None):
+    entry = {"labels": {"nodes": nodes or {"0": "a", "1": "a"}, "half_edges": half_edges or {}}}
+    if p is not None:
+        entry["p"] = p
+    return entry
+
+
+def test_ns_verify_well_formed_outcome_passes(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry()) == 0
+
+
+def test_ns_verify_outcome_without_support_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, None) == 2
+
+
+def test_ns_verify_entry_without_probability_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(p=None)) == 2
+
+
+def test_ns_verify_zero_denominator_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(p="1/0")) == 2
+
+
+def test_ns_verify_non_integer_node_key_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(nodes={"x": "a", "1": "a"})) == 2
+
+
+def test_ns_verify_half_edge_key_without_colon_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(half_edges={"00": "a"})) == 2
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["suite", "nosuch"])

@@ -1,7 +1,11 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from locallab import outcomes
+from locallab.corpus import all_connected_graphs
 from locallab.graphs import (
     ContractError,
     InputError,
@@ -23,6 +27,7 @@ from locallab.outcomes import (
     make_outcome,
     outcome_from_json,
     outcome_to_json,
+    rand_local_marginal,
     restrict,
     run_local,
     run_rand_local,
@@ -292,3 +297,142 @@ def test_outcome_json_roundtrip():
     _, outcome = k3_matching_outcome()
     back = outcome_from_json(outcome_to_json(outcome))
     assert back.support == outcome.support
+
+
+def test_run_rand_local_checks_the_guard_before_any_view(monkeypatch):
+    def no_views(*args, **kwargs):
+        raise AssertionError("extract_view called before the seed-space guard")
+
+    monkeypatch.setattr(outcomes, "extract_view", no_views)
+    echo = LocalAlgorithm(
+        locality=1,
+        rule=lambda view, seeds: NodeOutput(node_label=seeds[view.anchor_node()]),
+        seed_alphabet=(0, 1),
+    )
+    with pytest.raises(InputError, match="limit"):
+        run_rand_local(echo, label_graph(cycle_graph(30)))
+
+
+# ---------------------------------------------------------------------------
+# the memoised simulator against the literal per-vector enumeration
+
+
+def _parity_rule(t, alphabet=("0", "1")):
+    """Node label: parity of the view's seeds and edges; half-edge on port i:
+    (own seed + far seed + i) mod 2, far seed 0 when the edge is not retained."""
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        g = view.source.graph
+        total = len(view.edge_set) + sum(alphabet.index(seeds[u]) for u in view.node_set)
+        half_edges = {}
+        for i, (_label, e) in enumerate(view.ports[v]):
+            far = alphabet.index(seeds[g.other(e, v)]) if e is not None else 0
+            half_edges[g.adjacency[v][i]] = str((alphabet.index(seeds[v]) + far + i) % 2)
+        return NodeOutput(node_label=str(total % 2), half_edge_labels=half_edges)
+
+    return LocalAlgorithm(locality=t, rule=rule, seed_alphabet=alphabet)
+
+
+def _reference_rand_local(alg, lg, exact=True, samples=0, seed=0):
+    """Every seed vector, every node: Labeling.of per vector, Fraction weights
+    merged in enumeration order and sorted by sort_key."""
+    g = lg.graph
+    views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
+    if exact:
+        vectors = list(itertools.product(alg.seed_alphabet, repeat=g.n))
+    else:
+        rng = random.Random(seed)
+        vectors = [tuple(rng.choice(alg.seed_alphabet) for _ in range(g.n)) for _ in range(samples)]
+    merged = {}
+    for assignment in vectors:
+        nodes, half_edges = {}, {}
+        for v, view in enumerate(views):
+            out = alg.rule(view, {u: assignment[u] for u in view.node_set})
+            if out.node_label is not None:
+                nodes[v] = out.node_label
+            for e, lab in out.half_edge_labels.items():
+                half_edges[(v, e)] = lab
+        labeling = Labeling.of(nodes, half_edges)
+        merged[labeling] = merged.get(labeling, F(0)) + F(1, len(vectors))
+    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def _reference_restrict(outcome, s):
+    g = outcome.input.graph
+    nodes = frozenset(s)
+    scope_he = frozenset((v, e) for v in nodes for e in g.adjacency[v])
+    merged = {}
+    for labeling, p in outcome.support:
+        part = labeling.restrict_to(nodes, scope_he)
+        merged[part] = merged.get(part, F(0)) + p
+    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+
+
+SMALL_GRAPHS = [label_graph(g) for g in all_connected_graphs(6)]
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_run_rand_local_matches_per_vector_enumeration(t):
+    alg = _parity_rule(t)
+    for lg in SMALL_GRAPHS:
+        assert run_rand_local(alg, lg).support == _reference_rand_local(alg, lg)
+
+
+def test_run_rand_local_sampling_matches_per_vector_enumeration():
+    alg = _parity_rule(1, alphabet=("a", "b", "c"))
+    for lg in SMALL_GRAPHS[::7]:
+        got = run_rand_local(alg, lg, exact=False, samples=40, seed=5)
+        assert got.support == _reference_rand_local(alg, lg, exact=False, samples=40, seed=5)
+
+
+def test_run_rand_local_calls_the_rule_once_per_view_assignment():
+    for t in (0, 1, 2):
+        for lg in SMALL_GRAPHS[::5]:
+            inner = _parity_rule(t)
+            calls = []
+
+            def counted(view, seeds):
+                calls.append(1)
+                return inner.rule(view, seeds)
+
+            alg = LocalAlgorithm(locality=t, rule=counted, seed_alphabet=inner.seed_alphabet)
+            run_rand_local(alg, lg)
+            expected = sum(
+                2 ** len(extract_view(lg, [v], t).node_set) for v in range(lg.graph.n)
+            )
+            assert len(calls) == expected
+
+
+def test_restrict_matches_literal_definition():
+    for lg in SMALL_GRAPHS[::4]:
+        outcome = run_rand_local(_parity_rule(1), lg)
+        n = lg.graph.n
+        for scope in itertools.chain(
+            itertools.combinations(range(n), 1), itertools.combinations(range(n), 2)
+        ):
+            assert restrict(outcome, scope).support == _reference_restrict(outcome, scope)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_rand_local_marginal_equals_restricted_joint(t):
+    alg = _parity_rule(t)
+    for lg in SMALL_GRAPHS:
+        joint = run_rand_local(alg, lg)
+        for v in range(lg.graph.n):
+            assert rand_local_marginal(alg, lg, [v]) == restrict(joint, [v])
+
+
+def test_rand_local_marginal_guards_the_ball_only():
+    lg = label_graph(cycle_graph(1000))
+    alg = _parity_rule(2)
+    with pytest.raises(InputError, match="limit"):
+        run_rand_local(alg, lg)
+    marginal = rand_local_marginal(alg, lg, [0])
+    assert sum(p for _, p in marginal.support) == 1
+    node_label = {}
+    for lab, p in marginal.support:
+        node_label[lab.node(0)] = node_label.get(lab.node(0), F(0)) + p
+    assert node_label == {"0": F(1, 2), "1": F(1, 2)}
+    with pytest.raises(InputError):
+        rand_local_marginal(LocalAlgorithm(locality=0, rule=lambda view: NodeOutput()), lg, [0])
