@@ -76,7 +76,10 @@ from .suites import SUITE_NAMES, run_suite
 
 
 def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise InputError(f"{path} is not valid JSON: {err}") from None
 
 
 def _dump(data, args) -> None:

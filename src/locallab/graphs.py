@@ -22,7 +22,9 @@ O(|ball|), the nodes of N_T[A] and their incident edges, not O(n + m).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 INFINITY = math.inf
@@ -807,41 +809,78 @@ def labeled_graph_to_json(lg: LabeledGraph) -> dict:
     return out
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(data: Mapping) -> Graph:
-    return make_graph(
-        int(data["n"]),
-        [tuple(e) for e in data["edges"]],
-        multi=bool(data.get("multi", False)),
-        adjacency_order=data.get("adjacency_order"),
-    )
+    try:
+        n = data["n"]
+        edges = [tuple(e) for e in data["edges"]]
+        if not _is_json_int(n) or not all(
+            len(e) == 2 and all(map(_is_json_int, e)) for e in edges
+        ):
+            raise InputError('graph JSON "n" and edge endpoints must be integers')
+        return make_graph(
+            n,
+            edges,
+            multi=bool(data.get("multi", False)),
+            adjacency_order=data.get("adjacency_order"),
+        )
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise InputError(f"malformed graph JSON: {err!r}") from None
 
 
 def labeled_graph_from_json(data: Mapping) -> LabeledGraph:
     g = graph_from_json(data)
-    raw_nodes = data.get("node_labels") or [None] * g.n
-    nl = {v: _label_from_json(lab) for v, lab in enumerate(raw_nodes) if lab is not None}
-    hl = {}
-    for key, lab in (data.get("half_edge_labels") or {}).items():
-        v, e = key.split(":")
-        hl[(int(v), int(e))] = _label_from_json(lab)
-    return label_graph(g, nl, hl)
+    try:
+        raw_nodes = data.get("node_labels") or [None] * g.n
+        nl = {v: _label_from_json(lab) for v, lab in enumerate(raw_nodes) if lab is not None}
+        hl = {}
+        for key, lab in (data.get("half_edge_labels") or {}).items():
+            v, e = key.split(":")
+            hl[(int(v), int(e))] = _label_from_json(lab)
+        return label_graph(g, nl, hl)
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise InputError(f"malformed labeled graph JSON: {err!r}") from None
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational_to_json(x) -> str:
+    """The JSON form of an exact rational: the string "a/b" in lowest terms."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def rational_from_json(raw) -> Fraction:
+    """Decode a JSON integer or an "a" / "a/b" string; anything else is an
+    InputError (a float, a bool, a decimal string, a zero denominator)."""
+    if isinstance(raw, str) and _RATIONAL.fullmatch(raw):
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise InputError(f"rational {raw!r} has a zero denominator") from None
+    if _is_json_int(raw):
+        return Fraction(raw)
+    raise InputError(f'expected an integer or an "a/b" string, got {raw!r}')
 
 
 def _label_to_json(lab):
-    from fractions import Fraction
-
     if isinstance(lab, Fraction):
-        return {"fraction": f"{lab.numerator}/{lab.denominator}"}
+        return {"fraction": rational_to_json(lab)}
     if isinstance(lab, tuple):
         return {"tuple": [_label_to_json(x) for x in lab]}
     return lab
 
 
 def _label_from_json(lab):
-    from fractions import Fraction
-
     if isinstance(lab, dict) and "fraction" in lab:
-        return Fraction(lab["fraction"])
+        return rational_from_json(lab["fraction"])
     if isinstance(lab, dict) and "tuple" in lab:
         return tuple(_label_from_json(x) for x in lab["tuple"])
     return lab

@@ -1,16 +1,31 @@
-"""Distributed LPs on graphs, exact rational simplex, and dequantization.
+"""Distributed LPs on graphs, an exact simplex, and dequantization.
 
-All arithmetic is fractions.Fraction; there is no floating-point path, so
-feasibility, optima, objectives, and ratios are exact and every test compares
-with ==.  The simplex is a plain two-phase dense tableau with Bland's rule
-(termination guaranteed), which is entirely adequate at desk scale.
+There is no floating-point path: feasibility, optima, objectives and ratios
+are exact Fractions, and every test compares with ==.
+
+Each DistLP is compiled once, on first use, into integer rows: a constraint
+is multiplied by the lcm of its denominators (a positive scale keeps the
+relation), and so is the objective.  `check_feasible` and `objective_value`
+bring a point to one common denominator and evaluate each row as a sum of
+ints.
+
+The simplex is a two-phase dense tableau with Bland's rule (termination
+guaranteed), kept fraction-free (Edmonds 1967; Bareiss 1968): it holds
+integers over one common positive denominator, the basis determinant, and
+every pivot divides exactly.  It makes the pivots the rational tableau would
+make, so status, value and point do not depend on the arithmetic.
+`exact_opt` does not trust the answer: it checks the point against the
+compiled rows and the objective, and the dual read off the final objective
+row for feasibility and equal value, a certificate of optimality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import (
     INFINITY,
@@ -20,8 +35,12 @@ from .graphs import (
     LabeledGraph,
     View,
     ball_distances,
+    graph_from_json,
+    graph_to_json,
     label_graph,
     make_graph,
+    rational_from_json,
+    rational_to_json,
 )
 from .outcomes import (
     Labeling,
@@ -71,6 +90,10 @@ class DistLP:
     graph: Graph
     variables: tuple[LpVariable, ...]
     constraints: tuple[LpConstraint, ...]
+    # integer rows, built on first use by _compiled(); immutable like the LP
+    _integer_form: Optional[_CompiledLP] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -99,6 +122,8 @@ def make_dist_lp(
         raise InputError("variable names must be unique")
     by_name = {v.name: v for v in variables}
     for c in constraints:
+        if c.relation not in _FLIPPED:
+            raise InputError(f"constraint {c.name!r} has unknown relation {c.relation!r}")
         dist = ball_distances(g, [c.owner], 1)
         for name, _ in c.coeffs:
             if name not in by_name:
@@ -160,6 +185,102 @@ def build_fractional_matching_lp(g: Graph) -> DistLP:
 
 
 # ---------------------------------------------------------------------------
+# the LP on integers, compiled once per DistLP
+
+
+class _Row(NamedTuple):
+    name: str
+    terms: tuple[tuple[int, int], ...]  # (column, coefficient); merged, nonzero
+    relation: str
+    bound: int
+    scale: int  # the positive integer the constraint was multiplied by
+
+
+@dataclass(frozen=True)
+class _CompiledLP:
+    names: tuple[str, ...]  # column order = lp.variables order
+    name_set: frozenset[str]
+    by_name: tuple[int, ...]  # columns sorted by variable name
+    objective: tuple[int, ...]  # objective coefficients times objective_scale
+    objective_scale: int
+    rows: tuple[_Row, ...]
+
+
+def _compiled(lp: DistLP) -> _CompiledLP:
+    """The integer form of `lp`, built on first use and kept on the LP.
+
+    Each constraint is multiplied by the lcm of its denominators (a positive
+    scale keeps the relation) and its repeated variables are summed; the
+    objective is multiplied by the lcm of its denominators.
+    """
+    comp = lp._integer_form
+    if comp is not None:
+        return comp
+    names = tuple(v.name for v in lp.variables)
+    index = {name: j for j, name in enumerate(names)}
+    objective, objective_scale = _common_denominator([v.objective for v in lp.variables])
+    rows = []
+    for c in lp.constraints:
+        scale = math.lcm(c.bound.denominator, *(coef.denominator for _, coef in c.coeffs))
+        merged: dict[int, int] = {}
+        for name, coef in c.coeffs:
+            col = index[name]
+            merged[col] = merged.get(col, 0) + coef.numerator * (scale // coef.denominator)
+        rows.append(_Row(
+            name=c.name,
+            terms=tuple((col, a) for col, a in merged.items() if a),
+            relation=c.relation,
+            bound=c.bound.numerator * (scale // c.bound.denominator),
+            scale=scale,
+        ))
+    comp = _CompiledLP(
+        names=names,
+        name_set=frozenset(names),
+        by_name=tuple(sorted(range(len(names)), key=names.__getitem__)),
+        objective=tuple(objective),
+        objective_scale=objective_scale,
+        rows=tuple(rows),
+    )
+    object.__setattr__(lp, "_integer_form", comp)
+    return comp
+
+
+def _common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Numerators of rationals over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _point_vector(comp: _CompiledLP, x: LpPoint) -> dict[str, Fraction]:
+    vals = x.as_dict()
+    if vals.keys() != comp.name_set:
+        missing = comp.name_set - set(vals)
+        if missing:
+            raise InputError(f"point is missing variables {sorted(missing)}")
+        raise InputError(f"point has unknown variables {sorted(set(vals) - comp.name_set)}")
+    return vals
+
+
+def _point_numerators(comp: _CompiledLP, x: LpPoint) -> tuple[list[int], int]:
+    vals = _point_vector(comp, x)
+    return _common_denominator([vals[name] for name in comp.names])
+
+
+def _violations(comp: _CompiledLP, nums: Sequence[int], den: int) -> list[str]:
+    """Names of the violated constraints of the point nums/den, after its
+    negative variables (as "nonneg:<name>", in name order)."""
+    names = comp.names
+    bad = [f"nonneg:{names[j]}" for j in comp.by_name if nums[j] < 0]
+    for row in comp.rows:
+        total = sum(a * nums[j] for j, a in row.terms)
+        rhs = row.bound * den
+        rel = row.relation
+        if not (total <= rhs if rel == "<=" else total == rhs if rel == "==" else total >= rhs):
+            bad.append(row.name)
+    return bad
+
+
+# ---------------------------------------------------------------------------
 # feasibility, objective, ratio
 
 
@@ -172,40 +293,17 @@ class FeasibilityVerdict:
         return self.ok
 
 
-def _point_vector(lp: DistLP, x: LpPoint) -> dict[str, Fraction]:
-    vals = x.as_dict()
-    names = set(lp.variable_names())
-    missing = names - set(vals)
-    if missing:
-        raise InputError(f"point is missing variables {sorted(missing)}")
-    extra = set(vals) - names
-    if extra:
-        raise InputError(f"point has unknown variables {sorted(extra)}")
-    return vals
-
-
 def check_feasible(lp: DistLP, x: LpPoint) -> FeasibilityVerdict:
     """Exact evaluation of every row plus the implied nonnegativity."""
-    vals = _point_vector(lp, x)
-    bad = []
-    for name, value in sorted(vals.items()):
-        if value < 0:
-            bad.append(f"nonneg:{name}")
-    for c in lp.constraints:
-        total = sum((coef * vals[name] for name, coef in c.coeffs), Fraction(0))
-        holds = (
-            total <= c.bound if c.relation == "<="
-            else total == c.bound if c.relation == "=="
-            else total >= c.bound
-        )
-        if not holds:
-            bad.append(c.name)
+    comp = _compiled(lp)
+    bad = _violations(comp, *_point_numerators(comp, x))
     return FeasibilityVerdict(ok=not bad, violated=tuple(bad))
 
 
 def objective_value(lp: DistLP, x: LpPoint) -> Fraction:
-    vals = _point_vector(lp, x)
-    return sum((v.objective * vals[v.name] for v in lp.variables), Fraction(0))
+    comp = _compiled(lp)
+    nums, den = _point_numerators(comp, x)
+    return Fraction(sum(map(mul, comp.objective, nums)), den * comp.objective_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -219,107 +317,148 @@ class OptResult:
     point: Optional[LpPoint] = None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            r = tableau[row]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], r)]
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, den: int) -> int:
+    """Fraction-free pivot on tableau[row][col]; returns the new denominator.
+
+    The tableau stands for tableau/den.  The pivot row keeps its integers and
+    the pivot p becomes the denominator, so every other row turns into
+    (p*a - f*b) / den.  That division is exact: each entry is, up to sign,
+    a minor of the integer system and den the basis determinant.  A negative
+    p negates the whole tableau, so the denominator stays positive.
+    """
+    p = tableau[row][col]
+    prow = tableau[row]
+    for i, r in enumerate(tableau):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tableau[i] = [(p * a - f * b) // den for a, b in zip(r, prow)]
+        elif p != den:
+            tableau[i] = [p * a // den for a in r]
     basis[row] = col
+    if p < 0:
+        tableau[:] = [[-a for a in r] for r in tableau]
+        return -p
+    return p
 
 
-def _optimize(tableau: list[list[Fraction]], basis: list[int], allowed: list[bool]) -> str:
-    """Bland's rule on the maximization tableau; objective is the last row."""
-    obj = len(tableau) - 1
+def _price_out(tableau: list[list[int]], basis: list[int], den: int) -> None:
+    """Zero the objective row (the last) on the basic columns.
+
+    Row i holds den on its basic column, and the objective row holds a
+    multiple of den there when this runs, so the quotient is exact.
+    """
+    obj = tableau[-1]
+    for i, b in enumerate(basis):
+        if obj[b]:
+            q = obj[b] // den
+            obj = [a - q * c for a, c in zip(obj, tableau[i])]
+    tableau[-1] = obj
+
+
+def _optimize(tableau: list[list[int]], basis: list[int], allowed: list[bool], den: int) -> tuple[str, int]:
+    """Bland's rule on the maximization tableau; objective is the last row.
+
+    Returns the status and the final denominator.  The ratio test compares
+    rhs/a across rows by cross-multiplication (every a is positive).
+    """
+    last = len(tableau) - 1
     while True:
-        col = -1
-        for j in range(len(allowed)):
-            if allowed[j] and tableau[obj][j] < 0:
-                col = j
-                break
+        obj = tableau[last]
+        col = next((j for j, ok in enumerate(allowed) if ok and obj[j] < 0), -1)
         if col == -1:
-            return "optimal"
-        row = -1
-        best: Optional[Fraction] = None
-        for i in range(obj):
-            if tableau[i][col] > 0:
-                ratio = tableau[i][-1] / tableau[i][col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
-                    row = i
+            return "optimal", den
+        row, best_rhs, best_a = -1, 0, 1
+        for i in range(last):
+            a = tableau[i][col]
+            if a > 0:
+                rhs = tableau[i][-1]
+                lhs, rhs_best = rhs * best_a, best_rhs * a
+                if row == -1 or lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[row]):
+                    row, best_rhs, best_a = i, rhs, a
         if row == -1:
-            return "unbounded"
-        _pivot(tableau, basis, row, col)
+            return "unbounded", den
+        den = _pivot(tableau, basis, row, col, den)
 
 
-def simplex_solve(
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
+def _solve(
     num_vars: int,
-    objective: Sequence[Fraction],
-    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
-) -> tuple[str, Optional[Fraction], Optional[list[Fraction]]]:
-    """Maximize objective over {x >= 0 : rows hold}; exact two-phase simplex."""
-    norm_rows: list[tuple[list[Fraction], str]] = []
-    rhs: list[Fraction] = []
+    objective: Sequence[int],
+    rows: Sequence[tuple[Sequence[int], str, int]],
+    scales: Sequence[int],
+) -> tuple[str, Optional[Fraction], Optional[list[Fraction]], Optional[list[Fraction]]]:
+    """Maximize objective·x over {x >= 0 : rows hold}, all data integers.
+
+    `scales[i]` is the positive factor row i was multiplied by to make it
+    integral.  Phase 1 weighs row i's artificial variable by 1/scales[i]
+    (times their lcm), so every pivot is the one the unscaled rational
+    tableau would make.  Returns the status and, when optimal, the value,
+    the point and the dual: one entry per row, read off the final objective
+    row (slack column of a <=/>= row, artificial column of an == row, sign
+    flipped for a row negated because its bound is negative, 0 for a row
+    dropped as redundant after phase 1).
+    """
+    norm_rows: list[tuple[Sequence[int], str, int]] = []
+    negated: list[bool] = []
     for coeffs, rel, bound in rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        bound = Fraction(bound)
-        if bound < 0:
-            coeffs = [-c for c in coeffs]
-            bound = -bound
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm_rows.append((coeffs, rel))
-        rhs.append(bound)
+        negate = bound < 0
+        if negate:
+            coeffs, rel, bound = [-c for c in coeffs], _FLIPPED[rel], -bound
+        norm_rows.append((coeffs, rel, bound))
+        negated.append(negate)
 
     m = len(norm_rows)
     slack_cols: dict[int, int] = {}
     art_cols: dict[int, int] = {}
     next_col = num_vars
-    for i, (_, rel) in enumerate(norm_rows):
+    for i, (_, rel, _) in enumerate(norm_rows):
         if rel in ("<=", ">="):
             slack_cols[i] = next_col
             next_col += 1
-    for i, (_, rel) in enumerate(norm_rows):
+    for i, (_, rel, _) in enumerate(norm_rows):
         if rel in (">=", "=="):
             art_cols[i] = next_col
             next_col += 1
     ncols = next_col
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (coeffs, rel) in enumerate(norm_rows):
-        row = [Fraction(0)] * (ncols + 1)
+    for i, (coeffs, rel, bound) in enumerate(norm_rows):
+        row = [0] * (ncols + 1)
         for j, c in enumerate(coeffs):
             row[j] = c
         if rel == "<=":
-            row[slack_cols[i]] = Fraction(1)
+            row[slack_cols[i]] = 1
             basis.append(slack_cols[i])
         elif rel == ">=":
-            row[slack_cols[i]] = Fraction(-1)
-            row[art_cols[i]] = Fraction(1)
+            row[slack_cols[i]] = -1
+            row[art_cols[i]] = 1
             basis.append(art_cols[i])
         else:
-            row[art_cols[i]] = Fraction(1)
+            row[art_cols[i]] = 1
             basis.append(art_cols[i])
-        row[-1] = rhs[i]
+        row[-1] = bound
         tableau.append(row)
 
+    den = 1
     allowed = [True] * ncols
+    row_of = list(range(m))  # the input row of each tableau row
 
     if art_cols:
-        # phase 1: maximize -(sum of artificials)
-        obj_row = [Fraction(0)] * (ncols + 1)
-        for col in art_cols.values():
-            obj_row[col] = Fraction(1)
+        # phase 1: maximize -(sum of artificials of the unscaled rows)
+        weight = math.lcm(*(scales[i] for i in art_cols))
+        obj_row = [0] * (ncols + 1)
+        for i, col in art_cols.items():
+            obj_row[col] = weight // scales[i]
         tableau.append(obj_row)
-        for i, b in enumerate(basis):
-            if tableau[-1][b] != 0:
-                f = tableau[-1][b]
-                tableau[-1] = [a - f * c for a, c in zip(tableau[-1], tableau[i])]
-        _optimize(tableau, basis, allowed)
+        _price_out(tableau, basis, den)
+        _, den = _optimize(tableau, basis, allowed, den)
         if tableau[-1][-1] != 0:
-            return ("infeasible", None, None)
+            return ("infeasible", None, None, None)
         tableau.pop()
         art_set = set(art_cols.values())
         # drive surviving artificials out of the basis where possible
@@ -333,51 +472,118 @@ def simplex_solve(
                 if pivot_col is None:
                     drop_rows.append(i)
                 else:
-                    _pivot(tableau, basis, i, pivot_col)
+                    den = _pivot(tableau, basis, i, pivot_col, den)
         for i in reversed(drop_rows):
             tableau.pop(i)
             basis.pop(i)
+            row_of.pop(i)
         for col in art_set:
             allowed[col] = False
 
-    obj_row = [Fraction(0)] * (ncols + 1)
+    obj_row = [0] * (ncols + 1)
     for j in range(num_vars):
-        obj_row[j] = -Fraction(objective[j])
+        obj_row[j] = -objective[j] * den
     tableau.append(obj_row)
-    for i, b in enumerate(basis):
-        if tableau[-1][b] != 0:
-            f = tableau[-1][b]
-            tableau[-1] = [a - f * c for a, c in zip(tableau[-1], tableau[i])]
-    status = _optimize(tableau, basis, allowed)
+    _price_out(tableau, basis, den)
+    status, den = _optimize(tableau, basis, allowed, den)
     if status == "unbounded":
-        return ("unbounded", None, None)
+        return ("unbounded", None, None, None)
     solution = [Fraction(0)] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            solution[b] = tableau[i][-1]
-    return ("optimal", tableau[-1][-1], solution)
+            solution[b] = Fraction(tableau[i][-1], den)
+    obj_row = tableau[-1]
+    dual = [Fraction(0)] * m
+    for i in row_of:
+        rel = norm_rows[i][1]
+        y = obj_row[art_cols[i]] if rel == "==" else obj_row[slack_cols[i]]
+        if (rel == ">=") != negated[i]:
+            y = -y
+        dual[i] = Fraction(y, den)
+    return ("optimal", Fraction(obj_row[-1], den), solution, dual)
+
+
+def simplex_solve(
+    num_vars: int,
+    objective: Sequence[Fraction],
+    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+) -> tuple[str, Optional[Fraction], Optional[list[Fraction]]]:
+    """Maximize objective over {x >= 0 : rows hold}; exact two-phase simplex.
+
+    Each row, and the objective, is scaled to integers by the lcm of its
+    denominators; the tableau is fraction-free (see `_pivot`).
+    """
+    int_rows: list[tuple[list[int], str, int]] = []
+    scales: list[int] = []
+    for coeffs, rel, bound in rows:
+        nums, scale = _common_denominator([Fraction(c) for c in coeffs] + [Fraction(bound)])
+        int_rows.append((nums[:-1], rel, nums[-1]))
+        scales.append(scale)
+    obj_nums, obj_scale = _common_denominator([Fraction(objective[j]) for j in range(num_vars)])
+    status, value, solution, _dual = _solve(num_vars, obj_nums, int_rows, scales)
+    if status != "optimal":
+        return (status, None, None)
+    assert value is not None
+    return ("optimal", value / obj_scale, solution)
+
+
+def _check_certificate(
+    comp: _CompiledLP,
+    objective: Sequence[int],
+    value: Fraction,
+    solution: Sequence[Fraction],
+    dual: Sequence[Fraction],
+) -> None:
+    """Raise ContractError unless (solution, dual) proves that `value` is the
+    maximum of objective·x over the compiled rows: the point satisfies every
+    row and has objective `value`, and the dual has the right sign per
+    relation, covers the objective column by column and has b·y == value
+    (weak duality then bounds every feasible point by `value`).
+    """
+    nums, den = _common_denominator(solution)
+    bad = _violations(comp, nums, den)
+    if bad:
+        raise ContractError(f"simplex optimum violates {bad}")
+    if sum(map(mul, objective, nums)) * value.denominator != value.numerator * den:
+        raise ContractError(f"simplex optimum's objective differs from its value {value}")
+    ynums, yden = _common_denominator(dual)
+    columns = [0] * len(objective)
+    bound_total = 0
+    for row, y in zip(comp.rows, ynums):
+        if (row.relation == "<=" and y < 0) or (row.relation == ">=" and y > 0):
+            raise ContractError(f"simplex dual has the wrong sign on row {row.name!r}")
+        for j, a in row.terms:
+            columns[j] += a * y
+        bound_total += row.bound * y
+    for j, total in enumerate(columns):
+        if total < objective[j] * yden:
+            raise ContractError(f"simplex dual does not cover variable {comp.names[j]!r}")
+    if bound_total * value.denominator != value.numerator * yden:
+        raise ContractError(f"simplex dual value differs from the optimum {value}")
 
 
 def exact_opt(lp: DistLP) -> OptResult:
-    """Optimal objective by exact rational simplex (Bland's rule)."""
-    names = lp.variable_names()
-    if len(names) > MAX_EXACT_OPT_VARIABLES:
+    """Optimal objective by the exact simplex (Bland's rule), with the optimum
+    checked against its primal-dual certificate."""
+    if len(lp.variables) > MAX_EXACT_OPT_VARIABLES:
         raise InputError(f"exact_opt is desk-scale (<= {MAX_EXACT_OPT_VARIABLES} variables)")
-    index = {name: j for j, name in enumerate(names)}
+    comp = _compiled(lp)
+    n = len(comp.names)
     sign = 1 if lp.sense == "maximize" else -1
-    objective = [sign * v.objective for v in lp.variables]
+    objective = [sign * c for c in comp.objective]
     rows = []
-    for c in lp.constraints:
-        coeffs = [Fraction(0)] * len(names)
-        for name, coef in c.coeffs:
-            coeffs[index[name]] = coef
-        rows.append((coeffs, c.relation, c.bound))
-    status, value, solution = simplex_solve(len(names), objective, rows)
+    for row in comp.rows:
+        coeffs = [0] * n
+        for j, a in row.terms:
+            coeffs[j] = a
+        rows.append((coeffs, row.relation, row.bound))
+    status, value, solution, dual = _solve(n, objective, rows, [row.scale for row in comp.rows])
     if status != "optimal":
         return OptResult(status=status)
-    assert value is not None and solution is not None
-    point = LpPoint.of({name: solution[index[name]] for name in names})
-    return OptResult(status="optimal", value=sign * value, point=point)
+    assert value is not None and solution is not None and dual is not None
+    _check_certificate(comp, objective, value, solution, dual)
+    point = LpPoint.of(dict(zip(comp.names, solution)))
+    return OptResult(status="optimal", value=sign * value / comp.objective_scale, point=point)
 
 
 def approximation_ratio(lp: DistLP, x: LpPoint):
@@ -408,7 +614,7 @@ def approximation_ratio(lp: DistLP, x: LpPoint):
 
 def labeling_from_point(lp: DistLP, x: LpPoint) -> Labeling:
     """Encode a point as a labeling: edge values on both half-edges, node values on nodes."""
-    vals = _point_vector(lp, x)
+    vals = _point_vector(_compiled(lp), x)
     g = lp.graph
     nodes: dict[int, object] = {}
     half_edges: dict[tuple[int, int], object] = {}
@@ -644,26 +850,20 @@ def maximal_matching_to_fractional(g: Graph, matching: Iterable[int]) -> LpPoint
 
 
 def lp_to_json(lp: DistLP) -> dict:
-    from .graphs import graph_to_json
-
     return {
         "kind": lp.kind,
         "sense": lp.sense,
         "graph": graph_to_json(lp.graph),
         "variables": [
-            {
-                "name": v.name,
-                "owner": list(v.owner),
-                "objective": f"{v.objective.numerator}/{v.objective.denominator}",
-            }
+            {"name": v.name, "owner": list(v.owner), "objective": rational_to_json(v.objective)}
             for v in lp.variables
         ],
         "constraints": [
             {
                 "name": c.name,
-                "coeffs": {n: f"{f.numerator}/{f.denominator}" for n, f in c.coeffs},
+                "coeffs": {n: rational_to_json(f) for n, f in c.coeffs},
                 "relation": c.relation,
-                "bound": f"{c.bound.numerator}/{c.bound.denominator}",
+                "bound": rational_to_json(c.bound),
                 "owner": c.owner,
             }
             for c in lp.constraints
@@ -672,33 +872,38 @@ def lp_to_json(lp: DistLP) -> dict:
 
 
 def lp_from_json(data: Mapping) -> DistLP:
-    from .graphs import graph_from_json
-
-    g = graph_from_json(data["graph"])
-    variables = [
-        LpVariable(
-            name=v["name"],
-            owner=(v["owner"][0], int(v["owner"][1])),
-            objective=Fraction(v["objective"]),
-        )
-        for v in data["variables"]
-    ]
-    constraints = [
-        LpConstraint(
-            name=c["name"],
-            coeffs=tuple(sorted((n, Fraction(f)) for n, f in c["coeffs"].items())),
-            relation=c["relation"],
-            bound=Fraction(c["bound"]),
-            owner=int(c["owner"]),
-        )
-        for c in data["constraints"]
-    ]
-    return make_dist_lp(data["kind"], data["sense"], g, variables, constraints)
+    try:
+        g = graph_from_json(data["graph"])
+        variables = [
+            LpVariable(
+                name=v["name"],
+                owner=(v["owner"][0], int(v["owner"][1])),
+                objective=rational_from_json(v["objective"]),
+            )
+            for v in data["variables"]
+        ]
+        constraints = [
+            LpConstraint(
+                name=c["name"],
+                coeffs=tuple(sorted((n, rational_from_json(f)) for n, f in c["coeffs"].items())),
+                relation=c["relation"],
+                bound=rational_from_json(c["bound"]),
+                owner=int(c["owner"]),
+            )
+            for c in data["constraints"]
+        ]
+        return make_dist_lp(data["kind"], data["sense"], g, variables, constraints)
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
+        raise InputError(f"malformed LP JSON: {err!r}") from None
 
 
 def point_to_json(x: LpPoint) -> dict:
-    return {name: f"{v.numerator}/{v.denominator}" for name, v in x.values}
+    return {name: rational_to_json(v) for name, v in x.values}
 
 
 def point_from_json(data: Mapping) -> LpPoint:
-    return LpPoint.of({name: Fraction(v) for name, v in data.items()})
+    if not isinstance(data, Mapping):
+        raise InputError("an LP point is a JSON object of variable values")
+    return LpPoint.of({name: rational_from_json(v) for name, v in data.items()})

@@ -555,13 +555,13 @@ def verify_non_signaling(
 
 
 def outcome_to_json(outcome: Outcome) -> dict:
-    from .graphs import _label_to_json, labeled_graph_to_json
+    from .graphs import _label_to_json, labeled_graph_to_json, rational_to_json
 
     entries = []
     for labeling, p in outcome.support:
         entries.append(
             {
-                "p": f"{p.numerator}/{p.denominator}",
+                "p": rational_to_json(p),
                 "labels": {
                     "nodes": {str(v): _label_to_json(lab) for v, lab in labeling.node_items},
                     "half_edges": {
@@ -575,7 +575,7 @@ def outcome_to_json(outcome: Outcome) -> dict:
 
 
 def outcome_from_json(data: Mapping) -> Outcome:
-    from .graphs import _label_from_json, labeled_graph_from_json
+    from .graphs import _label_from_json, labeled_graph_from_json, rational_from_json
 
     if "graph" not in data or "support" not in data:
         raise InputError('outcome JSON needs "graph" and "support"')
@@ -588,8 +588,8 @@ def outcome_from_json(data: Mapping) -> Outcome:
             for key, lab in entry["labels"].get("half_edges", {}).items():
                 v, e = key.split(":")
                 half_edges[(int(v), int(e))] = _label_from_json(lab)
-            p = Fraction(entry["p"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as err:
+            p = rational_from_json(entry["p"])
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
             raise InputError(f"malformed outcome support entry {entry!r}: {err!r}") from None
         pairs.append((Labeling.of(nodes, half_edges), p))
     return make_outcome(lg, pairs)

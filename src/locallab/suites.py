@@ -171,9 +171,10 @@ def _frac(x) -> str:
 # criterion 1: dequantization soundness
 
 
-def _random_feasible_point(rng: random.Random, g: Graph, lp) -> LpPoint:
+def _random_feasible_point(rng: random.Random, g: Graph, matchings: list) -> LpPoint:
+    """A maximal matching of g (one time in three) or random sixths scaled
+    under the node loads; `matchings` is `corpus.all_maximal_matchings(g)`."""
     if rng.random() < 1 / 3:
-        matchings = corpus.all_maximal_matchings(g)
         pick = matchings[rng.randrange(len(matchings))]
         return LpPoint.of(
             {edge_var(e): Fraction(1) if e in pick else Fraction(0) for e in range(g.m)}
@@ -200,9 +201,10 @@ def suite_dequantize(seed: int) -> list[CheckResult]:
             lp = build_fractional_matching_lp(g)
             opt = exact_opt(lp)
             assert opt.status == "optimal" and opt.value is not None
+            matchings = corpus.all_maximal_matchings(g)
             for trial in range(200):
                 count = rng.randint(1, 4)
-                points = [_random_feasible_point(rng, g, lp) for _ in range(count)]
+                points = [_random_feasible_point(rng, g, matchings) for _ in range(count)]
                 weights = [rng.randint(1, 9) for _ in range(count)]
                 total = sum(weights)
                 pairs = [(pt, Fraction(w, total)) for pt, w in zip(points, weights)]

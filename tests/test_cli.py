@@ -5,7 +5,7 @@ import pytest
 from locallab.cli import main
 from locallab.graphs import label_graph, labeled_graph_to_json, path_graph
 from locallab.linearize import incidence_graph_of, incidence_graph_to_json
-from locallab.lp import build_fractional_matching_lp, exact_opt
+from locallab.lp import build_fractional_matching_lp, exact_opt, lp_to_json
 
 
 @pytest.fixture
@@ -155,6 +155,68 @@ def test_ns_verify_non_integer_node_key_is_usage_error(tmp_path, capsys):
 
 def test_ns_verify_half_edge_key_without_colon_is_usage_error(tmp_path, capsys):
     assert _ns_verify_exit_code(tmp_path, _entry(half_edges={"00": "a"})) == 2
+
+
+def test_ns_verify_float_probability_is_usage_error(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(p=1.0)) == 2
+
+
+def test_ns_verify_graph_without_node_count_is_usage_error(tmp_path, capsys):
+    data = {"graph": labeled_graph_to_json(label_graph(path_graph(2))), "support": [_entry()]}
+    del data["graph"]["n"]
+    path = tmp_path / "outcome.json"
+    path.write_text(json.dumps(data))
+    assert main(["ns", "verify", "--g", str(path), "--h", str(path), "--ag", "0", "--ah", "0", "-T", "0"]) == 2
+
+
+def _graph_exit_code(tmp_path, edit):
+    data = labeled_graph_to_json(label_graph(path_graph(3)))
+    edit(data)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    return main(["sim", "local", "--graph", str(path), "--algorithm", "degree"])
+
+
+def test_graph_half_edge_key_with_dash_is_usage_error(tmp_path, capsys):
+    assert _graph_exit_code(tmp_path, lambda d: d["half_edge_labels"].update({"0-0": "a"})) == 2
+
+
+def test_graph_string_endpoints_are_usage_error(tmp_path, capsys):
+    assert _graph_exit_code(tmp_path, lambda d: d.update(edges=[["0", "1"], ["1", "2"]])) == 2
+
+
+def _lp_opt_exit_code(tmp_path, edit):
+    data = lp_to_json(build_fractional_matching_lp(path_graph(3)))
+    edit(data)
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(data))
+    return main(["lp", "opt", "--lp", str(path)])
+
+
+def test_lp_opt_roundtrips_through_lp_json(tmp_path, capsys):
+    assert _lp_opt_exit_code(tmp_path, lambda d: None) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "1"
+
+
+def test_lp_opt_without_sense_is_usage_error(tmp_path, capsys):
+    assert _lp_opt_exit_code(tmp_path, lambda d: d.pop("sense")) == 2
+
+
+def test_lp_opt_zero_denominator_bound_is_usage_error(tmp_path, capsys):
+    assert _lp_opt_exit_code(tmp_path, lambda d: d["constraints"][0].update(bound="1/0")) == 2
+
+
+def test_lp_check_float_point_is_usage_error(fixtures, tmp_path, capsys):
+    _, graph_path, _ = fixtures
+    point_path = tmp_path / "point.json"
+    point_path.write_text(json.dumps({"e0": 0.1, "e1": 0}))
+    assert main(["lp", "check", "--graph", str(graph_path), "--point", str(point_path)]) == 2
+
+
+def test_invalid_json_is_usage_error(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 3,')
+    assert main(["lp", "opt", "--graph", str(path)]) == 2
 
 
 def test_unknown_suite_is_usage_error():

@@ -24,6 +24,8 @@ from locallab.graphs import (
     make_graph,
     neighborhood,
     path_graph,
+    rational_from_json,
+    rational_to_json,
     star_graph,
     to_dot,
     view_isomorphisms,
@@ -180,6 +182,24 @@ def test_graph_json_roundtrip():
     back = labeled_graph_from_json(json.loads(json.dumps(data)))
     assert back == lg
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_rational_codec_is_exact_and_strict():
+    from fractions import Fraction
+
+    for x in (Fraction(0), Fraction(7), Fraction(-3, 4), Fraction(10**30 + 1, 3)):
+        text = rational_to_json(x)
+        assert text == f"{x.numerator}/{x.denominator}"
+        assert rational_from_json(text) == x
+    assert rational_from_json(5) == 5 and rational_from_json("-2") == -2
+    for bad in (0.5, 1.0, True, None, "0.5", "1e3", " 1/2", "1/0", "a/b", [1, 2]):
+        with pytest.raises(InputError):
+            rational_from_json(bad)
+    fraction_label = labeled_graph_to_json(label_graph(path_graph(2), node_labels={0: Fraction(1, 3)}))
+    assert fraction_label["node_labels"][0] == {"fraction": "1/3"}
+    fraction_label["node_labels"][0] = {"fraction": 0.25}
+    with pytest.raises(InputError):
+        labeled_graph_from_json(fraction_label)
 
 
 def test_dot_export():

@@ -49,6 +49,7 @@ from locallab.lp import (
     whole_graph_family,
 )
 from locallab.outcomes import run_local, run_rand_local
+import locallab.lp as lp_module
 
 
 def matching_point(g, edges):
@@ -274,3 +275,361 @@ def test_lp_json_roundtrip():
     assert exact_opt(back).value == F(3, 2)
     point = LpPoint.of({edge_var(e): F(1, 3) for e in range(3)})
     assert point_from_json(point_to_json(point)) == point
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the rational tableau
+#
+# The reference is the plain two-phase dense simplex over Fraction with
+# Bland's rule.  The integer tableau must make the same pivots, so status,
+# value and point are compared with ==, not only the optimal value.
+
+
+def _ref_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            f = tableau[i][col]
+            r = tableau[row]
+            tableau[i] = [a - f * b for a, b in zip(tableau[i], r)]
+    basis[row] = col
+
+
+def _ref_optimize(tableau, basis, allowed):
+    obj = len(tableau) - 1
+    while True:
+        col = -1
+        for j in range(len(allowed)):
+            if allowed[j] and tableau[obj][j] < 0:
+                col = j
+                break
+        if col == -1:
+            return "optimal"
+        row = -1
+        best = None
+        for i in range(obj):
+            if tableau[i][col] > 0:
+                ratio = tableau[i][-1] / tableau[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    best = ratio
+                    row = i
+        if row == -1:
+            return "unbounded"
+        _ref_pivot(tableau, basis, row, col)
+
+
+def reference_simplex_solve(num_vars, objective, rows):
+    norm_rows = []
+    rhs = []
+    for coeffs, rel, bound in rows:
+        coeffs = [F(c) for c in coeffs]
+        bound = F(bound)
+        if bound < 0:
+            coeffs = [-c for c in coeffs]
+            bound = -bound
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm_rows.append((coeffs, rel))
+        rhs.append(bound)
+
+    m = len(norm_rows)
+    slack_cols = {}
+    art_cols = {}
+    next_col = num_vars
+    for i, (_, rel) in enumerate(norm_rows):
+        if rel in ("<=", ">="):
+            slack_cols[i] = next_col
+            next_col += 1
+    for i, (_, rel) in enumerate(norm_rows):
+        if rel in (">=", "=="):
+            art_cols[i] = next_col
+            next_col += 1
+    ncols = next_col
+
+    tableau = []
+    basis = []
+    for i, (coeffs, rel) in enumerate(norm_rows):
+        row = [F(0)] * (ncols + 1)
+        for j, c in enumerate(coeffs):
+            row[j] = c
+        if rel == "<=":
+            row[slack_cols[i]] = F(1)
+            basis.append(slack_cols[i])
+        elif rel == ">=":
+            row[slack_cols[i]] = F(-1)
+            row[art_cols[i]] = F(1)
+            basis.append(art_cols[i])
+        else:
+            row[art_cols[i]] = F(1)
+            basis.append(art_cols[i])
+        row[-1] = rhs[i]
+        tableau.append(row)
+
+    allowed = [True] * ncols
+
+    if art_cols:
+        obj_row = [F(0)] * (ncols + 1)
+        for col in art_cols.values():
+            obj_row[col] = F(1)
+        tableau.append(obj_row)
+        for i, b in enumerate(basis):
+            if tableau[-1][b] != 0:
+                f = tableau[-1][b]
+                tableau[-1] = [a - f * c for a, c in zip(tableau[-1], tableau[i])]
+        _ref_optimize(tableau, basis, allowed)
+        if tableau[-1][-1] != 0:
+            return ("infeasible", None, None)
+        tableau.pop()
+        art_set = set(art_cols.values())
+        drop_rows = []
+        for i in range(m):
+            if basis[i] in art_set:
+                pivot_col = next(
+                    (j for j in range(ncols) if j not in art_set and tableau[i][j] != 0),
+                    None,
+                )
+                if pivot_col is None:
+                    drop_rows.append(i)
+                else:
+                    _ref_pivot(tableau, basis, i, pivot_col)
+        for i in reversed(drop_rows):
+            tableau.pop(i)
+            basis.pop(i)
+        for col in art_set:
+            allowed[col] = False
+
+    obj_row = [F(0)] * (ncols + 1)
+    for j in range(num_vars):
+        obj_row[j] = -F(objective[j])
+    tableau.append(obj_row)
+    for i, b in enumerate(basis):
+        if tableau[-1][b] != 0:
+            f = tableau[-1][b]
+            tableau[-1] = [a - f * c for a, c in zip(tableau[-1], tableau[i])]
+    status = _ref_optimize(tableau, basis, allowed)
+    if status == "unbounded":
+        return ("unbounded", None, None)
+    solution = [F(0)] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            solution[b] = tableau[i][-1]
+    return ("optimal", tableau[-1][-1], solution)
+
+
+def _dense(lp):
+    """(num_vars, objective, rows) of a DistLP, maximized, as dense Fraction rows."""
+    names = lp.variable_names()
+    index = {name: j for j, name in enumerate(names)}
+    sign = 1 if lp.sense == "maximize" else -1
+    rows = []
+    for c in lp.constraints:
+        coeffs = [F(0)] * len(names)
+        for name, coef in c.coeffs:
+            coeffs[index[name]] += coef
+        rows.append((coeffs, c.relation, c.bound))
+    return len(names), [sign * v.objective for v in lp.variables], rows
+
+
+def _assert_matches_reference(lp):
+    """simplex_solve and exact_opt agree with the reference on one DistLP."""
+    num_vars, objective, rows = _dense(lp)
+    expected = reference_simplex_solve(num_vars, objective, rows)
+    assert simplex_solve(num_vars, objective, rows) == expected
+    result = exact_opt(lp)
+    assert result.status == expected[0]
+    if expected[0] == "optimal":
+        sign = 1 if lp.sense == "maximize" else -1
+        assert result.value == sign * expected[1]
+        assert result.point == LpPoint.of(dict(zip(lp.variable_names(), expected[2])))
+    return expected[0]
+
+
+def _connected_graph(rng, n, m):
+    """Random spanning tree plus random extra edges up to exactly m edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    ordered = sorted(edges)
+    rng.shuffle(ordered)
+    return make_graph(n, ordered)
+
+
+def test_simplex_matches_reference_on_matching_lps_of_the_corpus():
+    for g in all_connected_graphs(6):
+        if g.m:
+            assert _assert_matches_reference(build_fractional_matching_lp(g)) == "optimal"
+
+
+@pytest.mark.parametrize("n", [16, 20, 28])
+def test_simplex_matches_reference_on_medium_ladder_shapes(n):
+    g = _connected_graph(random.Random(f"ladder:{n}"), n, 30 + 5 * (n - 16))
+    assert _assert_matches_reference(build_fractional_matching_lp(g)) == "optimal"
+
+
+def _general_lp(rng, sense):
+    """A node-based LP on a complete graph (every variable within radius 1 of
+    node 0) with mixed relations, signed bounds and fractional coefficients."""
+    k = rng.randint(1, 5)
+    g = complete_graph(k) if k > 1 else make_graph(1, [])
+    variables = [
+        LpVariable(name=f"x{v}", owner=("node", v), objective=F(rng.randint(-4, 6), rng.randint(1, 3)))
+        for v in range(k)
+    ]
+    constraints = []
+    for i in range(rng.randint(1, 5)):
+        names = rng.sample([v.name for v in variables], rng.randint(1, k))
+        coeffs = tuple((name, F(rng.randint(-3, 5), rng.randint(1, 4))) for name in names)
+        constraints.append(
+            LpConstraint(
+                name=f"r{i}",
+                coeffs=coeffs,
+                relation=rng.choice(["<=", "<=", ">=", "=="]),
+                bound=F(rng.randint(-4, 8), rng.randint(1, 3)),
+                owner=0,
+            )
+        )
+    return make_dist_lp("node-based", sense, g, variables, constraints)
+
+
+def test_simplex_matches_reference_on_seeded_general_lps():
+    rng = random.Random(2024)
+    statuses = {}
+    for trial in range(400):
+        lp = _general_lp(rng, "maximize" if trial % 2 else "minimize")
+        status = _assert_matches_reference(lp)
+        statuses[status] = statuses.get(status, 0) + 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
+
+
+def _node_lp(k, objective, constraints, sense="maximize"):
+    g = complete_graph(k) if k > 1 else make_graph(1, [])
+    variables = [LpVariable(name=f"x{v}", owner=("node", v), objective=F(c)) for v, c in enumerate(objective)]
+    rows = [
+        LpConstraint(name=f"r{i}", coeffs=tuple((f"x{j}", F(a)) for j, a in terms),
+                     relation=rel, bound=F(b), owner=0)
+        for i, (terms, rel, b) in enumerate(constraints)
+    ]
+    return make_dist_lp("node-based", sense, g, variables, rows)
+
+
+def test_simplex_edge_cases_match_reference():
+    # redundant equalities: one artificial stays basic and its row is dropped
+    redundant = _node_lp(2, [1, 2], [([(0, 1), (1, 1)], "==", 1), ([(0, 2), (1, 2)], "==", 2)])
+    assert _assert_matches_reference(redundant) == "optimal"
+    assert exact_opt(redundant).value == 2
+    # negative bounds on every relation
+    negative = _node_lp(
+        3, [1, -1, F(1, 2)],
+        [([(0, -1), (1, -1)], ">=", -4), ([(1, 1), (2, -2)], "<=", -1), ([(0, 1), (2, -1)], "==", -1)],
+        sense="minimize",
+    )
+    assert _assert_matches_reference(negative) == "optimal"
+    infeasible = _node_lp(2, [1, 1], [([(0, 1), (1, 1)], "<=", 1), ([(0, 1)], ">=", 2)])
+    assert _assert_matches_reference(infeasible) == "infeasible"
+    unbounded = _node_lp(2, [1, 0], [([(0, 1), (1, -1)], "<=", 1)])
+    assert _assert_matches_reference(unbounded) == "unbounded"
+
+
+def test_simplex_weighs_artificials_of_scaled_rows_like_the_rational_tableau():
+    """Scaling a >= row to integers scales its artificial variable too; phase 1
+    must weigh it back, or it ends at another vertex and phase 2 returns
+    another optimal point of equal value."""
+    objective = [F(-3), F(-1), F(0)]
+    rows = [
+        ([F(0), F(0), F(4, 5)], ">=", F(2, 5)),
+        ([F(1), F(1, 3), F(0)], ">=", F(1, 4)),
+        ([F(3), F(3, 4), F(1)], ">=", F(1, 2)),
+    ]
+    result = simplex_solve(3, objective, rows)
+    assert result == reference_simplex_solve(3, objective, rows)
+    assert result == ("optimal", F(-3, 4), [F(1, 4), F(0), F(1, 2)])
+
+
+def test_simplex_finishes_beales_cycling_example():
+    """Beale (1955): the textbook pivot rule cycles on this LP; Bland's does not."""
+    objective = [F(3, 4), F(-150), F(1, 50), F(-6)]
+    rows = [
+        ([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", F(0)),
+        ([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", F(0)),
+        ([F(0), F(0), F(1), F(0)], "<=", F(1)),
+    ]
+    result = simplex_solve(4, objective, rows)
+    assert result == reference_simplex_solve(4, objective, rows)
+    assert result == ("optimal", F(1, 20), [F(1, 25), F(0), F(1), F(0)])
+
+
+def test_repeated_variable_in_a_row_is_summed_everywhere():
+    lp = _node_lp(1, [1], [([(0, 1), (0, 1)], "<=", 1)])
+    result = exact_opt(lp)
+    assert result.value == F(1, 2)
+    assert check_feasible(lp, result.point).ok
+    assert not check_feasible(lp, LpPoint.of({"x0": F(1)})).ok
+
+
+def test_unknown_relation_is_input_error():
+    with pytest.raises(InputError, match="relation"):
+        _node_lp(1, [1], [([(0, 1)], "<", 1)])
+
+
+@pytest.mark.parametrize("corrupt", ["point", "value", "dual"])
+def test_exact_opt_rejects_a_corrupted_optimum(monkeypatch, corrupt):
+    real_solve = lp_module._solve
+
+    def corrupted(*args):
+        status, value, solution, dual = real_solve(*args)
+        if corrupt == "point":
+            solution = [x + F(1, 7) if j == 0 else x for j, x in enumerate(solution)]
+        elif corrupt == "value":
+            value += F(1, 7)
+        else:
+            dual = [y - F(1, 7) if i == 0 else y for i, y in enumerate(dual)]
+        return status, value, solution, dual
+
+    lp = build_fractional_matching_lp(complete_graph(4))
+    assert exact_opt(lp).value == 2
+    monkeypatch.setattr(lp_module, "_solve", corrupted)
+    with pytest.raises(ContractError, match="simplex"):
+        exact_opt(build_fractional_matching_lp(complete_graph(4)))
+
+
+def _ref_violations(lp, x):
+    """check_feasible's verdict by the literal Fraction evaluation of each row."""
+    vals = x.as_dict()
+    bad = [f"nonneg:{name}" for name, value in sorted(vals.items()) if value < 0]
+    for c in lp.constraints:
+        total = sum((coef * vals[name] for name, coef in c.coeffs), F(0))
+        holds = (
+            total <= c.bound if c.relation == "<="
+            else total == c.bound if c.relation == "==" else total >= c.bound
+        )
+        if not holds:
+            bad.append(c.name)
+    return tuple(bad)
+
+
+def _check_rows(lp, candidates):
+    for values in candidates:
+        x = LpPoint.of(values)
+        verdict = check_feasible(lp, x)
+        assert verdict.violated == _ref_violations(lp, x)
+        assert verdict.ok == (not verdict.violated)
+        assert objective_value(lp, x) == sum(
+            (v.objective * values[v.name] for v in lp.variables), F(0)
+        )
+
+
+def test_compiled_rows_match_the_literal_row_evaluation():
+    rng = random.Random(99)
+    for trial in range(300):
+        lp = _general_lp(rng, "maximize" if trial % 2 else "minimize")
+        candidates = [
+            {v.name: F(rng.randint(-2, 6), rng.randint(1, 5)) for v in lp.variables} for _ in range(6)
+        ]
+        opt = exact_opt(lp)
+        if opt.status == "optimal":
+            candidates.append(opt.point.as_dict())
+        _check_rows(lp, candidates)
+    # 15 variables: name order (e0, e1, e10, ...) differs from column order
+    lp = build_fractional_matching_lp(complete_graph(6))
+    _check_rows(lp, [{v.name: F(rng.randint(-1, 2), rng.randint(1, 3)) for v in lp.variables} for _ in range(50)])
