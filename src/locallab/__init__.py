@@ -16,6 +16,7 @@ from .graphs import (
     View,
     ball_distances,
     centered_isomorphism,
+    centered_key,
     complete_graph,
     cycle_graph,
     distance,

@@ -15,6 +15,7 @@ from pathlib import Path
 from .graphs import (
     InputError,
     graph_from_json,
+    json_decoding,
     label_graph,
     labeled_graph_from_json,
     labeled_graph_to_json,
@@ -123,21 +124,23 @@ def _builtin_local_algorithm(name: str, locality: int, seeds: int) -> LocalAlgor
 def _cmd_lcl_verify(args) -> int:
     problem_data = _load(args.problem)
     graph = labeled_graph_from_json(_load(args.graph))
-    if "node_in" in problem_data:
+    if isinstance(problem_data, dict) and "node_in" in problem_data:
         from .lcl import lcl_problem_from_json
 
         problem = lcl_problem_from_json(problem_data)
         out_data = _load(args.output)
-        out = OutputLabeling(
-            node_labels={int(v): lab for v, lab in out_data.get("nodes", {}).items()},
-            half_edge_labels={
-                (int(k.split(":")[0]), int(k.split(":")[1])): lab
-                for k, lab in out_data.get("half_edges", {}).items()
-            },
-        )
+        with json_decoding("output labeling"):
+            out = OutputLabeling(
+                node_labels={int(v): lab for v, lab in out_data.get("nodes", {}).items()},
+                half_edge_labels={
+                    (int(k.split(":")[0]), int(k.split(":")[1])): lab
+                    for k, lab in out_data.get("half_edges", {}).items()
+                },
+            )
         verdict = verify_lcl_solution(problem, graph, out)
     else:
-        constraints = constraint_set_from_json(problem_data["constraints"])
+        with json_decoding("constraint problem"):
+            constraints = constraint_set_from_json(problem_data["constraints"])
         verdict = check_constraints(graph, constraints)
     _dump({"ok": verdict.ok, "violations": list(verdict.violations)}, args)
     return 0 if verdict.ok else 1

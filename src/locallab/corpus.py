@@ -16,50 +16,45 @@ from functools import lru_cache
 from .graphs import Graph, canonical_key, is_bipartite, is_connected, make_graph
 
 
-def _augment(bases: list[Graph], n: int, require_connected: bool, require_bipartite: bool) -> list[Graph]:
-    out: dict[tuple, Graph] = {}
-    subsets: list[tuple[int, ...]] = []
-    for size in range(0 if not require_connected else 1, n):
-        subsets.extend(itertools.combinations(range(n - 1), size))
-    for base in bases:
-        for subset in subsets:
-            edges = list(base.edge_list) + [(u, n - 1) for u in subset]
-            g = make_graph(n, edges)
-            if require_connected and not is_connected(g):
-                continue
-            if require_bipartite and is_bipartite(g) is None:
-                continue
-            key = canonical_key(g)
-            if key not in out:
-                out[key] = g
-    return list(out.values())
-
-
 @lru_cache(maxsize=None)
+def _layers(n: int, connected: bool, bipartite: bool) -> tuple[Graph, ...]:
+    """The family's graphs with 1..n nodes, up to isomorphism, by node count.
+
+    Each n-node graph augments an (n-1)-node one by a new node adjacent to a
+    subset of the old nodes (nonempty when connected); the first candidate
+    with a new canonical key is kept.
+    """
+    if n <= 1:
+        return (make_graph(1, []),)
+    smaller = _layers(n - 1, connected, bipartite)
+    subsets = [
+        s for size in range(int(connected), n) for s in itertools.combinations(range(n - 1), size)
+    ]
+    out: dict[tuple, Graph] = {}
+    for base in (g for g in smaller if g.n == n - 1):
+        for subset in subsets:
+            g = make_graph(n, list(base.edge_list) + [(u, n - 1) for u in subset])
+            if connected and not is_connected(g):
+                continue
+            if bipartite and is_bipartite(g) is None:
+                continue
+            out.setdefault(canonical_key(g), g)
+    return smaller + tuple(out.values())
+
+
 def all_graphs(max_n: int) -> tuple[Graph, ...]:
     """All graphs with 1..max_n nodes, up to isomorphism."""
-    layers: list[list[Graph]] = [[make_graph(1, [])]]
-    for n in range(2, max_n + 1):
-        layers.append(_augment(layers[-1], n, require_connected=False, require_bipartite=False))
-    return tuple(g for layer in layers for g in layer)
+    return _layers(max_n, False, False)
 
 
-@lru_cache(maxsize=None)
 def all_connected_graphs(max_n: int) -> tuple[Graph, ...]:
     """All connected graphs with 1..max_n nodes, up to isomorphism."""
-    layers: list[list[Graph]] = [[make_graph(1, [])]]
-    for n in range(2, max_n + 1):
-        layers.append(_augment(layers[-1], n, require_connected=True, require_bipartite=False))
-    return tuple(g for layer in layers for g in layer)
+    return _layers(max_n, True, False)
 
 
-@lru_cache(maxsize=None)
 def all_connected_bipartite_graphs(max_n: int) -> tuple[Graph, ...]:
     """All connected bipartite graphs with 1..max_n nodes, up to isomorphism."""
-    layers: list[list[Graph]] = [[make_graph(1, [])]]
-    for n in range(2, max_n + 1):
-        layers.append(_augment(layers[-1], n, require_connected=True, require_bipartite=True))
-    return tuple(g for layer in layers for g in layer)
+    return _layers(max_n, True, True)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:

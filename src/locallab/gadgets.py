@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import (
+    CenteredGraph,
     ContractError,
     Graph,
     InputError,
     LabeledGraph,
+    centered_key,
     distances_from,
+    json_decoding,
     label_graph,
     make_graph,
     two_edge_components,
@@ -1024,13 +1027,10 @@ def promise_labeling_of(pi: ProperInstance, labels: Mapping[int, object]) -> Lab
 
 def family_constraint_set(instances: Sequence[ProperInstance], r: int = 2) -> ConstraintSet:
     """Radius-r constraint set collecting the labeled balls of the instances."""
-    from .graphs import centered_isomorphism
-
-    members = []
+    members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
     node_alpha: set = set()
     he_alpha: set = set()
     delta = 1
-    buckets: dict[object, list] = {}
     for pi in instances:
         lg = pi.labeling
         node_alpha.update(lg.node_labels)
@@ -1038,22 +1038,13 @@ def family_constraint_set(instances: Sequence[ProperInstance], r: int = 2) -> Co
         delta = max(delta, max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1))
         for v in range(lg.graph.n):
             ball = centered_ball(lg, v, r)
-            key = (
-                ball.base.graph.n,
-                ball.base.graph.m,
-                ball.base.node_labels[ball.center],
-                tuple(sorted(map(repr, ball.base.node_labels))),
-            )
-            known = buckets.setdefault(key, [])
-            if not any(centered_isomorphism(ball, other) is not None for other in known):
-                known.append(ball)
-                members.append(ball)
+            members.setdefault(centered_key(ball), ball)
     return make_constraint_set(
         r=r,
         delta=delta,
         node_alphabet=node_alpha,
         half_edge_alphabet=he_alpha,
-        members=members,
+        members=members.values(),
     )
 
 
@@ -1097,10 +1088,7 @@ def pi_promise_lcl(
     r = ecc
     node_out = frozenset(problem.sigma | {BOTTOM})
     he_out = frozenset({"-"})
-    members = []
-    seen: list = []
-    from .graphs import centered_isomorphism
-
+    members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
     node_in_alpha = frozenset(pi.labeling.node_labels)
     he_in_alpha = frozenset(lab for _, lab in pi.labeling.half_edge_items())
     for out in admissible:
@@ -1114,15 +1102,13 @@ def pi_promise_lcl(
         )
         for v in range(g.n):
             ball = centered_ball(product, v, r)
-            if not any(centered_isomorphism(ball, m) is not None for m in seen):
-                seen.append(ball)
-                members.append(ball)
+            members.setdefault(centered_key(ball), ball)
     constraints = make_constraint_set(
         r=r,
         delta=max((g.degree(v) for v in range(g.n)), default=1),
         node_alphabet={(a, b) for a in node_in_alpha for b in node_out},
         half_edge_alphabet={(a, b) for a in he_in_alpha for b in he_out},
-        members=members,
+        members=members.values(),
     )
     lcl = LclProblem(
         node_in=node_in_alpha,
@@ -1169,25 +1155,26 @@ def proper_instance_to_json(pi: ProperInstance) -> dict:
 def proper_instance_from_json(data: Mapping) -> ProperInstance:
     from .graphs import graph_from_json
 
-    g = graph_from_json(data["graph"])
-    octopi = [
-        OctopusWitness(
-            x=int(w["x"]),
-            eta=tuple(int(v) for v in w["eta"]),
-            head_nodes=tuple(int(v) for v in w["head"]),
-            ports=tuple(
-                PortWitness(
-                    slot=int(p["slot"]),
-                    copy=int(p["copy"]),
-                    height=int(p["height"]),
-                    nodes=tuple(int(v) for v in p["nodes"]),
-                )
-                for p in w["ports"]
-            ),
-        )
-        for w in data["octopi"]
-    ]
-    return make_proper_instance(g, data["lambda"], octopi)
+    with json_decoding("proper instance"):
+        g = graph_from_json(data["graph"])
+        octopi = [
+            OctopusWitness(
+                x=int(w["x"]),
+                eta=tuple(int(v) for v in w["eta"]),
+                head_nodes=tuple(int(v) for v in w["head"]),
+                ports=tuple(
+                    PortWitness(
+                        slot=int(p["slot"]),
+                        copy=int(p["copy"]),
+                        height=int(p["height"]),
+                        nodes=tuple(int(v) for v in p["nodes"]),
+                    )
+                    for p in w["ports"]
+                ),
+            )
+            for w in data["octopi"]
+        ]
+        return make_proper_instance(g, data["lambda"], octopi)
 
 
 def port_map_to_json(pm: PortMap) -> dict:
@@ -1202,10 +1189,11 @@ def port_map_to_json(pm: PortMap) -> dict:
 def port_map_from_json(data: Mapping) -> PortMap:
     from .linearize import incidence_graph_from_json
 
-    return PortMap(
-        source=incidence_graph_from_json(data["source"]),
-        root_to_edge=tuple((int(a), int(b)) for a, b in data["root_to_edge"]),
-    )
+    with json_decoding("port map"):
+        return PortMap(
+            source=incidence_graph_from_json(data["source"]),
+            root_to_edge=tuple((int(a), int(b)) for a, b in data["root_to_edge"]),
+        )
 
 
 def proper_instance_dot(pi: ProperInstance) -> str:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -510,7 +512,7 @@ def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# view isomorphism
 
 
 def _view_node_key(view: View, v: int):
@@ -526,6 +528,12 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
     retained/dropped pattern positionally, and is structurally consistent: the
     edge on port i of v is retained iff the edge on port i of phi(v) is, and
     their far endpoints correspond under phi.
+
+    The search places v1's nodes in BFS order from the anchors, backtracking
+    on an explicit stack.  It checks the port of v toward an already placed
+    far end exactly, and toward an unplaced one only that its image is still
+    free, so each retained edge's far-end correspondence is checked at its
+    later-placed end only (see ROADMAP item 3).
     """
     if v1.radius != v2.radius:
         return []
@@ -582,32 +590,216 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
                     return False
         return True
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            found.append(dict(phi))
-            return not find_all
-        v = order[i]
-        for u in key2.get(_view_node_key(v1, v), []):
-            if u in used:
-                continue
-            if not compatible(v, u):
-                continue
-            phi[v] = u
-            used.add(u)
-            if rec(i + 1):
-                return True
-            del phi[v]
-            used.discard(u)
-        return False
+    class2 = {u: us for us in key2.values() for u in us}
+    rank2 = {u: i for us in key2.values() for i, u in enumerate(us)}
 
-    rec(0)
-    return found
+    def candidates(v: int) -> list[int]:
+        # a compatible u neighbours phi(w) for every placed neighbour w of v,
+        # so only those members of v's class are listed, in class order
+        options = key2.get(_view_node_key(v1, v), [])
+        for w in v1.neighbors_in_view(v):
+            if w in phi:
+                near = set(v2.neighbors_in_view(phi[w]))
+                return sorted((u for u in near if class2[u] is options), key=rank2.__getitem__)
+        return options
+
+    # options[i] are the candidates for order[i]; tried[i] counts those tried
+    options: list[list[int]] = [[]] * len(order)
+    tried = [0] * (len(order) + 1)
+    level = 0
+    while True:
+        placed = False
+        if level == len(order):
+            found.append(dict(phi))
+            if not find_all:
+                return found
+        else:
+            v = order[level]
+            if tried[level] == 0:
+                options[level] = candidates(v)
+            while not placed and tried[level] < len(options[level]):
+                u = options[level][tried[level]]
+                tried[level] += 1
+                if u not in used and compatible(v, u):
+                    phi[v] = u
+                    used.add(u)
+                    placed = True
+        if placed:
+            level += 1
+            tried[level] = 0
+        elif level == 0:
+            return found
+        else:
+            level -= 1
+            used.discard(phi.pop(order[level]))
 
 
 def views_isomorphic(v1: View, v2: View) -> Optional[dict[int, int]]:
     """Some port-aware view isomorphism, or None."""
     isos = view_isomorphisms(v1, v2, find_all=False)
     return isos[0] if isos else None
+
+
+# ---------------------------------------------------------------------------
+# canonical forms
+#
+# One individualization-refinement search (McKay & Piperno, "Practical graph
+# isomorphism, II", J. Symb. Comput. 60, 2014) gives canonical keys of bare
+# graphs (corpus deduplication) and of centered labeled balls (LCL
+# membership).  A structure is encoded as one colour per node and one
+# coloured arc (far node, arc colour) per half-edge; labels enter colours
+# through repr.  Two encodings are isomorphic iff their keys are equal, and
+# then mapping each canonical position to the same position of the other is
+# an isomorphism.
+
+
+def _refine(lab: list, pos: list, cell: list, ends: list, into: list, active: list) -> None:
+    """Split cells in place until the ordered partition is equitable.
+
+    lab[p] is the node at position p and pos its inverse; a cell is a range
+    [s, ends[s]) and cell[v] its start.  Each splitter cell W splits every
+    cell by the multiset of colours of its nodes' arcs into W; the pieces
+    keep the cell's place, in key order.  A split cell that is not queued
+    queues all pieces but its first largest, whose keys follow from the rest.
+    """
+    queue = deque(active)
+    queued = set(active)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        hits: dict[int, list[int]] = {}
+        for p in range(s, ends[s]):
+            for v, c in into[lab[p]]:
+                if v in hits:
+                    hits[v].append(c)
+                else:
+                    hits[v] = [c]
+        touched: dict[int, list[int]] = {}
+        for v in hits:
+            touched.setdefault(cell[v], []).append(v)
+        for t in sorted(touched):
+            e = ends[t]
+            hit = touched[t]
+            groups: dict[tuple, list[int]] = {}
+            for v in hit:
+                groups.setdefault(tuple(sorted(hits[v])), []).append(v)
+            tail = e - len(hit)
+            if tail == t and len(groups) == 1:
+                continue
+            # unhit nodes keep [t, tail) and start t; hit nodes fill the tail
+            hitset = set(hit)
+            strays = [lab[p] for p in range(tail, e) if lab[p] not in hitset]
+            for w, v in zip(strays, (v for v in hit if pos[v] < tail)):
+                lab[pos[v]] = w
+                pos[w] = pos[v]
+            pieces = [(t, tail - t)] if tail > t else []
+            p = tail
+            for key in sorted(groups):
+                start = p
+                for v in groups[key]:
+                    lab[p] = v
+                    pos[v] = p
+                    cell[v] = start
+                    p += 1
+                ends[start] = p
+                pieces.append((start, p - start))
+            if tail > t:
+                ends[t] = tail
+            skip = -1 if t in queued else max(range(len(pieces)), key=lambda i: pieces[i][1])
+            for i, (start, _) in enumerate(pieces):
+                if i != skip and start not in queued:
+                    queue.append(start)
+                    queued.add(start)
+
+
+def _canonical_form(
+    colours: Sequence, arcs: Sequence[Sequence[tuple[int, object]]]
+) -> tuple[tuple, tuple[int, ...]]:
+    """(key, order) of a node- and arc-coloured digraph on 0..n-1, where
+    order[p] is the node at canonical position p.
+
+    The root of the search tree refines the colour partition; a node that is
+    not discrete has one child per node of its first smallest non-singleton
+    cell, that node individualized and the partition refined again.  The tree
+    is walked depth-first on an explicit stack.  A leaf orders the nodes; its
+    certificate is the sorted arc list in that order and the key is the
+    smallest certificate.  A leaf whose certificate equals the best one is
+    the best leaf moved by an automorphism, which maps the best leaf's branch
+    at the level where their paths part, explored first, onto this leaf's:
+    the search resumes at that level.
+    """
+    n = len(colours)
+    palette = sorted(set(colours))
+    rank = {c: i for i, c in enumerate(palette)}
+    arc_palette = sorted({c for row in arcs for _, c in row})
+    arc_rank = {c: i for i, c in enumerate(arc_palette)}
+    out = [[(w, arc_rank[c]) for w, c in row] for row in arcs]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v, row in enumerate(out):
+        for w, c in row:
+            into[w].append((v, c))
+
+    lab = sorted(range(n), key=lambda v: rank[colours[v]])
+    pos, cell, ends = [0] * n, [0] * n, [0] * n
+    counts = [0] * len(palette)
+    for p, v in enumerate(lab):
+        pos[v] = p
+        counts[rank[colours[v]]] += 1
+    starts = []
+    p = 0
+    for size in counts:
+        starts.append(p)
+        for q in range(p, p + size):
+            cell[lab[q]] = p
+        ends[p] = p + size
+        p += size
+    _refine(lab, pos, cell, ends, into, starts)
+
+    best = None  # (certificate, order, path)
+    stack: list[list] = []  # one frame per level: [partition, branch nodes, next, path]
+    part, path = (lab, pos, cell, ends), ()
+    while True:
+        lab, pos, cell, ends = part
+        target = None
+        p = 0
+        while p < n:
+            if ends[p] - p > 1 and (target is None or ends[p] - p < ends[target] - target):
+                target = p
+            p = ends[p]
+        if target is not None:
+            stack.append([part, lab[target : ends[target]], 0, path])
+        else:
+            cert = tuple(sorted((pos[v], pos[w], c) for v in range(n) for w, c in out[v]))
+            if best is None or cert < best[0]:
+                best = (cert, tuple(lab), path)
+            elif cert == best[0]:
+                level = 0
+                while path[level] == best[2][level]:
+                    level += 1
+                del stack[level + 1 :]
+        while stack and stack[-1][2] == len(stack[-1][1]):
+            stack.pop()
+        if not stack:
+            break
+        frame = stack[-1]
+        v = frame[1][frame[2]]
+        frame[2] += 1
+        lab, pos, cell, ends = (list(x) for x in frame[0])
+        s, e, q = cell[v], ends[cell[v]], pos[v]
+        lab[q], lab[s] = lab[s], v
+        pos[lab[q]], pos[v] = q, s
+        for q in range(s + 1, e):
+            cell[lab[q]] = s + 1
+        ends[s], ends[s + 1] = s + 1, e
+        _refine(lab, pos, cell, ends, into, [s])
+        part, path = (lab, pos, cell, ends), frame[3] + (v,)
+
+    return (tuple(zip(palette, counts)), tuple(arc_palette), best[0]), best[1]
+
+
+def canonical_key(g: Graph) -> tuple:
+    """Canonical key of a bare graph: equal for two graphs iff isomorphic."""
+    return _canonical_form([0] * g.n, [[(w, 0) for w in row] for row in g.neighbor_rows])[0]
 
 
 @dataclass(frozen=True)
@@ -626,6 +818,30 @@ class CenteredGraph:
         return max((g.degree(v) for v in range(g.n)), default=0)
 
 
+def _centered_form(c: CenteredGraph) -> tuple[tuple, tuple[int, ...]]:
+    """A node's colour is its center flag and label; the edge {v, w} gives
+    the arcs v -> w and w -> v, coloured by the pair of its half-edge labels
+    seen from that end, so parallel edges stay a multiset of label pairs.
+    Port order takes no part."""
+    lg = c.base
+    g = lg.graph
+    reprs = [tuple(map(repr, row)) for row in lg.port_labels]
+    colours = [repr((v == c.center, lab)) for v, lab in enumerate(lg.node_labels)]
+    arcs = [
+        [
+            (w, (reprs[v][i], reprs[w][g.adjacency[w].index(e)]))
+            for i, (e, w) in enumerate(_ports(g, v))
+        ]
+        for v in range(g.n)
+    ]
+    return _canonical_form(colours, arcs)
+
+
+def centered_key(c: CenteredGraph) -> tuple:
+    """Canonical key of a centered labeled graph: equal iff isomorphic."""
+    return _centered_form(c)[0]
+
+
 def centered_isomorphism(c1: CenteredGraph, c2: CenteredGraph) -> Optional[dict[int, int]]:
     """Label-preserving graph isomorphism mapping center to center, or None.
 
@@ -636,151 +852,8 @@ def centered_isomorphism(c1: CenteredGraph, c2: CenteredGraph) -> Optional[dict[
     g1, g2 = c1.base.graph, c2.base.graph
     if g1.n != g2.n or g1.m != g2.m:
         return None
-
-    def node_key(lg: LabeledGraph, v: int, center: int):
-        g = lg.graph
-        he = sorted(map(repr, (lg.half_edge_label(v, e) for e in g.adjacency[v])))
-        return (v == center, lg.node_labels[v], g.degree(v), tuple(he))
-
-    key2: dict[object, list[int]] = {}
-    for u in range(g2.n):
-        key2.setdefault(repr(node_key(c2.base, u, c2.center)), []).append(u)
-
-    order = []
-    seen = set()
-    for s in [c1.center] + list(range(g1.n)):
-        if s in seen:
-            continue
-        seen.add(s)
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            w = queue[head]
-            head += 1
-            order.append(w)
-            for x in g1.neighbors(w):
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
-
-    phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def edge_labels(lg: LabeledGraph, v: int, w: int) -> list:
-        g = lg.graph
-        out = []
-        for e in g.edges_between(v, w):
-            out.append((lg.half_edge_label(v, e), lg.half_edge_label(w, e)))
-        out.sort(key=repr)
-        return out
-
-    def compatible(v: int, u: int) -> bool:
-        for w in phi:
-            lab1 = edge_labels(c1.base, v, w)
-            lab2 = edge_labels(c2.base, u, phi[w])
-            if lab1 != lab2:
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for u in key2.get(repr(node_key(c1.base, v, c1.center)), []):
-            if u in used or not compatible(v, u):
-                continue
-            phi[v] = u
-            used.add(u)
-            if rec(i + 1):
-                return True
-            del phi[v]
-            used.discard(u)
-        return False
-
-    return dict(phi) if rec(0) else None
-
-
-# ---------------------------------------------------------------------------
-# canonical forms (bare graphs; used for corpus deduplication)
-
-
-def canonical_key(g: Graph) -> tuple:
-    """Canonical encoding invariant under node relabeling (exact, desk scale).
-
-    Iterated neighborhood-color refinement, then a backtracking minimization of
-    the adjacency encoding over color-respecting orderings.
-    """
-    n = g.n
-    if n == 0:
-        return (0, ())
-    colors = [g.degree(v) for v in range(n)]
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-
-    best: list[tuple] = []
-
-    def encode(perm: list[int]) -> tuple:
-        pos = {v: i for i, v in enumerate(perm)}
-        rows = []
-        for v in perm:
-            row = sorted(pos[u] for u in g.neighbors(v) if u in pos)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    # minimize over orderings: nodes must appear in nondecreasing color order,
-    # and within the search we prune by prefix comparison
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    color_seq: list[int] = []
-    for c in sorted(by_color):
-        color_seq.extend([c] * len(by_color[c]))
-
-    best_rows: Optional[list[tuple]] = None
-
-    def rec(perm: list[int], used: set[int]) -> None:
-        nonlocal best_rows
-        i = len(perm)
-        if i == n:
-            rows = list(encode(perm))
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-            return
-        for v in by_color[color_seq[i]]:
-            if v in used:
-                continue
-            perm.append(v)
-            used.add(v)
-            # prefix prune: compare encoded rows of the prefix
-            if best_rows is not None:
-                pos = {w: j for j, w in enumerate(perm)}
-                ok = True
-                for j, w in enumerate(perm):
-                    row = tuple(sorted(pos[u] for u in g.neighbors(w) if u in pos))
-                    if row < best_rows[j]:
-                        ok = True
-                        break
-                    if row > best_rows[j]:
-                        ok = False
-                        break
-                if ok:
-                    rec(perm, used)
-            else:
-                rec(perm, used)
-            perm.pop()
-            used.discard(v)
-
-    rec([], set())
-    assert best_rows is not None
-    return (n, tuple(best_rows))
+    (key1, order1), (key2, order2) = _centered_form(c1), _centered_form(c2)
+    return dict(sorted(zip(order1, order2))) if key1 == key2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +886,20 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def graph_from_json(data: Mapping) -> Graph:
+@contextmanager
+def json_decoding(what: str) -> Iterator[None]:
+    """Report a decoder's KeyError, TypeError, ValueError, AttributeError or
+    IndexError on malformed JSON as an InputError naming `what`."""
     try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as err:
+        raise InputError(f"malformed {what} JSON: {err!r}") from None
+
+
+def graph_from_json(data: Mapping) -> Graph:
+    with json_decoding("graph"):
         n = data["n"]
         edges = [tuple(e) for e in data["edges"]]
         if not _is_json_int(n) or not all(
@@ -827,15 +912,11 @@ def graph_from_json(data: Mapping) -> Graph:
             multi=bool(data.get("multi", False)),
             adjacency_order=data.get("adjacency_order"),
         )
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
-        raise InputError(f"malformed graph JSON: {err!r}") from None
 
 
 def labeled_graph_from_json(data: Mapping) -> LabeledGraph:
     g = graph_from_json(data)
-    try:
+    with json_decoding("labeled graph"):
         raw_nodes = data.get("node_labels") or [None] * g.n
         nl = {v: _label_from_json(lab) for v, lab in enumerate(raw_nodes) if lab is not None}
         hl = {}
@@ -843,10 +924,6 @@ def labeled_graph_from_json(data: Mapping) -> LabeledGraph:
             v, e = key.split(":")
             hl[(int(v), int(e))] = _label_from_json(lab)
         return label_graph(g, nl, hl)
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
-        raise InputError(f"malformed labeled graph JSON: {err!r}") from None
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

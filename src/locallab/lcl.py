@@ -2,21 +2,24 @@
 
 A constraint set is a finite list of labeled centered graphs; a graph satisfies
 it when every node's centered radius-r ball is isomorphic to some member.
-Membership is tested by exact centered isomorphism, never by a compiled
+Membership is one dict lookup of the ball's exact canonical key
+(`graphs.centered_key`) in an index of the members' keys, never a compiled
 automaton: r and the degree bound are small constants at desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Optional
 
 from .graphs import (
     CenteredGraph,
     InputError,
     LabeledGraph,
-    centered_isomorphism,
+    _is_json_int,
+    centered_key,
     induced_labeled_subgraph,
+    json_decoding,
     label_graph,
     labeled_graph_from_json,
     labeled_graph_to_json,
@@ -43,6 +46,20 @@ class ConstraintSet:
     node_alphabet: frozenset
     half_edge_alphabet: frozenset
     members: tuple[CenteredGraph, ...]
+    # canonical key -> member position; derived from members, built once
+    _member_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+
+
+def _member_index(cs: ConstraintSet) -> dict:
+    """cs's canonical key -> member position, built once; a member with the
+    key of an earlier member is an InputError."""
+    if cs._member_index is None:
+        index: dict = {}
+        for i, member in enumerate(cs.members):
+            if index.setdefault(centered_key(member), i) != i:
+                raise InputError(f"member {i} duplicates an earlier member up to isomorphism")
+        object.__setattr__(cs, "_member_index", index)
+    return cs._member_index
 
 
 def make_constraint_set(
@@ -55,7 +72,7 @@ def make_constraint_set(
     """Validate eccentricity, degree, alphabets, and pairwise non-isomorphism."""
     va = frozenset(node_alphabet)
     ea = frozenset(half_edge_alphabet)
-    accepted: list[CenteredGraph] = []
+    members = tuple(members)
     for i, member in enumerate(members):
         if member.eccentricity() > r:
             raise InputError(f"member {i} has eccentricity above r={r}")
@@ -67,17 +84,9 @@ def make_constraint_set(
         for _, lab in member.base.half_edge_items():
             if lab not in ea:
                 raise InputError(f"member {i} uses half-edge label {lab!r} outside the alphabet")
-        for other in accepted:
-            if centered_isomorphism(member, other) is not None:
-                raise InputError(f"member {i} duplicates an earlier member up to isomorphism")
-        accepted.append(member)
-    return ConstraintSet(
-        r=r,
-        delta=delta,
-        node_alphabet=va,
-        half_edge_alphabet=ea,
-        members=tuple(accepted),
-    )
+    cs = ConstraintSet(r=r, delta=delta, node_alphabet=va, half_edge_alphabet=ea, members=members)
+    _member_index(cs)
+    return cs
 
 
 @dataclass(frozen=True)
@@ -110,10 +119,10 @@ def check_constraints(lg: LabeledGraph, constraints: ConstraintSet) -> Verdict:
     for _, lab in lg.half_edge_items():
         if lab not in constraints.half_edge_alphabet:
             raise InputError(f"half-edge label {lab!r} outside the constraint alphabet")
+    index = _member_index(constraints)
     bad: list[tuple[int, str]] = []
     for v in range(lg.graph.n):
-        ball = centered_ball(lg, v, constraints.r)
-        if not any(centered_isomorphism(ball, m) is not None for m in constraints.members):
+        if centered_key(centered_ball(lg, v, constraints.r)) not in index:
             bad.append((v, "ball matches no constraint member"))
     return OK if not bad else fail(bad)
 
@@ -173,7 +182,12 @@ def centered_graph_to_json(c: CenteredGraph) -> dict:
 
 
 def centered_graph_from_json(data: Mapping) -> CenteredGraph:
-    return CenteredGraph(base=labeled_graph_from_json(data["graph"]), center=int(data["center"]))
+    with json_decoding("centered graph"):
+        base = labeled_graph_from_json(data["graph"])
+        center = data["center"]
+    if not (_is_json_int(center) and 0 <= center < base.graph.n):
+        raise InputError(f"center {center!r} is not a node id of the graph")
+    return CenteredGraph(base=base, center=center)
 
 
 def constraint_set_to_json(cs: ConstraintSet) -> dict:
@@ -191,13 +205,17 @@ def constraint_set_to_json(cs: ConstraintSet) -> dict:
 def constraint_set_from_json(data: Mapping) -> ConstraintSet:
     from .graphs import _label_from_json
 
-    return make_constraint_set(
-        r=int(data["r"]),
-        delta=int(data["delta"]),
-        node_alphabet=[_label_from_json(x) for x in data["node_alphabet"]],
-        half_edge_alphabet=[_label_from_json(x) for x in data["half_edge_alphabet"]],
-        members=[centered_graph_from_json(m) for m in data["members"]],
-    )
+    with json_decoding("constraint set"):
+        r, delta = data["r"], data["delta"]
+        if not (_is_json_int(r) and _is_json_int(delta)):
+            raise InputError('constraint set "r" and "delta" must be integers')
+        return make_constraint_set(
+            r=r,
+            delta=delta,
+            node_alphabet=[_label_from_json(x) for x in data["node_alphabet"]],
+            half_edge_alphabet=[_label_from_json(x) for x in data["half_edge_alphabet"]],
+            members=[centered_graph_from_json(m) for m in data["members"]],
+        )
 
 
 def lcl_problem_to_json(problem: LclProblem) -> dict:
@@ -215,10 +233,11 @@ def lcl_problem_to_json(problem: LclProblem) -> dict:
 def lcl_problem_from_json(data: Mapping) -> LclProblem:
     from .graphs import _label_from_json
 
-    return LclProblem(
-        node_in=frozenset(_label_from_json(x) for x in data["node_in"]),
-        half_edge_in=frozenset(_label_from_json(x) for x in data["half_edge_in"]),
-        node_out=frozenset(_label_from_json(x) for x in data["node_out"]),
-        half_edge_out=frozenset(_label_from_json(x) for x in data["half_edge_out"]),
-        constraints=constraint_set_from_json(data["constraints"]),
-    )
+    with json_decoding("LCL problem"):
+        return LclProblem(
+            node_in=frozenset(_label_from_json(x) for x in data["node_in"]),
+            half_edge_in=frozenset(_label_from_json(x) for x in data["half_edge_in"]),
+            node_out=frozenset(_label_from_json(x) for x in data["node_out"]),
+            half_edge_out=frozenset(_label_from_json(x) for x in data["half_edge_out"]),
+            constraints=constraint_set_from_json(data["constraints"]),
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import ContractError, Graph, InputError, make_graph
+from .graphs import ContractError, Graph, InputError, json_decoding, make_graph
 from .lcl import Verdict, OK, fail
 from .outcomes import NodeOutput, SlocalAlgorithm, SlocalContext, SlocalStep, run_slocal
 
@@ -277,7 +277,7 @@ def is_maximal_matching(g: Graph, edges: Iterable[int]) -> MatchingVerdict:
 FREE = "free"
 
 
-def greedy_maximal_matching(g: Graph) -> SlocalAlgorithm:
+def greedy_maximal_matching() -> SlocalAlgorithm:
     """Claim-based greedy: an unmatched node claims its smallest-id neighbor
     that is neither processed nor already claimed.
 
@@ -331,7 +331,7 @@ def greedy_matching(g: Graph, order: Sequence[int]) -> tuple[frozenset[int], int
     """Run the greedy matcher; returns (matched edge ids, observed locality)."""
     from .graphs import label_graph
 
-    labeling, observed = run_slocal(greedy_maximal_matching(g), label_graph(g), order)
+    labeling, observed = run_slocal(greedy_maximal_matching(), label_graph(g), order)
     outputs = labeling.nodes()
     matched = set()
     for e in range(g.m):
@@ -357,14 +357,15 @@ def linearizable_to_json(p: LinearizableProblem) -> dict:
 
 
 def linearizable_from_json(data: Mapping) -> LinearizableProblem:
-    return make_linearizable_problem(
-        sigma=data["sigma"],
-        first=data["first"],
-        last=data["last"],
-        pairs=[tuple(x) for x in data["pairs"]],
-        black=[tuple(x) for x in data["black"]],
-        rank=int(data["rank"]),
-    )
+    with json_decoding("linearizable problem"):
+        return make_linearizable_problem(
+            sigma=data["sigma"],
+            first=data["first"],
+            last=data["last"],
+            pairs=[tuple(x) for x in data["pairs"]],
+            black=[tuple(x) for x in data["black"]],
+            rank=int(data["rank"]),
+        )
 
 
 def incidence_graph_to_json(ig: IncidenceGraph) -> dict:
@@ -378,7 +379,8 @@ def incidence_graph_to_json(ig: IncidenceGraph) -> dict:
 def incidence_graph_from_json(data: Mapping) -> IncidenceGraph:
     from .graphs import graph_from_json
 
-    return make_incidence_graph(graph_from_json(data), data["roles"])
+    with json_decoding("incidence graph"):
+        return make_incidence_graph(graph_from_json(data), data["roles"])
 
 
 def edge_labeling_to_json(labeling: Mapping[int, object]) -> dict:
@@ -386,4 +388,5 @@ def edge_labeling_to_json(labeling: Mapping[int, object]) -> dict:
 
 
 def edge_labeling_from_json(data: Mapping) -> dict[int, object]:
-    return {int(e): lab for e, lab in data.items()}
+    with json_decoding("edge labeling"):
+        return {int(e): lab for e, lab in data.items()}

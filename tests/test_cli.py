@@ -238,3 +238,54 @@ def test_suite_reports_are_deterministic(tmp_path, capsys):
     report = json.loads((out1 / "report.json").read_text())
     assert report["passed"] is True
     capsys.readouterr()
+
+
+def _lcl_verify_exit_code(tmp_path, edit):
+    """`lcl verify` on P3 with a one-member constraint set edited by `edit`."""
+    from locallab.lcl import centered_ball, constraint_set_to_json, make_constraint_set
+
+    lg = label_graph(path_graph(3), {v: "n" for v in range(3)})
+    ball = centered_ball(lg, 1, 1)
+    problem = {"constraints": constraint_set_to_json(make_constraint_set(1, 2, {"n"}, {None}, [ball]))}
+    edit(problem)
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(problem))
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(labeled_graph_to_json(lg)))
+    return main(["lcl", "verify", "--problem", str(problem_path), "--graph", str(graph_path)])
+
+
+def test_lcl_verify_reports_unmatched_balls(tmp_path, capsys):
+    assert _lcl_verify_exit_code(tmp_path, lambda d: None) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        [0, "ball matches no constraint member"],
+        [2, "ball matches no constraint member"],
+    ]
+
+
+def test_lcl_verify_problem_without_constraints_is_usage_error(tmp_path, capsys):
+    assert _lcl_verify_exit_code(tmp_path, lambda d: d.clear()) == 2
+
+
+def test_lcl_verify_string_center_is_usage_error(tmp_path, capsys):
+    assert _lcl_verify_exit_code(tmp_path, lambda d: d["constraints"]["members"][0].update(center="x")) == 2
+
+
+def test_lcl_verify_float_center_is_usage_error(tmp_path, capsys):
+    assert _lcl_verify_exit_code(tmp_path, lambda d: d["constraints"]["members"][0].update(center=1.5)) == 2
+
+
+def test_lift_run_instance_without_graph_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text("{}")
+    assert main(["lift", "run", "--instance", str(path)]) == 2
+
+
+def test_lin_verify_incidence_without_roles_is_usage_error(fixtures, tmp_path, capsys):
+    _, _, ig_path = fixtures
+    data = json.loads(ig_path.read_text())
+    del data["roles"]
+    ig_path.write_text(json.dumps(data))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps({"0": "P"}))
+    assert main(["lin", "verify", "--incidence", str(ig_path), "--labels", str(labels_path)]) == 2

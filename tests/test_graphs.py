@@ -1,5 +1,8 @@
 import itertools
 import json
+import random
+import time
+import timeit
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -12,6 +15,8 @@ from locallab.graphs import (
     InputError,
     View,
     canonical_key,
+    centered_isomorphism,
+    centered_key,
     cycle_graph,
     distance,
     distances_from,
@@ -369,3 +374,363 @@ def test_ball_queries_read_rows_of_the_ball_only(query, ball_size):
     lg, reads = _counting_cycle()
     query(lg)
     assert 0 < reads() <= 4 * ball_size
+
+
+# ---------------------------------------------------------------------------
+# the canonical-form engine and the view search against the earlier
+# recursive searches, kept here as reference oracles
+
+
+def reference_canonical_key(g):
+    """Colour refinement, then a backtracking minimization of the adjacency
+    encoding over colour-respecting orderings (factorial on regular graphs)."""
+    n = g.n
+    if n == 0:
+        return (0, ())
+    colors = [g.degree(v) for v in range(n)]
+    while True:
+        sig = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))) for v in range(n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            break
+        colors = new
+
+    def encode(perm):
+        pos = {v: i for i, v in enumerate(perm)}
+        return tuple(tuple(sorted(pos[u] for u in g.neighbors(v) if u in pos)) for v in perm)
+
+    by_color = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    color_seq = []
+    for c in sorted(by_color):
+        color_seq.extend([c] * len(by_color[c]))
+    best_rows = None
+
+    def rec(perm, used):
+        nonlocal best_rows
+        i = len(perm)
+        if i == n:
+            rows = list(encode(perm))
+            if best_rows is None or rows < best_rows:
+                best_rows = rows
+            return
+        for v in by_color[color_seq[i]]:
+            if v in used:
+                continue
+            perm.append(v)
+            used.add(v)
+            if best_rows is not None:
+                pos = {w: j for j, w in enumerate(perm)}
+                ok = True
+                for j, w in enumerate(perm):
+                    row = tuple(sorted(pos[u] for u in g.neighbors(w) if u in pos))
+                    if row < best_rows[j]:
+                        break
+                    if row > best_rows[j]:
+                        ok = False
+                        break
+                if ok:
+                    rec(perm, used)
+            else:
+                rec(perm, used)
+            perm.pop()
+            used.discard(v)
+
+    rec([], set())
+    return (n, tuple(best_rows))
+
+
+def _reference_view_node_key(view, v):
+    port_sig = tuple((lab, e is not None) for (lab, e) in view.ports[v])
+    return (v in view.anchor, view.node_label[v], port_sig)
+
+
+def reference_view_isomorphisms(v1, v2, find_all=False):
+    """The recursive view search: nodes of v1 in BFS order from the anchors,
+    candidates in v2 by node key, positional port checks."""
+    if v1.radius != v2.radius:
+        return []
+    if len(v1.node_set) != len(v2.node_set) or len(v1.edge_set) != len(v2.edge_set):
+        return []
+    if len(v1.anchor) != len(v2.anchor):
+        return []
+    nodes1 = sorted(v1.node_set)
+    key2 = {}
+    for u in v2.node_set:
+        key2.setdefault(_reference_view_node_key(v2, u), []).append(u)
+    keys1 = sorted(map(repr, (_reference_view_node_key(v1, v) for v in nodes1)))
+    keys2 = sorted(map(repr, (_reference_view_node_key(v2, u) for u in v2.node_set)))
+    if keys1 != keys2:
+        return []
+    order = []
+    seen = set()
+    for s in sorted(v1.anchor) + nodes1:
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            w = queue[head]
+            head += 1
+            order.append(w)
+            for x in v1.neighbors_in_view(w):
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+    g1, g2 = v1.source.graph, v2.source.graph
+    phi, used, found = {}, set(), []
+
+    def compatible(v, u):
+        for (lab1, e1), (lab2, e2) in zip(v1.ports[v], v2.ports[u]):
+            if lab1 != lab2 or (e1 is None) != (e2 is None):
+                return False
+            if e1 is not None:
+                w1, w2 = g1.other(e1, v), g2.other(e2, u)
+                if w1 in phi:
+                    if phi[w1] != w2:
+                        return False
+                elif w2 in used:
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(order):
+            found.append(dict(phi))
+            return not find_all
+        v = order[i]
+        for u in key2.get(_reference_view_node_key(v1, v), []):
+            if u in used or not compatible(v, u):
+                continue
+            phi[v] = u
+            used.add(u)
+            if rec(i + 1):
+                return True
+            del phi[v]
+            used.discard(u)
+        return False
+
+    rec(0)
+    return found
+
+
+def reference_centered_isomorphism(c1, c2):
+    """The recursive centered search: BFS order from the center, candidates by
+    (center flag, label, degree, half-edge labels), label pairs per node pair."""
+    g1, g2 = c1.base.graph, c2.base.graph
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+
+    def node_key(lg, v, center):
+        he = sorted(map(repr, (lg.half_edge_label(v, e) for e in lg.graph.adjacency[v])))
+        return (v == center, lg.node_labels[v], lg.graph.degree(v), tuple(he))
+
+    key2 = {}
+    for u in range(g2.n):
+        key2.setdefault(repr(node_key(c2.base, u, c2.center)), []).append(u)
+    order = []
+    seen = set()
+    for s in [c1.center] + list(range(g1.n)):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            w = queue[head]
+            head += 1
+            order.append(w)
+            for x in g1.neighbors(w):
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+    phi, used = {}, set()
+
+    def edge_labels(lg, v, w):
+        out = [(lg.half_edge_label(v, e), lg.half_edge_label(w, e)) for e in lg.graph.edges_between(v, w)]
+        out.sort(key=repr)
+        return out
+
+    def compatible(v, u):
+        return all(edge_labels(c1.base, v, w) == edge_labels(c2.base, u, phi[w]) for w in phi)
+
+    def rec(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for u in key2.get(repr(node_key(c1.base, v, c1.center)), []):
+            if u in used or not compatible(v, u):
+                continue
+            phi[v] = u
+            used.add(u)
+            if rec(i + 1):
+                return True
+            del phi[v]
+            used.discard(u)
+        return False
+
+    return dict(phi) if rec(0) else None
+
+
+def _relabeled(g, rng):
+    """An isomorphic copy of g under a random node numbering and edge order."""
+    perm = rng.sample(range(g.n), g.n)
+    edges = [(perm[u], perm[v]) for u, v in g.edge_list]
+    rng.shuffle(edges)
+    return make_graph(g.n, edges, multi=g.multi)
+
+
+def _randomly_labeled(rng, g):
+    return label_graph(
+        g,
+        node_labels={v: rng.choice("ab") for v in range(g.n)},
+        half_edge_labels={(v, e): rng.choice("xy") for v, e in g.half_edges()},
+    )
+
+
+def _pairs_of_equal_shape(graphs):
+    by_shape = {}
+    for i, g in enumerate(graphs):
+        by_shape.setdefault((g.n, g.m), []).append(i)
+    return [pair for group in by_shape.values() for pair in itertools.combinations(group, 2)]
+
+
+def test_canonical_key_equality_is_reference_isomorphism():
+    rng = random.Random(5)
+    graphs = list(all_connected_graphs(6))
+    graphs += [_relabeled(g, rng) for g in graphs]
+    new = [canonical_key(g) for g in graphs]
+    ref = [reference_canonical_key(g) for g in graphs]
+    pairs = _pairs_of_equal_shape(graphs)
+    assert sum(ref[i] == ref[j] for i, j in pairs) == len(graphs) // 2
+    for i, j in pairs:
+        assert (new[i] == new[j]) == (ref[i] == ref[j]), (graphs[i].edge_list, graphs[j].edge_list)
+
+
+def test_canonical_key_separates_and_survives_relabeling_on_seven_node_corpus():
+    rng = random.Random(11)
+    graphs = all_connected_graphs(7)
+    keys = [canonical_key(g) for g in graphs]
+    assert len(set(keys)) == len(graphs)
+    for g, key in zip(graphs, keys):
+        assert canonical_key(_relabeled(g, rng)) == key
+
+
+def _random_regular(rng, n, d):
+    """A uniform-ish simple d-regular graph on n nodes (pairing model)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(pair)) for pair in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return make_graph(n, sorted(edges))
+
+
+REGULAR_SHAPES = [(8, 3), (10, 3), (12, 3), (10, 4), (12, 4), (14, 3)]
+
+
+def test_canonical_key_survives_relabeling_of_regular_graphs():
+    # colour refinement cannot split a regular graph, so these keys come from
+    # individualization and from skipping branches that automorphisms repeat
+    rng = random.Random(21)
+    for n, d in REGULAR_SHAPES:
+        for _ in range(4):
+            g = _random_regular(rng, n, d)
+            key = canonical_key(g)
+            assert all(canonical_key(_relabeled(g, rng)) == key for _ in range(5))
+
+
+def test_canonical_key_agrees_with_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    graphs = [g for g in all_connected_graphs(6) if g.n == 6]
+    graphs += [_relabeled(g, rng) for g in graphs[::3]]
+    regular = [_random_regular(rng, n, d) for n, d in REGULAR_SHAPES for _ in range(5)]
+    graphs += regular + [_relabeled(g, rng) for g in regular[::2]]
+    nx_graphs = [nx.Graph(list(g.edge_list)) for g in graphs]
+    keys = [canonical_key(g) for g in graphs]
+    for i, j in _pairs_of_equal_shape(graphs):
+        assert (keys[i] == keys[j]) == nx.is_isomorphic(nx_graphs[i], nx_graphs[j])
+
+
+def test_canonical_key_of_a_cycle_is_not_factorial():
+    g = cycle_graph(16)
+    assert min(timeit.repeat(lambda: canonical_key(g), number=1, repeat=3)) < 0.05
+    assert canonical_key(g) == canonical_key(_relabeled(g, random.Random(1)))
+    assert canonical_key(g) != canonical_key(make_graph(16, [(i, (i + 1) % 8 + 8 * (i // 8)) for i in range(16)]))
+
+
+def _views_up_to_five_nodes(t, anchors):
+    views = []
+    for g in all_connected_graphs(5):
+        lg = label_graph(g)
+        views.extend(extract_view(lg, a, t) for a in itertools.combinations(range(g.n), anchors))
+    return views
+
+
+@pytest.mark.parametrize("t, anchors", [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2)])
+def test_view_isomorphisms_equal_reference_search(t, anchors):
+    views = _views_up_to_five_nodes(t, anchors)
+    if anchors == 2:
+        views = views[::4]
+    for a in views:
+        for b in views:
+            assert view_isomorphisms(a, b, find_all=True) == reference_view_isomorphisms(a, b, True)
+            assert view_isomorphisms(a, b) == reference_view_isomorphisms(a, b)
+
+
+def test_view_isomorphisms_equal_reference_search_on_labeled_views():
+    rng = random.Random(9)
+    views = []
+    for g in all_connected_graphs(4):
+        lg = _randomly_labeled(rng, g)
+        views.extend(extract_view(lg, [v], t) for v in range(g.n) for t in (1, 2))
+    for a in views:
+        for b in views:
+            assert view_isomorphisms(a, b, find_all=True) == reference_view_isomorphisms(a, b, True)
+
+
+def test_long_path_view_matches_itself_without_recursion():
+    view = extract_view(label_graph(path_graph(3000)), [1500], 1400)
+    assert len(view.node_set) == 2801
+    start = time.perf_counter()
+    assert view_isomorphisms(view, view, find_all=True) == [{v: v for v in sorted(view.node_set)}]
+    assert time.perf_counter() - start < 5
+
+
+def _is_centered_isomorphism(c1, c2, phi):
+    g1, g2 = c1.base.graph, c2.base.graph
+    if phi[c1.center] != c2.center or sorted(phi.values()) != list(range(g2.n)):
+        return False
+    if any(c1.base.node_labels[v] != c2.base.node_labels[phi[v]] for v in range(g1.n)):
+        return False
+
+    def pairs(c, v, w):
+        return sorted(
+            (repr(c.base.half_edge_label(v, e)), repr(c.base.half_edge_label(w, e)))
+            for e in c.base.graph.edges_between(v, w)
+        )
+
+    return all(
+        pairs(c1, v, w) == pairs(c2, phi[v], phi[w]) for v in range(g1.n) for w in range(g1.n)
+    )
+
+
+def test_centered_isomorphism_exists_exactly_when_reference_finds_one():
+    rng = random.Random(13)
+    multi = make_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 2), (0, 2)], multi=True)
+    sources = [_randomly_labeled(rng, g) for g in all_connected_graphs(5) if g.n >= 3]
+    sources += [_randomly_labeled(rng, _relabeled(multi, rng)) for _ in range(12)]
+    balls = [centered_ball(lg, v, r) for lg in sources for v in range(lg.graph.n) for r in (1, 2)]
+    found = 0
+    for i, j in _pairs_of_equal_shape([b.base.graph for b in balls]):
+        a, b = balls[i], balls[j]
+        phi = centered_isomorphism(a, b)
+        assert (phi is None) == (reference_centered_isomorphism(a, b) is None)
+        assert (centered_key(a) == centered_key(b)) == (phi is not None)
+        if phi is not None:
+            found += 1
+            assert _is_centered_isomorphism(a, b, phi)
+    assert found > 50
