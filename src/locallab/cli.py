@@ -88,7 +88,10 @@ def _dump(data, args) -> None:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _builtin_local_algorithm(name: str, locality: int, seeds: int) -> LocalAlgorithm:
@@ -285,9 +288,12 @@ def _cmd_gadget_octopus(args) -> int:
     eta = tuple(_ints(args.eta))
     weights = {}
     for part in args.weights.split(";"):
-        key, value = part.split(":")
-        i, j = _ints(key)
-        weights[(i, j)] = int(value)
+        try:
+            key, value = part.split(":")
+            i, j = _ints(key)
+            weights[(i, j)] = int(value)
+        except ValueError:
+            raise InputError(f"--weights entry {part!r} is not of the form i,j:w") from None
     gadget = gen_octopus(args.x, eta, weights)
     _dump({"graph": labeled_graph_to_json(label_graph(gadget.graph))}, args)
     return 0

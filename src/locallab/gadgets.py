@@ -4,11 +4,19 @@ pullback through the port map.
 
 Tree-like coordinates are stored implicitly: a witness lists host node ids in
 (layer, position) lexicographic order, so index 2^l - 1 + k is the node at
-coordinates (l, k).
+coordinates (l, k).  One rule, `_tree_edges`, gives the tree-like edges for
+generation, recognition and witness validation.
+
+The recognizers work on the host graph in host node ids: each takes the node
+set of the component it recognizes and reads the host's neighbour rows, so
+recognition builds no Graph.  Their witnesses try roots and list layers in
+ascending host id and number ports in the edge-id order of their connectors.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -19,7 +27,9 @@ from .graphs import (
     Graph,
     InputError,
     LabeledGraph,
+    ball_distances,
     centered_key,
+    connected_components,
     distances_from,
     json_decoding,
     label_graph,
@@ -55,15 +65,23 @@ def _tree_size(height: int) -> int:
     return (1 << height) - 1
 
 
-def _tree_edge_predicate(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    (lu, ku), (lv, kv) = a, b
-    if lu == lv and abs(ku - kv) == 1:
-        return True
-    if lv == lu - 1 and kv == ku // 2:
-        return True
-    if lu == lv - 1 and ku == kv // 2:
-        return True
-    return False
+def _tree_height(nodes: Sequence[int]) -> int:
+    return (len(nodes) + 1).bit_length() - 1
+
+
+@functools.cache
+def _tree_edges(height: int) -> tuple[tuple[int, int], ...]:
+    """The tree-like edge rule as (l,k)-lex index pairs: each node below the
+    root joins its parent (l-1, k//2) and each node its right neighbour
+    (l, k+1), listed node by node."""
+    edges = []
+    for i in range(_tree_size(height)):
+        l, k = _tree_coords(i)
+        if l >= 1:
+            edges.append((_tree_index(l - 1, k // 2), i))
+        if k + 1 < (1 << l):
+            edges.append((i, i + 1))
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -75,109 +93,82 @@ class TreeLikeGadget:
     graph: Graph
     height: int
 
-    def coords(self) -> dict[int, tuple[int, int]]:
-        return {i: _tree_coords(i) for i in range(self.graph.n)}
-
 
 def gen_tree_like(height: int) -> TreeLikeGadget:
     """The unique tree-like gadget of the given height; node id = 2^l - 1 + k."""
     if height < 1:
         raise InputError("height must be at least 1")
-    n = _tree_size(height)
-    edges = []
-    for i in range(n):
-        l, k = _tree_coords(i)
-        if l >= 1:
-            edges.append((_tree_index(l - 1, k // 2), i))
-        if k + 1 < (1 << l):
-            edges.append((i, _tree_index(l, k + 1)))
-    return TreeLikeGadget(graph=make_graph(n, edges), height=height)
+    return TreeLikeGadget(graph=make_graph(_tree_size(height), _tree_edges(height)), height=height)
 
 
-def tree_like_assignments(g: Graph) -> Iterator[tuple[int, ...]]:
-    """All valid coordinate assignments, as tuples mapping (l,k)-lex index -> node.
+def tree_like_assignments(g: Graph, nodes: Optional[Iterable[int]] = None) -> Iterator[tuple[int, ...]]:
+    """All valid coordinate assignments of the subgraph of g induced by
+    `nodes` (every node by default), as tuples mapping (l,k)-lex index -> node.
 
-    Layers are BFS levels from the root; each layer must induce a path whose
-    order extends consistently (children 2k, 2k+1 under parent k), and the full
-    edge predicate is verified before yielding.
+    Roots are tried in ascending node id.  Layers are BFS levels from the
+    root; each layer must induce a path whose order extends consistently
+    (children 2k, 2k+1 under parent k), and every edge of the tree-like rule
+    must be present, with no other edge inside the node set.
     """
-    n = g.n
+    order = range(g.n) if nodes is None else sorted(set(nodes))
+    inside = set(order)
+    n = len(order)
     if n == 0 or (n + 1) & n != 0:  # n + 1 must be a power of two
         return
     height = (n + 1).bit_length() - 1
     if n == 1:
-        yield (0,)
+        yield (order[0],)
+        return
+    rows = g.neighbor_rows
+    edges = _tree_edges(height)
+    if sum(u in inside for v in order for u in rows[v]) != 2 * len(edges):
         return
 
-    def layer_path_orders(nodes: list[int]) -> list[list[int]]:
-        # orders in which `nodes` forms the induced path v0 - v1 - ... in g
-        if len(nodes) == 1:
-            return [nodes[:]]
-        inside = set(nodes)
-        deg = {v: sum(1 for u in g.neighbors(v) if u in inside) for v in nodes}
-        ends = [v for v in nodes if deg[v] == 1]
-        if len(ends) != 2 or any(deg[v] not in (1, 2) for v in nodes):
+    def layer_path_orders(layer: list[int]) -> list[list[int]]:
+        # orders in which `layer` forms the induced path v0 - v1 - ... in g
+        if len(layer) == 1:
+            return [layer[:]]
+        within = set(layer)
+        deg = {v: sum(1 for u in rows[v] if u in within) for v in layer}
+        ends = [v for v in layer if deg[v] == 1]
+        if len(ends) != 2 or any(deg[v] not in (1, 2) for v in layer):
             return []
         orders = []
         for start in ends:
-            order = [start]
+            path = [start]
             prev = None
             cur = start
-            while len(order) < len(nodes):
-                nxts = [u for u in g.neighbors(cur) if u in inside and u != prev and u not in order]
+            while len(path) < len(layer):
+                nxts = [u for u in rows[cur] if u in within and u != prev and u not in path]
                 if len(nxts) != 1:
                     break
                 prev, cur = cur, nxts[0]
-                order.append(cur)
-            if len(order) == len(nodes):
-                orders.append(order)
+                path.append(cur)
+            if len(path) == len(layer):
+                orders.append(path)
         return orders
 
-    for root in range(n):
-        dist = distances_from(g, [root])
+    for root in order:
+        dist = ball_distances(g, [root], height - 1, inside)
+        if len(dist) != n:
+            continue
         layers: list[list[int]] = [[] for _ in range(height)]
-        ok = True
-        for v in range(n):
-            d = dist[v]
-            if d == math.inf or d >= height:
-                ok = False
-                break
-            layers[int(d)].append(v)
-        if not ok or any(len(layers[l]) != (1 << l) for l in range(height)):
+        for v in order:
+            layers[dist[v]].append(v)
+        if any(len(layers[l]) != (1 << l) for l in range(height)):
             continue
 
         def extend(l: int, assignment: list[int]) -> Iterator[tuple[int, ...]]:
             if l == height:
-                candidate = tuple(assignment)
-                if _assignment_valid(g, candidate, height):
-                    yield candidate
+                if all(g.has_edge(assignment[a], assignment[b]) for a, b in edges):
+                    yield tuple(assignment)
                 return
-            for order in layer_path_orders(layers[l]):
+            for path in layer_path_orders(layers[l]):
                 # parent consistency: node at position k must neighbor parent k//2
-                good = True
-                for k, v in enumerate(order):
-                    parent = assignment[_tree_index(l - 1, k // 2)]
-                    if not g.has_edge(v, parent):
-                        good = False
-                        break
-                if good:
-                    yield from extend(l + 1, assignment + order)
+                if all(g.has_edge(v, assignment[_tree_index(l - 1, k // 2)]) for k, v in enumerate(path)):
+                    yield from extend(l + 1, assignment + path)
 
         yield from extend(1, [root])
-
-
-def _assignment_valid(g: Graph, assignment: tuple[int, ...], height: int) -> bool:
-    n = _tree_size(height)
-    if len(assignment) != n or len(set(assignment)) != n or g.n != n:
-        return False
-    want = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _tree_edge_predicate(_tree_coords(i), _tree_coords(j)):
-                want += 1
-                if not g.has_edge(assignment[i], assignment[j]):
-                    return False
-    return g.m == want
 
 
 def recognize_tree_like(g: Graph) -> Optional[dict[int, tuple[int, int]]]:
@@ -264,130 +255,98 @@ def gen_octopus(x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], in
     return OctopusGadget(graph=make_graph(next_id, edges), witness=witness)
 
 
-def _induced(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
-    keep = sorted(set(nodes))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edge_list
-        if u in index and v in index
-    ]
-    return make_graph(len(keep), edges, multi=g.multi), keep
-
-
-def recognize_octopus(g: Graph, leaf_required: frozenset[int] = frozenset()) -> Optional[OctopusWitness]:
-    """Find an octopus witness of the standalone graph g, or None.
+def recognize_octopus(
+    g: Graph, leaf_required: frozenset[int] = frozenset(), nodes: Optional[Iterable[int]] = None
+) -> Optional[OctopusWitness]:
+    """Find an octopus witness of the subgraph of g induced by `nodes` (every
+    node by default), or None.
 
     `leaf_required` nodes must come out as the (w-1, 0) leaf of their port
     gadget (they carry inter-octopus attachments in a proper instance).
     Connectors are exactly the bridges: tree-like gadgets of height >= 2 are
-    two-edge-connected, so the two-edge-component structure must be a star
-    with the head in the middle.
+    two-edge-connected, so the bridge tree of the two-edge components must be
+    a star with the head in the middle.  Ports are numbered in the edge-id
+    order of their connectors.
     """
-    if g.n < 2:
-        return None
-    comps = two_edge_components(g)
+    comps = two_edge_components(g, nodes)
     if len(comps) < 2:
         return None
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in g.edge_list:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            key = (min(cu, cv), max(cu, cv))
-            links.setdefault(key, []).append((u, v))
-    # star check: some component is adjacent to all others, each exactly once
-    degree = {ci: 0 for ci in range(len(comps))}
-    for (a, b), es in links.items():
-        if len(es) != 1:
-            return None
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    rows = g.neighbor_rows
+    connectors = {
+        e
+        for v, ci in comp_of.items()
+        for e, u in zip(g.adjacency[v], rows[v])
+        if comp_of.get(u, ci) != ci
+    }
+    # two components share at most one edge: two would lie on a cycle
+    links: dict[tuple[int, int], tuple[int, int]] = {}
+    degree = [0] * len(comps)
+    for e in sorted(connectors):
+        u, v = g.edge_list[e]
+        a, b = sorted((comp_of[u], comp_of[v]))
+        links[(a, b)] = (u, v)
         degree[a] += 1
         degree[b] += 1
-    centers = [ci for ci in range(len(comps)) if degree[ci] == len(comps) - 1]
-    for center in centers:
-        if any(degree[ci] != 1 for ci in range(len(comps)) if ci != center):
-            continue
-        witness = _try_octopus_center(g, comps, links, center, leaf_required)
-        if witness is not None:
-            return witness
+    for center in range(len(comps)):
+        # the bridge tree is a star iff one component touches all others
+        if degree[center] == len(comps) - 1:
+            witness = _try_octopus_center(g, comps, links, center, leaf_required)
+            if witness is not None:
+                return witness
     return None
 
 
 def _try_octopus_center(
     g: Graph,
     comps: list[frozenset[int]],
-    links: Mapping[tuple[int, int], list[tuple[int, int]]],
+    links: Mapping[tuple[int, int], tuple[int, int]],
     center: int,
     leaf_required: frozenset[int],
 ) -> Optional[OctopusWitness]:
-    head_sub, head_nodes = _induced(g, comps[center])
-    if leaf_required & set(head_nodes):
+    head = comps[center]
+    if leaf_required & head:
         return None
-    hooks: list[tuple[int, int, int]] = []  # (component index, port-side node, head-side node)
-    for (a, b), es in links.items():
-        if center not in (a, b):
+    hooks: list[tuple[int, tuple[int, ...]]] = []  # (head-side node, port witness nodes)
+    for (a, b), (u, v) in links.items():
+        other = comps[b if a == center else a]
+        port_end, head_end = (u, v) if u in other else (v, u)
+        required = leaf_required & other
+        chosen = next(
+            (
+                pa
+                for pa in tree_like_assignments(g, other)
+                if pa[0] == port_end and required <= {pa[_tree_index(_tree_height(pa) - 1, 0)]}
+            ),
+            None,
+        )
+        if chosen is None:
             return None
-        other = b if a == center else a
-        (u, v) = es[0]
-        port_end, head_end = (u, v) if u in comps[other] else (v, u)
-        hooks.append((other, port_end, head_end))
+        hooks.append((head_end, chosen))
 
-    for assignment in tree_like_assignments(head_sub):
-        x = (len(assignment) + 1).bit_length() - 1
+    for assignment in tree_like_assignments(g, head):
+        x = _tree_height(assignment)
         slots = 1 << (x - 1)
-        position = {head_nodes[assignment[i]]: _tree_coords(i) for i in range(len(assignment))}
+        position = {v: _tree_coords(i) for i, v in enumerate(assignment)}
         slot_counts: dict[int, int] = {}
-        port_data: list[tuple[int, int, tuple[int, ...]]] = []
-        ok = True
-        for other, port_end, head_end in hooks:
+        ports = []
+        for head_end, nodes in hooks:
             l, i = position[head_end]
             if l != x - 1:
-                ok = False
-                break
-            port_sub, port_nodes = _induced(g, comps[other])
-            required_local = frozenset(
-                port_nodes.index(v) for v in leaf_required if v in comps[other]
-            )
-            chosen: Optional[tuple[int, ...]] = None
-            for pa in tree_like_assignments(port_sub):
-                w = (len(pa) + 1).bit_length() - 1
-                if port_nodes[pa[0]] != port_end:
-                    continue
-                leaf_local = pa[_tree_index(w - 1, 0)]
-                if any(r != leaf_local for r in required_local):
-                    continue
-                chosen = tuple(port_nodes[p] for p in pa)
-                break
-            if chosen is None:
-                ok = False
                 break
             slot_counts[i] = slot_counts.get(i, 0) + 1
-            port_data.append((i, slot_counts[i], chosen))
-        if not ok:
-            continue
-        if set(slot_counts) != set(range(slots)):
-            continue
-        if any(c not in (1, 2) for c in slot_counts.values()):
-            continue
-        ports = tuple(
-            sorted(
-                (
-                    PortWitness(
-                        slot=i,
-                        copy=j,
-                        height=(len(nodes) + 1).bit_length() - 1,
-                        nodes=nodes,
-                    )
-                    for i, j, nodes in port_data
-                ),
-                key=lambda p: (p.slot, p.copy),
+            ports.append(PortWitness(slot=i, copy=slot_counts[i], height=_tree_height(nodes), nodes=nodes))
+        if (
+            len(ports) == len(hooks)
+            and set(slot_counts) == set(range(slots))
+            and all(c in (1, 2) for c in slot_counts.values())
+        ):
+            return OctopusWitness(
+                x=x,
+                eta=tuple(slot_counts[i] for i in range(slots)),
+                head_nodes=assignment,
+                ports=tuple(sorted(ports, key=lambda p: (p.slot, p.copy))),
             )
-        )
-        head_tuple = tuple(head_nodes[assignment[i]] for i in range(len(assignment)))
-        return OctopusWitness(x=x, eta=tuple(slot_counts[i] for i in range(slots)), head_nodes=head_tuple, ports=ports)
     return None
 
 
@@ -423,44 +382,16 @@ class PortMap:
     source: IncidenceGraph
     root_to_edge: tuple[tuple[int, int], ...]
 
-    def edge_of(self, root: int) -> int:
-        return dict(self.root_to_edge)[root]
-
 
 def _octopus_expected_edges(w: OctopusWitness) -> set[frozenset[int]]:
     out: set[frozenset[int]] = set()
-
-    def tree_edges(nodes: Sequence[int]) -> None:
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if _tree_edge_predicate(_tree_coords(a), _tree_coords(b)):
-                    out.add(frozenset((nodes[a], nodes[b])))
-
-    tree_edges(w.head_nodes)
+    for height, nodes in ((w.x, w.head_nodes), *((p.height, p.nodes) for p in w.ports)):
+        if height < 1 or len(nodes) != _tree_size(height):
+            raise InputError(f"octopus witness lists {len(nodes)} nodes for a gadget of height {height}")
+        out.update(frozenset((nodes[a], nodes[b])) for a, b in _tree_edges(height))
     for p in w.ports:
-        tree_edges(p.nodes)
         out.add(frozenset((p.root, w.head_nodes[_tree_index(w.x - 1, p.slot)])))
     return out
-
-
-def _components_within(g: Graph, keep: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(keep):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in keep and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
 
 
 def make_proper_instance(
@@ -477,7 +408,7 @@ def make_proper_instance(
         covered.extend(w.all_nodes())
     if sorted(covered) != sorted(intra):
         raise InputError("octopus witnesses must partition the intra nodes")
-    comps = {frozenset(c) for c in _components_within(g, intra)}
+    comps = set(connected_components(g, intra))
     for w in octopi:
         nodes = frozenset(w.all_nodes())
         if nodes not in comps:
@@ -651,59 +582,6 @@ def _independent_neighborhood(g: Graph, v: int) -> bool:
     return True
 
 
-def _witness_to_host(w: OctopusWitness, host: Sequence[int]) -> OctopusWitness:
-    return OctopusWitness(
-        x=w.x,
-        eta=w.eta,
-        head_nodes=tuple(host[v] for v in w.head_nodes),
-        ports=tuple(
-            PortWitness(slot=p.slot, copy=p.copy, height=p.height,
-                        nodes=tuple(host[v] for v in p.nodes))
-            for p in w.ports
-        ),
-    )
-
-
-def _validate_inter_set(g: Graph, inter: frozenset[int]) -> Optional[tuple[OctopusWitness, ...]]:
-    for v in inter:
-        for u in g.neighbors(v):
-            if u in inter:
-                return None
-    witnesses = []
-    intra = set(range(g.n)) - inter
-    for comp in _components_within(g, intra):
-        sub, nodes = _induced(g, comp)
-        index = {v: i for i, v in enumerate(nodes)}
-        leaf_req = frozenset(
-            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
-        )
-        local = recognize_octopus(sub, leaf_req)
-        if local is None:
-            return None
-        witnesses.append(_witness_to_host(local, nodes))
-    if inter:
-        # the definition's "if and only if": with inter nodes present, every
-        # left-most port leaf must carry an attachment
-        for w in witnesses:
-            for p in w.ports:
-                if not any(u in inter for u in g.neighbors(p.leaf)):
-                    return None
-    return tuple(witnesses)
-
-
-def _failing_component(g: Graph, inter: frozenset[int]) -> Optional[list[int]]:
-    intra = set(range(g.n)) - inter
-    for comp in _components_within(g, intra):
-        sub, nodes = _induced(g, comp)
-        index = {v: i for i, v in enumerate(nodes)}
-        leaf_req = frozenset(
-            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
-        )
-        if recognize_octopus(sub, leaf_req) is None:
-            return comp
-    return None
-
-
 def recognize_proper_instance(
     g: Graph,
 ) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
@@ -713,79 +591,65 @@ def recognize_proper_instance(
     starts from "every candidate is inter" and repairs failing intra
     components by flipping adjacent candidates to intra (smallest flip sets
     first); candidate clusters that are adjacent within the candidate set are
-    enumerated outright.
+    enumerated outright.  Every inter set tried is independent by
+    construction.  All work reads g's rows in host node ids.
     """
-    import itertools
-
     if g.n == 0:
         return ((), ())
+    rows = g.neighbor_rows
     candidates = [v for v in range(g.n) if _independent_neighborhood(g, v)]
-    cand_set = set(candidates)
-    groups = _components_within(g, cand_set)
-    multi_groups = [grp for grp in groups if len(grp) > 1]
-    singles = [grp[0] for grp in groups if len(grp) == 1]
+    groups = connected_components(g, candidates)
+    multi_groups = [sorted(grp) for grp in groups if len(grp) > 1]
+    singles = [min(grp) for grp in groups if len(grp) == 1]
 
     def independent_subsets(nodes: list[int]) -> list[frozenset[int]]:
         out = []
         for mask in range(1 << len(nodes)):
             subset = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-            ok = True
-            for a in range(len(subset)):
-                for b in range(a + 1, len(subset)):
-                    if g.has_edge(subset[a], subset[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
                 out.append(frozenset(subset))
         out.sort(key=lambda s: -len(s))
         return out
 
     group_options = [independent_subsets(grp) for grp in multi_groups]
+    found: dict[frozenset[int], Optional[OctopusWitness]] = {}
+
+    def witness(comp: frozenset[int]) -> Optional[OctopusWitness]:
+        # every neighbour outside an intra component is inter, so the nodes
+        # that must be port leaves, and so the witness, follow from comp alone
+        if comp not in found:
+            attached = frozenset(v for v in comp if any(u not in comp for u in rows[v]))
+            found[comp] = recognize_octopus(g, attached, comp)
+        return found[comp]
 
     def attempt(base_inter: frozenset[int]) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
         inter = set(base_inter)
         flippable = set(singles) & inter
-        for _ in range(g.n + 1):
-            comp = _failing_component(g, frozenset(inter))
-            if comp is None:
+        while True:
+            comps = connected_components(g, (v for v in range(g.n) if v not in inter))
+            failing = next((c for c in comps if witness(c) is None), None)
+            if failing is None:
                 break
-            frontier = sorted(
-                u for u in flippable
-                if any(g.has_edge(u, v) for v in comp)
-            )
-            fixed = False
-            for size in range(1, len(frontier) + 1):
-                for subset in itertools.combinations(frontier, size):
-                    trial = frozenset(inter) - frozenset(subset)
-                    merged = None
-                    intra = set(range(g.n)) - trial
-                    for c in _components_within(g, intra):
-                        if comp[0] in c:
-                            merged = c
-                            break
-                    assert merged is not None
-                    sub, nodes = _induced(g, merged)
-                    index = {v: i for i, v in enumerate(nodes)}
-                    leaf_req = frozenset(
-                        index[v] for v in merged
-                        if any(u in trial for u in g.neighbors(v))
-                    )
-                    if recognize_octopus(sub, leaf_req) is not None:
-                        inter = set(trial)
-                        flippable -= set(subset)
-                        fixed = True
-                        break
-                if fixed:
+            comp_of = {v: c for c in comps for v in c}
+            frontier = sorted(u for u in flippable if any(v in failing for v in rows[u]))
+            trials = (s for size in range(1, len(frontier) + 1) for s in itertools.combinations(frontier, size))
+            for subset in trials:
+                # a flipped single has only intra neighbours: it joins their
+                # components to the failing one
+                merged = failing.union(subset, *(comp_of[v] for u in subset for v in rows[u]))
+                if witness(merged) is not None:
+                    inter.difference_update(subset)
+                    flippable.difference_update(subset)
                     break
-            if not fixed:
+            else:
                 return None
-        witnesses = _validate_inter_set(g, frozenset(inter))
-        if witnesses is None:
+        octopi = [witness(c) for c in comps]
+        # the definition's "if and only if": with inter nodes present, every
+        # left-most port leaf must carry an attachment
+        if inter and any(not inter.intersection(rows[p.leaf]) for w in octopi for p in w.ports):
             return None
         lam = tuple(INTER if v in inter else INTRA for v in range(g.n))
-        return lam, tuple(sorted(witnesses, key=lambda w: min(w.all_nodes())))
+        return lam, tuple(sorted(octopi, key=lambda w: min(w.all_nodes())))
 
     for combo in itertools.product(*group_options) if group_options else [()]:
         base = frozenset(singles).union(*combo) if combo else frozenset(singles)
@@ -806,10 +670,6 @@ class GhatMaps:
     white_count: int
     black_of_inter: tuple[tuple[int, int], ...]  # (inter host id, ghat black id)
     edge_info: tuple[tuple[int, int, int], ...]  # ghat edge -> (octopus idx, port position, host edge)
-
-    def inter_of_black(self, black: int) -> int:
-        inv = {b: u for u, b in self.black_of_inter}
-        return inv[black]
 
 
 def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
@@ -856,13 +716,8 @@ class LiftResult:
 
 
 def _octopus_diameter(pi: ProperInstance, w: OctopusWitness) -> int:
-    nodes = w.all_nodes()
-    sub, _ = _induced(pi.graph, nodes)
-    best = 0
-    for v in range(sub.n):
-        d = distances_from(sub, [v])
-        best = max(best, int(max(d)))
-    return best
+    nodes = set(w.all_nodes())
+    return max(max(ball_distances(pi.graph, [v], len(nodes), nodes).values()) for v in nodes)
 
 
 def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftResult:
@@ -904,7 +759,13 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
                 labels[v] = lab
     sim = 0
     if pi.octopi:
-        stretch = max(_octopus_diameter(pi, w) for w in pi.octopi) + 1
+        # make_proper_instance checks a witness's edges against those its head
+        # height and its ports' (slot, height) pairs fix, so octopi alike in
+        # these share a diameter, whatever order their ports are listed in
+        shapes = {
+            (w.x, tuple(sorted((p.slot, p.height) for p in w.ports))): w for w in pi.octopi
+        }
+        stretch = max(_octopus_diameter(pi, w) for w in shapes.values()) + 1
         sim = observed * stretch
     return LiftResult(
         labels=labels,

@@ -14,9 +14,14 @@ even of edges the view drops).
 
 Each Graph also carries one neighbour tuple per node, aligned with its ports,
 so adjacency queries never resolve an edge id.  Views, balls (`neighborhood`,
-and through it `lcl.centered_ball` and SLOCAL queries) come from one
-radius-bounded BFS (`ball_distances`) that stops at depth T: their cost is
-O(|ball|), the nodes of N_T[A] and their incident edges, not O(n + m).
+and through it `lcl.centered_ball` and SLOCAL queries) and whole-graph
+distances (`distances_from`) come from one radius-bounded BFS
+(`ball_distances`) that stops at depth T: a ball costs O(|ball|), the nodes
+of N_T[A] and their incident edges, not O(n + m).
+
+`ball_distances`, `connected_components`, `bridges` and `two_edge_components`
+take an optional node set and then work on the subgraph it induces, in the
+host's node and edge ids, without building that subgraph.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 INFINITY = math.inf
 
@@ -104,9 +109,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_rows[u]
-
-    def edges_between(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(e for e, w in _ports(self, u) if w == v)
 
     def half_edges(self) -> Iterator[tuple[int, int]]:
         """All pairs (v, e) with v an endpoint of e."""
@@ -199,34 +201,39 @@ def _ports(g: Graph, v: int) -> Iterator[tuple[int, int]]:
 def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
     """BFS distance from a source set; INFINITY where unreachable."""
     dist: list[float] = [INFINITY] * g.n
-    queue: list[int] = []
-    for s in sources:
-        g._check_node(s)
-        if dist[s] != 0:
-            dist[s] = 0
-            queue.append(s)
-    rows = g.neighbor_rows
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for u in rows[v]:
-            if dist[u] == INFINITY:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    for v, d in ball_distances(g, sources, g.n).items():
+        dist[v] = d
     return dist
 
 
-def ball_distances(g: Graph, sources: Iterable[int], t: int) -> dict[int, int]:
-    """{node: distance} for the nodes within distance t of the sources.
+def _node_set(g: Graph, nodes: Optional[Iterable[int]]) -> Collection[int]:
+    """Every node of g when `nodes` is None, else the given nodes as a set."""
+    if nodes is None:
+        return range(g.n)
+    keep = set(nodes)
+    if keep and not (0 <= min(keep) and max(keep) < g.n):
+        raise InputError(f"node set has ids outside 0..{g.n - 1}")
+    return keep
+
+
+def ball_distances(
+    g: Graph, sources: Iterable[int], t: int, nodes: Optional[Iterable[int]] = None
+) -> dict[int, int]:
+    """{node: distance} for the nodes within distance t of the sources, in
+    the subgraph induced by `nodes` (every node by default).
 
     A BFS that never expands nodes at depth t: it reads the neighbour rows of
-    the nodes at distance < t only, so its cost is O(|N_t[sources]|).
+    the nodes at distance < t only, so its cost is O(|N_t[sources]|), plus
+    O(|nodes|) to read a given node set.
     """
+    # no membership test without a node set: views and balls are hot paths
+    keep = None if nodes is None else _node_set(g, nodes)
     dist: dict[int, int] = {}
     frontier: list[int] = []
     for s in sources:
         g._check_node(s)
+        if keep is not None and s not in keep:
+            raise InputError(f"source {s} is outside the node set")
         if s not in dist:
             dist[s] = 0
             frontier.append(s)
@@ -235,7 +242,7 @@ def ball_distances(g: Graph, sources: Iterable[int], t: int) -> dict[int, int]:
         reached: list[int] = []
         for v in frontier:
             for u in rows[v]:
-                if u not in dist:
+                if u not in dist and (keep is None or u in keep):
                     dist[u] = d
                     reached.append(u)
         if not reached:
@@ -260,21 +267,26 @@ def neighborhood(g: Graph, a: Iterable[int], t: int) -> frozenset[int]:
     return frozenset(sorted(ball_distances(g, a, t)))
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    seen = [False] * g.n
+def connected_components(
+    g: Graph, nodes: Optional[Iterable[int]] = None, cut: Collection[int] = ()
+) -> list[frozenset[int]]:
+    """Components of the subgraph induced by `nodes` (every node by default)
+    without the edges in `cut`, ordered by their smallest node."""
+    keep = _node_set(g, nodes)
+    todo = set(keep)
     comps = []
-    for s in range(g.n):
-        if seen[s]:
+    for s in sorted(keep):
+        if s not in todo:
             continue
-        comp = []
+        todo.remove(s)
+        comp = [s]
         stack = [s]
-        seen[s] = True
         while stack:
             v = stack.pop()
-            comp.append(v)
-            for u in g.neighbor_rows[v]:
-                if not seen[u]:
-                    seen[u] = True
+            for e, u in _ports(g, v):
+                if u in todo and e not in cut:
+                    todo.remove(u)
+                    comp.append(u)
                     stack.append(u)
         comps.append(frozenset(comp))
     return comps
@@ -303,28 +315,27 @@ def is_bipartite(g: Graph) -> Optional[list[int]]:
     return color
 
 
-def bridges(g: Graph) -> set[int]:
-    """Edge ids whose removal disconnects their component (parallel-aware)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
+def bridges(g: Graph, nodes: Optional[Iterable[int]] = None) -> set[int]:
+    """Edge ids whose removal disconnects their component (parallel-aware),
+    in the subgraph induced by `nodes` (every node by default)."""
+    keep = _node_set(g, nodes)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
     out: set[int] = set()
-    timer = 0
-    for s in range(g.n):
-        if disc[s] != -1:
+    for s in sorted(keep):
+        if s in disc:
             continue
         # iterative DFS keeping the edge used to enter each node
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [(s, -1, _ports(g, s))]
-        disc[s] = low[s] = timer
-        timer += 1
+        disc[s] = low[s] = len(disc)
         while stack:
             v, pe, it = stack[-1]
             advanced = False
             for e, u in it:
-                if e == pe:
+                if e == pe or u not in keep:
                     continue
-                if disc[u] == -1:
-                    disc[u] = low[u] = timer
-                    timer += 1
+                if u not in disc:
+                    disc[u] = low[u] = len(disc)
                     stack.append((u, e, _ports(g, u)))
                     advanced = True
                     break
@@ -339,28 +350,10 @@ def bridges(g: Graph) -> set[int]:
     return out
 
 
-def two_edge_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components after deleting all bridges."""
-    cut = bridges(g)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e, u in _ports(g, v):
-                if e in cut:
-                    continue
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
+def two_edge_components(g: Graph, nodes: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
+    """Components of the subgraph induced by `nodes` (every node by default)
+    after deleting its bridges."""
+    return connected_components(g, nodes, cut=bridges(g, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +641,9 @@ def views_isomorphic(v1: View, v2: View) -> Optional[dict[int, int]]:
 # graphs (corpus deduplication) and of centered labeled balls (LCL
 # membership).  A structure is encoded as one colour per node and one
 # coloured arc (far node, arc colour) per half-edge; labels enter colours
-# through repr.  Two encodings are isomorphic iff their keys are equal, and
-# then mapping each canonical position to the same position of the other is
-# an isomorphism.
+# through repr, integral Fractions as ints.  Two encodings are isomorphic iff
+# their keys are equal, and then mapping each canonical position to the same
+# position of the other is an isomorphism.
 
 
 def _refine(lab: list, pos: list, cell: list, ends: list, into: list, active: list) -> None:
@@ -818,15 +811,27 @@ class CenteredGraph:
         return max((g.degree(v) for v in range(g.n)), default=0)
 
 
+def _numeric_form(lab):
+    """The label with each integral Fraction, also inside tuples, as an int,
+    so that labels equal under == have one repr."""
+    if isinstance(lab, Fraction) and lab.denominator == 1:
+        return lab.numerator
+    if isinstance(lab, tuple):
+        return tuple(map(_numeric_form, lab))
+    return lab
+
+
 def _centered_form(c: CenteredGraph) -> tuple[tuple, tuple[int, ...]]:
     """A node's colour is its center flag and label; the edge {v, w} gives
     the arcs v -> w and w -> v, coloured by the pair of its half-edge labels
     seen from that end, so parallel edges stay a multiset of label pairs.
-    Port order takes no part."""
-    lg = c.base
-    g = lg.graph
-    reprs = [tuple(map(repr, row)) for row in lg.port_labels]
-    colours = [repr((v == c.center, lab)) for v, lab in enumerate(lg.node_labels)]
+    Port order takes no part.  Labels enter through repr, each integral
+    Fraction, also inside a tuple, as the int it equals."""
+    g = c.base.graph
+    colours = [
+        repr((v == c.center, _numeric_form(lab))) for v, lab in enumerate(c.base.node_labels)
+    ]
+    reprs = [tuple([repr(_numeric_form(lab)) for lab in row]) for row in c.base.port_labels]
     arcs = [
         [
             (w, (reprs[v][i], reprs[w][g.adjacency[w].index(e)]))

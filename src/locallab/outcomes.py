@@ -63,11 +63,6 @@ class Labeling:
         return (tuple(map(itemgetter(0), self.node_items)),
                 tuple(map(itemgetter(0), self.half_edge_items)))
 
-    def restrict_to(self, nodes: frozenset[int], half_edges: frozenset[tuple[int, int]]) -> "Labeling":
-        ni = tuple((v, lab) for v, lab in self.node_items if v in nodes)
-        hi = tuple((k, lab) for k, lab in self.half_edge_items if k in half_edges)
-        return Labeling(node_items=ni, half_edge_items=hi)
-
     def sort_key(self) -> str:
         return repr((self.node_items, self.half_edge_items))
 
@@ -575,21 +570,16 @@ def outcome_to_json(outcome: Outcome) -> dict:
 
 
 def outcome_from_json(data: Mapping) -> Outcome:
-    from .graphs import _label_from_json, labeled_graph_from_json, rational_from_json
+    from .graphs import _label_from_json, json_decoding, labeled_graph_from_json, rational_from_json
 
-    if "graph" not in data or "support" not in data:
-        raise InputError('outcome JSON needs "graph" and "support"')
-    lg = labeled_graph_from_json(data["graph"])
-    pairs = []
-    for entry in data["support"]:
-        try:
+    with json_decoding("outcome"):
+        lg = labeled_graph_from_json(data["graph"])
+        pairs = []
+        for entry in data["support"]:
             nodes = {int(v): _label_from_json(lab) for v, lab in entry["labels"].get("nodes", {}).items()}
             half_edges = {}
             for key, lab in entry["labels"].get("half_edges", {}).items():
                 v, e = key.split(":")
                 half_edges[(int(v), int(e))] = _label_from_json(lab)
-            p = rational_from_json(entry["p"])
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            raise InputError(f"malformed outcome support entry {entry!r}: {err!r}") from None
-        pairs.append((Labeling.of(nodes, half_edges), p))
+            pairs.append((Labeling.of(nodes, half_edges), rational_from_json(entry["p"])))
     return make_outcome(lg, pairs)

@@ -289,3 +289,11 @@ def test_lin_verify_incidence_without_roles_is_usage_error(fixtures, tmp_path, c
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps({"0": "P"}))
     assert main(["lin", "verify", "--incidence", str(ig_path), "--labels", str(labels_path)]) == 2
+
+
+def test_gadget_octopus_non_integer_eta_is_usage_error(capsys):
+    assert main(["gadget", "octopus", "--x", "1", "--eta", "a", "--weights", "0,1:1"]) == 2
+
+
+def test_gadget_octopus_weight_without_height_is_usage_error(capsys):
+    assert main(["gadget", "octopus", "--x", "1", "--eta", "1", "--weights", "0,1"]) == 2

@@ -1,9 +1,25 @@
+import itertools
+import math
+import random
 from fractions import Fraction as F
 from itertools import permutations
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import pytest
 
-from locallab.graphs import InputError, label_graph, make_graph, path_graph
+from locallab import gadgets, graphs
+from locallab.corpus import random_connected_graph
+from locallab.graphs import (
+    Graph,
+    InputError,
+    distances_from,
+    induced_labeled_subgraph,
+    label_graph,
+    make_graph,
+    path_graph,
+    star_graph,
+    two_edge_components,
+)
 from locallab.lcl import check_constraints, verify_lcl_solution
 from locallab.linearize import (
     MATCHING_ENCODING,
@@ -19,6 +35,13 @@ from locallab.linearize import (
 from locallab.outcomes import deterministic_outcome, make_outcome, success_probability
 from locallab.gadgets import (
     BOTTOM,
+    INTER,
+    INTRA,
+    OctopusWitness,
+    PortWitness,
+    _tree_coords,
+    _tree_index,
+    _tree_size,
     contract_octopi,
     default_port_height,
     edge_labels_of_pullback,
@@ -38,6 +61,7 @@ from locallab.gadgets import (
     recognize_octopus,
     recognize_proper_instance,
     recognize_tree_like,
+    tree_like_assignments,
     verify_pi_promise,
 )
 
@@ -114,7 +138,7 @@ def test_port_map_is_a_bijection_onto_edges():
         white = ig.whites()[white_index]
         for r, port in enumerate(w.ports):
             if r < ig.graph.degree(white):
-                assert pm.edge_of(port.root) == ig.graph.adjacency[white][r]
+                assert dict(pm.root_to_edge)[port.root] == ig.graph.adjacency[white][r]
 
 
 def test_size_law_default_k():
@@ -271,6 +295,52 @@ def test_lift_locality_bound():
     assert result.simulated_locality <= 8 * (k + x_max) * greedy_locality
 
 
+def test_lift_stretch_is_the_largest_octopus_diameter():
+    # each source gives octopi of two shapes with two diameters
+    for source, k in ((path_graph(4), None), (path_graph(3), 2), (star_graph(3), 2)):
+        pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
+        diameters = set()
+        for w in pi.octopi:
+            sub = induced_labeled_subgraph(label_graph(pi.graph), w.all_nodes())[0].graph
+            diameters.add(max(max(distances_from(sub, [v])) for v in range(sub.n)))
+        result = lift_run(pi)
+        assert len(diameters) == 2 and result.observed_ghat_locality > 0
+        assert result.simulated_locality == result.observed_ghat_locality * (max(diameters) + 1)
+
+
+def test_lift_stretch_with_ports_listed_out_of_slot_order():
+    # two octopi with x = 3 and one tall port each, at slot 0 and at slot 1;
+    # the second lists its ports from slot 1, so both list port heights 3, 2, 2, 2
+    def octopus(tall_slot, offset):
+        weights = {(i, 1): 3 if i == tall_slot else 2 for i in range(4)}
+        w = gen_octopus(3, (1, 1, 1, 1), weights)
+        ports = [
+            PortWitness(p.slot, p.copy, p.height, tuple(v + offset for v in p.nodes))
+            for p in w.witness.ports
+        ]
+        ports.insert(0, ports.pop(tall_slot))
+        head = tuple(v + offset for v in w.witness.head_nodes)
+        return w.graph, OctopusWitness(3, (1, 1, 1, 1), head, tuple(ports))
+
+    g0, w0 = octopus(0, 0)
+    g1, w1 = octopus(1, g0.n)
+    inter = g0.n + g1.n
+    edges = [*g0.edge_list, *((u + g0.n, v + g0.n) for u, v in g1.edge_list)]
+    edges += [(w0.ports[0].leaf, inter), (w1.ports[0].leaf, inter)]
+    lam = [INTRA] * inter + [INTER]
+    data = proper_instance_to_json(make_proper_instance(make_graph(inter + 1, edges), lam, [w0, w1]))
+    pi = proper_instance_from_json(data)
+    assert [[p.height for p in w.ports] for w in pi.octopi] == [[3, 2, 2, 2]] * 2
+    diameters = []
+    for w in pi.octopi:
+        sub = induced_labeled_subgraph(label_graph(pi.graph), w.all_nodes())[0].graph
+        diameters.append(max(max(distances_from(sub, [v])) for v in range(sub.n)))
+    assert diameters[0] != diameters[1]
+    result = lift_run(pi)
+    assert result.observed_ghat_locality > 0
+    assert result.simulated_locality == result.observed_ghat_locality * (max(diameters) + 1)
+
+
 def test_pullback_mixture_linearity_and_mass():
     src = path_graph(3)
     ig = incidence_graph_of(src)
@@ -369,3 +439,486 @@ def test_recognize_k1_port_instance_with_inters():
     lam, octs = rec
     # whatever witness is returned must re-validate independently
     make_proper_instance(pi.graph, lam, octs)
+
+
+# ---------------------------------------------------------------------------
+# the host-row recognizer against the earlier recognizer, which built a Graph
+# per component and per repair trial; kept here as reference oracles
+
+
+def _reference_tree_edge_predicate(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    (lu, ku), (lv, kv) = a, b
+    if lu == lv and abs(ku - kv) == 1:
+        return True
+    if lv == lu - 1 and kv == ku // 2:
+        return True
+    if lu == lv - 1 and ku == kv // 2:
+        return True
+    return False
+
+
+def reference_tree_like_assignments(g: Graph) -> Iterator[tuple[int, ...]]:
+    """All valid coordinate assignments, as tuples mapping (l,k)-lex index -> node.
+
+    Layers are BFS levels from the root; each layer must induce a path whose
+    order extends consistently (children 2k, 2k+1 under parent k), and the full
+    edge predicate is verified before yielding.
+    """
+    n = g.n
+    if n == 0 or (n + 1) & n != 0:  # n + 1 must be a power of two
+        return
+    height = (n + 1).bit_length() - 1
+    if n == 1:
+        yield (0,)
+        return
+
+    def layer_path_orders(nodes: list[int]) -> list[list[int]]:
+        # orders in which `nodes` forms the induced path v0 - v1 - ... in g
+        if len(nodes) == 1:
+            return [nodes[:]]
+        inside = set(nodes)
+        deg = {v: sum(1 for u in g.neighbors(v) if u in inside) for v in nodes}
+        ends = [v for v in nodes if deg[v] == 1]
+        if len(ends) != 2 or any(deg[v] not in (1, 2) for v in nodes):
+            return []
+        orders = []
+        for start in ends:
+            order = [start]
+            prev = None
+            cur = start
+            while len(order) < len(nodes):
+                nxts = [u for u in g.neighbors(cur) if u in inside and u != prev and u not in order]
+                if len(nxts) != 1:
+                    break
+                prev, cur = cur, nxts[0]
+                order.append(cur)
+            if len(order) == len(nodes):
+                orders.append(order)
+        return orders
+
+    for root in range(n):
+        dist = distances_from(g, [root])
+        layers: list[list[int]] = [[] for _ in range(height)]
+        ok = True
+        for v in range(n):
+            d = dist[v]
+            if d == math.inf or d >= height:
+                ok = False
+                break
+            layers[int(d)].append(v)
+        if not ok or any(len(layers[l]) != (1 << l) for l in range(height)):
+            continue
+
+        def extend(l: int, assignment: list[int]) -> Iterator[tuple[int, ...]]:
+            if l == height:
+                candidate = tuple(assignment)
+                if _reference_assignment_valid(g, candidate, height):
+                    yield candidate
+                return
+            for order in layer_path_orders(layers[l]):
+                # parent consistency: node at position k must neighbor parent k//2
+                good = True
+                for k, v in enumerate(order):
+                    parent = assignment[_tree_index(l - 1, k // 2)]
+                    if not g.has_edge(v, parent):
+                        good = False
+                        break
+                if good:
+                    yield from extend(l + 1, assignment + order)
+
+        yield from extend(1, [root])
+
+
+def _reference_assignment_valid(g: Graph, assignment: tuple[int, ...], height: int) -> bool:
+    n = _tree_size(height)
+    if len(assignment) != n or len(set(assignment)) != n or g.n != n:
+        return False
+    want = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _reference_tree_edge_predicate(_tree_coords(i), _tree_coords(j)):
+                want += 1
+                if not g.has_edge(assignment[i], assignment[j]):
+                    return False
+    return g.m == want
+
+
+def _reference_induced(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
+    keep = sorted(set(nodes))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (index[u], index[v])
+        for u, v in g.edge_list
+        if u in index and v in index
+    ]
+    return make_graph(len(keep), edges, multi=g.multi), keep
+
+
+def reference_recognize_octopus(g: Graph, leaf_required: frozenset[int] = frozenset()) -> Optional[OctopusWitness]:
+    """Find an octopus witness of the standalone graph g, or None.
+
+    `leaf_required` nodes must come out as the (w-1, 0) leaf of their port
+    gadget (they carry inter-octopus attachments in a proper instance).
+    Connectors are exactly the bridges: tree-like gadgets of height >= 2 are
+    two-edge-connected, so the two-edge-component structure must be a star
+    with the head in the middle.
+    """
+    if g.n < 2:
+        return None
+    comps = two_edge_components(g)
+    if len(comps) < 2:
+        return None
+    comp_of: dict[int, int] = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in g.edge_list:
+        cu, cv = comp_of[u], comp_of[v]
+        if cu != cv:
+            key = (min(cu, cv), max(cu, cv))
+            links.setdefault(key, []).append((u, v))
+    # star check: some component is adjacent to all others, each exactly once
+    degree = {ci: 0 for ci in range(len(comps))}
+    for (a, b), es in links.items():
+        if len(es) != 1:
+            return None
+        degree[a] += 1
+        degree[b] += 1
+    centers = [ci for ci in range(len(comps)) if degree[ci] == len(comps) - 1]
+    for center in centers:
+        if any(degree[ci] != 1 for ci in range(len(comps)) if ci != center):
+            continue
+        witness = _reference_try_octopus_center(g, comps, links, center, leaf_required)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _reference_try_octopus_center(
+    g: Graph,
+    comps: list[frozenset[int]],
+    links: Mapping[tuple[int, int], list[tuple[int, int]]],
+    center: int,
+    leaf_required: frozenset[int],
+) -> Optional[OctopusWitness]:
+    head_sub, head_nodes = _reference_induced(g, comps[center])
+    if leaf_required & set(head_nodes):
+        return None
+    hooks: list[tuple[int, int, int]] = []  # (component index, port-side node, head-side node)
+    for (a, b), es in links.items():
+        if center not in (a, b):
+            return None
+        other = b if a == center else a
+        (u, v) = es[0]
+        port_end, head_end = (u, v) if u in comps[other] else (v, u)
+        hooks.append((other, port_end, head_end))
+
+    for assignment in reference_tree_like_assignments(head_sub):
+        x = (len(assignment) + 1).bit_length() - 1
+        slots = 1 << (x - 1)
+        position = {head_nodes[assignment[i]]: _tree_coords(i) for i in range(len(assignment))}
+        slot_counts: dict[int, int] = {}
+        port_data: list[tuple[int, int, tuple[int, ...]]] = []
+        ok = True
+        for other, port_end, head_end in hooks:
+            l, i = position[head_end]
+            if l != x - 1:
+                ok = False
+                break
+            port_sub, port_nodes = _reference_induced(g, comps[other])
+            required_local = frozenset(
+                port_nodes.index(v) for v in leaf_required if v in comps[other]
+            )
+            chosen: Optional[tuple[int, ...]] = None
+            for pa in reference_tree_like_assignments(port_sub):
+                w = (len(pa) + 1).bit_length() - 1
+                if port_nodes[pa[0]] != port_end:
+                    continue
+                leaf_local = pa[_tree_index(w - 1, 0)]
+                if any(r != leaf_local for r in required_local):
+                    continue
+                chosen = tuple(port_nodes[p] for p in pa)
+                break
+            if chosen is None:
+                ok = False
+                break
+            slot_counts[i] = slot_counts.get(i, 0) + 1
+            port_data.append((i, slot_counts[i], chosen))
+        if not ok:
+            continue
+        if set(slot_counts) != set(range(slots)):
+            continue
+        if any(c not in (1, 2) for c in slot_counts.values()):
+            continue
+        ports = tuple(
+            sorted(
+                (
+                    PortWitness(
+                        slot=i,
+                        copy=j,
+                        height=(len(nodes) + 1).bit_length() - 1,
+                        nodes=nodes,
+                    )
+                    for i, j, nodes in port_data
+                ),
+                key=lambda p: (p.slot, p.copy),
+            )
+        )
+        head_tuple = tuple(head_nodes[assignment[i]] for i in range(len(assignment)))
+        return OctopusWitness(x=x, eta=tuple(slot_counts[i] for i in range(slots)), head_nodes=head_tuple, ports=ports)
+    return None
+
+
+def _reference_components_within(g: Graph, keep: set[int]) -> list[list[int]]:
+    seen: set[int] = set()
+    comps = []
+    for s in sorted(keep):
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in keep and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _reference_independent_neighborhood(g: Graph, v: int) -> bool:
+    nbrs = list(dict.fromkeys(g.neighbors(v)))
+    for i in range(len(nbrs)):
+        for j in range(i + 1, len(nbrs)):
+            if g.has_edge(nbrs[i], nbrs[j]):
+                return False
+    return True
+
+
+def _reference_witness_to_host(w: OctopusWitness, host: Sequence[int]) -> OctopusWitness:
+    return OctopusWitness(
+        x=w.x,
+        eta=w.eta,
+        head_nodes=tuple(host[v] for v in w.head_nodes),
+        ports=tuple(
+            PortWitness(slot=p.slot, copy=p.copy, height=p.height,
+                        nodes=tuple(host[v] for v in p.nodes))
+            for p in w.ports
+        ),
+    )
+
+
+def _reference_validate_inter_set(g: Graph, inter: frozenset[int]) -> Optional[tuple[OctopusWitness, ...]]:
+    for v in inter:
+        for u in g.neighbors(v):
+            if u in inter:
+                return None
+    witnesses = []
+    intra = set(range(g.n)) - inter
+    for comp in _reference_components_within(g, intra):
+        sub, nodes = _reference_induced(g, comp)
+        index = {v: i for i, v in enumerate(nodes)}
+        leaf_req = frozenset(
+            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
+        )
+        local = reference_recognize_octopus(sub, leaf_req)
+        if local is None:
+            return None
+        witnesses.append(_reference_witness_to_host(local, nodes))
+    if inter:
+        # the definition's "if and only if": with inter nodes present, every
+        # left-most port leaf must carry an attachment
+        for w in witnesses:
+            for p in w.ports:
+                if not any(u in inter for u in g.neighbors(p.leaf)):
+                    return None
+    return tuple(witnesses)
+
+
+def _reference_failing_component(g: Graph, inter: frozenset[int]) -> Optional[list[int]]:
+    intra = set(range(g.n)) - inter
+    for comp in _reference_components_within(g, intra):
+        sub, nodes = _reference_induced(g, comp)
+        index = {v: i for i, v in enumerate(nodes)}
+        leaf_req = frozenset(
+            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
+        )
+        if reference_recognize_octopus(sub, leaf_req) is None:
+            return comp
+    return None
+
+
+def reference_recognize_proper_instance(
+    g: Graph,
+) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
+    """Search for the intra/inter bipartition and octopus decomposition.
+
+    Only nodes with an independent neighborhood can be inter.  The search
+    starts from "every candidate is inter" and repairs failing intra
+    components by flipping adjacent candidates to intra (smallest flip sets
+    first); candidate clusters that are adjacent within the candidate set are
+    enumerated outright.
+    """
+    if g.n == 0:
+        return ((), ())
+    candidates = [v for v in range(g.n) if _reference_independent_neighborhood(g, v)]
+    cand_set = set(candidates)
+    groups = _reference_components_within(g, cand_set)
+    multi_groups = [grp for grp in groups if len(grp) > 1]
+    singles = [grp[0] for grp in groups if len(grp) == 1]
+
+    def independent_subsets(nodes: list[int]) -> list[frozenset[int]]:
+        out = []
+        for mask in range(1 << len(nodes)):
+            subset = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
+            ok = True
+            for a in range(len(subset)):
+                for b in range(a + 1, len(subset)):
+                    if g.has_edge(subset[a], subset[b]):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                out.append(frozenset(subset))
+        out.sort(key=lambda s: -len(s))
+        return out
+
+    group_options = [independent_subsets(grp) for grp in multi_groups]
+
+    def attempt(base_inter: frozenset[int]) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
+        inter = set(base_inter)
+        flippable = set(singles) & inter
+        for _ in range(g.n + 1):
+            comp = _reference_failing_component(g, frozenset(inter))
+            if comp is None:
+                break
+            frontier = sorted(
+                u for u in flippable
+                if any(g.has_edge(u, v) for v in comp)
+            )
+            fixed = False
+            for size in range(1, len(frontier) + 1):
+                for subset in itertools.combinations(frontier, size):
+                    trial = frozenset(inter) - frozenset(subset)
+                    merged = None
+                    intra = set(range(g.n)) - trial
+                    for c in _reference_components_within(g, intra):
+                        if comp[0] in c:
+                            merged = c
+                            break
+                    assert merged is not None
+                    sub, nodes = _reference_induced(g, merged)
+                    index = {v: i for i, v in enumerate(nodes)}
+                    leaf_req = frozenset(
+                        index[v] for v in merged
+                        if any(u in trial for u in g.neighbors(v))
+                    )
+                    if reference_recognize_octopus(sub, leaf_req) is not None:
+                        inter = set(trial)
+                        flippable -= set(subset)
+                        fixed = True
+                        break
+                if fixed:
+                    break
+            if not fixed:
+                return None
+        witnesses = _reference_validate_inter_set(g, frozenset(inter))
+        if witnesses is None:
+            return None
+        lam = tuple(INTER if v in inter else INTRA for v in range(g.n))
+        return lam, tuple(sorted(witnesses, key=lambda w: min(w.all_nodes())))
+
+    for combo in itertools.product(*group_options) if group_options else [()]:
+        base = frozenset(singles).union(*combo) if combo else frozenset(singles)
+        result = attempt(base)
+        if result is not None:
+            return result
+    return None
+
+
+def _mutants(g, rng, count):
+    """Single-edge deletions and additions, in turn."""
+    existing = {frozenset(e) for e in g.edge_list}
+    absent = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if frozenset((u, v)) not in existing]
+    out = []
+    for i in range(count):
+        edges = list(g.edge_list)
+        if i % 2 == 0 and edges:
+            del edges[rng.randrange(len(edges))]
+        elif absent:
+            edges.append(absent[rng.randrange(len(absent))])
+        out.append(make_graph(g.n, edges))
+    return out
+
+
+def _shuffled(g, rng):
+    """g with its node ids permuted and its edge list reordered."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edge_list]
+    rng.shuffle(edges)
+    return make_graph(g.n, edges)
+
+
+def test_tree_like_assignments_match_reference():
+    rng = random.Random(1)
+    for height in range(1, 6):
+        tree = gen_tree_like(height).graph
+        for g in [tree, _shuffled(tree, rng), *_mutants(tree, rng, 50)]:
+            assert list(tree_like_assignments(g)) == list(reference_tree_like_assignments(g))
+
+
+def _octopi():
+    for x in (1, 2, 3):
+        slots = 1 << (x - 1)
+        for eta in sorted({(1,) * slots, (2,) * slots, tuple(1 + i % 2 for i in range(slots))}):
+            for w in (2, 3):
+                yield gen_octopus(x, eta, {(i, j): w for i in range(slots) for j in (1, 2) if j <= eta[i]})
+    yield gen_octopus(2, (2, 1), {(0, 1): 3, (0, 2): 2, (1, 1): 3})
+
+
+def test_recognize_octopus_matches_reference():
+    rng = random.Random(2)
+    for octopus in _octopi():
+        leaves = frozenset(p.leaf for p in octopus.witness.ports)
+        roots = frozenset(p.root for p in octopus.witness.ports)
+        for g in [octopus.graph, _shuffled(octopus.graph, rng), *_mutants(octopus.graph, rng, 6)]:
+            for required in (frozenset(), leaves, roots):
+                assert recognize_octopus(g, required) == reference_recognize_octopus(g, required)
+
+
+def _proper_instances():
+    rng = random.Random(3)
+    for n in range(2, 7):
+        source = random_connected_graph(rng, n)
+        for k in (None, 3):
+            pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
+            yield pi.graph
+            yield _shuffled(pi.graph, rng)
+            yield from _mutants(pi.graph, rng, 4)
+
+
+def test_recognize_proper_instance_matches_reference():
+    for g in _proper_instances():
+        assert recognize_proper_instance(g) == reference_recognize_proper_instance(g)
+
+
+def test_recognize_proper_instance_builds_no_graph(monkeypatch):
+    instances = [gen_proper_instance(incidence_graph_of(path_graph(4)), k=3)[0].graph]
+    instances += _mutants(instances[0], random.Random(4), 2)
+    instances.append(gen_proper_instance(incidence_graph_of(path_graph(2)), k=1)[0].graph)
+    built = []
+
+    def counting_make_graph(*args, **kwargs):
+        built.append(args)
+        return make_graph(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "make_graph", counting_make_graph)
+    monkeypatch.setattr(gadgets, "make_graph", counting_make_graph)
+    assert [recognize_proper_instance(g) is not None for g in instances] == [True, False, False, True]
+    assert built == []

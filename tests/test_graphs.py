@@ -14,15 +14,19 @@ from locallab.graphs import (
     CenteredGraph,
     InputError,
     View,
+    ball_distances,
+    bridges,
     canonical_key,
     centered_isomorphism,
     centered_key,
+    connected_components,
     cycle_graph,
     distance,
     distances_from,
     extract_view,
     graph_from_json,
     graph_to_json,
+    induced_labeled_subgraph,
     label_graph,
     labeled_graph_from_json,
     labeled_graph_to_json,
@@ -33,6 +37,7 @@ from locallab.graphs import (
     rational_to_json,
     star_graph,
     to_dot,
+    two_edge_components,
     view_isomorphisms,
     views_isomorphic,
 )
@@ -318,6 +323,84 @@ def test_bounded_bfs_matches_literal_definition_on_disconnected_graph():
     _assert_matches_literal(parts, max_t=4)
 
 
+# ---------------------------------------------------------------------------
+# node-set forms against the same function on the induced subgraph, and that
+# function against literal definitions
+
+
+def _literal_components(n, edges):
+    """Components of the graph on 0..n-1 with these edges, by merging."""
+    comp = {v: frozenset([v]) for v in range(n)}
+    for u, v in edges:
+        if comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            comp.update(dict.fromkeys(merged, merged))
+    return set(comp.values())
+
+
+def _literal_distances(edges, source):
+    """{node: distance} by relaxing every edge until nothing changes."""
+    dist = {source: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges + [(v, u) for u, v in edges]:
+            if u in dist and dist.get(v, INFINITY) > dist[u] + 1:
+                dist[v] = dist[u] + 1
+                changed = True
+    return dist
+
+
+def _assert_node_set_forms_match(g):
+    for size in range(1, g.n + 1):
+        for keep in itertools.combinations(range(g.n), size):
+            sub = induced_labeled_subgraph(label_graph(g), keep)[0].graph
+            # sub-edge i is the i-th host edge inside keep, sub-node i is keep[i]
+            inner = [e for e, (u, v) in enumerate(g.edge_list) if u in keep and v in keep]
+            edges = list(sub.edge_list)
+
+            def host(comps):
+                return [frozenset(keep[v] for v in c) for c in comps]
+
+            literal_cut = {
+                e for e in range(sub.m)
+                if len(_literal_components(sub.n, edges[:e] + edges[e + 1 :]))
+                > len(_literal_components(sub.n, edges))
+            }
+            assert connected_components(g, keep) == host(connected_components(sub))
+            assert set(connected_components(sub)) == _literal_components(sub.n, edges)
+            assert bridges(g, keep) == {inner[e] for e in bridges(sub)}
+            assert bridges(sub) == literal_cut
+            assert two_edge_components(g, keep) == host(two_edge_components(sub))
+            assert set(two_edge_components(sub)) == _literal_components(
+                sub.n, [edge for e, edge in enumerate(edges) if e not in literal_cut]
+            )
+            for s in {0, sub.n - 1}:
+                literal = _literal_distances(edges, s)
+                for t in (1, 2, g.n):
+                    within = ball_distances(sub, [s], t)
+                    assert within == {v: d for v, d in literal.items() if d <= t}
+                    assert ball_distances(g, [keep[s]], t, keep) == {keep[v]: d for v, d in within.items()}
+
+
+def test_node_set_forms_match_induced_subgraph_on_corpus():
+    for g in all_connected_graphs(6):
+        _assert_node_set_forms_match(g)
+
+
+def test_node_set_forms_match_induced_subgraph_on_multigraph():
+    multi = make_graph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4), (2, 3)], multi=True)
+    _assert_node_set_forms_match(multi)
+
+
+def test_node_set_forms_reject_unknown_nodes():
+    g = path_graph(3)
+    with pytest.raises(InputError):
+        connected_components(g, [0, 3])
+    with pytest.raises(InputError):
+        ball_distances(g, [0], 1, [1, 2])
+
+
 def test_graph_equality_ignores_neighbor_rows():
     g = make_graph(3, [(0, 1), (1, 2)])
     twin = replace(g, neighbor_rows=((), (), ()))
@@ -549,7 +632,7 @@ def reference_centered_isomorphism(c1, c2):
     phi, used = {}, set()
 
     def edge_labels(lg, v, w):
-        out = [(lg.half_edge_label(v, e), lg.half_edge_label(w, e)) for e in lg.graph.edges_between(v, w)]
+        out = [(lg.half_edge_label(v, e), lg.half_edge_label(w, e)) for e, u in zip(lg.graph.adjacency[v], lg.graph.neighbor_rows[v]) if u == w]
         out.sort(key=repr)
         return out
 
@@ -710,7 +793,8 @@ def _is_centered_isomorphism(c1, c2, phi):
     def pairs(c, v, w):
         return sorted(
             (repr(c.base.half_edge_label(v, e)), repr(c.base.half_edge_label(w, e)))
-            for e in c.base.graph.edges_between(v, w)
+            for e, u in zip(c.base.graph.adjacency[v], c.base.graph.neighbor_rows[v])
+            if u == w
         )
 
     return all(

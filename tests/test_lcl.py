@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 
 from locallab.graphs import InputError, cycle_graph, label_graph, path_graph
@@ -39,6 +41,18 @@ def closure_constraints(lg, r, delta=None):
         half_edge_alphabet={lab for _, lab in lg.half_edge_items()},
         members=members,
     )
+
+
+@pytest.mark.parametrize(
+    "one, same",
+    [(1, F(1)), ((1, "a"), (F(1), "a")), ((("b", 2),), (("b", F(4, 2)),))],
+    ids=["int", "tuple", "nested-tuple"],
+)
+def test_integral_fraction_labels_match_equal_int_labels(one, same):
+    # labels that compare equal must give equal centered keys, whatever
+    # their numeric type: the alphabet check already accepts them by ==
+    constraints = closure_constraints(uniform(path_graph(3), node=one, he=one), r=1)
+    assert check_constraints(uniform(path_graph(3), node=same, he=same), constraints).ok
 
 
 def test_centered_ball_examples():
