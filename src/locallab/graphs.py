@@ -952,6 +952,17 @@ def rational_from_json(raw) -> Fraction:
     raise InputError(f'expected an integer or an "a/b" string, got {raw!r}')
 
 
+def rational_parts(x) -> Optional[tuple[int, int]]:
+    """Numerator and positive denominator, in lowest terms, of an exact
+    rational label: an int (not a bool) or a Fraction.  None for anything
+    else (a float, a bool, a string, None)."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if _is_json_int(x):
+        return x, 1
+    return None
+
+
 def _label_to_json(lab):
     if isinstance(lab, Fraction):
         return {"fraction": rational_to_json(lab)}

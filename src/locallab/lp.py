@@ -7,7 +7,9 @@ Each DistLP is compiled once, on first use, into integer rows: a constraint
 is multiplied by the lcm of its denominators (a positive scale keeps the
 relation), and so is the objective.  `check_feasible` and `objective_value`
 bring a point to one common denominator and evaluate each row as a sum of
-ints.
+ints.  `dequantize` works the same way: it decodes each support entry once
+into integers, checks it on the compiled rows, and adds it into integer
+column sums; it makes one Fraction per coordinate, at the end.
 
 The simplex is a two-phase dense tableau with Bland's rule (termination
 guaranteed), kept fraction-free (Edmonds 1967; Bareiss 1968): it holds
@@ -40,6 +42,7 @@ from .graphs import (
     label_graph,
     make_graph,
     rational_from_json,
+    rational_parts,
     rational_to_json,
 )
 from .outcomes import (
@@ -204,6 +207,13 @@ class _CompiledLP:
     objective: tuple[int, ...]  # objective coefficients times objective_scale
     objective_scale: int
     rows: tuple[_Row, ...]
+    # per column, the labels its variable reads: its node, or its edge's two
+    # half-edges (v, e)
+    owners: tuple
+    # a point as a labeling, sorted by key; a key owned by several variables
+    # takes the value of the last, as a dict built in variable order would
+    node_columns: tuple[tuple[int, int], ...]  # (node, column)
+    half_edge_columns: tuple[tuple[tuple[int, int], int], ...]  # ((v, e), column)
 
 
 def _compiled(lp: DistLP) -> _CompiledLP:
@@ -233,6 +243,18 @@ def _compiled(lp: DistLP) -> _CompiledLP:
             bound=c.bound.numerator * (scale // c.bound.denominator),
             scale=scale,
         ))
+    owners = []
+    node_columns: dict[int, int] = {}
+    half_edge_columns: dict[tuple[int, int], int] = {}
+    for j, var in enumerate(lp.variables):
+        kind, ident = var.owner
+        if kind == "node":
+            owners.append(ident)
+            node_columns[ident] = j
+        else:
+            u, v = lp.graph.endpoints(ident)
+            owners.append(((u, ident), (v, ident)))
+            half_edge_columns[(u, ident)] = half_edge_columns[(v, ident)] = j
     comp = _CompiledLP(
         names=names,
         name_set=frozenset(names),
@@ -240,6 +262,9 @@ def _compiled(lp: DistLP) -> _CompiledLP:
         objective=tuple(objective),
         objective_scale=objective_scale,
         rows=tuple(rows),
+        owners=tuple(owners),
+        node_columns=tuple(sorted(node_columns.items())),
+        half_edge_columns=tuple(sorted(half_edge_columns.items())),
     )
     object.__setattr__(lp, "_integer_form", comp)
     return comp
@@ -251,19 +276,25 @@ def _common_denominator(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _point_vector(comp: _CompiledLP, x: LpPoint) -> dict[str, Fraction]:
+def _column_values(comp: _CompiledLP, x: LpPoint) -> list[Fraction]:
+    """The point's values in column order; its variables must be the LP's."""
     vals = x.as_dict()
     if vals.keys() != comp.name_set:
         missing = comp.name_set - set(vals)
         if missing:
             raise InputError(f"point is missing variables {sorted(missing)}")
         raise InputError(f"point has unknown variables {sorted(set(vals) - comp.name_set)}")
-    return vals
+    return [vals[name] for name in comp.names]
 
 
 def _point_numerators(comp: _CompiledLP, x: LpPoint) -> tuple[list[int], int]:
-    vals = _point_vector(comp, x)
-    return _common_denominator([vals[name] for name in comp.names])
+    return _common_denominator(_column_values(comp, x))
+
+
+def _point_of_columns(comp: _CompiledLP, nums: Sequence[int], den: int) -> LpPoint:
+    """The point nums/den, one Fraction per column, in name order."""
+    names = comp.names
+    return LpPoint(values=tuple((names[j], Fraction(nums[j], den)) for j in comp.by_name))
 
 
 def _violations(comp: _CompiledLP, nums: Sequence[int], den: int) -> list[str]:
@@ -614,42 +645,71 @@ def approximation_ratio(lp: DistLP, x: LpPoint):
 
 def labeling_from_point(lp: DistLP, x: LpPoint) -> Labeling:
     """Encode a point as a labeling: edge values on both half-edges, node values on nodes."""
-    vals = _point_vector(_compiled(lp), x)
-    g = lp.graph
-    nodes: dict[int, object] = {}
-    half_edges: dict[tuple[int, int], object] = {}
-    for var in lp.variables:
-        kind, ident = var.owner
-        if kind == "node":
-            nodes[ident] = vals[var.name]
+    comp = _compiled(lp)
+    vals = _column_values(comp, x)
+    return Labeling(
+        node_items=tuple((v, vals[j]) for v, j in comp.node_columns),
+        half_edge_items=tuple((key, vals[j]) for key, j in comp.half_edge_columns),
+    )
+
+
+def _label_positions(comp: _CompiledLP, labeling: Labeling) -> list:
+    """Per column, where its labels sit in `labeling`: the index into
+    node_items, or the two indices into half_edge_items (None where absent).
+
+    Every labeling of one outcome has the same domain (see `make_outcome`),
+    so the positions read off its first labeling hold for all of them.
+    """
+    node_at = {v: i for i, (v, _) in enumerate(labeling.node_items)}
+    half_edge_at = {key: i for i, (key, _) in enumerate(labeling.half_edge_items)}
+    return [
+        (half_edge_at.get(owner[0]), half_edge_at.get(owner[1])) if type(owner) is tuple
+        else node_at.get(owner)
+        for owner in comp.owners
+    ]
+
+
+def _label_parts(comp: _CompiledLP, j: int, lab, entry: int) -> tuple[int, int]:
+    parts = rational_parts(lab)
+    if parts is None:
+        raise InputError(
+            f"support entry {entry} labels variable {comp.names[j]!r} with {lab!r}, "
+            "not an integer or a Fraction"
+        )
+    return parts
+
+
+def _decode(comp: _CompiledLP, positions: list, labeling: Labeling, entry: int) -> tuple[list[int], int]:
+    """The point a labeling encodes, as integer numerators per column over
+    their least common denominator; both half-edges of an edge must agree."""
+    nodes, half_edges = labeling.node_items, labeling.half_edge_items
+    nums: list[int] = []
+    dens: list[int] = []
+    for j, at in enumerate(positions):
+        if type(at) is tuple:
+            if at[0] is None or at[1] is None:
+                raise InputError(f"labeling misses edge variable {comp.names[j]!r}")
+            lab_u, lab_v = half_edges[at[0]][1], half_edges[at[1]][1]
+            a, b = _label_parts(comp, j, lab_u, entry)
+            if (a, b) != _label_parts(comp, j, lab_v, entry):
+                raise InputError(
+                    f"endpoints disagree on edge variable {comp.names[j]!r}: {lab_u} vs {lab_v}"
+                )
         else:
-            u, v = g.endpoints(ident)
-            half_edges[(u, ident)] = vals[var.name]
-            half_edges[(v, ident)] = vals[var.name]
-    return Labeling.of(nodes, half_edges)
+            if at is None:
+                raise InputError(f"labeling misses node variable {comp.names[j]!r}")
+            a, b = _label_parts(comp, j, nodes[at][1], entry)
+        nums.append(a)
+        dens.append(b)
+    den = math.lcm(*dens)
+    return [a * (den // b) for a, b in zip(nums, dens)], den
 
 
 def point_from_labeling(lp: DistLP, labeling: Labeling) -> LpPoint:
-    """Decode a labeling into a point; both half-edges of an edge must agree."""
-    g = lp.graph
-    nodes = labeling.nodes()
-    half_edges = labeling.half_edges()
-    out: dict[str, Fraction] = {}
-    for var in lp.variables:
-        kind, ident = var.owner
-        if kind == "node":
-            if ident not in nodes:
-                raise InputError(f"labeling misses node variable {var.name!r}")
-            out[var.name] = Fraction(nodes[ident])
-        else:
-            u, v = g.endpoints(ident)
-            if (u, ident) not in half_edges or (v, ident) not in half_edges:
-                raise InputError(f"labeling misses edge variable {var.name!r}")
-            a, b = Fraction(half_edges[(u, ident)]), Fraction(half_edges[(v, ident)])
-            if a != b:
-                raise InputError(f"endpoints disagree on edge variable {var.name!r}: {a} vs {b}")
-            out[var.name] = a
-    return LpPoint.of(out)
+    """Decode a labeling into a point; both half-edges of an edge must agree.
+    Labels are ints or Fractions; labels no variable reads are ignored."""
+    comp = _compiled(lp)
+    return _point_of_columns(comp, *_decode(comp, _label_positions(comp, labeling), labeling, 0))
 
 
 def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]],
@@ -665,27 +725,31 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     expectation-approximation argument); an infeasible entry is a contract
     error naming the entry.  The result is feasible and its objective equals
     the expected objective of the support, exactly.
+
+    Each entry i is decoded once into integers nums_i over its own
+    denominator d_i and checked against the compiled rows.  With W the
+    support's common denominator and w_i = p_i * W, the column sums hold
+    sum_i w_i * nums_i * (L / d_i) as integers over W * L, where L is the lcm
+    of the d_i seen so far.  One Fraction per column is made at the end.
     """
-    points: list[tuple[LpPoint, Fraction]] = []
-    for i, (labeling, p) in enumerate(outcome.support):
-        pt = point_from_labeling(lp, labeling)
-        verdict = check_feasible(lp, pt)
-        if not verdict:
-            raise ContractError(
-                f"support entry {i} is infeasible (violates {list(verdict.violated)})"
-            )
-        points.append((pt, p))
-    vals = expectation(outcome, lambda lab: Fraction(lab))
-    out: dict[str, Fraction] = {}
-    g = lp.graph
-    for var in lp.variables:
-        kind, ident = var.owner
-        if kind == "node":
-            out[var.name] = vals[ident]
-        else:
-            u, _v = g.endpoints(ident)
-            out[var.name] = vals[(u, ident)]
-    return LpPoint.of(out)
+    comp = _compiled(lp)
+    support = outcome.support
+    positions = _label_positions(comp, support[0][0])
+    w_den = math.lcm(*(p.denominator for _, p in support))
+    sums = [0] * len(comp.names)
+    lcm_d = 1
+    for i, (labeling, p) in enumerate(support):
+        nums, d = _decode(comp, positions, labeling, i)
+        bad = _violations(comp, nums, d)
+        if bad:
+            raise ContractError(f"support entry {i} is infeasible (violates {bad})")
+        if lcm_d % d:
+            scale = d // math.gcd(lcm_d, d)
+            sums = [s * scale for s in sums]
+            lcm_d *= scale
+        k = p.numerator * (w_den // p.denominator) * (lcm_d // d)
+        sums = [s + k * a for s, a in zip(sums, nums)]
+    return _point_of_columns(comp, sums, w_den * lcm_d)
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +878,7 @@ def local_expectation_algorithm(
         v = view.anchor_node()
         v2 = completion.node_map[v]
         outcome = oracle(completion.network)
-        marginal = restrict(outcome, [v2])
-        sums: dict = {}
-        for labeling, p in marginal.support:
-            for node, lab in labeling.node_items:
-                sums[node] = sums.get(node, Fraction(0)) + p * Fraction(lab)
-            for key, lab in labeling.half_edge_items:
-                sums[key] = sums.get(key, Fraction(0)) + p * Fraction(lab)
+        sums = expectation(restrict(outcome, [v2]), lambda lab: lab)
         node_label = sums.get(v2)
         half_edges: dict[int, object] = {}
         g1 = view.source.graph

@@ -23,6 +23,7 @@ from .graphs import (
     LabeledGraph,
     View,
     extract_view,
+    rational_parts,
     view_isomorphisms,
 )
 
@@ -170,15 +171,34 @@ def success_probability(outcome: Outcome, verifier: Callable[[Labeling], bool]) 
     return sum((p for labeling, p in outcome.support if verifier(labeling)), Fraction(0))
 
 
-def expectation(outcome: Outcome, value: Callable[[object], Fraction]) -> dict:
-    """Coordinatewise expected value; keys are node ids and (node, edge) pairs."""
-    out: dict = {}
+def expectation(outcome: Outcome | RestrictedOutcome, value: Callable[[object], Fraction]) -> dict:
+    """Coordinatewise expected value; keys are node ids and (node, edge) pairs.
+
+    `value` maps a label to an int or a Fraction (anything else is an
+    InputError).  Each key's sum is kept as an integer over the support's
+    common denominator times the lcm of the value denominators seen so far;
+    one Fraction per key is made at the end.
+    """
+    denominator = _common_denominator(p for _, p in outcome.support)
+    sums: dict = {}  # key -> [numerator, value denominator]
     for labeling, p in outcome.support:
-        for v, lab in labeling.node_items:
-            out[v] = out.get(v, Fraction(0)) + p * Fraction(value(lab))
-        for key, lab in labeling.half_edge_items:
-            out[key] = out.get(key, Fraction(0)) + p * Fraction(value(lab))
-    return out
+        w = p.numerator * (denominator // p.denominator)
+        for key, lab in chain(labeling.node_items, labeling.half_edge_items):
+            x = value(lab)
+            parts = rational_parts(x)
+            if parts is None:
+                raise InputError(f"expectation of {key!r}: {x!r} is not an integer or a Fraction")
+            a, b = parts
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = [w * a, b]
+                continue
+            total, d = acc
+            if d % b:
+                scale = b // math.gcd(d, b)
+                total, d = total * scale, d * scale
+            acc[0], acc[1] = total + w * a * (d // b), d
+    return {key: Fraction(total, denominator * d) for key, (total, d) in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -582,4 +602,4 @@ def outcome_from_json(data: Mapping) -> Outcome:
                 v, e = key.split(":")
                 half_edges[(int(v), int(e))] = _label_from_json(lab)
             pairs.append((Labeling.of(nodes, half_edges), rational_from_json(entry["p"])))
-    return make_outcome(lg, pairs)
+        return make_outcome(lg, pairs)

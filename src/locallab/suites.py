@@ -176,17 +176,15 @@ def _random_feasible_point(rng: random.Random, g: Graph, matchings: list) -> LpP
     under the node loads; `matchings` is `corpus.all_maximal_matchings(g)`."""
     if rng.random() < 1 / 3:
         pick = matchings[rng.randrange(len(matchings))]
-        return LpPoint.of(
-            {edge_var(e): Fraction(1) if e in pick else Fraction(0) for e in range(g.m)}
-        )
-    raw = {e: Fraction(rng.randint(0, 6), 6) for e in range(g.m)}
-    load = {v: Fraction(0) for v in range(g.n)}
-    for e, val in raw.items():
+        return LpPoint.of({edge_var(e): 1 if e in pick else 0 for e in range(g.m)})
+    sixths = [rng.randint(0, 6) for _ in range(g.m)]
+    load = [0] * g.n  # in sixths
+    for e, val in enumerate(sixths):
         u, v = g.endpoints(e)
         load[u] += val
         load[v] += val
-    scale = max([Fraction(1)] + list(load.values()))
-    return LpPoint.of({edge_var(e): raw[e] / scale for e in range(g.m)})
+    scale = max([6] + load)
+    return LpPoint.of({edge_var(e): Fraction(sixths[e], scale) for e in range(g.m)})
 
 
 def suite_dequantize(seed: int) -> list[CheckResult]:
@@ -211,28 +209,43 @@ def suite_dequantize(seed: int) -> list[CheckResult]:
                 outcome = outcome_of_points(lp, pairs)
                 x_hat = dequantize(outcome, lp)
                 if not check_feasible(lp, x_hat):
-                    return False, {"graph_edges": g.edge_list}, "dequantized point infeasible"
+                    return False, {"graph_edges": g.edge_list, "trial": trial}, "dequantized point infeasible"
                 expected_obj = sum(
                     (p * objective_value(lp, pt) for pt, p in pairs), Fraction(0)
                 )
-                if objective_value(lp, x_hat) != expected_obj:
-                    return False, {}, "objective does not equal the expected objective"
+                val_hat = objective_value(lp, x_hat)
+                if val_hat != expected_obj:
+                    return False, {
+                        "graph_edges": g.edge_list,
+                        "trial": trial,
+                        "objective": val_hat,
+                        "expected_objective": expected_obj,
+                    }, "objective does not equal the expected objective"
                 ratios = []
                 for pt, _p in pairs:
                     val = objective_value(lp, pt)
                     ratios.append(INFINITY if val == 0 and opt.value > 0 else (
                         Fraction(1) if opt.value == 0 else opt.value / val))
-                val_hat = objective_value(lp, x_hat)
                 ratio_hat = (
                     INFINITY if val_hat == 0 and opt.value > 0
                     else (Fraction(1) if opt.value == 0 else opt.value / val_hat)
                 )
                 if not (ratio_hat <= max(ratios)):
-                    return False, {}, "ratio exceeds the support maximum"
+                    return False, {
+                        "graph_edges": g.edge_list,
+                        "trial": trial,
+                        "ratio": ratio_hat,
+                        "support_max_ratio": max(ratios),
+                    }, "ratio exceeds the support maximum"
                 if trial == 0:
                     direct = approximation_ratio(lp, x_hat)
                     if direct != ratio_hat:
-                        return False, {}, "approximation_ratio disagrees with cached optimum"
+                        return False, {
+                            "graph_edges": g.edge_list,
+                            "trial": trial,
+                            "approximation_ratio": direct,
+                            "ratio": ratio_hat,
+                        }, "approximation_ratio disagrees with cached optimum"
                     ratio_checks += 1
                 mixtures += 1
         return True, {"graphs": len(graphs), "mixtures": mixtures, "op_ties": ratio_checks}, ""

@@ -297,3 +297,33 @@ def test_gadget_octopus_non_integer_eta_is_usage_error(capsys):
 
 def test_gadget_octopus_weight_without_height_is_usage_error(capsys):
     assert main(["gadget", "octopus", "--x", "1", "--eta", "1", "--weights", "0,1"]) == 2
+
+
+def _lp_dequantize(tmp_path, label):
+    """`lp dequantize` on P2 with one support entry labelling edge 0 by `label`."""
+    graph = labeled_graph_to_json(label_graph(path_graph(2)))
+    graph_path = tmp_path / "p2.json"
+    graph_path.write_text(json.dumps(graph))
+    entry = {"labels": {"half_edges": {"0:0": label, "1:0": label}}, "p": "1"}
+    outcome_path = tmp_path / "outcome.json"
+    outcome_path.write_text(json.dumps({"graph": graph, "support": [entry]}))
+    return main(["lp", "dequantize", "--graph", str(graph_path), "--outcome", str(outcome_path)])
+
+
+def test_lp_dequantize_rational_labels(tmp_path, capsys):
+    assert _lp_dequantize(tmp_path, {"fraction": "1/2"}) == 0
+    assert json.loads(capsys.readouterr().out) == {"e0": "1/2"}
+    assert _lp_dequantize(tmp_path, 1) == 0
+    assert json.loads(capsys.readouterr().out) == {"e0": "1/1"}
+
+
+@pytest.mark.parametrize("label", [0.1, "x", None, True], ids=["float", "string", "null", "bool"])
+def test_lp_dequantize_non_rational_label_is_usage_error(tmp_path, capsys, label):
+    assert _lp_dequantize(tmp_path, label) == 2
+    err = capsys.readouterr().err
+    assert "support entry 0" in err and "'e0'" in err
+
+
+def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
+    assert _lp_dequantize(tmp_path, [1]) == 2
+    assert "malformed outcome JSON" in capsys.readouterr().err

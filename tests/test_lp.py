@@ -48,8 +48,9 @@ from locallab.lp import (
     simplex_solve,
     whole_graph_family,
 )
-from locallab.outcomes import run_local, run_rand_local
+from locallab.outcomes import Labeling, expectation, make_outcome, run_local, run_rand_local
 import locallab.lp as lp_module
+import locallab.suites as suites
 
 
 def matching_point(g, edges):
@@ -633,3 +634,293 @@ def test_compiled_rows_match_the_literal_row_evaluation():
     # 15 variables: name order (e0, e1, e10, ...) differs from column order
     lp = build_fractional_matching_lp(complete_graph(6))
     _check_rows(lp, [{v.name: F(rng.randint(-1, 2), rng.randint(1, 3)) for v in lp.variables} for _ in range(50)])
+
+
+# ---------------------------------------------------------------------------
+# dequantization on integers against the Fraction decoder it replaced
+
+
+def reference_labeling_from_point(lp, x):
+    vals = x.as_dict()
+    nodes, half_edges = {}, {}
+    for var in lp.variables:
+        kind, ident = var.owner
+        if kind == "node":
+            nodes[ident] = vals[var.name]
+        else:
+            u, v = lp.graph.endpoints(ident)
+            half_edges[(u, ident)] = vals[var.name]
+            half_edges[(v, ident)] = vals[var.name]
+    return Labeling.of(nodes, half_edges)
+
+
+def reference_point_from_labeling(lp, labeling):
+    nodes = labeling.nodes()
+    half_edges = labeling.half_edges()
+    out = {}
+    for var in lp.variables:
+        kind, ident = var.owner
+        if kind == "node":
+            if ident not in nodes:
+                raise InputError(f"labeling misses node variable {var.name!r}")
+            out[var.name] = F(nodes[ident])
+        else:
+            u, v = lp.graph.endpoints(ident)
+            if (u, ident) not in half_edges or (v, ident) not in half_edges:
+                raise InputError(f"labeling misses edge variable {var.name!r}")
+            a, b = F(half_edges[(u, ident)]), F(half_edges[(v, ident)])
+            if a != b:
+                raise InputError(f"endpoints disagree on edge variable {var.name!r}: {a} vs {b}")
+            out[var.name] = a
+    return LpPoint.of(out)
+
+
+def reference_expectation(outcome, value):
+    out = {}
+    for labeling, p in outcome.support:
+        for key, lab in labeling.node_items + labeling.half_edge_items:
+            out[key] = out.get(key, F(0)) + p * F(value(lab))
+    return out
+
+
+def reference_dequantize(outcome, lp):
+    for i, (labeling, _) in enumerate(outcome.support):
+        verdict = check_feasible(lp, reference_point_from_labeling(lp, labeling))
+        if not verdict:
+            raise ContractError(f"support entry {i} is infeasible (violates {list(verdict.violated)})")
+    vals = reference_expectation(outcome, F)
+    out = {}
+    for var in lp.variables:
+        kind, ident = var.owner
+        if kind == "node":
+            out[var.name] = vals[ident]
+        else:
+            out[var.name] = vals[(lp.graph.endpoints(ident)[0], ident)]
+    return LpPoint.of(out)
+
+
+def _result(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (InputError, ContractError) as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_dequantize_matches_reference(lp, outcome):
+    got = _result(dequantize, outcome, lp)
+    assert got == _result(reference_dequantize, outcome, lp)
+    if got[0] == "ok":
+        assert all(type(v) is F for _, v in got[1].values)
+    for labeling, _ in outcome.support:
+        assert _result(point_from_labeling, lp, labeling) == _result(
+            reference_point_from_labeling, lp, labeling
+        )
+
+
+def _as_labels(values, use_ints):
+    """Fractions, with the integral ones as ints when use_ints is set."""
+    return {k: int(x) if use_ints and x.denominator == 1 else x for k, x in values.items()}
+
+
+def _edge_labeling(g, values, use_ints):
+    labels = _as_labels(values, use_ints)
+    return Labeling.of(half_edges={(v, e): labels[e] for e in range(g.m) for v in g.endpoints(e)})
+
+
+def _random_matching_values(rng, g):
+    """Edge values over a random denominator 1..7, scaled under the loads."""
+    d = rng.randint(1, 7)
+    raw = [rng.randint(0, d) for _ in range(g.m)]
+    load = [0] * g.n
+    for e, val in enumerate(raw):
+        for v in g.endpoints(e):
+            load[v] += val
+    scale = max([d] + load)
+    return {e: F(raw[e], scale) for e in range(g.m)}
+
+
+def test_dequantize_matches_fraction_reference_on_corpus():
+    rng = random.Random(5)
+    for g in all_connected_graphs(5):
+        if g.m == 0:
+            continue
+        lp = build_fractional_matching_lp(g)
+        lg = label_graph(g)
+        matchings = all_maximal_matchings(g)
+        for trial in range(12):
+            entries = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 1 / 3:
+                    pick = matchings[rng.randrange(len(matchings))]
+                    values = {e: F(int(e in pick)) for e in range(g.m)}
+                else:
+                    values = _random_matching_values(rng, g)
+                entries.append((values, rng.randint(1, 9)))
+            total = sum(w for _, w in entries)
+            use_ints = trial % 2 == 0
+            outcome = make_outcome(
+                lg, [(_edge_labeling(g, values, use_ints), F(w, total)) for values, w in entries]
+            )
+            _assert_dequantize_matches_reference(lp, outcome)
+            assert expectation(outcome, F) == reference_expectation(outcome, F)
+            for values, _ in entries:
+                point = LpPoint.of({edge_var(e): x for e, x in values.items()})
+                assert labeling_from_point(lp, point) == reference_labeling_from_point(lp, point)
+
+
+def _node_lps(g):
+    """A fractional vertex cover LP (node variables only) and a node-edge LP
+    (x_e plus a slack y_v per node: sum of x_e at v plus y_v is 1)."""
+    cover = make_dist_lp(
+        "node-based",
+        "minimize",
+        g,
+        [LpVariable(name=f"y{v}", owner=("node", v), objective=F(1)) for v in range(g.n)],
+        [
+            LpConstraint(name=f"cover{e}", coeffs=((f"y{u}", F(1)), (f"y{v}", F(1))),
+                         relation=">=", bound=F(1), owner=u)
+            for e, (u, v) in enumerate(g.edge_list)
+        ],
+    )
+    slack = make_dist_lp(
+        "node-edge-based",
+        "maximize",
+        g,
+        [LpVariable(name=edge_var(e), owner=("edge", e), objective=F(1)) for e in range(g.m)]
+        + [LpVariable(name=f"y{v}", owner=("node", v), objective=F(0)) for v in range(g.n)],
+        [
+            LpConstraint(name=f"node{v}",
+                         coeffs=tuple((edge_var(e), F(1)) for e in g.adjacency[v]) + ((f"y{v}", F(1)),),
+                         relation="==", bound=F(1), owner=v)
+            for v in range(g.n)
+        ],
+    )
+    return cover, slack
+
+
+def test_dequantize_node_variables_match_fraction_reference():
+    rng = random.Random(9)
+    g = cycle_graph(11)  # node names y10 sort before y2: name order differs from column order
+    lg = label_graph(g)
+    cover, slack = _node_lps(g)
+    for trial in range(20):
+        use_ints = trial % 2 == 0
+        cover_pairs, slack_pairs = [], []
+        for _ in range(rng.randint(1, 4)):
+            w = F(rng.randint(1, 9))
+            ys = {v: rng.choice([F(1, 2), F(2, 3), F(3, 4), F(1)]) for v in range(g.n)}
+            cover_pairs.append((Labeling.of(_as_labels(ys, use_ints)), w))
+            xs = _random_matching_values(rng, g)
+            load = {v: sum((xs[e] for e in g.adjacency[v]), F(0)) for v in range(g.n)}
+            labeling = _edge_labeling(g, xs, use_ints)
+            slack_pairs.append((Labeling.of(_as_labels({v: 1 - load[v] for v in range(g.n)}, use_ints),
+                                            labeling.half_edges()), w))
+        for lp, pairs in ((cover, cover_pairs), (slack, slack_pairs)):
+            total = sum(w for _, w in pairs)
+            outcome = make_outcome(lg, [(labeling, w / total) for labeling, w in pairs])
+            _assert_dequantize_matches_reference(lp, outcome)
+
+
+def test_dequantize_error_paths_match_fraction_reference():
+    p3 = path_graph(3)
+    lp = build_fractional_matching_lp(p3)
+    lg = label_graph(p3)
+    cover, _ = _node_lps(p3)
+
+    def outcome(*labelings):
+        return make_outcome(lg, [(labeling, F(1, len(labelings))) for labeling in labelings])
+
+    half = F(1, 2)
+    cases = [
+        # missing edge variable e1
+        (lp, outcome(Labeling.of(half_edges={(0, 0): half, (1, 0): half}))),
+        # missing node variable y2
+        (cover, outcome(Labeling.of({0: 1, 1: 1}))),
+        # half-edges disagree, also int against Fraction
+        (lp, outcome(Labeling.of(half_edges={(0, 0): half, (1, 0): F(1, 3), (1, 1): 0, (2, 1): 0}))),
+        (lp, outcome(Labeling.of(half_edges={(0, 0): 1, (1, 0): half, (1, 1): 0, (2, 1): 0}))),
+        # a disagreement at e0 comes before the missing e1 in entry 0
+        (lp, outcome(Labeling.of(half_edges={(0, 0): 1, (1, 0): 0}))),
+        # entry 1 infeasible: node 1 over its bound; entry 2 negative
+        (lp, outcome(
+            Labeling.of(half_edges={(0, 0): 1, (1, 0): 1, (1, 1): 0, (2, 1): 0}),
+            Labeling.of(half_edges={(0, 0): 1, (1, 0): 1, (1, 1): half, (2, 1): half}),
+        )),
+        (lp, outcome(
+            Labeling.of(half_edges={(0, 0): 1, (1, 0): 1, (1, 1): 0, (2, 1): 0}),
+            Labeling.of(half_edges={(0, 0): F(-1, 2), (1, 0): F(-1, 2), (1, 1): 2, (2, 1): 2}),
+        )),
+        (cover, outcome(Labeling.of({0: 1, 1: 0, 2: half}))),
+    ]
+    for lp_, out in cases:
+        got = _result(dequantize, out, lp_)
+        assert got[0] != "ok"
+        assert got == _result(reference_dequantize, out, lp_)
+
+
+def test_dequantize_ignores_labels_no_variable_reads():
+    p3 = path_graph(3)
+    lp = build_fractional_matching_lp(p3)
+    lg = label_graph(p3)
+    pairs = [(matching_point(p3, {0}), F(1, 3)), (matching_point(p3, {1}), F(2, 3))]
+    plain = outcome_of_points(lp, pairs)
+    noisy = make_outcome(lg, [
+        (Labeling.of({v: "junk" for v in range(3)}, labeling.half_edges()), p)
+        for labeling, p in plain.support
+    ])
+    assert dequantize(noisy, lp) == dequantize(plain, lp)
+
+
+def test_expectation_rejects_non_rational_values():
+    p2 = path_graph(2)
+    lp = build_fractional_matching_lp(p2)
+    outcome = outcome_of_points(lp, [(matching_point(p2, {0}), F(1))])
+    for bad in (0.5, True, "1/2", None):
+        with pytest.raises(InputError, match="not an integer or a Fraction"):
+            expectation(outcome, lambda lab: bad)
+
+
+# ---------------------------------------------------------------------------
+# criterion 1's suite
+
+
+def reference_random_feasible_point(rng, g, matchings):
+    if rng.random() < 1 / 3:
+        pick = matchings[rng.randrange(len(matchings))]
+        return LpPoint.of({edge_var(e): F(1) if e in pick else F(0) for e in range(g.m)})
+    raw = {e: F(rng.randint(0, 6), 6) for e in range(g.m)}
+    load = {v: F(0) for v in range(g.n)}
+    for e, val in raw.items():
+        u, v = g.endpoints(e)
+        load[u] += val
+        load[v] += val
+    scale = max([F(1)] + list(load.values()))
+    return LpPoint.of({edge_var(e): raw[e] / scale for e in range(g.m)})
+
+
+def test_random_feasible_point_matches_fraction_reference():
+    rng, ref_rng = random.Random(7), random.Random(7)
+    for g in all_connected_graphs(5):
+        if g.m == 0:
+            continue
+        matchings = all_maximal_matchings(g)
+        for _ in range(30):
+            point = suites._random_feasible_point(rng, g, matchings)
+            assert point == reference_random_feasible_point(ref_rng, g, matchings)
+            assert all(type(v) is F for _, v in point.values)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_dequantize_suite_names_a_witness(monkeypatch):
+    """A feasible but wrong dequantized point (all zeros) fails the objective
+    check, and the failure names the graph, trial and both objectives."""
+    monkeypatch.setattr(
+        suites, "dequantize", lambda outcome, lp: LpPoint.of({name: 0 for name in lp.variable_names()})
+    )
+    (check,) = suites.suite_dequantize(7)
+    assert check.status == "fail"
+    assert check.detail == "objective does not equal the expected objective"
+    q = check.quantities
+    assert set(q) == {"graph_edges", "trial", "objective", "expected_objective"}
+    assert q["objective"] == "0" and F(q["expected_objective"]) > 0
+    assert int(q["trial"]) >= 0 and q["graph_edges"].startswith("(")
