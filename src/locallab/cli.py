@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .graphs import (
     InputError,
+    _label_from_json,
     graph_from_json,
     json_decoding,
     label_graph,
@@ -134,9 +135,9 @@ def _cmd_lcl_verify(args) -> int:
         out_data = _load(args.output)
         with json_decoding("output labeling"):
             out = OutputLabeling(
-                node_labels={int(v): lab for v, lab in out_data.get("nodes", {}).items()},
+                node_labels={int(v): _label_from_json(lab) for v, lab in out_data.get("nodes", {}).items()},
                 half_edge_labels={
-                    (int(k.split(":")[0]), int(k.split(":")[1])): lab
+                    (int(k.split(":")[0]), int(k.split(":")[1])): _label_from_json(lab)
                     for k, lab in out_data.get("half_edges", {}).items()
                 },
             )
@@ -170,18 +171,8 @@ def _cmd_sim_rand_local(args) -> int:
     alg = _builtin_local_algorithm(args.algorithm, args.locality, args.seeds)
     if not alg.randomized:
         raise InputError("deterministic algorithm: use `sim local`")
-    outcome = run_rand_local(
-        alg, lg, exact=args.exact, samples=args.samples, seed=args.seed
-    )
+    outcome = run_rand_local(alg, lg, exact=args.samples == 0, samples=args.samples, seed=args.seed)
     _dump(outcome_to_json(outcome), args)
-    return 0
-
-
-def _cmd_sim_slocal(args) -> int:
-    g = graph_from_json(_load(args.graph))
-    order = _ints(args.order) if args.order else list(range(g.n))
-    matching, observed = greedy_matching(g, order)
-    _dump({"matching_edges": sorted(matching), "observed_locality": observed}, args)
     return 0
 
 
@@ -267,7 +258,8 @@ def _cmd_lin_decode(args) -> int:
     return 0
 
 
-def _cmd_lin_greedy(args) -> int:
+def _cmd_greedy(args) -> int:
+    """`sim slocal` and `lin greedy`: the greedy SLOCAL matcher in a given order."""
     g = graph_from_json(_load(args.graph))
     order = _ints(args.order) if args.order else list(range(g.n))
     matching, observed = greedy_matching(g, order)
@@ -341,7 +333,9 @@ def _cmd_lift_run(args) -> int:
 
 def _cmd_lift_verify(args) -> int:
     pi = proper_instance_from_json(_instance_payload(_load(args.instance)))
-    labels = {int(v): lab for v, lab in _load(args.labels)["labels"].items()}
+    labels_data = _load(args.labels)
+    with json_decoding("lift labels"):
+        labels = {int(v): _label_from_json(lab) for v, lab in labels_data["labels"].items()}
     verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
     _dump({"ok": verdict.ok, "violations": list(verdict.violations)}, args)
     return 0 if verdict.ok else 1
@@ -386,14 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="seed-echo")
     p.add_argument("--locality", type=int, default=1)
     p.add_argument("--seeds", type=int, default=2, help="seed alphabet size")
-    p.add_argument("--exact", action="store_true", default=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=int, default=0, help="sample this many seed vectors instead of all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sim_rand_local)
     p = sim.add_parser("slocal", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--order", help="comma-separated node permutation")
-    p.set_defaults(func=_cmd_sim_slocal)
+    p.set_defaults(func=_cmd_greedy)
 
     ns = sub.add_parser("ns", parents=[common]).add_subparsers(dest="verb", required=True)
     p = ns.add_parser("verify", parents=[common])
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ratio", _cmd_lp_ratio, ("point",)),
         ("dequantize", _cmd_lp_dequantize, ("outcome",)),
     ):
-        p = lp.add_parser(verb)
+        p = lp.add_parser(verb, parents=[common])
         p.add_argument("--lp")
         p.add_argument("--graph", help="build the fractional matching LP of this graph")
         for name in extra:
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lin.add_parser("greedy", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--order")
-    p.set_defaults(func=_cmd_lin_greedy)
+    p.set_defaults(func=_cmd_greedy)
 
     gadget = sub.add_parser("gadget", parents=[common]).add_subparsers(dest="verb", required=True)
     p = gadget.add_parser("tree", parents=[common])

@@ -4,8 +4,9 @@ pullback through the port map.
 
 Tree-like coordinates are stored implicitly: a witness lists host node ids in
 (layer, position) lexicographic order, so index 2^l - 1 + k is the node at
-coordinates (l, k).  One rule, `_tree_edges`, gives the tree-like edges for
-generation, recognition and witness validation.
+coordinates (l, k).  One rule, `_tree_edges`, gives the tree-like edges and
+their family half-edge labels for generation, recognition, witness validation
+and the family labeling.
 
 The recognizers work on the host graph in host node ids: each takes the node
 set of the component it recognizes and reads the host's neighbour rows, so
@@ -19,6 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import (
@@ -32,6 +34,7 @@ from .graphs import (
     connected_components,
     distances_from,
     json_decoding,
+    json_int,
     label_graph,
     make_graph,
     two_edge_components,
@@ -50,6 +53,7 @@ from .linearize import (
 from .outcomes import Labeling, Outcome, make_outcome
 
 BOTTOM = "⊥"
+_MIXED = object()  # the label of a port gadget that is not uniform
 
 
 def _tree_index(l: int, k: int) -> int:
@@ -70,18 +74,20 @@ def _tree_height(nodes: Sequence[int]) -> int:
 
 
 @functools.cache
-def _tree_edges(height: int) -> tuple[tuple[int, int], ...]:
-    """The tree-like edge rule as (l,k)-lex index pairs: each node below the
-    root joins its parent (l-1, k//2) and each node its right neighbour
-    (l, k+1), listed node by node."""
-    edges = []
+def _tree_edges(height: int) -> Mapping[tuple[int, int], tuple[str, str]]:
+    """The tree-like edge rule as (l,k)-lex index pairs, listed node by node,
+    each mapped to the family half-edge labels of its two ends: each node
+    below the root joins its parent (l-1, k//2), labeled "chl"/"chr" by k's
+    parity at the parent and "par" at the child, and each node its right
+    neighbour (l, k+1), labeled "sR" at the left and "sL" at the right."""
+    edges = {}
     for i in range(_tree_size(height)):
         l, k = _tree_coords(i)
         if l >= 1:
-            edges.append((_tree_index(l - 1, k // 2), i))
+            edges[(_tree_index(l - 1, k // 2), i)] = ("chr" if k % 2 else "chl", "par")
         if k + 1 < (1 << l):
-            edges.append((i, i + 1))
-    return tuple(edges)
+            edges[(i, i + 1)] = ("sR", "sL")
+    return MappingProxyType(edges)  # cached, so shared read-only
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +374,7 @@ class ProperInstance:
         return [v for v in range(self.graph.n) if self.lam[v] == INTER]
 
     def port_nodes(self) -> set[int]:
-        out: set[int] = set()
-        for w in self.octopi:
-            for p in w.ports:
-                out.update(p.nodes)
-        return out
+        return {v for w in self.octopi for p in w.ports for v in p.nodes}
 
 
 @dataclass(frozen=True)
@@ -383,14 +385,34 @@ class PortMap:
     root_to_edge: tuple[tuple[int, int], ...]
 
 
-def _octopus_expected_edges(w: OctopusWitness) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for height, nodes in ((w.x, w.head_nodes), *((p.height, p.nodes) for p in w.ports)):
+# an edge's two end nodes -> ((end, its family half-edge label), (end, label))
+_FixedEdges = dict[frozenset[int], tuple[tuple[int, object], ...]]
+
+
+def _octopus_edges(w: OctopusWitness) -> _FixedEdges:
+    """Every edge an octopus witness fixes, keyed by its two end nodes, with
+    the family half-edge label of each end: the tree-like edges of the head
+    and of each port, and each port's connector ("up" at the port root,
+    ("hook", copy) at the head).  The witness must fit its heights and eta:
+    slot i carries copies 1..eta[i] of eta[i] in {1, 2}."""
+    trees = ((w.x, w.head_nodes), *((p.height, p.nodes) for p in w.ports))
+    for height, nodes in trees:
         if height < 1 or len(nodes) != _tree_size(height):
             raise InputError(f"octopus witness lists {len(nodes)} nodes for a gadget of height {height}")
-        out.update(frozenset((nodes[a], nodes[b])) for a, b in _tree_edges(height))
+    slots = [(i, j) for i, c in enumerate(w.eta) for j in range(1, c + 1)]
+    if (
+        len(w.eta) != 1 << (w.x - 1)
+        or any(c not in (1, 2) for c in w.eta)
+        or sorted((p.slot, p.copy) for p in w.ports) != slots
+    ):
+        raise InputError(f"octopus witness ports do not give slot i copies 1..eta[i] for eta {w.eta}")
+    out: _FixedEdges = {}
+    for height, nodes in trees:
+        for (a, b), (la, lb) in _tree_edges(height).items():
+            out[frozenset((nodes[a], nodes[b]))] = ((nodes[a], la), (nodes[b], lb))
     for p in w.ports:
-        out.add(frozenset((p.root, w.head_nodes[_tree_index(w.x - 1, p.slot)])))
+        hook = w.head_nodes[_tree_index(w.x - 1, p.slot)]
+        out[frozenset((p.root, hook))] = ((p.root, "up"), (hook, ("hook", p.copy)))
     return out
 
 
@@ -403,97 +425,54 @@ def make_proper_instance(
         raise InputError("lambda must assign intra/inter to every node")
     octopi = tuple(sorted(octopi, key=lambda w: min(w.all_nodes(), default=-1)))
     intra = {v for v in range(g.n) if lam[v] == INTRA}
-    covered: list[int] = []
-    for w in octopi:
-        covered.extend(w.all_nodes())
-    if sorted(covered) != sorted(intra):
+    if sorted(v for w in octopi for v in w.all_nodes()) != sorted(intra):
         raise InputError("octopus witnesses must partition the intra nodes")
     comps = set(connected_components(g, intra))
+    fixed: _FixedEdges = {}
     for w in octopi:
-        nodes = frozenset(w.all_nodes())
-        if nodes not in comps:
+        if frozenset(w.all_nodes()) not in comps:
             raise InputError("an octopus witness is not a connected intra component")
-        expected = _octopus_expected_edges(w)
-        actual = {
-            frozenset((u, v))
-            for u, v in g.edge_list
-            if u in nodes and v in nodes
-        }
-        if expected != actual:
-            raise InputError("octopus witness edges do not match the graph")
-    for v in range(g.n):
-        if lam[v] != INTER:
-            continue
-        for u in g.neighbors(v):
-            if lam[u] == INTER:
-                raise InputError(f"inter nodes {v} and {u} are adjacent")
-    leaves = set()
-    for w in octopi:
-        for p in w.ports:
-            leaves.add(p.leaf)
+        fixed.update(_octopus_edges(w))
+    # each intra edge lies in one witness's component, so one comparison
+    # checks every witness's edges against the graph
+    if fixed.keys() != {frozenset((u, v)) for u, v in g.edge_list if lam[u] == lam[v] == INTRA}:
+        raise InputError("octopus witness edges do not match the graph")
+    leaves = {p.leaf for w in octopi for p in w.ports}
     for u, v in g.edge_list:
-        if lam[u] == INTER and lam[v] == INTRA and v not in leaves:
-            raise InputError(f"inter node {u} attaches to non-leaf intra node {v}")
-        if lam[v] == INTER and lam[u] == INTRA and u not in leaves:
-            raise InputError(f"inter node {v} attaches to non-leaf intra node {u}")
-    labeling = _family_labeling(g, lam, octopi)
+        if lam[u] == lam[v] == INTER:
+            raise InputError(f"inter nodes {u} and {v} are adjacent")
+        for a, b in ((u, v), (v, u)):
+            if lam[a] == INTER and b not in leaves:
+                raise InputError(f"inter node {a} attaches to non-leaf intra node {b}")
+    labeling = _family_labeling(g, lam, octopi, fixed)
     return ProperInstance(graph=g, lam=lam, octopi=octopi, labeling=labeling)
 
 
-def _family_labeling(g: Graph, lam: Sequence[str], octopi: Sequence[OctopusWitness]) -> LabeledGraph:
-    """Witness data re-encoded as finite node and half-edge labels."""
-    node_labels: dict[int, object] = {}
-    he: dict[tuple[int, int], object] = {}
-    coords: dict[int, tuple[str, int, int, int, int]] = {}  # node -> (kind, l, k, height, copy)
-    for v in range(g.n):
-        if lam[v] == INTER:
-            node_labels[v] = ("inter",)
+def _family_labeling(
+    g: Graph,
+    lam: Sequence[str],
+    octopi: Sequence[OctopusWitness],
+    fixed: _FixedEdges,
+) -> LabeledGraph:
+    """Witness data re-encoded as finite node and half-edge labels; `fixed`
+    holds the witnesses' edges with their labels (`_octopus_edges`), and
+    every other edge is an attachment, "in" at its inter end."""
+    node_labels: dict[int, object] = {v: ("inter",) for v in range(g.n) if lam[v] == INTER}
     for w in octopi:
-        for idx, v in enumerate(w.head_nodes):
-            l, k = _tree_coords(idx)
-            coords[v] = ("head", l, k, w.x, 0)
-        for p in w.ports:
-            for idx, v in enumerate(p.nodes):
+        for kind, height, copy, nodes in (
+            ("head", w.x, 0, w.head_nodes),
+            *(("port", p.height, p.copy, p.nodes) for p in w.ports),
+        ):
+            for idx, v in enumerate(nodes):
                 l, k = _tree_coords(idx)
-                coords[v] = ("port", l, k, p.height, p.copy)
-    for v, (kind, l, k, height, copy) in coords.items():
-        node_labels[v] = (
-            kind,
-            copy,
-            l % 2,
-            k % 2,
-            l == 0,
-            l == height - 1,
-            k == 0,
-            k == (1 << l) - 1,
-        )
+                node_labels[v] = (kind, copy, l % 2, k % 2, l == 0, l == height - 1, k == 0, k == (1 << l) - 1)
+    he: dict[tuple[int, int], object] = {}
     for e, (u, v) in enumerate(g.edge_list):
-        cu, cv = coords.get(u), coords.get(v)
-        if cu is None and cv is None:
-            raise InputError(f"edge ({u},{v}) joins two inter nodes")
-        if cu is None or cv is None:
-            inter_end, leaf_end = (u, v) if cu is None else (v, u)
-            he[(inter_end, e)] = "in"
-            he[(leaf_end, e)] = "out"
-            continue
-        same_gadget = cu[0] == cv[0] and cu[3] == cv[3] and cu[4] == cv[4]
-        (ku_kind, lu, ku, hu, ju) = cu
-        (kv_kind, lv, kv, hv, jv) = cv
-        if same_gadget and lu == lv and abs(ku - kv) == 1:
-            left, right = (u, v) if ku < kv else (v, u)
-            he[(left, e)] = "sR"
-            he[(right, e)] = "sL"
-        elif same_gadget and abs(lu - lv) == 1:
-            child, parent = (u, v) if lu > lv else (v, u)
-            ck = cu[2] if lu > lv else cv[2]
-            he[(child, e)] = "par"
-            he[(parent, e)] = "chl" if ck % 2 == 0 else "chr"
-        else:
-            # connector: port root to head bottom node
-            root_end, head_end = (u, v) if cu[0] == "port" else (v, u)
-            j = coords[root_end][4]
-            he[(root_end, e)] = "up"
-            he[(head_end, e)] = ("hook", j)
+        ends = fixed.get(frozenset((u, v)))
+        if ends is None:
+            ends = ((u, "in"), (v, "out")) if lam[u] == INTER else ((u, "out"), (v, "in"))
+        for x, lab in ends:
+            he[(x, e)] = lab
     return label_graph(g, node_labels, he)
 
 
@@ -724,10 +703,11 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     """Contract, run the greedy matcher on the contracted graph, and write the
     matching encoding onto the port gadgets (bottom label elsewhere)."""
     ghat, maps = contract_octopi(pi)
-    for oi, w in enumerate(pi.octopi):
-        positions = [r for (o2, r, _e) in maps.edge_info if o2 == oi]
-        if len(positions) != len(set(positions)):
+    attached: list[dict[int, int]] = [{} for _ in pi.octopi]  # port position -> ghat edge
+    for ge, (oi, r, _host_e) in enumerate(maps.edge_info):
+        if r in attached[oi]:
             raise ContractError("a port gadget carries more than one attachment")
+        attached[oi][r] = ge
     try:
         mg, whites, edge_of_black = multigraph_of_incidence(ghat)
     except InputError as err:
@@ -739,24 +719,17 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
         b for b, me in edge_of_black.items() if me in matching
     )
     edge_labels = encode_matching(ghat, matched_blacks)
-    labels: dict[int, object] = {}
-    for v in range(pi.graph.n):
-        labels[v] = BOTTOM
-    for oi, w in enumerate(pi.octopi):
-        attached: dict[int, object] = {}
-        for ge, (o2, r, _host_e) in enumerate(maps.edge_info):
-            if o2 == oi:
-                attached[r] = edge_labels[ge]
-        mi = next((r for r, lab in attached.items() if lab == "M"), None)
+    labels: dict[int, object] = dict.fromkeys(range(pi.graph.n), BOTTOM)
+    for w, ports in zip(pi.octopi, attached):
+        mi = next((r for r, ge in ports.items() if edge_labels[ge] == "M"), None)
         for r, p in enumerate(w.ports):
-            if r in attached:
-                lab = attached[r]
+            if r in ports:
+                lab = edge_labels[ports[r]]
             elif mi is None:
                 lab = "P"
             else:
                 lab = "B" if r < mi else "A"
-            for v in p.nodes:
-                labels[v] = lab
+            labels.update(dict.fromkeys(p.nodes, lab))
     sim = 0
     if pi.octopi:
         # make_proper_instance checks a witness's edges against those its head
@@ -793,21 +766,20 @@ def verify_pi_promise(
                 bad.append((v, f"port node labeled {out[v]!r}, not in sigma"))
         elif out[v] != BOTTOM:
             bad.append((v, f"non-port node labeled {out[v]!r}, expected bottom"))
+    # each port's one label, or _MIXED when it is not uniform
+    sequences: list[list[object]] = []
+    leaf_label: dict[int, object] = {}
     for w in pi.octopi:
+        seq = []
         for p in w.ports:
             labs = {out[v] for v in p.nodes}
             if len(labs) > 1:
                 bad.append((p.root, f"port gadget not uniform: {sorted(map(repr, labs))}"))
-    for w in pi.octopi:
-        seq = []
-        ok_seq = True
-        for p in w.ports:
-            labs = {out[v] for v in p.nodes}
-            if len(labs) != 1 or next(iter(labs)) not in problem.sigma:
-                ok_seq = False
-                break
-            seq.append(next(iter(labs)))
-        if not ok_seq or not seq:
+            seq.append(labs.pop() if len(labs) == 1 else _MIXED)
+            leaf_label[p.leaf] = seq[-1]
+        sequences.append(seq)
+    for w, seq in zip(pi.octopi, sequences):
+        if not seq or any(lab not in problem.sigma for lab in seq):
             continue
         head_id = w.head_nodes[0]
         if seq[0] not in problem.first:
@@ -818,29 +790,18 @@ def verify_pi_promise(
             if (a, b) not in problem.pairs:
                 bad.append((head_id, f"consecutive port labels ({a!r},{b!r}) not allowed"))
                 break
-    leaf_port: dict[int, PortWitness] = {}
-    for w in pi.octopi:
-        for p in w.ports:
-            leaf_port[p.leaf] = p
     for u in pi.inters():
         labs = []
-        ok_ms = True
         for v in g.neighbors(u):
-            p = leaf_port.get(v)
-            if p is None:
+            if v not in leaf_label:
                 bad.append((u, f"inter node attaches to non-leaf {v}"))
-                ok_ms = False
+            if leaf_label.get(v, _MIXED) is _MIXED:
                 break
-            vals = {out[x] for x in p.nodes}
-            if len(vals) != 1:
-                ok_ms = False
-                break
-            labs.append(next(iter(vals)))
-        if not ok_ms:
-            continue
-        ms = tuple(sorted(labs))
-        if ms and ms not in problem.black:
-            bad.append((u, f"inter configuration {ms} not allowed"))
+            labs.append(leaf_label[v])
+        else:
+            ms = tuple(sorted(labs))
+            if ms and ms not in problem.black:
+                bad.append((u, f"inter configuration {ms} not allowed"))
     return OK if not bad else fail(bad)
 
 
@@ -1020,15 +981,15 @@ def proper_instance_from_json(data: Mapping) -> ProperInstance:
         g = graph_from_json(data["graph"])
         octopi = [
             OctopusWitness(
-                x=int(w["x"]),
-                eta=tuple(int(v) for v in w["eta"]),
-                head_nodes=tuple(int(v) for v in w["head"]),
+                x=json_int(w["x"]),
+                eta=tuple(map(json_int, w["eta"])),
+                head_nodes=tuple(map(json_int, w["head"])),
                 ports=tuple(
                     PortWitness(
-                        slot=int(p["slot"]),
-                        copy=int(p["copy"]),
-                        height=int(p["height"]),
-                        nodes=tuple(int(v) for v in p["nodes"]),
+                        slot=json_int(p["slot"]),
+                        copy=json_int(p["copy"]),
+                        height=json_int(p["height"]),
+                        nodes=tuple(map(json_int, p["nodes"])),
                     )
                     for p in w["ports"]
                 ),
@@ -1053,7 +1014,7 @@ def port_map_from_json(data: Mapping) -> PortMap:
     with json_decoding("port map"):
         return PortMap(
             source=incidence_graph_from_json(data["source"]),
-            root_to_edge=tuple((int(a), int(b)) for a, b in data["root_to_edge"]),
+            root_to_edge=tuple((json_int(a), json_int(b)) for a, b in data["root_to_edge"]),
         )
 
 

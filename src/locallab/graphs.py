@@ -538,10 +538,13 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
     key2: dict[object, list[int]] = {}
     for u in v2.node_set:
         key2.setdefault(_view_node_key(v2, u), []).append(u)
-    keys1 = sorted(map(repr, (_view_node_key(v1, v) for v in nodes1)))
-    keys2 = sorted(map(repr, (_view_node_key(v2, u) for u in v2.node_set)))
-    if keys1 != keys2:
-        return []
+    # the node keys must agree as multisets, compared by == as the search does
+    unmatched = {key: len(us) for key, us in key2.items()}
+    for v in nodes1:
+        key = _view_node_key(v1, v)
+        if not unmatched.get(key):
+            return []
+        unmatched[key] -= 1
 
     # order: anchors first, then by BFS over retained edges for tight pruning
     order: list[int] = []
@@ -889,6 +892,13 @@ def labeled_graph_to_json(lg: LabeledGraph) -> dict:
 
 def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_int(raw) -> int:
+    """A JSON integer as read; a float, a bool or a string is an InputError."""
+    if not _is_json_int(raw):
+        raise InputError(f"expected a JSON integer, got {raw!r}")
+    return raw
 
 
 @contextmanager

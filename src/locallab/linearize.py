@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import ContractError, Graph, InputError, json_decoding, make_graph
+from .graphs import ContractError, Graph, InputError, json_decoding, json_int, make_graph
 from .lcl import Verdict, OK, fail
 from .outcomes import NodeOutput, SlocalAlgorithm, SlocalContext, SlocalStep, run_slocal
 
@@ -364,7 +364,7 @@ def linearizable_from_json(data: Mapping) -> LinearizableProblem:
             last=data["last"],
             pairs=[tuple(x) for x in data["pairs"]],
             black=[tuple(x) for x in data["black"]],
-            rank=int(data["rank"]),
+            rank=json_int(data["rank"]),
         )
 
 

@@ -39,6 +39,8 @@ from .graphs import (
     ball_distances,
     graph_from_json,
     graph_to_json,
+    json_decoding,
+    json_int,
     label_graph,
     make_graph,
     rational_from_json,
@@ -930,12 +932,12 @@ def lp_to_json(lp: DistLP) -> dict:
 
 
 def lp_from_json(data: Mapping) -> DistLP:
-    try:
+    with json_decoding("LP"):
         g = graph_from_json(data["graph"])
         variables = [
             LpVariable(
                 name=v["name"],
-                owner=(v["owner"][0], int(v["owner"][1])),
+                owner=(v["owner"][0], json_int(v["owner"][1])),
                 objective=rational_from_json(v["objective"]),
             )
             for v in data["variables"]
@@ -946,15 +948,11 @@ def lp_from_json(data: Mapping) -> DistLP:
                 coeffs=tuple(sorted((n, rational_from_json(f)) for n, f in c["coeffs"].items())),
                 relation=c["relation"],
                 bound=rational_from_json(c["bound"]),
-                owner=int(c["owner"]),
+                owner=json_int(c["owner"]),
             )
             for c in data["constraints"]
         ]
         return make_dist_lp(data["kind"], data["sense"], g, variables, constraints)
-    except InputError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
-        raise InputError(f"malformed LP JSON: {err!r}") from None
 
 
 def point_to_json(x: LpPoint) -> dict:

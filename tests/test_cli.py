@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from locallab.cli import main
+from locallab.cli import build_parser, main
 from locallab.graphs import label_graph, labeled_graph_to_json, path_graph
-from locallab.linearize import incidence_graph_of, incidence_graph_to_json
+from locallab.linearize import MATCHING_ENCODING, incidence_graph_of, incidence_graph_to_json, linearizable_to_json
 from locallab.lp import build_fractional_matching_lp, exact_opt, lp_to_json
 
 
@@ -327,3 +328,93 @@ def test_lp_dequantize_non_rational_label_is_usage_error(tmp_path, capsys, label
 def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
     assert _lp_dequantize(tmp_path, [1]) == 2
     assert "malformed outcome JSON" in capsys.readouterr().err
+
+
+def test_sim_rand_local_samples_when_given_a_sample_count(fixtures, capsys):
+    _, graph_path, _ = fixtures
+    args = ["sim", "rand-local", "--graph", str(graph_path), "--algorithm", "seed-echo"]
+    assert main(args + ["--samples", "3", "--seed", "1"]) == 0
+    probabilities = [Fraction(entry["p"]) for entry in json.loads(capsys.readouterr().out)["support"]]
+    assert len(probabilities) <= 3 and sum(probabilities) == 1
+    assert all((3 * p).denominator == 1 for p in probabilities)
+
+
+def test_lp_verbs_accept_json_flag(fixtures, capsys):
+    _, graph_path, _ = fixtures
+    assert main(["lp", "opt", "--graph", str(graph_path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and json.loads(out)["value"] == "1"
+
+
+def test_sim_slocal_and_lin_greedy_share_one_handler():
+    parser = build_parser()
+    slocal = parser.parse_args(["sim", "slocal", "--graph", "g.json"])
+    greedy = parser.parse_args(["lin", "greedy", "--graph", "g.json"])
+    assert slocal.func is greedy.func
+
+
+def test_lp_opt_fractional_constraint_owner_is_usage_error(tmp_path, capsys):
+    assert _lp_opt_exit_code(tmp_path, lambda d: d["constraints"][0].update(owner=0.9)) == 2
+
+
+def test_lp_opt_boolean_variable_owner_is_usage_error(tmp_path, capsys):
+    assert _lp_opt_exit_code(tmp_path, lambda d: d["variables"][1].update(owner=["edge", True])) == 2
+
+
+def _lift_instance(fixtures, tmp_path, capsys):
+    _, _, ig_path = fixtures
+    assert main(["lift", "build", "--incidence", str(ig_path), "--k", "2"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_lift_run_fractional_port_height_is_usage_error(fixtures, tmp_path, capsys):
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    data["instance"]["octopi"][0]["ports"][0]["height"] = 2.5
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main(["lift", "run", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize("labels", [{}, {"labels": {"x": "P"}}], ids=["no-labels", "string-node"])
+def test_lift_verify_malformed_labels_are_usage_errors(fixtures, tmp_path, capsys, labels):
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(_lift_instance(fixtures, tmp_path, capsys)))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(labels))
+    assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 2
+
+
+def test_lin_verify_fractional_rank_is_usage_error(fixtures, tmp_path, capsys):
+    _, _, ig_path = fixtures
+    problem = linearizable_to_json(MATCHING_ENCODING)
+    problem["rank"] = 2.9
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(problem))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps({"0": "M", "1": "M", "2": "A", "3": "A"}))
+    args = ["lin", "verify", "--problem", str(problem_path), "--incidence", str(ig_path)]
+    assert main(args + ["--labels", str(labels_path)]) == 2
+
+
+def test_lcl_verify_decodes_tuple_output_labels(tmp_path, capsys):
+    from locallab.lcl import lcl_problem_to_json
+    from test_lcl import make_trivial_problem, uniform
+
+    g_in = uniform(path_graph(3))
+    problem, _ = make_trivial_problem(g_in)
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(lcl_problem_to_json(problem)))
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(labeled_graph_to_json(g_in)))
+    out_path = tmp_path / "out.json"
+    out_path.write_text(
+        json.dumps(
+            {
+                "nodes": {str(v): {"tuple": ["0"]} for v in range(3)},
+                "half_edges": {f"{v}:{e}": "0" for v, e in g_in.graph.half_edges()},
+            }
+        )
+    )
+    args = ["lcl", "verify", "--problem", str(problem_path), "--graph", str(graph_path)]
+    assert main(args + ["--output", str(out_path)]) == 2
+    assert "output node label at 0 outside the declared alphabet" in capsys.readouterr().err

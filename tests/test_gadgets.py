@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import pytest
 
 from locallab import gadgets, graphs
-from locallab.corpus import random_connected_graph
+from locallab.corpus import all_connected_graphs, random_connected_graph
 from locallab.graphs import (
     Graph,
     InputError,
@@ -20,7 +21,7 @@ from locallab.graphs import (
     star_graph,
     two_edge_components,
 )
-from locallab.lcl import check_constraints, verify_lcl_solution
+from locallab.lcl import OK, check_constraints, fail, verify_lcl_solution
 from locallab.linearize import (
     MATCHING_ENCODING,
     WHITE,
@@ -39,6 +40,7 @@ from locallab.gadgets import (
     INTRA,
     OctopusWitness,
     PortWitness,
+    ProperInstance,
     _tree_coords,
     _tree_index,
     _tree_size,
@@ -922,3 +924,213 @@ def test_recognize_proper_instance_builds_no_graph(monkeypatch):
     monkeypatch.setattr(gadgets, "make_graph", counting_make_graph)
     assert [recognize_proper_instance(g) is not None for g in instances] == [True, False, False, True]
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the family labeling and the promise check against coordinate-based oracles
+
+
+def reference_family_labeling(g: Graph, lam: Sequence[str], octopi: Sequence[OctopusWitness]):
+    """The family labeling with every edge's kind worked out from the
+    coordinates of its ends."""
+    node_labels: dict[int, object] = {}
+    he: dict[tuple[int, int], object] = {}
+    coords: dict[int, tuple[str, int, int, int, int]] = {}  # node -> (kind, l, k, height, copy)
+    for v in range(g.n):
+        if lam[v] == INTER:
+            node_labels[v] = ("inter",)
+    for w in octopi:
+        for idx, v in enumerate(w.head_nodes):
+            l, k = _tree_coords(idx)
+            coords[v] = ("head", l, k, w.x, 0)
+        for p in w.ports:
+            for idx, v in enumerate(p.nodes):
+                l, k = _tree_coords(idx)
+                coords[v] = ("port", l, k, p.height, p.copy)
+    for v, (kind, l, k, height, copy) in coords.items():
+        node_labels[v] = (
+            kind,
+            copy,
+            l % 2,
+            k % 2,
+            l == 0,
+            l == height - 1,
+            k == 0,
+            k == (1 << l) - 1,
+        )
+    for e, (u, v) in enumerate(g.edge_list):
+        cu, cv = coords.get(u), coords.get(v)
+        if cu is None and cv is None:
+            raise InputError(f"edge ({u},{v}) joins two inter nodes")
+        if cu is None or cv is None:
+            inter_end, leaf_end = (u, v) if cu is None else (v, u)
+            he[(inter_end, e)] = "in"
+            he[(leaf_end, e)] = "out"
+            continue
+        same_gadget = cu[0] == cv[0] and cu[3] == cv[3] and cu[4] == cv[4]
+        (ku_kind, lu, ku, hu, ju) = cu
+        (kv_kind, lv, kv, hv, jv) = cv
+        if same_gadget and lu == lv and abs(ku - kv) == 1:
+            left, right = (u, v) if ku < kv else (v, u)
+            he[(left, e)] = "sR"
+            he[(right, e)] = "sL"
+        elif same_gadget and abs(lu - lv) == 1:
+            child, parent = (u, v) if lu > lv else (v, u)
+            ck = cu[2] if lu > lv else cv[2]
+            he[(child, e)] = "par"
+            he[(parent, e)] = "chl" if ck % 2 == 0 else "chr"
+        else:
+            # connector: port root to head bottom node
+            root_end, head_end = (u, v) if cu[0] == "port" else (v, u)
+            j = coords[root_end][4]
+            he[(root_end, e)] = "up"
+            he[(head_end, e)] = ("hook", j)
+    return label_graph(g, node_labels, he)
+
+
+def reference_verify_pi_promise(pi: ProperInstance, out: Mapping[int, object], problem):
+    """The five promise conditions, each port's label set rebuilt per use."""
+    g = pi.graph
+    for v in range(g.n):
+        if v not in out:
+            raise InputError(f"missing output label for node {v}")
+    bad: list[tuple[int, str]] = []
+    port_nodes = pi.port_nodes()
+    for v in range(g.n):
+        if v in port_nodes:
+            if out[v] not in problem.sigma:
+                bad.append((v, f"port node labeled {out[v]!r}, not in sigma"))
+        elif out[v] != BOTTOM:
+            bad.append((v, f"non-port node labeled {out[v]!r}, expected bottom"))
+    for w in pi.octopi:
+        for p in w.ports:
+            labs = {out[v] for v in p.nodes}
+            if len(labs) > 1:
+                bad.append((p.root, f"port gadget not uniform: {sorted(map(repr, labs))}"))
+    for w in pi.octopi:
+        seq = []
+        ok_seq = True
+        for p in w.ports:
+            labs = {out[v] for v in p.nodes}
+            if len(labs) != 1 or next(iter(labs)) not in problem.sigma:
+                ok_seq = False
+                break
+            seq.append(next(iter(labs)))
+        if not ok_seq or not seq:
+            continue
+        head_id = w.head_nodes[0]
+        if seq[0] not in problem.first:
+            bad.append((head_id, f"first port label {seq[0]!r} not in F"))
+        if seq[-1] not in problem.last:
+            bad.append((head_id, f"last port label {seq[-1]!r} not in L"))
+        for a, b in zip(seq, seq[1:]):
+            if (a, b) not in problem.pairs:
+                bad.append((head_id, f"consecutive port labels ({a!r},{b!r}) not allowed"))
+                break
+    leaf_port: dict[int, PortWitness] = {}
+    for w in pi.octopi:
+        for p in w.ports:
+            leaf_port[p.leaf] = p
+    for u in pi.inters():
+        labs = []
+        ok_ms = True
+        for v in g.neighbors(u):
+            p = leaf_port.get(v)
+            if p is None:
+                bad.append((u, f"inter node attaches to non-leaf {v}"))
+                ok_ms = False
+                break
+            vals = {out[x] for x in p.nodes}
+            if len(vals) != 1:
+                ok_ms = False
+                break
+            labs.append(next(iter(vals)))
+        if not ok_ms:
+            continue
+        ms = tuple(sorted(labs))
+        if ms and ms not in problem.black:
+            bad.append((u, f"inter configuration {ms} not allowed"))
+    return OK if not bad else fail(bad)
+
+
+def _family_instances() -> Iterator[ProperInstance]:
+    """Every connected source with 2 to 5 nodes at k = 1, 2, 3, thirty random
+    sources at the default k, and lone octopi with x = 1, 2, 3."""
+    for source in all_connected_graphs(5):
+        if source.n >= 2:
+            for k in (1, 2, 3):
+                yield gen_proper_instance(incidence_graph_of(source), k=k)[0]
+    rng = random.Random(8)
+    for _ in range(30):
+        yield gen_proper_instance(incidence_graph_of(random_connected_graph(rng, rng.randint(2, 7))))[0]
+    for x, eta in ((1, (2,)), (2, (2, 1)), (3, (1, 2, 2, 1))):
+        slots = [(i, j) for i, c in enumerate(eta) for j in range(1, c + 1)]
+        octopus = gen_octopus(x, eta, {s: 1 + n % 3 for n, s in enumerate(slots)})
+        yield make_proper_instance(octopus.graph, [INTRA] * octopus.graph.n, [octopus.witness])
+
+
+def test_family_labeling_matches_coordinate_reference():
+    instances = list(_family_instances())
+    assert len(instances) == 123
+    for pi in instances:
+        ref = reference_family_labeling(pi.graph, pi.lam, pi.octopi)
+        assert pi.labeling.node_labels == ref.node_labels
+        assert pi.labeling.port_labels == ref.port_labels
+
+
+def _promise_labelings(pi: ProperInstance, rng: random.Random) -> Iterator[dict[int, object]]:
+    """The lift's output and corruptions of it: a non-uniform port, a port
+    relabeled uniformly with each sigma label and an off-sigma one (which
+    breaks first/last/pair sequences and inter multisets), and a head node
+    labeled off bottom."""
+    labels = lift_run(pi).labels
+    yield labels
+    ports = [p for w in pi.octopi for p in w.ports]
+    for p in rng.sample(ports, min(3, len(ports))):
+        for lab in ("M", "B", "A", "P", "Z"):
+            yield {**labels, **dict.fromkeys(p.nodes, lab)}
+        if len(p.nodes) > 1:
+            yield {**labels, p.leaf: "M" if labels[p.leaf] != "M" else "A"}
+    yield {**labels, pi.octopi[0].head_nodes[0]: "M"}
+
+
+def test_verify_pi_promise_matches_reference():
+    rng = random.Random(9)
+    reasons = set()
+    for pi in _family_instances():
+        for labels in _promise_labelings(pi, rng):
+            verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
+            assert verdict == reference_verify_pi_promise(pi, labels, MATCHING_ENCODING)
+            reasons.update(reason.split(" ")[0] + " " + reason.split(" ")[1] for _, reason in verdict.violations)
+    assert reasons >= {"port gadget", "port node", "non-port node", "first port", "last port", "consecutive port", "inter configuration"}
+
+
+def test_verify_pi_promise_inter_next_to_non_leaf_matches_reference():
+    # make_proper_instance refuses such a graph, so the instance is assembled directly
+    for source in (path_graph(2), path_graph(3), star_graph(3)):
+        pi, _ = gen_proper_instance(incidence_graph_of(source), k=2)
+        labels = lift_run(pi).labels
+        for w in pi.octopi:
+            for v in (w.head_nodes[0], w.ports[0].root):
+                g = make_graph(pi.graph.n, [*pi.graph.edge_list, (pi.inters()[0], v)])
+                bent = ProperInstance(graph=g, lam=pi.lam, octopi=pi.octopi, labeling=pi.labeling)
+                verdict = verify_pi_promise(bent, labels, MATCHING_ENCODING)
+                assert verdict == reference_verify_pi_promise(bent, labels, MATCHING_ENCODING)
+                assert (pi.inters()[0], f"inter node attaches to non-leaf {v}") in verdict.violations
+
+
+def test_make_proper_instance_rejects_eta_that_disagrees_with_the_ports():
+    octopus = gen_octopus(2, (1, 1), {(0, 1): 2, (1, 1): 2})
+    lam = [INTRA] * octopus.graph.n
+    assert make_proper_instance(octopus.graph, lam, [octopus.witness]).octopi == (octopus.witness,)
+    with pytest.raises(InputError, match="eta"):
+        make_proper_instance(octopus.graph, lam, [dataclasses.replace(octopus.witness, eta=(2, 2))])
+
+
+def test_make_proper_instance_rejects_port_copies_outside_one_to_eta():
+    octopus = gen_octopus(2, (1, 1), {(0, 1): 2, (1, 1): 2})
+    ports = tuple(dataclasses.replace(p, copy=2) for p in octopus.witness.ports)
+    with pytest.raises(InputError, match="eta"):
+        make_proper_instance(
+            octopus.graph, [INTRA] * octopus.graph.n, [dataclasses.replace(octopus.witness, ports=ports)]
+        )

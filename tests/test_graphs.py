@@ -5,6 +5,7 @@ import time
 import timeit
 from collections.abc import Sequence
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -818,3 +819,23 @@ def test_centered_isomorphism_exists_exactly_when_reference_finds_one():
             found += 1
             assert _is_centered_isomorphism(a, b, phi)
     assert found > 50
+
+
+def test_view_isomorphisms_compare_node_keys_by_equality():
+    # 1 == Fraction(1) although their reprs differ; the search compares by ==
+    ints = extract_view(label_graph(path_graph(3), {v: 1 for v in range(3)}), [1], 1)
+    fractions = extract_view(label_graph(path_graph(3), {v: Fraction(1) for v in range(3)}), [1], 1)
+    assert {0: 0, 1: 1, 2: 2} in view_isomorphisms(ints, fractions, find_all=True)
+    assert view_isomorphisms(fractions, ints) != []
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_radius_t_view_isomorphism_restricts_to_a_radius_0_one(t):
+    # verify_non_signaling runs no radius-0 search on the strength of this
+    pairs = list(zip(_views_up_to_five_nodes(t, 1), _views_up_to_five_nodes(0, 1)))
+    for a, a0 in pairs:
+        for b, b0 in pairs:
+            restrictions = {phi[a.anchor_node()] for phi in view_isomorphisms(a, b, find_all=True)}
+            if restrictions:
+                zero = view_isomorphisms(a0, b0, find_all=True)
+                assert restrictions <= {phi[a0.anchor_node()] for phi in zero}

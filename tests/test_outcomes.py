@@ -443,3 +443,12 @@ def test_rand_local_marginal_guards_the_ball_only():
     assert node_label == {"0": F(1, 2), "1": F(1, 2)}
     with pytest.raises(InputError):
         rand_local_marginal(LocalAlgorithm(locality=0, rule=lambda view: NodeOutput()), lg, [0])
+
+
+def test_verify_non_signaling_matches_views_whose_labels_differ_only_in_numeric_type():
+    def constant(one):
+        lg = label_graph(path_graph(3), {v: one for v in range(3)})
+        return deterministic_outcome(lg, Labeling.of({v: "x" for v in range(3)}, {}))
+
+    verdict = verify_non_signaling(constant(1), constant(F(1)), [1], [1], 1)
+    assert verdict.status == "ok", verdict.detail
