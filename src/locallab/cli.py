@@ -171,7 +171,7 @@ def _cmd_sim_rand_local(args) -> int:
     alg = _builtin_local_algorithm(args.algorithm, args.locality, args.seeds)
     if not alg.randomized:
         raise InputError("deterministic algorithm: use `sim local`")
-    outcome = run_rand_local(alg, lg, exact=args.samples == 0, samples=args.samples, seed=args.seed)
+    outcome = run_rand_local(alg, lg, samples=args.samples, seed=args.seed)
     _dump(outcome_to_json(outcome), args)
     return 0
 

@@ -224,8 +224,12 @@ class OctopusGadget:
     witness: OctopusWitness
 
 
-def gen_octopus(x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], int]) -> OctopusGadget:
-    """Assemble a head of height x with one or two port gadgets per bottom node."""
+def _octopus_witness(
+    x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], int], first: int
+) -> OctopusWitness:
+    """The witness of a head of height x with eta[i] port gadgets at bottom
+    slot i, of heights weights[(i, j)], numbered from node `first` on: the
+    head, then each port in (slot, copy) order, each in (l,k)-lex order."""
     if x < 1:
         raise InputError("head height must be at least 1")
     slots = 1 << (x - 1)
@@ -237,28 +241,29 @@ def gen_octopus(x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], in
     index_set = {(i, j) for i in range(slots) for j in (1, 2) if j <= eta[i]}
     if set(weights) != index_set:
         raise InputError(f"weights must be defined exactly on {sorted(index_set)}")
-
-    edges: list[tuple[int, int]] = []
-    head = gen_tree_like(x)
-    head_nodes = tuple(range(head.graph.n))
-    edges.extend(head.graph.edge_list)
-    next_id = head.graph.n
+    head_nodes = tuple(range(first, first + _tree_size(x)))
+    next_id = head_nodes[-1] + 1
     ports = []
     for i in range(slots):
-        for j in (1, 2):
-            if j > eta[i]:
-                continue
+        for j in range(1, eta[i] + 1):
             w = weights[(i, j)]
             if w < 1:
                 raise InputError("port heights must be at least 1")
-            tree = gen_tree_like(w)
-            nodes = tuple(range(next_id, next_id + tree.graph.n))
-            edges.extend((nodes[a], nodes[b]) for a, b in tree.graph.edge_list)
-            next_id += tree.graph.n
+            nodes = tuple(range(next_id, next_id + _tree_size(w)))
             ports.append(PortWitness(slot=i, copy=j, height=w, nodes=nodes))
-            edges.append((nodes[0], head_nodes[_tree_index(x - 1, i)]))
-    witness = OctopusWitness(x=x, eta=eta, head_nodes=head_nodes, ports=tuple(sorted(ports, key=lambda p: (p.slot, p.copy))))
-    return OctopusGadget(graph=make_graph(next_id, edges), witness=witness)
+            next_id = nodes[-1] + 1
+    return OctopusWitness(x=x, eta=eta, head_nodes=head_nodes, ports=tuple(ports))
+
+
+def _edge_pairs(w: OctopusWitness) -> list[tuple[int, int]]:
+    """The witness's edges as node pairs, in `_octopus_edges` order."""
+    return [(a, b) for (a, _), (b, _) in _octopus_edges(w).values()]
+
+
+def gen_octopus(x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], int]) -> OctopusGadget:
+    """Assemble a head of height x with one or two port gadgets per bottom node."""
+    witness = _octopus_witness(x, eta, weights, 0)
+    return OctopusGadget(graph=make_graph(len(witness.all_nodes()), _edge_pairs(witness)), witness=witness)
 
 
 def recognize_octopus(
@@ -391,8 +396,8 @@ _FixedEdges = dict[frozenset[int], tuple[tuple[int, object], ...]]
 
 def _octopus_edges(w: OctopusWitness) -> _FixedEdges:
     """Every edge an octopus witness fixes, keyed by its two end nodes, with
-    the family half-edge label of each end: the tree-like edges of the head
-    and of each port, and each port's connector ("up" at the port root,
+    the family half-edge label of each end: the head's tree-like edges, then
+    per port its tree-like edges and its connector ("up" at the port root,
     ("hook", copy) at the head).  The witness must fit its heights and eta:
     slot i carries copies 1..eta[i] of eta[i] in {1, 2}."""
     trees = ((w.x, w.head_nodes), *((p.height, p.nodes) for p in w.ports))
@@ -407,10 +412,14 @@ def _octopus_edges(w: OctopusWitness) -> _FixedEdges:
     ):
         raise InputError(f"octopus witness ports do not give slot i copies 1..eta[i] for eta {w.eta}")
     out: _FixedEdges = {}
-    for height, nodes in trees:
+
+    def add_tree(height: int, nodes: Sequence[int]) -> None:
         for (a, b), (la, lb) in _tree_edges(height).items():
             out[frozenset((nodes[a], nodes[b]))] = ((nodes[a], la), (nodes[b], lb))
+
+    add_tree(w.x, w.head_nodes)
     for p in w.ports:
+        add_tree(p.height, p.nodes)
         hook = w.head_nodes[_tree_index(w.x - 1, p.slot)]
         out[frozenset((p.root, hook))] = ((p.root, "up"), (hook, ("hook", p.copy)))
     return out
@@ -501,33 +510,16 @@ def gen_proper_instance(
     next_id = 0
     port_leaf_of_edge: dict[int, int] = {}  # source edge -> attachment leaf host id
     for w in ig.whites():
-        d = g.degree(w)
-        d_eff = max(d, 1)
+        d_eff = max(g.degree(w), 1)
         x = max(1, (d_eff - 1).bit_length())
         slots = 1 << (x - 1)
-        twos = d_eff - slots
-        eta = tuple(2 if i < twos else 1 for i in range(slots))
-        weights = {
-            (i, j): k for i in range(slots) for j in (1, 2) if j <= eta[i]
-        }
-        octo = gen_octopus(x, eta, weights)
-        offset = next_id
-        shifted_ports = tuple(
-            PortWitness(slot=p.slot, copy=p.copy, height=p.height,
-                        nodes=tuple(v + offset for v in p.nodes))
-            for p in octo.witness.ports
-        )
-        witness = OctopusWitness(
-            x=octo.witness.x,
-            eta=octo.witness.eta,
-            head_nodes=tuple(v + offset for v in octo.witness.head_nodes),
-            ports=shifted_ports,
-        )
-        edges.extend((u + offset, v + offset) for u, v in octo.graph.edge_list)
-        next_id += octo.graph.n
+        eta = tuple(2 if i < d_eff - slots else 1 for i in range(slots))
+        weights = {(i, j): k for i in range(slots) for j in range(1, eta[i] + 1)}
+        witness = _octopus_witness(x, eta, weights, next_id)
+        edges.extend(_edge_pairs(witness))
+        next_id += len(witness.all_nodes())
         octopi.append(witness)
-        for r, e in enumerate(g.adjacency[w]):
-            port = witness.ports[r]
+        for port, e in zip(witness.ports, g.adjacency[w]):
             port_root_edge.append((port.root, e))
             port_leaf_of_edge[e] = port.leaf
     inter_of_black: dict[int, int] = {}
@@ -657,10 +649,6 @@ def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
     g = pi.graph
     octopi = pi.octopi
     inters = pi.inters()
-    white_of_node: dict[int, int] = {}
-    for oi, w in enumerate(octopi):
-        for v in w.all_nodes():
-            white_of_node[v] = oi
     black_of_inter = {u: len(octopi) + bi for bi, u in enumerate(sorted(inters))}
     edges = []
     info = []

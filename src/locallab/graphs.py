@@ -81,9 +81,6 @@ class Graph:
     def nodes(self) -> range:
         return range(self.n)
 
-    def edges(self) -> range:
-        return range(self.m)
-
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edge_list[e]
 
@@ -369,9 +366,6 @@ class LabeledGraph:
     graph: Graph
     node_labels: tuple
     port_labels: tuple[tuple, ...]  # aligned with graph.adjacency
-
-    def node_label(self, v: int):
-        return self.node_labels[v]
 
     def half_edge_label(self, v: int, e: int):
         return self.port_labels[v][self.graph.port_of(v, e)]
@@ -973,6 +967,13 @@ def rational_parts(x) -> Optional[tuple[int, int]]:
     return None
 
 
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of rationals over their least common denominator, and
+    that denominator (1 for no values)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _label_to_json(lab):
     if isinstance(lab, Fraction):
         return {"fraction": rational_to_json(lab)}
@@ -982,11 +983,17 @@ def _label_to_json(lab):
 
 
 def _label_from_json(lab):
-    if isinstance(lab, dict) and "fraction" in lab:
-        return rational_from_json(lab["fraction"])
-    if isinstance(lab, dict) and "tuple" in lab:
-        return tuple(_label_from_json(x) for x in lab["tuple"])
-    return lab
+    """Decode a label written by `_label_to_json`.  A JSON array, or an
+    object other than {"fraction": ...} or {"tuple": [...]}, is an
+    InputError: labels are hashed, and a list label has no hashable form."""
+    if isinstance(lab, dict):
+        if lab.keys() == {"fraction"}:
+            return rational_from_json(lab["fraction"])
+        if lab.keys() == {"tuple"} and isinstance(lab["tuple"], list):
+            return tuple(map(_label_from_json, lab["tuple"]))
+    elif not isinstance(lab, list):
+        return lab
+    raise InputError(f'malformed label JSON {lab!r}: use {{"fraction": ...}} or {{"tuple": [...]}}')
 
 
 def to_dot(lg: LabeledGraph, node_color: Optional[Callable[[int], Optional[str]]] = None) -> str:

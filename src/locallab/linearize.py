@@ -384,9 +384,13 @@ def incidence_graph_from_json(data: Mapping) -> IncidenceGraph:
 
 
 def edge_labeling_to_json(labeling: Mapping[int, object]) -> dict:
-    return {str(e): lab for e, lab in sorted(labeling.items())}
+    from .graphs import _label_to_json
+
+    return {str(e): _label_to_json(lab) for e, lab in sorted(labeling.items())}
 
 
 def edge_labeling_from_json(data: Mapping) -> dict[int, object]:
+    from .graphs import _label_from_json
+
     with json_decoding("edge labeling"):
-        return {int(e): lab for e, lab in data.items()}
+        return {int(e): _label_from_json(lab) for e, lab in data.items()}

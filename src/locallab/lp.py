@@ -37,6 +37,7 @@ from .graphs import (
     LabeledGraph,
     View,
     ball_distances,
+    common_denominator,
     graph_from_json,
     graph_to_json,
     json_decoding,
@@ -103,12 +104,6 @@ class DistLP:
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
 
-    def variable(self, name: str) -> LpVariable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise InputError(f"unknown variable {name!r}")
-
 
 def make_dist_lp(
     kind: str,
@@ -152,9 +147,6 @@ class LpPoint:
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.values)
-
-    def value(self, name: str) -> Fraction:
-        return dict(self.values)[name]
 
 
 def edge_var(e: int) -> str:
@@ -230,19 +222,19 @@ def _compiled(lp: DistLP) -> _CompiledLP:
         return comp
     names = tuple(v.name for v in lp.variables)
     index = {name: j for j, name in enumerate(names)}
-    objective, objective_scale = _common_denominator([v.objective for v in lp.variables])
+    objective, objective_scale = common_denominator([v.objective for v in lp.variables])
     rows = []
     for c in lp.constraints:
-        scale = math.lcm(c.bound.denominator, *(coef.denominator for _, coef in c.coeffs))
+        (bound, *coefs), scale = common_denominator([c.bound, *(coef for _, coef in c.coeffs)])
         merged: dict[int, int] = {}
-        for name, coef in c.coeffs:
+        for (name, _), a in zip(c.coeffs, coefs):
             col = index[name]
-            merged[col] = merged.get(col, 0) + coef.numerator * (scale // coef.denominator)
+            merged[col] = merged.get(col, 0) + a
         rows.append(_Row(
             name=c.name,
             terms=tuple((col, a) for col, a in merged.items() if a),
             relation=c.relation,
-            bound=c.bound.numerator * (scale // c.bound.denominator),
+            bound=bound,
             scale=scale,
         ))
     owners = []
@@ -272,12 +264,6 @@ def _compiled(lp: DistLP) -> _CompiledLP:
     return comp
 
 
-def _common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Numerators of rationals over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _column_values(comp: _CompiledLP, x: LpPoint) -> list[Fraction]:
     """The point's values in column order; its variables must be the LP's."""
     vals = x.as_dict()
@@ -290,7 +276,7 @@ def _column_values(comp: _CompiledLP, x: LpPoint) -> list[Fraction]:
 
 
 def _point_numerators(comp: _CompiledLP, x: LpPoint) -> tuple[list[int], int]:
-    return _common_denominator(_column_values(comp, x))
+    return common_denominator(_column_values(comp, x))
 
 
 def _point_of_columns(comp: _CompiledLP, nums: Sequence[int], den: int) -> LpPoint:
@@ -536,30 +522,6 @@ def _solve(
     return ("optimal", Fraction(obj_row[-1], den), solution, dual)
 
 
-def simplex_solve(
-    num_vars: int,
-    objective: Sequence[Fraction],
-    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
-) -> tuple[str, Optional[Fraction], Optional[list[Fraction]]]:
-    """Maximize objective over {x >= 0 : rows hold}; exact two-phase simplex.
-
-    Each row, and the objective, is scaled to integers by the lcm of its
-    denominators; the tableau is fraction-free (see `_pivot`).
-    """
-    int_rows: list[tuple[list[int], str, int]] = []
-    scales: list[int] = []
-    for coeffs, rel, bound in rows:
-        nums, scale = _common_denominator([Fraction(c) for c in coeffs] + [Fraction(bound)])
-        int_rows.append((nums[:-1], rel, nums[-1]))
-        scales.append(scale)
-    obj_nums, obj_scale = _common_denominator([Fraction(objective[j]) for j in range(num_vars)])
-    status, value, solution, _dual = _solve(num_vars, obj_nums, int_rows, scales)
-    if status != "optimal":
-        return (status, None, None)
-    assert value is not None
-    return ("optimal", value / obj_scale, solution)
-
-
 def _check_certificate(
     comp: _CompiledLP,
     objective: Sequence[int],
@@ -573,13 +535,13 @@ def _check_certificate(
     relation, covers the objective column by column and has b·y == value
     (weak duality then bounds every feasible point by `value`).
     """
-    nums, den = _common_denominator(solution)
+    nums, den = common_denominator(solution)
     bad = _violations(comp, nums, den)
     if bad:
         raise ContractError(f"simplex optimum violates {bad}")
     if sum(map(mul, objective, nums)) * value.denominator != value.numerator * den:
         raise ContractError(f"simplex optimum's objective differs from its value {value}")
-    ynums, yden = _common_denominator(dual)
+    ynums, yden = common_denominator(dual)
     columns = [0] * len(objective)
     bound_total = 0
     for row, y in zip(comp.rows, ynums):
@@ -714,19 +676,18 @@ def point_from_labeling(lp: DistLP, labeling: Labeling) -> LpPoint:
     return _point_of_columns(comp, *_decode(comp, _label_positions(comp, labeling), labeling, 0))
 
 
-def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]],
-                      network: Optional[LabeledGraph] = None) -> Outcome:
-    lg = network if network is not None else label_graph(lp.graph)
-    return make_outcome(lg, [(labeling_from_point(lp, pt), p) for pt, p in pairs])
+def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> Outcome:
+    return make_outcome(label_graph(lp.graph), [(labeling_from_point(lp, pt), p) for pt, p in pairs])
 
 
 def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     """Coordinatewise expectation of a distribution over feasible points.
 
-    Every support entry must itself be feasible (the hypothesis of the
-    expectation-approximation argument); an infeasible entry is a contract
-    error naming the entry.  The result is feasible and its objective equals
-    the expected objective of the support, exactly.
+    The outcome must be over the LP's graph.  Every support entry must
+    itself be feasible (the hypothesis of the expectation-approximation
+    argument); an infeasible entry is a contract error naming the entry.
+    The result is feasible and its objective equals the expected objective
+    of the support, exactly.
 
     Each entry i is decoded once into integers nums_i over its own
     denominator d_i and checked against the compiled rows.  With W the
@@ -734,13 +695,15 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     sum_i w_i * nums_i * (L / d_i) as integers over W * L, where L is the lcm
     of the d_i seen so far.  One Fraction per column is made at the end.
     """
+    if outcome.input.graph != lp.graph:
+        raise InputError("dequantize needs an outcome over the LP's graph")
     comp = _compiled(lp)
     support = outcome.support
     positions = _label_positions(comp, support[0][0])
-    w_den = math.lcm(*(p.denominator for _, p in support))
+    weights, w_den = common_denominator([p for _, p in support])
     sums = [0] * len(comp.names)
     lcm_d = 1
-    for i, (labeling, p) in enumerate(support):
+    for i, ((labeling, _), w) in enumerate(zip(support, weights)):
         nums, d = _decode(comp, positions, labeling, i)
         bad = _violations(comp, nums, d)
         if bad:
@@ -749,7 +712,7 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
             scale = d // math.gcd(lcm_d, d)
             sums = [s * scale for s in sums]
             lcm_d *= scale
-        k = p.numerator * (w_den // p.denominator) * (lcm_d // d)
+        k = w * (lcm_d // d)
         sums = [s + k * a for s, a in zip(sums, nums)]
     return _point_of_columns(comp, sums, w_den * lcm_d)
 

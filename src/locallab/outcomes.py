@@ -22,6 +22,7 @@ from .graphs import (
     InputError,
     LabeledGraph,
     View,
+    common_denominator,
     extract_view,
     rational_parts,
     view_isomorphisms,
@@ -111,16 +112,19 @@ def _support(
     return tuple((labeling, Fraction(w, denominator)) for labeling, w in ordered)
 
 
-def _common_denominator(weights: Iterable[Fraction]) -> int:
-    return math.lcm(*{p.denominator for p in weights})
-
-
 def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -> Outcome:
-    """Validate probabilities and domains, merging duplicate labelings."""
-    pairs = [(labeling, Fraction(p)) for labeling, p in pairs]
-    denominator = _common_denominator(p for _, p in pairs)
-    weighted = ((labeling, p.numerator * (denominator // p.denominator)) for labeling, p in pairs)
-    return Outcome(input=lg, support=_support(weighted, denominator))
+    """Validate probabilities and domains, merging duplicate labelings; the
+    support's shared domain must lie within lg's nodes and half-edges."""
+    pairs = list(pairs)
+    weights, denominator = common_denominator([Fraction(p) for _, p in pairs])
+    support = _support(zip(map(itemgetter(0), pairs), weights), denominator)
+    g = lg.graph
+    nodes, half_edges = support[0][0].domain()
+    for v in chain(nodes, map(itemgetter(0), half_edges)):
+        g._check_node(v)
+    for v, e in half_edges:
+        g.port_of(v, e)
+    return Outcome(input=lg, support=support)
 
 
 def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
@@ -153,14 +157,14 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
     if cached is not None:
         return cached
     scope_he = _scope_half_edges(outcome.input.graph, nodes)
-    denominator = _common_denominator(p for _, p in outcome.support)
+    weights, denominator = common_denominator([p for _, p in outcome.support])
     first = outcome.support[0][0]
     node_keep = [v in nodes for v, _ in first.node_items]
     he_keep = [k in scope_he for k, _ in first.half_edge_items]
     merged: dict[tuple[tuple, tuple], int] = {}
-    for labeling, p in outcome.support:
+    for (labeling, _), w in zip(outcome.support, weights):
         key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
-        merged[key] = merged.get(key, 0) + p.numerator * (denominator // p.denominator)
+        merged[key] = merged.get(key, 0) + w
     support = _support(((Labeling(*key), w) for key, w in merged.items()), denominator)
     marginal = outcome._marginals[nodes] = RestrictedOutcome(nodes, scope_he, support)
     return marginal
@@ -179,10 +183,9 @@ def expectation(outcome: Outcome | RestrictedOutcome, value: Callable[[object], 
     common denominator times the lcm of the value denominators seen so far;
     one Fraction per key is made at the end.
     """
-    denominator = _common_denominator(p for _, p in outcome.support)
+    weights, denominator = common_denominator([p for _, p in outcome.support])
     sums: dict = {}  # key -> [numerator, value denominator]
-    for labeling, p in outcome.support:
-        w = p.numerator * (denominator // p.denominator)
+    for (labeling, _), w in zip(outcome.support, weights):
         for key, lab in chain(labeling.node_items, labeling.half_edge_items):
             x = value(lab)
             parts = rational_parts(x)
@@ -259,33 +262,9 @@ def _check_node_output(
                 raise ContractError(f"rule at node {v} produced half-edge label {lab!r} outside the alphabet")
 
 
-def _assemble(lg: LabeledGraph, per_node: Mapping[int, NodeOutput]) -> Labeling:
-    nodes: dict[int, object] = {}
-    half_edges: dict[tuple[int, int], object] = {}
-    for v, out in per_node.items():
-        if out.node_label is not None:
-            nodes[v] = out.node_label
-        for e, lab in out.half_edge_labels.items():
-            half_edges[(v, e)] = lab
-    return Labeling.of(nodes, half_edges)
-
-
-def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
-    """Evaluate a deterministic rule on every node's radius-T view."""
-    if alg.randomized:
-        raise InputError("run_local needs a deterministic algorithm; use run_rand_local")
-    per_node = {}
-    for v in range(lg.graph.n):
-        view = extract_view(lg, [v], alg.locality)
-        out = alg.rule(view)
-        _check_node_output(lg, v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
-        per_node[v] = out
-    return _assemble(lg, per_node)
-
-
-# A node's items of a labeling: (node items, half-edge items).  The
-# randomized simulators count seed vectors per tuple of parts and build a
-# Labeling only per distinct tuple.
+# A node's items of a labeling: (node items, half-edge items).  Every
+# simulator builds its labelings from parts; the randomized ones count seed
+# vectors per tuple of parts and build a Labeling only per distinct tuple.
 _Part = tuple[tuple, tuple]
 
 
@@ -296,11 +275,24 @@ def _node_part(v: int, out: NodeOutput) -> _Part:
 
 
 def _join_parts(parts: Sequence[_Part]) -> Labeling:
-    """Concatenate parts listed in node order; equals what `_assemble` builds."""
+    """Concatenate parts listed in node order: the labeling `Labeling.of`
+    builds from the same labels, without sorting."""
     return Labeling(
         node_items=tuple(chain.from_iterable(map(itemgetter(0), parts))),
         half_edge_items=tuple(chain.from_iterable(map(itemgetter(1), parts))),
     )
+
+
+def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
+    """Evaluate a deterministic rule on every node's radius-T view."""
+    if alg.randomized:
+        raise InputError("run_local needs a deterministic algorithm; use run_rand_local")
+    parts = []
+    for v in range(lg.graph.n):
+        out = alg.rule(extract_view(lg, [v], alg.locality))
+        _check_node_output(lg, v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
+        parts.append(_node_part(v, out))
+    return _join_parts(parts)
 
 
 class _NodeTable(dict):
@@ -367,30 +359,30 @@ def _tables_support(
 def run_rand_local(
     alg: LocalAlgorithm,
     lg: LabeledGraph,
-    exact: bool = True,
     samples: int = 0,
     seed: int = 0,
 ) -> Outcome:
     """Aggregate the exact output distribution over all seed assignments.
 
-    Exact mode enumerates |alphabet|^n seed vectors (guarded at 2^24); the
-    sampling mode draws `samples` vectors with a seeded RNG instead and is not
-    exactness-preserving.  A node's output depends only on the seeds of its
-    view, so the rule runs once per node and distinct view assignment: in
-    exact mode, sum over v of |alphabet|^|ball_v| rule calls, plus one table
-    lookup per node and seed vector (n * |alphabet|^n) to count labelings.
+    Exact mode (samples == 0) enumerates |alphabet|^n seed vectors (guarded
+    at 2^24); with samples > 0 it draws that many vectors with a seeded RNG
+    instead, which is not exactness-preserving.  A node's output depends
+    only on the seeds of its view, so the rule runs once per node and
+    distinct view assignment: in exact mode, sum over v of |alphabet|^|ball_v|
+    rule calls, plus one table lookup per node and seed vector
+    (n * |alphabet|^n) to count labelings.
     """
     if not alg.randomized:
         return deterministic_outcome(lg, run_local(alg, lg))
     n = lg.graph.n
     alphabet = _seed_alphabet(alg)
     assignments: Iterable[tuple]
-    if exact:
+    if samples < 0:
+        raise InputError(f"sample count must be non-negative, got {samples}")
+    if samples == 0:
         denominator = _seed_space(alphabet, n)
         assignments = product(alphabet, repeat=n)
     else:
-        if samples <= 0:
-            raise InputError("sampling mode needs a positive sample count")
         denominator = samples
         rng = random.Random(seed)
         assignments = (tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(samples))
@@ -474,16 +466,16 @@ def run_slocal(
     if sorted(order) != list(range(g.n)):
         raise InputError("order must be a permutation of the node set")
     states: dict[int, object] = {}
-    per_node: dict[int, NodeOutput] = {}
+    parts: list[_Part] = [((), ())] * g.n
     observed = 0
     for v in order:
         ctx = SlocalContext(lg, v, alg.locality, states)
         step = alg.step(ctx)
         _check_node_output(lg, v, step.output)
-        per_node[v] = step.output
+        parts[v] = _node_part(v, step.output)
         states[v] = step.state
         observed = max(observed, ctx.max_queried)
-    return _assemble(lg, per_node), observed
+    return _join_parts(parts), observed
 
 
 # ---------------------------------------------------------------------------

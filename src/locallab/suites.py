@@ -530,7 +530,6 @@ def _accepted_labelings(ig):
     order: list[int] = []
     for w in ig.whites():
         order.extend(g.adjacency[w])
-    position = {e: i for i, e in enumerate(order)}
     white_of_edge = {}
     string_pos = {}
     for w in ig.whites():
@@ -726,7 +725,6 @@ def suite_gadgets(seed: int) -> list[CheckResult]:
         from .gadgets import default_port_height, make_proper_instance
 
         rejected = 0
-        sound_accepts = 0
         for trial in range(50):
             source = corpus.random_connected_graph(rng, rng.randint(2, 6))
             ig = incidence_graph_of(source)
@@ -758,7 +756,6 @@ def suite_gadgets(seed: int) -> list[CheckResult]:
                     lam, octs = rec
                     try:
                         make_proper_instance(mutant, lam, octs)
-                        sound_accepts += 1
                     except Exception as err:
                         return False, {"trial": trial}, f"unsound accept: {err}"
                     return False, {"trial": trial}, "rigid proper-instance mutant accepted"
@@ -791,7 +788,6 @@ def _lift_sources() -> list[Graph]:
 def suite_lift(seed: int) -> list[CheckResult]:
     import itertools
 
-    rng = random.Random(seed)
     checks: list[CheckResult] = []
 
     def end_to_end() -> tuple[bool, dict, str]:

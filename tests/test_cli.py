@@ -327,7 +327,7 @@ def test_lp_dequantize_non_rational_label_is_usage_error(tmp_path, capsys, label
 
 def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
     assert _lp_dequantize(tmp_path, [1]) == 2
-    assert "malformed outcome JSON" in capsys.readouterr().err
+    assert "malformed label JSON [1]" in capsys.readouterr().err
 
 
 def test_sim_rand_local_samples_when_given_a_sample_count(fixtures, capsys):
@@ -418,3 +418,82 @@ def test_lcl_verify_decodes_tuple_output_labels(tmp_path, capsys):
     args = ["lcl", "verify", "--problem", str(problem_path), "--graph", str(graph_path)]
     assert main(args + ["--output", str(out_path)]) == 2
     assert "output node label at 0 outside the declared alphabet" in capsys.readouterr().err
+
+
+def test_ns_verify_labels_outside_the_network_are_usage_errors(tmp_path, capsys):
+    assert _ns_verify_exit_code(tmp_path, _entry(nodes={"0": "a", "1": "a", "7": "a"})) == 2
+    assert "unknown node id 7" in capsys.readouterr().err
+    assert _ns_verify_exit_code(tmp_path, _entry(half_edges={"0:9": "a"})) == 2
+    assert "edge 9 is not incident to node 0" in capsys.readouterr().err
+
+
+def test_lp_dequantize_outcome_over_another_graph_is_usage_error(fixtures, tmp_path, capsys):
+    from locallab.graphs import cycle_graph
+
+    _, graph_path, _ = fixtures  # P3: its half-edges are half-edges of C4 too
+    half = {"fraction": "1/2"}
+    entry = {"labels": {"half_edges": {"0:0": half, "1:0": half, "1:1": half, "2:1": half}}, "p": "1"}
+    outcome_path = tmp_path / "outcome.json"
+    outcome_path.write_text(
+        json.dumps({"graph": labeled_graph_to_json(label_graph(cycle_graph(4))), "support": [entry]})
+    )
+    assert main(["lp", "dequantize", "--graph", str(graph_path), "--outcome", str(outcome_path)]) == 2
+    assert "LP's graph" in capsys.readouterr().err
+
+
+def _lcl_verify_trivial_problem(tmp_path, edit_graph, edit_output):
+    """`lcl verify` of a problem admitting every output "0" on P3, with the
+    graph file and the output labeling edited by the given functions."""
+    from locallab.lcl import lcl_problem_to_json
+    from test_lcl import make_trivial_problem, uniform
+
+    g_in = uniform(path_graph(3))
+    problem, _ = make_trivial_problem(g_in)
+    graph = labeled_graph_to_json(g_in)
+    out = {
+        "nodes": {str(v): "0" for v in range(3)},
+        "half_edges": {f"{v}:{e}": "0" for v, e in g_in.graph.half_edges()},
+    }
+    edit_graph(graph)
+    edit_output(out)
+    paths = []
+    for name, data in (("problem", lcl_problem_to_json(problem)), ("graph", graph), ("output", out)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths += [f"--{name}", str(path)]
+    return main(["lcl", "verify", *paths])
+
+
+def test_lcl_verify_list_labels_are_usage_errors(tmp_path, capsys):
+    def keep(data):
+        pass
+
+    def list_node_label(graph):
+        graph["node_labels"][0] = ["n"]
+
+    def list_output_label(out):
+        out["nodes"]["0"] = ["0"]
+
+    assert _lcl_verify_trivial_problem(tmp_path, keep, keep) == 0
+    assert _lcl_verify_trivial_problem(tmp_path, list_node_label, keep) == 2
+    assert _lcl_verify_trivial_problem(tmp_path, keep, list_output_label) == 2
+    assert capsys.readouterr().err.count("malformed label JSON") == 2
+
+
+def test_lin_verify_list_label_is_usage_error(fixtures, tmp_path, capsys):
+    _, _, ig_path = fixtures
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps({"0": ["M"], "1": "M", "2": "A", "3": "A"}))
+    assert main(["lin", "verify", "--incidence", str(ig_path), "--labels", str(labels_path)]) == 2
+    assert "malformed label JSON" in capsys.readouterr().err
+
+
+def test_lift_verify_list_label_is_usage_error(fixtures, tmp_path, capsys):
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(data))
+    n = data["instance"]["graph"]["n"]
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps({"labels": {str(v): [1] for v in range(n)}}))
+    assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 2
+    assert "malformed label JSON" in capsys.readouterr().err

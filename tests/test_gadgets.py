@@ -11,6 +11,7 @@ import pytest
 from locallab import gadgets, graphs
 from locallab.corpus import all_connected_graphs, random_connected_graph
 from locallab.graphs import (
+    ContractError,
     Graph,
     InputError,
     distances_from,
@@ -26,6 +27,7 @@ from locallab.linearize import (
     MATCHING_ENCODING,
     WHITE,
     BLACK,
+    IncidenceGraph,
     decode_to_matching,
     incidence_graph_of,
     is_maximal_matching,
@@ -38,7 +40,9 @@ from locallab.gadgets import (
     BOTTOM,
     INTER,
     INTRA,
+    OctopusGadget,
     OctopusWitness,
+    PortMap,
     PortWitness,
     ProperInstance,
     _tree_coords,
@@ -1134,3 +1138,173 @@ def test_make_proper_instance_rejects_port_copies_outside_one_to_eta():
         make_proper_instance(
             octopus.graph, [INTRA] * octopus.graph.n, [dataclasses.replace(octopus.witness, ports=ports)]
         )
+
+
+# ---------------------------------------------------------------------------
+# generators against their former implementation: one tree-like Graph per
+# tree and one Graph per octopus, shifted into place
+
+
+def reference_gen_octopus(x: int, eta: Sequence[int], weights: Mapping[tuple[int, int], int]) -> OctopusGadget:
+    """Assemble a head of height x with one or two port gadgets per bottom node."""
+    if x < 1:
+        raise InputError("head height must be at least 1")
+    slots = 1 << (x - 1)
+    eta = tuple(eta)
+    if len(eta) != slots:
+        raise InputError(f"eta must have {slots} entries")
+    if any(v not in (1, 2) for v in eta):
+        raise InputError("eta entries must be 1 or 2")
+    index_set = {(i, j) for i in range(slots) for j in (1, 2) if j <= eta[i]}
+    if set(weights) != index_set:
+        raise InputError(f"weights must be defined exactly on {sorted(index_set)}")
+
+    edges: list[tuple[int, int]] = []
+    head = gen_tree_like(x)
+    head_nodes = tuple(range(head.graph.n))
+    edges.extend(head.graph.edge_list)
+    next_id = head.graph.n
+    ports = []
+    for i in range(slots):
+        for j in (1, 2):
+            if j > eta[i]:
+                continue
+            w = weights[(i, j)]
+            if w < 1:
+                raise InputError("port heights must be at least 1")
+            tree = gen_tree_like(w)
+            nodes = tuple(range(next_id, next_id + tree.graph.n))
+            edges.extend((nodes[a], nodes[b]) for a, b in tree.graph.edge_list)
+            next_id += tree.graph.n
+            ports.append(PortWitness(slot=i, copy=j, height=w, nodes=nodes))
+            edges.append((nodes[0], head_nodes[_tree_index(x - 1, i)]))
+    witness = OctopusWitness(x=x, eta=eta, head_nodes=head_nodes, ports=tuple(sorted(ports, key=lambda p: (p.slot, p.copy))))
+    return OctopusGadget(graph=make_graph(next_id, edges), witness=witness)
+
+
+def reference_gen_proper_instance(
+    ig: IncidenceGraph, k: Optional[int] = None
+) -> tuple[ProperInstance, PortMap]:
+    """Octopus per white node, inter node per black node, attachments at the
+    left-most port leaves; port heights are uniform (= k)."""
+    n = ig.graph.n
+    if k is None:
+        k = default_port_height(n)
+    if k < 1:
+        raise InputError("port height must be at least 1")
+    g = ig.graph
+    edges: list[tuple[int, int]] = []
+    octopi: list[OctopusWitness] = []
+    port_root_edge: list[tuple[int, int]] = []
+    next_id = 0
+    port_leaf_of_edge: dict[int, int] = {}  # source edge -> attachment leaf host id
+    for w in ig.whites():
+        d = g.degree(w)
+        d_eff = max(d, 1)
+        x = max(1, (d_eff - 1).bit_length())
+        slots = 1 << (x - 1)
+        twos = d_eff - slots
+        eta = tuple(2 if i < twos else 1 for i in range(slots))
+        weights = {
+            (i, j): k for i in range(slots) for j in (1, 2) if j <= eta[i]
+        }
+        octo = reference_gen_octopus(x, eta, weights)
+        offset = next_id
+        shifted_ports = tuple(
+            PortWitness(slot=p.slot, copy=p.copy, height=p.height,
+                        nodes=tuple(v + offset for v in p.nodes))
+            for p in octo.witness.ports
+        )
+        witness = OctopusWitness(
+            x=octo.witness.x,
+            eta=octo.witness.eta,
+            head_nodes=tuple(v + offset for v in octo.witness.head_nodes),
+            ports=shifted_ports,
+        )
+        edges.extend((u + offset, v + offset) for u, v in octo.graph.edge_list)
+        next_id += octo.graph.n
+        octopi.append(witness)
+        for r, e in enumerate(g.adjacency[w]):
+            port = witness.ports[r]
+            port_root_edge.append((port.root, e))
+            port_leaf_of_edge[e] = port.leaf
+    inter_of_black: dict[int, int] = {}
+    for b in ig.blacks():
+        inter_of_black[b] = next_id
+        next_id += 1
+    for e, (u, v) in enumerate(g.edge_list):
+        b = u if ig.roles[u] == BLACK else v
+        edges.append((port_leaf_of_edge[e], inter_of_black[b]))
+    lam = [INTRA] * next_id
+    for b, host in inter_of_black.items():
+        lam[host] = INTER
+    graph = make_graph(next_id, edges)
+    pi = make_proper_instance(graph, lam, octopi)
+    if n >= 3 and not (n <= graph.n <= n**3):
+        raise ContractError(f"size law violated: n={n}, N={graph.n}")
+    port_map = PortMap(source=ig, root_to_edge=tuple(sorted(port_root_edge)))
+    return pi, port_map
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_gen_proper_instance_matches_reference_on_sources_up_to_5_nodes(k):
+    sources = [g for g in all_connected_graphs(5) if g.n >= 2]
+    for source in sources:
+        ig = incidence_graph_of(source)
+        assert gen_proper_instance(ig, k) == reference_gen_proper_instance(ig, k)
+
+
+def test_gen_octopus_matches_reference_on_every_small_shape():
+    shapes = 0
+    for x in (1, 2, 3):
+        slots = 1 << (x - 1)
+        for eta in itertools.product((1, 2), repeat=slots):
+            index = [(i, j) for i in range(slots) for j in range(1, eta[i] + 1)]
+            for heights in itertools.product((1, 2, 3), repeat=len(index)):
+                weights = dict(zip(index, heights))
+                assert gen_octopus(x, eta, weights) == reference_gen_octopus(x, eta, weights)
+                shapes += 1
+    assert shapes == 12 + 12**2 + 12**4
+
+
+def _error(make, *args) -> str:
+    with pytest.raises(InputError) as err:
+        make(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, (), {}),
+        (2, (1,), {(0, 1): 1}),
+        (2, (1, 3), {(0, 1): 1, (1, 1): 1}),
+        (2, (1, 1), {(0, 1): 1}),
+        (2, (1, 1), {(0, 1): 1, (1, 1): 1, (1, 2): 1}),
+        (2, (2, 1), {(0, 1): 1, (0, 2): 0, (1, 1): 1}),
+        (1, (1,), {(0, 1): -1}),
+    ],
+    ids=["x", "eta-length", "eta-entry", "weights-missing", "weights-extra", "height", "negative-height"],
+)
+def test_gen_octopus_errors_match_reference(args):
+    assert _error(gen_octopus, *args) == _error(reference_gen_octopus, *args)
+
+
+def test_gen_proper_instance_port_height_error_matches_reference():
+    ig = incidence_graph_of(path_graph(3))
+    assert _error(gen_proper_instance, ig, 0) == _error(reference_gen_proper_instance, ig, 0)
+
+
+def test_generators_build_one_graph_per_call(monkeypatch):
+    ig = incidence_graph_of(star_graph(3))
+    built = []
+
+    def counting_make_graph(*args, **kwargs):
+        built.append(args[0])
+        return make_graph(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "make_graph", counting_make_graph)
+    monkeypatch.setattr(gadgets, "make_graph", counting_make_graph)
+    octopus = gen_octopus(2, (2, 1), {(0, 1): 2, (0, 2): 3, (1, 1): 1})
+    pi, _ = gen_proper_instance(ig, k=2)
+    assert built == [octopus.graph.n, pi.graph.n]

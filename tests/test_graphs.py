@@ -15,6 +15,8 @@ from locallab.graphs import (
     CenteredGraph,
     InputError,
     View,
+    _label_from_json,
+    _label_to_json,
     ball_distances,
     bridges,
     canonical_key,
@@ -211,6 +213,14 @@ def test_rational_codec_is_exact_and_strict():
     fraction_label["node_labels"][0] = {"fraction": 0.25}
     with pytest.raises(InputError):
         labeled_graph_from_json(fraction_label)
+
+
+def test_label_codec_rejects_arrays_and_unknown_objects():
+    for lab in ("x", 3, None, Fraction(-1, 3), ("a", (Fraction(2), "b")), ()):
+        assert _label_from_json(json.loads(json.dumps(_label_to_json(lab)))) == lab
+    for bad in ([1], [], {"tuple": [[1]]}, {"tuple": "ab"}, {"fraction": "1/2", "x": 1}, {}, {"list": [1]}):
+        with pytest.raises(InputError, match="malformed label JSON"):
+            _label_from_json(bad)
 
 
 def test_dot_export():

@@ -1,3 +1,5 @@
+import json
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -12,6 +14,8 @@ from locallab.linearize import (
     PTR,
     WHITE,
     decode_to_matching,
+    edge_labeling_from_json,
+    edge_labeling_to_json,
     encode_matching,
     greedy_matching,
     incidence_graph_of,
@@ -203,3 +207,5 @@ def test_json_roundtrips():
     assert back.roles == ig.roles and back.graph == ig.graph
     enc = linearizable_from_json(linearizable_to_json(MATCHING_ENCODING))
     assert enc == MATCHING_ENCODING
+    labeling = {0: MATCHED, 1: ("t", Fraction(1, 3)), 2: Fraction(2)}
+    assert edge_labeling_from_json(json.loads(json.dumps(edge_labeling_to_json(labeling)))) == labeling

@@ -45,7 +45,6 @@ from locallab.lp import (
     point_from_json,
     point_from_labeling,
     point_to_json,
-    simplex_solve,
     whole_graph_family,
 )
 from locallab.outcomes import Labeling, expectation, make_outcome, run_local, run_rand_local
@@ -102,12 +101,10 @@ def test_konig_on_bipartite_corpus():
 
 
 def test_simplex_unbounded_and_infeasible():
-    assert simplex_solve(1, [F(1)], [])[0] == "unbounded"
-    assert simplex_solve(1, [F(1)], [([F(1)], "<=", F(-1))])[0] == "infeasible"
-    status, value, x = simplex_solve(
-        2, [F(1), F(1)], [([F(1), F(1)], "==", F(1)), ([F(1), F(0)], "<=", F(1))]
-    )
-    assert status == "optimal" and value == 1
+    assert exact_opt(_node_lp(1, [1], [])).status == "unbounded"
+    assert exact_opt(_node_lp(1, [1], [([(0, 1)], "<=", -1)])).status == "infeasible"
+    result = exact_opt(_node_lp(2, [1, 1], [([(0, 1), (1, 1)], "==", 1), ([(0, 1), (1, 0)], "<=", 1)]))
+    assert result.status == "optimal" and result.value == 1
 
 
 def test_check_feasible_examples():
@@ -183,6 +180,17 @@ def test_dequantize_rejects_infeasible_entry():
     bad = outcome_of_points(lp, [(matching_point(k3, {0, 1}), F(1))])
     with pytest.raises(ContractError, match="entry 0"):
         dequantize(bad, lp)
+
+
+def test_dequantize_rejects_an_outcome_over_another_graph():
+    lp = build_fractional_matching_lp(path_graph(3))
+    half = LpPoint.of({"e0": F(1, 2), "e1": F(1, 2)})
+    same = make_outcome(label_graph(path_graph(3)), [(labeling_from_point(lp, half), F(1))])
+    assert dequantize(same, lp) == half
+    # P3's half-edges are half-edges of C4 too, so only the graph tells them apart
+    over_c4 = make_outcome(label_graph(cycle_graph(4)), [(labeling_from_point(lp, half), F(1))])
+    with pytest.raises(InputError, match="LP's graph"):
+        dequantize(over_c4, lp)
 
 
 def test_dequantize_soundness_random_mixtures():
@@ -432,10 +440,9 @@ def _dense(lp):
 
 
 def _assert_matches_reference(lp):
-    """simplex_solve and exact_opt agree with the reference on one DistLP."""
+    """exact_opt agrees with the reference on one DistLP."""
     num_vars, objective, rows = _dense(lp)
     expected = reference_simplex_solve(num_vars, objective, rows)
-    assert simplex_solve(num_vars, objective, rows) == expected
     result = exact_opt(lp)
     assert result.status == expected[0]
     if expected[0] == "optimal":
@@ -536,28 +543,28 @@ def test_simplex_weighs_artificials_of_scaled_rows_like_the_rational_tableau():
     """Scaling a >= row to integers scales its artificial variable too; phase 1
     must weigh it back, or it ends at another vertex and phase 2 returns
     another optimal point of equal value."""
-    objective = [F(-3), F(-1), F(0)]
-    rows = [
-        ([F(0), F(0), F(4, 5)], ">=", F(2, 5)),
-        ([F(1), F(1, 3), F(0)], ">=", F(1, 4)),
-        ([F(3), F(3, 4), F(1)], ">=", F(1, 2)),
-    ]
-    result = simplex_solve(3, objective, rows)
-    assert result == reference_simplex_solve(3, objective, rows)
-    assert result == ("optimal", F(-3, 4), [F(1, 4), F(0), F(1, 2)])
+    lp = _node_lp(3, [-3, -1, 0], [
+        ([(0, 0), (1, 0), (2, F(4, 5))], ">=", F(2, 5)),
+        ([(0, 1), (1, F(1, 3)), (2, 0)], ">=", F(1, 4)),
+        ([(0, 3), (1, F(3, 4)), (2, 1)], ">=", F(1, 2)),
+    ])
+    assert _assert_matches_reference(lp) == "optimal"
+    result = exact_opt(lp)
+    assert result.value == F(-3, 4)
+    assert result.point == LpPoint.of({"x0": F(1, 4), "x1": 0, "x2": F(1, 2)})
 
 
 def test_simplex_finishes_beales_cycling_example():
     """Beale (1955): the textbook pivot rule cycles on this LP; Bland's does not."""
-    objective = [F(3, 4), F(-150), F(1, 50), F(-6)]
-    rows = [
-        ([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", F(0)),
-        ([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", F(0)),
-        ([F(0), F(0), F(1), F(0)], "<=", F(1)),
-    ]
-    result = simplex_solve(4, objective, rows)
-    assert result == reference_simplex_solve(4, objective, rows)
-    assert result == ("optimal", F(1, 20), [F(1, 25), F(0), F(1), F(0)])
+    lp = _node_lp(4, [F(3, 4), -150, F(1, 50), -6], [
+        ([(0, F(1, 4)), (1, -60), (2, F(-1, 25)), (3, 9)], "<=", 0),
+        ([(0, F(1, 2)), (1, -90), (2, F(-1, 50)), (3, 3)], "<=", 0),
+        ([(0, 0), (1, 0), (2, 1), (3, 0)], "<=", 1),
+    ])
+    assert _assert_matches_reference(lp) == "optimal"
+    result = exact_opt(lp)
+    assert result.value == F(1, 20)
+    assert result.point == LpPoint.of({"x0": F(1, 25), "x1": 0, "x2": 1, "x3": 0})
 
 
 def test_repeated_variable_in_a_row_is_summed_everywhere():

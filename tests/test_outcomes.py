@@ -60,6 +60,21 @@ def test_outcome_validation():
     assert len(merged.support) == 1 and merged.support[0][1] == 1
 
 
+@pytest.mark.parametrize(
+    "labeling",
+    [
+        Labeling.of({0: "a", 1: "a", 2: "a", 7: "a"}, {}),
+        Labeling.of({}, {(0, 9): "a"}),
+        Labeling.of({}, {(0, 1): "a"}),
+        Labeling.of({}, {(3, 0): "a"}),
+    ],
+    ids=["node-7", "half-edge-0-9", "non-incident-half-edge", "half-edge-of-unknown-node"],
+)
+def test_make_outcome_rejects_labels_outside_its_network(labeling):
+    with pytest.raises(InputError):
+        make_outcome(label_graph(path_graph(3)), [(labeling, F(1))])
+
+
 def test_restrict_examples():
     lg = label_graph(path_graph(3))
     det = deterministic_outcome(lg, Labeling.of({0: "x", 1: "y", 2: "z"}, {}))
@@ -212,8 +227,10 @@ def test_run_rand_local_guard():
     )
     with pytest.raises(InputError):
         run_rand_local(echo, big)
-    sampled = run_rand_local(echo, big, exact=False, samples=16, seed=1)
+    sampled = run_rand_local(echo, big, samples=16, seed=1)
     assert sampled.probabilities_sum() == 1
+    with pytest.raises(InputError, match="non-negative"):
+        run_rand_local(echo, big, samples=-1)
 
 
 def test_run_slocal_basics():
@@ -341,12 +358,12 @@ def _parity_rule(t, alphabet=("0", "1")):
     return LocalAlgorithm(locality=t, rule=rule, seed_alphabet=alphabet)
 
 
-def _reference_rand_local(alg, lg, exact=True, samples=0, seed=0):
+def _reference_rand_local(alg, lg, samples=0, seed=0):
     """Every seed vector, every node: Labeling.of per vector, Fraction weights
     merged in enumeration order and sorted by sort_key."""
     g = lg.graph
     views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
-    if exact:
+    if samples == 0:
         vectors = list(itertools.product(alg.seed_alphabet, repeat=g.n))
     else:
         rng = random.Random(seed)
@@ -389,8 +406,8 @@ def test_run_rand_local_matches_per_vector_enumeration(t):
 def test_run_rand_local_sampling_matches_per_vector_enumeration():
     alg = _parity_rule(1, alphabet=("a", "b", "c"))
     for lg in SMALL_GRAPHS[::7]:
-        got = run_rand_local(alg, lg, exact=False, samples=40, seed=5)
-        assert got.support == _reference_rand_local(alg, lg, exact=False, samples=40, seed=5)
+        got = run_rand_local(alg, lg, samples=40, seed=5)
+        assert got.support == _reference_rand_local(alg, lg, samples=40, seed=5)
 
 
 def test_run_rand_local_calls_the_rule_once_per_view_assignment():
@@ -452,3 +469,42 @@ def test_verify_non_signaling_matches_views_whose_labels_differ_only_in_numeric_
 
     verdict = verify_non_signaling(constant(1), constant(F(1)), [1], [1], 1)
     assert verdict.status == "ok", verdict.detail
+
+
+def reference_assemble(lg, per_node):
+    """The labeling of per-node outputs, through Labeling.of."""
+    nodes: dict[int, object] = {}
+    half_edges: dict[tuple[int, int], object] = {}
+    for v, out in per_node.items():
+        if out.node_label is not None:
+            nodes[v] = out.node_label
+        for e, lab in out.half_edge_labels.items():
+            half_edges[(v, e)] = lab
+    return Labeling.of(nodes, half_edges)
+
+
+def _sparse_output(view):
+    """No node label at odd-degree nodes, and half-edge labels on the ports
+    of the anchor listed from the last, skipping every third."""
+    v = view.anchor_node()
+    ports = view.source.graph.adjacency[v]
+    return NodeOutput(
+        node_label=None if len(ports) % 2 else len(view.node_set),
+        half_edge_labels={e: (v, i) for i, e in reversed(list(enumerate(ports))) if i % 3 != 2},
+    )
+
+
+def test_run_local_and_run_slocal_match_reference_assembly():
+    alg = LocalAlgorithm(locality=1, rule=_sparse_output)
+    for lg in SMALL_GRAPHS:
+        n = lg.graph.n
+        per_node = {v: _sparse_output(extract_view(lg, [v], 1)) for v in range(n)}
+        assert run_local(alg, lg) == reference_assemble(lg, per_node)
+        recorded = {}
+
+        def step(ctx):
+            out = recorded[ctx.node] = _sparse_output(ctx.query(1)[0])
+            return SlocalStep(output=out, state=None)
+
+        labeling, _ = run_slocal(SlocalAlgorithm(locality=1, step=step), lg, list(reversed(range(n))))
+        assert labeling == reference_assemble(lg, recorded)
