@@ -38,7 +38,6 @@ from .graphs import (
 from .lcl import (
     ConstraintSet,
     LclProblem,
-    OutputLabeling,
     Verdict,
     centered_ball,
     check_constraints,
@@ -55,6 +54,8 @@ from .outcomes import (
     SlocalStep,
     deterministic_outcome,
     expectation,
+    labeling_from_json,
+    labeling_to_json,
     make_outcome,
     outcome_from_json,
     outcome_to_json,

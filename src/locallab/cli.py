@@ -15,6 +15,7 @@ from pathlib import Path
 from .graphs import (
     InputError,
     _label_from_json,
+    _label_to_json,
     graph_from_json,
     json_decoding,
     label_graph,
@@ -22,12 +23,7 @@ from .graphs import (
     labeled_graph_to_json,
     to_dot,
 )
-from .lcl import (
-    OutputLabeling,
-    check_constraints,
-    constraint_set_from_json,
-    verify_lcl_solution,
-)
+from .lcl import check_constraints, constraint_set_from_json, lcl_problem_from_json, verify_lcl_solution
 from .linearize import (
     MATCHING_ENCODING,
     decode_to_matching,
@@ -53,6 +49,8 @@ from .lp import (
 from .outcomes import (
     LocalAlgorithm,
     NodeOutput,
+    labeling_from_json,
+    labeling_to_json,
     outcome_from_json,
     outcome_to_json,
     run_local,
@@ -129,19 +127,10 @@ def _cmd_lcl_verify(args) -> int:
     problem_data = _load(args.problem)
     graph = labeled_graph_from_json(_load(args.graph))
     if isinstance(problem_data, dict) and "node_in" in problem_data:
-        from .lcl import lcl_problem_from_json
-
         problem = lcl_problem_from_json(problem_data)
-        out_data = _load(args.output)
-        with json_decoding("output labeling"):
-            out = OutputLabeling(
-                node_labels={int(v): _label_from_json(lab) for v, lab in out_data.get("nodes", {}).items()},
-                half_edge_labels={
-                    (int(k.split(":")[0]), int(k.split(":")[1])): _label_from_json(lab)
-                    for k, lab in out_data.get("half_edges", {}).items()
-                },
-            )
-        verdict = verify_lcl_solution(problem, graph, out)
+        if args.output is None:
+            raise InputError("an LCL problem needs --output, the output labeling to verify")
+        verdict = verify_lcl_solution(problem, graph, labeling_from_json(_load(args.output)))
     else:
         with json_decoding("constraint problem"):
             constraints = constraint_set_from_json(problem_data["constraints"])
@@ -155,14 +144,7 @@ def _cmd_sim_local(args) -> int:
     alg = _builtin_local_algorithm(args.algorithm, args.locality, 2)
     if alg.randomized:
         raise InputError("randomized algorithm: use `sim rand-local`")
-    labeling = run_local(alg, lg)
-    _dump(
-        {
-            "nodes": {str(v): lab for v, lab in labeling.node_items},
-            "half_edges": {f"{v}:{e}": lab for (v, e), lab in labeling.half_edge_items},
-        },
-        args,
-    )
+    _dump(labeling_to_json(run_local(alg, lg)), args)
     return 0
 
 
@@ -322,7 +304,7 @@ def _cmd_lift_run(args) -> int:
     result = lift_run(pi, order=order)
     _dump(
         {
-            "labels": {str(v): lab for v, lab in sorted(result.labels.items())},
+            "labels": {str(v): _label_to_json(lab) for v, lab in sorted(result.labels.items())},
             "observed_ghat_locality": result.observed_ghat_locality,
             "simulated_locality": result.simulated_locality,
         },

@@ -33,13 +33,17 @@ from .graphs import (
     centered_key,
     connected_components,
     distances_from,
+    graph_from_json,
+    graph_to_json,
     json_decoding,
     json_int,
     label_graph,
     make_graph,
+    path_graph,
+    to_dot,
     two_edge_components,
 )
-from .lcl import OK, ConstraintSet, Verdict, centered_ball, fail, make_constraint_set
+from .lcl import OK, ConstraintSet, LclProblem, Verdict, centered_ball, fail, make_constraint_set
 from .linearize import (
     BLACK,
     WHITE,
@@ -47,6 +51,9 @@ from .linearize import (
     LinearizableProblem,
     encode_matching,
     greedy_matching,
+    incidence_graph_from_json,
+    incidence_graph_of,
+    incidence_graph_to_json,
     make_incidence_graph,
     multigraph_of_incidence,
 )
@@ -835,8 +842,11 @@ def promise_labeling_of(pi: ProperInstance, labels: Mapping[int, object]) -> Lab
 # family constraint set and the promise problem as an LCL
 
 
-def family_constraint_set(instances: Sequence[ProperInstance], r: int = 2) -> ConstraintSet:
-    """Radius-r constraint set collecting the labeled balls of the instances."""
+FAMILY_RADIUS = 2
+
+
+def family_constraint_set(instances: Sequence[ProperInstance]) -> ConstraintSet:
+    """Radius-FAMILY_RADIUS constraint set collecting the labeled balls of the instances."""
     members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
     node_alpha: set = set()
     he_alpha: set = set()
@@ -847,10 +857,10 @@ def family_constraint_set(instances: Sequence[ProperInstance], r: int = 2) -> Co
         he_alpha.update(lab for _, lab in lg.half_edge_items())
         delta = max(delta, max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1))
         for v in range(lg.graph.n):
-            ball = centered_ball(lg, v, r)
+            ball = centered_ball(lg, v, FAMILY_RADIUS)
             members.setdefault(centered_key(ball), ball)
     return make_constraint_set(
-        r=r,
+        r=FAMILY_RADIUS,
         delta=delta,
         node_alphabet=node_alpha,
         half_edge_alphabet=he_alpha,
@@ -859,9 +869,6 @@ def family_constraint_set(instances: Sequence[ProperInstance], r: int = 2) -> Co
 
 
 def _calibration_instances(k_values: Iterable[int]) -> list[ProperInstance]:
-    from .graphs import path_graph
-    from .linearize import incidence_graph_of
-
     out = []
     for k in sorted(set(k_values)):
         for source in (path_graph(2), path_graph(3), path_graph(4)):
@@ -870,10 +877,10 @@ def _calibration_instances(k_values: Iterable[int]) -> list[ProperInstance]:
     return out
 
 
-def family_constraint_set_for(pi: ProperInstance, r: int = 2) -> ConstraintSet:
+def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
     """Constraint set whose calibration covers the instance's parameter ranges."""
     heights = {p.height for w in pi.octopi for p in w.ports} or {1}
-    return family_constraint_set([pi] + _calibration_instances(heights), r=r)
+    return family_constraint_set([pi] + _calibration_instances(heights))
 
 
 def pi_promise_lcl(
@@ -887,8 +894,6 @@ def pi_promise_lcl(
     the whole component; the constraint members are the balls of the supplied
     valid output labelings (product-labeled with the family labeling).
     """
-    from .lcl import LclProblem, OutputLabeling
-
     g = pi.graph
     ecc = 0
     for v in range(g.n):
@@ -928,11 +933,8 @@ def pi_promise_lcl(
         constraints=constraints,
     )
 
-    def output_labeling(out: Mapping[int, object]) -> OutputLabeling:
-        return OutputLabeling(
-            node_labels=dict(out),
-            half_edge_labels={(v, e): "-" for v, e in g.half_edges()},
-        )
+    def output_labeling(out: Mapping[int, object]) -> Labeling:
+        return Labeling.of(out, {(v, e): "-" for v, e in g.half_edges()})
 
     return lcl, output_labeling
 
@@ -942,8 +944,6 @@ def pi_promise_lcl(
 
 
 def proper_instance_to_json(pi: ProperInstance) -> dict:
-    from .graphs import graph_to_json
-
     return {
         "graph": graph_to_json(pi.graph),
         "lambda": list(pi.lam),
@@ -963,8 +963,6 @@ def proper_instance_to_json(pi: ProperInstance) -> dict:
 
 
 def proper_instance_from_json(data: Mapping) -> ProperInstance:
-    from .graphs import graph_from_json
-
     with json_decoding("proper instance"):
         g = graph_from_json(data["graph"])
         octopi = [
@@ -988,8 +986,6 @@ def proper_instance_from_json(data: Mapping) -> ProperInstance:
 
 
 def port_map_to_json(pm: PortMap) -> dict:
-    from .linearize import incidence_graph_to_json
-
     return {
         "source": incidence_graph_to_json(pm.source),
         "root_to_edge": [list(pair) for pair in pm.root_to_edge],
@@ -997,8 +993,6 @@ def port_map_to_json(pm: PortMap) -> dict:
 
 
 def port_map_from_json(data: Mapping) -> PortMap:
-    from .linearize import incidence_graph_from_json
-
     with json_decoding("port map"):
         return PortMap(
             source=incidence_graph_from_json(data["source"]),
@@ -1007,8 +1001,6 @@ def port_map_from_json(data: Mapping) -> PortMap:
 
 
 def proper_instance_dot(pi: ProperInstance) -> str:
-    from .graphs import to_dot
-
     heads = {v for w in pi.octopi for v in w.head_nodes}
     ports = pi.port_nodes()
 

@@ -898,13 +898,26 @@ def json_int(raw) -> int:
 @contextmanager
 def json_decoding(what: str) -> Iterator[None]:
     """Report a decoder's KeyError, TypeError, ValueError, AttributeError or
-    IndexError on malformed JSON as an InputError naming `what`."""
+    IndexError on malformed JSON as an InputError naming `what`.  An
+    InputError raised inside keeps its message and gains "; in `what` JSON",
+    so a nested error names every enclosing document."""
     try:
         yield
-    except InputError:
-        raise
+    except InputError as err:
+        raise InputError(f"{err}; in {what} JSON") from None
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as err:
         raise InputError(f"malformed {what} JSON: {err!r}") from None
+
+
+_HALF_EDGE_KEY = re.compile(r"([0-9]+):([0-9]+)")
+
+
+def half_edge_from_key(key) -> tuple[int, int]:
+    """The half-edge (v, e) of a JSON key "v:e"; anything else is an InputError."""
+    match = _HALF_EDGE_KEY.fullmatch(key) if isinstance(key, str) else None
+    if match is None:
+        raise InputError(f'half-edge key {key!r} is not of the form "v:e"')
+    return int(match[1]), int(match[2])
 
 
 def graph_from_json(data: Mapping) -> Graph:
@@ -928,10 +941,8 @@ def labeled_graph_from_json(data: Mapping) -> LabeledGraph:
     with json_decoding("labeled graph"):
         raw_nodes = data.get("node_labels") or [None] * g.n
         nl = {v: _label_from_json(lab) for v, lab in enumerate(raw_nodes) if lab is not None}
-        hl = {}
-        for key, lab in (data.get("half_edge_labels") or {}).items():
-            v, e = key.split(":")
-            hl[(int(v), int(e))] = _label_from_json(lab)
+        hl = {half_edge_from_key(key): _label_from_json(lab)
+              for key, lab in (data.get("half_edge_labels") or {}).items()}
         return label_graph(g, nl, hl)
 
 

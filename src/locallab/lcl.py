@@ -17,6 +17,8 @@ from .graphs import (
     InputError,
     LabeledGraph,
     _is_json_int,
+    _label_from_json,
+    _label_to_json,
     centered_key,
     induced_labeled_subgraph,
     json_decoding,
@@ -25,6 +27,7 @@ from .graphs import (
     labeled_graph_to_json,
     neighborhood,
 )
+from .outcomes import Labeling
 
 
 def centered_ball(lg: LabeledGraph, v: int, r: int) -> CenteredGraph:
@@ -138,34 +141,28 @@ class LclProblem:
     constraints: ConstraintSet
 
 
-@dataclass(frozen=True)
-class OutputLabeling:
-    """Output labels for all nodes and half-edges of a fixed graph."""
-
-    node_labels: Mapping[int, object]
-    half_edge_labels: Mapping[tuple[int, int], object]
-
-
-def verify_lcl_solution(problem: LclProblem, g_in: LabeledGraph, out: OutputLabeling) -> Verdict:
-    """Form product labels (input, output) and delegate to check_constraints."""
+def verify_lcl_solution(problem: LclProblem, g_in: LabeledGraph, out: Labeling) -> Verdict:
+    """Form product labels (input, output) and delegate to check_constraints;
+    `out` must label every node and half-edge of the graph."""
     g = g_in.graph
+    out_nodes, out_half_edges = out.nodes(), out.half_edges()
     for v in range(g.n):
         if g_in.node_labels[v] not in problem.node_in:
             raise InputError(f"input node label at {v} outside the declared alphabet")
-        if v not in out.node_labels:
+        if v not in out_nodes:
             raise InputError(f"missing output label for node {v}")
-        if out.node_labels[v] not in problem.node_out:
+        if out_nodes[v] not in problem.node_out:
             raise InputError(f"output node label at {v} outside the declared alphabet")
     for (v, e), lab in g_in.half_edge_items():
         if lab not in problem.half_edge_in:
             raise InputError(f"input half-edge label at ({v},{e}) outside the declared alphabet")
-        if (v, e) not in out.half_edge_labels:
+        if (v, e) not in out_half_edges:
             raise InputError(f"missing output label for half-edge ({v},{e})")
-        if out.half_edge_labels[(v, e)] not in problem.half_edge_out:
+        if out_half_edges[(v, e)] not in problem.half_edge_out:
             raise InputError(f"output half-edge label at ({v},{e}) outside the declared alphabet")
-    node_product = {v: (g_in.node_labels[v], out.node_labels[v]) for v in range(g.n)}
+    node_product = {v: (g_in.node_labels[v], out_nodes[v]) for v in range(g.n)}
     he_product = {
-        (v, e): (g_in.half_edge_label(v, e), out.half_edge_labels[(v, e)])
+        (v, e): (g_in.half_edge_label(v, e), out_half_edges[(v, e)])
         for (v, e), _ in g_in.half_edge_items()
     }
     product = label_graph(g, node_product, he_product)
@@ -191,8 +188,6 @@ def centered_graph_from_json(data: Mapping) -> CenteredGraph:
 
 
 def constraint_set_to_json(cs: ConstraintSet) -> dict:
-    from .graphs import _label_to_json
-
     return {
         "r": cs.r,
         "delta": cs.delta,
@@ -203,8 +198,6 @@ def constraint_set_to_json(cs: ConstraintSet) -> dict:
 
 
 def constraint_set_from_json(data: Mapping) -> ConstraintSet:
-    from .graphs import _label_from_json
-
     with json_decoding("constraint set"):
         r, delta = data["r"], data["delta"]
         if not (_is_json_int(r) and _is_json_int(delta)):
@@ -219,8 +212,6 @@ def constraint_set_from_json(data: Mapping) -> ConstraintSet:
 
 
 def lcl_problem_to_json(problem: LclProblem) -> dict:
-    from .graphs import _label_to_json
-
     return {
         "node_in": sorted((_label_to_json(x) for x in problem.node_in), key=repr),
         "half_edge_in": sorted((_label_to_json(x) for x in problem.half_edge_in), key=repr),
@@ -231,8 +222,6 @@ def lcl_problem_to_json(problem: LclProblem) -> dict:
 
 
 def lcl_problem_from_json(data: Mapping) -> LclProblem:
-    from .graphs import _label_from_json
-
     with json_decoding("LCL problem"):
         return LclProblem(
             node_in=frozenset(_label_from_json(x) for x in data["node_in"]),

@@ -581,8 +581,17 @@ def exact_opt(lp: DistLP) -> OptResult:
     return OptResult(status="optimal", value=sign * value / comp.objective_scale, point=point)
 
 
+def ratio_to_opt(sense: str, opt: Fraction, value: Fraction):
+    """OPT/value for maximization, value/OPT for minimization; 1 when both
+    are 0 and INFINITY when only the divisor is 0."""
+    top, bottom = (opt, value) if sense == "maximize" else (value, opt)
+    if bottom == 0:
+        return Fraction(1) if top == 0 else INFINITY
+    return top / bottom
+
+
 def approximation_ratio(lp: DistLP, x: LpPoint):
-    """OPT/value for maximization, value/OPT for minimization; >= 1 exactly.
+    """`ratio_to_opt` of a feasible point against the exact optimum; >= 1.
 
     Returns the INFEASIBLE sentinel for infeasible points and INFINITY when a
     zero-value point faces a positive optimum.
@@ -592,15 +601,8 @@ def approximation_ratio(lp: DistLP, x: LpPoint):
     opt = exact_opt(lp)
     if opt.status != "optimal":
         raise InputError(f"approximation ratio undefined for {opt.status} LP")
-    value = objective_value(lp, x)
     assert opt.value is not None
-    if lp.sense == "maximize":
-        if value == 0:
-            return Fraction(1) if opt.value == 0 else INFINITY
-        return opt.value / value
-    if opt.value == 0:
-        return Fraction(1) if value == 0 else INFINITY
-    return value / opt.value
+    return ratio_to_opt(lp.sense, opt.value, objective_value(lp, x))
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +845,7 @@ def local_expectation_algorithm(
         v = view.anchor_node()
         v2 = completion.node_map[v]
         outcome = oracle(completion.network)
-        sums = expectation(restrict(outcome, [v2]), lambda lab: lab)
+        sums = expectation(restrict(outcome, [v2]))
         node_label = sums.get(v2)
         half_edges: dict[int, object] = {}
         g1 = view.source.graph
@@ -865,7 +867,7 @@ def maximal_matching_to_fractional(g: Graph, matching: Iterable[int]) -> LpPoint
     verdict = is_maximal_matching(g, edges)
     if not verdict.ok:
         raise InputError(f"not a maximal matching: {verdict.reason}")
-    return LpPoint.of({edge_var(e): Fraction(1) if e in edges else Fraction(0) for e in range(g.m)})
+    return LpPoint.of({edge_var(e): int(e in edges) for e in range(g.m)})
 
 
 # ---------------------------------------------------------------------------

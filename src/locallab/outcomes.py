@@ -22,9 +22,17 @@ from .graphs import (
     InputError,
     LabeledGraph,
     View,
+    _label_from_json,
+    _label_to_json,
     common_denominator,
     extract_view,
+    half_edge_from_key,
+    json_decoding,
+    labeled_graph_from_json,
+    labeled_graph_to_json,
+    rational_from_json,
     rational_parts,
+    rational_to_json,
     view_isomorphisms,
 )
 
@@ -54,12 +62,6 @@ class Labeling:
 
     def half_edges(self) -> dict[tuple[int, int], object]:
         return dict(self.half_edge_items)
-
-    def node(self, v: int):
-        return dict(self.node_items)[v]
-
-    def half_edge(self, v: int, e: int):
-        return dict(self.half_edge_items)[(v, e)]
 
     def domain(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         return (tuple(map(itemgetter(0), self.node_items)),
@@ -175,22 +177,21 @@ def success_probability(outcome: Outcome, verifier: Callable[[Labeling], bool]) 
     return sum((p for labeling, p in outcome.support if verifier(labeling)), Fraction(0))
 
 
-def expectation(outcome: Outcome | RestrictedOutcome, value: Callable[[object], Fraction]) -> dict:
-    """Coordinatewise expected value; keys are node ids and (node, edge) pairs.
+def expectation(outcome: Outcome | RestrictedOutcome) -> dict:
+    """Coordinatewise expected label; keys are node ids and (node, edge) pairs.
 
-    `value` maps a label to an int or a Fraction (anything else is an
-    InputError).  Each key's sum is kept as an integer over the support's
-    common denominator times the lcm of the value denominators seen so far;
-    one Fraction per key is made at the end.
+    Every label must be an int or a Fraction (anything else is an
+    InputError naming its key).  Each key's sum is kept as an integer over
+    the support's common denominator times the lcm of the label denominators
+    seen so far; one Fraction per key is made at the end.
     """
     weights, denominator = common_denominator([p for _, p in outcome.support])
-    sums: dict = {}  # key -> [numerator, value denominator]
+    sums: dict = {}  # key -> [numerator, label denominator]
     for (labeling, _), w in zip(outcome.support, weights):
         for key, lab in chain(labeling.node_items, labeling.half_edge_items):
-            x = value(lab)
-            parts = rational_parts(x)
+            parts = rational_parts(lab)
             if parts is None:
-                raise InputError(f"expectation of {key!r}: {x!r} is not an integer or a Fraction")
+                raise InputError(f"expectation of {key!r}: {lab!r} is not an integer or a Fraction")
             a, b = parts
             acc = sums.get(key)
             if acc is None:
@@ -550,37 +551,30 @@ def verify_non_signaling(
 # JSON
 
 
-def outcome_to_json(outcome: Outcome) -> dict:
-    from .graphs import _label_to_json, labeled_graph_to_json, rational_to_json
+def labeling_to_json(labeling: Labeling) -> dict:
+    """The labeling object {"nodes": {"v": label}, "half_edges": {"v:e": label}}."""
+    return {
+        "nodes": {str(v): _label_to_json(lab) for v, lab in labeling.node_items},
+        "half_edges": {f"{v}:{e}": _label_to_json(lab) for (v, e), lab in labeling.half_edge_items},
+    }
 
-    entries = []
-    for labeling, p in outcome.support:
-        entries.append(
-            {
-                "p": rational_to_json(p),
-                "labels": {
-                    "nodes": {str(v): _label_to_json(lab) for v, lab in labeling.node_items},
-                    "half_edges": {
-                        f"{v}:{e}": _label_to_json(lab)
-                        for (v, e), lab in labeling.half_edge_items
-                    },
-                },
-            }
-        )
+
+def labeling_from_json(data: Mapping) -> Labeling:
+    """Decode a labeling object; either part may be absent."""
+    with json_decoding("labeling"):
+        nodes = {int(v): _label_from_json(lab) for v, lab in data.get("nodes", {}).items()}
+        half_edges = {half_edge_from_key(key): _label_from_json(lab)
+                      for key, lab in data.get("half_edges", {}).items()}
+        return Labeling.of(nodes, half_edges)
+
+
+def outcome_to_json(outcome: Outcome) -> dict:
+    entries = [{"p": rational_to_json(p), "labels": labeling_to_json(labeling)} for labeling, p in outcome.support]
     return {"graph": labeled_graph_to_json(outcome.input), "support": entries}
 
 
 def outcome_from_json(data: Mapping) -> Outcome:
-    from .graphs import _label_from_json, json_decoding, labeled_graph_from_json, rational_from_json
-
     with json_decoding("outcome"):
         lg = labeled_graph_from_json(data["graph"])
-        pairs = []
-        for entry in data["support"]:
-            nodes = {int(v): _label_from_json(lab) for v, lab in entry["labels"].get("nodes", {}).items()}
-            half_edges = {}
-            for key, lab in entry["labels"].get("half_edges", {}).items():
-                v, e = key.split(":")
-                half_edges[(int(v), int(e))] = _label_from_json(lab)
-            pairs.append((Labeling.of(nodes, half_edges), rational_from_json(entry["p"])))
+        pairs = [(labeling_from_json(entry["labels"]), rational_from_json(entry["p"])) for entry in data["support"]]
         return make_outcome(lg, pairs)

@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     cycle_graph,
     extract_view,
+    is_bipartite,
     label_graph,
     make_graph,
     view_isomorphisms,
@@ -49,9 +50,11 @@ from .lp import (
     exact_opt,
     labeling_from_point,
     local_expectation_algorithm,
+    maximal_matching_to_fractional,
     objective_value,
     oriented_cycle_graph,
     outcome_of_points,
+    ratio_to_opt,
     whole_graph_family,
 )
 from .outcomes import (
@@ -67,11 +70,13 @@ from .outcomes import (
 )
 from .gadgets import (
     contract_octopi,
+    default_port_height,
     family_constraint_set_for,
     gen_octopus,
     gen_proper_instance,
     gen_tree_like,
     lift_run,
+    make_proper_instance,
     promise_labeling_of,
     pullback_outcome,
     recognize_proper_instance,
@@ -175,8 +180,7 @@ def _random_feasible_point(rng: random.Random, g: Graph, matchings: list) -> LpP
     """A maximal matching of g (one time in three) or random sixths scaled
     under the node loads; `matchings` is `corpus.all_maximal_matchings(g)`."""
     if rng.random() < 1 / 3:
-        pick = matchings[rng.randrange(len(matchings))]
-        return LpPoint.of({edge_var(e): 1 if e in pick else 0 for e in range(g.m)})
+        return maximal_matching_to_fractional(g, matchings[rng.randrange(len(matchings))])
     sixths = [rng.randint(0, 6) for _ in range(g.m)]
     load = [0] * g.n  # in sixths
     for e, val in enumerate(sixths):
@@ -221,15 +225,8 @@ def suite_dequantize(seed: int) -> list[CheckResult]:
                         "objective": val_hat,
                         "expected_objective": expected_obj,
                     }, "objective does not equal the expected objective"
-                ratios = []
-                for pt, _p in pairs:
-                    val = objective_value(lp, pt)
-                    ratios.append(INFINITY if val == 0 and opt.value > 0 else (
-                        Fraction(1) if opt.value == 0 else opt.value / val))
-                ratio_hat = (
-                    INFINITY if val_hat == 0 and opt.value > 0
-                    else (Fraction(1) if opt.value == 0 else opt.value / val_hat)
-                )
+                ratios = [ratio_to_opt(lp.sense, opt.value, objective_value(lp, pt)) for pt, _p in pairs]
+                ratio_hat = ratio_to_opt(lp.sense, opt.value, val_hat)
                 if not (ratio_hat <= max(ratios)):
                     return False, {
                         "graph_edges": g.edge_list,
@@ -261,16 +258,7 @@ def suite_dequantize(seed: int) -> list[CheckResult]:
 def _uniform_maximal_matching_oracle(g: Graph, lp):
     matchings = corpus.all_maximal_matchings(g)
     p = Fraction(1, len(matchings))
-    pairs = [
-        (
-            LpPoint.of(
-                {edge_var(e): Fraction(1) if e in m else Fraction(0) for e in range(g.m)}
-            ),
-            p,
-        )
-        for m in matchings
-    ]
-    return outcome_of_points(lp, pairs)
+    return outcome_of_points(lp, [(maximal_matching_to_fractional(g, m), p) for m in matchings])
 
 
 def _cycle_parity_algorithm() -> LocalAlgorithm:
@@ -606,15 +594,10 @@ def suite_factor3(seed: int) -> list[CheckResult]:
                 verdict = is_maximal_matching(g, matching)
                 if not verdict:
                     return False, {"edges": g.edge_list, "order": order}, verdict.reason
-                point = LpPoint.of(
-                    {edge_var(e): Fraction(1) if e in matching else Fraction(0) for e in range(g.m)}
-                )
+                point = maximal_matching_to_fractional(g, matching)
                 if not check_feasible(lp, point):
                     return False, {}, "matching point infeasible"
-                value = objective_value(lp, point)
-                ratio = opt.value / value if value > 0 else (
-                    Fraction(1) if opt.value == 0 else INFINITY
-                )
+                ratio = ratio_to_opt(lp.sense, opt.value, objective_value(lp, point))
                 if not (ratio <= 3):
                     return False, {"edges": g.edge_list, "ratio": _frac(ratio)}, "factor-3 violated"
                 worst = max(worst, ratio)
@@ -622,8 +605,6 @@ def suite_factor3(seed: int) -> list[CheckResult]:
         sample = graphs[0]
         lp0 = build_fractional_matching_lp(sample)
         m0, _ = greedy_matching(sample, list(range(sample.n)))
-        from .lp import maximal_matching_to_fractional
-
         tie = approximation_ratio(lp0, maximal_matching_to_fractional(sample, m0))
         if not (tie <= 3):
             return False, {}, "approximation_ratio op disagrees"
@@ -632,8 +613,6 @@ def suite_factor3(seed: int) -> list[CheckResult]:
     _check(checks, "greedy-maximal-matching-ratio-at-most-3", factor3_part)
 
     def konig_part() -> tuple[bool, dict, str]:
-        from .graphs import is_bipartite
-
         count = 0
         for g in graphs:
             if is_bipartite(g) is None:
@@ -722,8 +701,6 @@ def suite_gadgets(seed: int) -> list[CheckResult]:
     _check(checks, "octopus-roundtrip-and-mutations-x1-3", octopus_part)
 
     def proper_part() -> tuple[bool, dict, str]:
-        from .gadgets import default_port_height, make_proper_instance
-
         rejected = 0
         for trial in range(50):
             source = corpus.random_connected_graph(rng, rng.randint(2, 6))

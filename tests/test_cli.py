@@ -327,7 +327,9 @@ def test_lp_dequantize_non_rational_label_is_usage_error(tmp_path, capsys, label
 
 def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
     assert _lp_dequantize(tmp_path, [1]) == 2
-    assert "malformed label JSON [1]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed label JSON [1]" in err
+    assert "in labeling JSON; in outcome JSON" in err
 
 
 def test_sim_rand_local_samples_when_given_a_sample_count(fixtures, capsys):
@@ -497,3 +499,67 @@ def test_lift_verify_list_label_is_usage_error(fixtures, tmp_path, capsys):
     labels_path.write_text(json.dumps({"labels": {str(v): [1] for v in range(n)}}))
     assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 2
     assert "malformed label JSON" in capsys.readouterr().err
+
+
+def test_lcl_verify_rejects_malformed_half_edge_keys(tmp_path, capsys):
+    """A key with a third part is not read as its first two ("0:0:7" is not
+    half-edge (0, 0)); the graph and outcome decoders reject it too."""
+
+    def keep(data):
+        pass
+
+    def rename(key):
+        def edit(out):
+            out["half_edges"][key] = out["half_edges"].pop("0:0")
+
+        return edit
+
+    for key in ("0:0:7", "0", "0:x", " 0:0"):
+        assert _lcl_verify_trivial_problem(tmp_path, keep, rename(key)) == 2
+        assert f"half-edge key {key!r}" in capsys.readouterr().err
+    assert _lcl_verify_trivial_problem(tmp_path, keep, rename("0:0")) == 0
+
+
+def test_lcl_verify_of_an_lcl_problem_without_output_is_usage_error(tmp_path, capsys):
+    def keep(data):
+        pass
+
+    assert _lcl_verify_trivial_problem(tmp_path, keep, keep) == 0
+    capsys.readouterr()
+    args = ["lcl", "verify", "--problem", str(tmp_path / "problem.json"), "--graph", str(tmp_path / "graph.json")]
+    assert main(args) == 2
+    assert "needs --output" in capsys.readouterr().err
+
+
+def test_sim_local_writes_labels_through_the_label_codec(fixtures, monkeypatch, capsys):
+    from locallab import cli
+    from locallab.outcomes import LocalAlgorithm, NodeOutput, labeling_from_json
+
+    def rule(view):
+        v = view.anchor_node()
+        g = view.source.graph
+        return NodeOutput(node_label=Fraction(v, 3), half_edge_labels={e: ("h", v) for e in g.adjacency[v]})
+
+    monkeypatch.setattr(cli, "_builtin_local_algorithm", lambda *args: LocalAlgorithm(locality=1, rule=rule))
+    _, graph_path, _ = fixtures
+    assert main(["sim", "local", "--graph", str(graph_path)]) == 0
+    labeling = labeling_from_json(json.loads(capsys.readouterr().out))
+    assert labeling.nodes() == {v: Fraction(v, 3) for v in range(3)}
+    assert labeling.half_edges() == {(v, e): ("h", v) for v, e in path_graph(3).half_edges()}
+
+
+def test_lift_run_writes_labels_through_the_codec_lift_verify_reads(fixtures, tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from locallab import cli
+    from locallab.graphs import _label_from_json
+
+    labels = {0: ("t", Fraction(1, 2)), 1: Fraction(2, 3), 2: "M"}
+    result = SimpleNamespace(labels=labels, observed_ghat_locality=0, simulated_locality=0)
+    monkeypatch.setattr(cli, "lift_run", lambda pi, order=None: result)
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(data))
+    assert main(["lift", "run", "--instance", str(instance_path)]) == 0
+    written = json.loads(capsys.readouterr().out)["labels"]
+    assert {int(v): _label_from_json(lab) for v, lab in written.items()} == labels

@@ -35,7 +35,7 @@ from locallab.linearize import (
     multigraph_of_incidence,
     verify_linearizable,
 )
-from locallab.outcomes import deterministic_outcome, make_outcome, success_probability
+from locallab.outcomes import Labeling, deterministic_outcome, make_outcome, success_probability
 from locallab.gadgets import (
     BOTTOM,
     INTER,
@@ -405,6 +405,7 @@ def test_pi_promise_as_lcl():
     pi, _ = gen_proper_instance(ig, k=1)
     good = lift_run(pi).labels
     lcl, wrap = pi_promise_lcl(pi, MATCHING_ENCODING, [good])
+    assert wrap(good) == Labeling.of(good, {(v, e): "-" for v, e in pi.graph.half_edges()})
     assert verify_lcl_solution(lcl, pi.labeling, wrap(good)).ok
     bad = dict(good)
     port = pi.octopi[0].ports[0]

@@ -29,7 +29,9 @@ from locallab.graphs import (
     extract_view,
     graph_from_json,
     graph_to_json,
+    half_edge_from_key,
     induced_labeled_subgraph,
+    json_decoding,
     label_graph,
     labeled_graph_from_json,
     labeled_graph_to_json,
@@ -221,6 +223,32 @@ def test_label_codec_rejects_arrays_and_unknown_objects():
     for bad in ([1], [], {"tuple": [[1]]}, {"tuple": "ab"}, {"fraction": "1/2", "x": 1}, {}, {"list": [1]}):
         with pytest.raises(InputError, match="malformed label JSON"):
             _label_from_json(bad)
+
+
+def test_half_edge_key_parser_takes_exactly_two_decimal_ids():
+    assert half_edge_from_key("0:0") == (0, 0)
+    assert half_edge_from_key("12:305") == (12, 305)
+    for bad in ("0:0:7", "0", ":", "0:", "-1:0", " 0:1", "0:1 ", "1_0:2", "a:b", "\u0661:0", 5, None):
+        with pytest.raises(InputError, match="is not of the form"):
+            half_edge_from_key(bad)
+    data = labeled_graph_to_json(label_graph(path_graph(2), half_edge_labels={(0, 0): "t"}))
+    data["half_edge_labels"] = {"0:0:7": "t"}
+    with pytest.raises(InputError, match="half-edge key '0:0:7'.*; in labeled graph JSON"):
+        labeled_graph_from_json(data)
+
+
+def test_json_decoding_names_every_enclosing_document():
+    with pytest.raises(InputError) as err:
+        with json_decoding("outcome"):
+            with json_decoding("labeling"):
+                _label_from_json([1])
+    message = str(err.value)
+    assert message.startswith("malformed label JSON [1]: use ")
+    assert message.endswith("; in labeling JSON; in outcome JSON")
+    with pytest.raises(InputError, match=r"^malformed labeling JSON: KeyError\('x'\); in outcome JSON$"):
+        with json_decoding("outcome"):
+            with json_decoding("labeling"):
+                {}["x"]
 
 
 def test_dot_export():

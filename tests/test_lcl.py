@@ -11,8 +11,8 @@ from locallab.lcl import (
     make_constraint_set,
     verify_lcl_solution,
     LclProblem,
-    OutputLabeling,
 )
+from locallab.outcomes import Labeling
 
 
 def uniform(g, node="n", he="h"):
@@ -145,7 +145,7 @@ def make_trivial_problem(g_in):
         half_edge_out=frozenset({"0"}),
         constraints=constraints,
     )
-    return problem, OutputLabeling(node_labels=out_nodes, half_edge_labels=out_he)
+    return problem, Labeling.of(out_nodes, out_he)
 
 
 def test_verify_lcl_solution_trivial_problem():
@@ -157,10 +157,7 @@ def test_verify_lcl_solution_trivial_problem():
 def test_verify_lcl_solution_rejects_bad_output_label():
     g_in = uniform(path_graph(3))
     problem, out = make_trivial_problem(g_in)
-    bad = OutputLabeling(
-        node_labels={**dict(out.node_labels), 0: "not-in-alphabet"},
-        half_edge_labels=out.half_edge_labels,
-    )
+    bad = Labeling.of({**out.nodes(), 0: "not-in-alphabet"}, out.half_edges())
     with pytest.raises(InputError):
         verify_lcl_solution(problem, g_in, bad)
 
@@ -168,7 +165,7 @@ def test_verify_lcl_solution_rejects_bad_output_label():
 def test_verify_lcl_solution_missing_output():
     g_in = uniform(path_graph(3))
     problem, out = make_trivial_problem(g_in)
-    partial = OutputLabeling(node_labels={0: "0"}, half_edge_labels=out.half_edge_labels)
+    partial = Labeling.of({0: "0"}, out.half_edges())
     with pytest.raises(InputError):
         verify_lcl_solution(problem, g_in, partial)
 

@@ -45,6 +45,7 @@ from locallab.lp import (
     point_from_json,
     point_from_labeling,
     point_to_json,
+    ratio_to_opt,
     whole_graph_family,
 )
 from locallab.outcomes import Labeling, expectation, make_outcome, run_local, run_rand_local
@@ -769,7 +770,7 @@ def test_dequantize_matches_fraction_reference_on_corpus():
                 lg, [(_edge_labeling(g, values, use_ints), F(w, total)) for values, w in entries]
             )
             _assert_dequantize_matches_reference(lp, outcome)
-            assert expectation(outcome, F) == reference_expectation(outcome, F)
+            assert expectation(outcome) == reference_expectation(outcome, F)
             for values, _ in entries:
                 point = LpPoint.of({edge_var(e): x for e, x in values.items()})
                 assert labeling_from_point(lp, point) == reference_labeling_from_point(lp, point)
@@ -878,13 +879,30 @@ def test_dequantize_ignores_labels_no_variable_reads():
     assert dequantize(noisy, lp) == dequantize(plain, lp)
 
 
+def reference_ratio(sense, opt, value):
+    if sense == "maximize":
+        if value == 0:
+            return F(1) if opt == 0 else INFINITY
+        return opt / value
+    if opt == 0:
+        return F(1) if value == 0 else INFINITY
+    return value / opt
+
+
+def test_ratio_to_opt_matches_the_reference_convention():
+    values = [F(0), F(1), F(1, 3), F(5, 2), F(-2, 7)]
+    for sense in ("maximize", "minimize"):
+        for opt in values:
+            for value in values:
+                assert ratio_to_opt(sense, opt, value) == reference_ratio(sense, opt, value)
+
+
 def test_expectation_rejects_non_rational_values():
-    p2 = path_graph(2)
-    lp = build_fractional_matching_lp(p2)
-    outcome = outcome_of_points(lp, [(matching_point(p2, {0}), F(1))])
+    lg = label_graph(path_graph(2))
     for bad in (0.5, True, "1/2", None):
-        with pytest.raises(InputError, match="not an integer or a Fraction"):
-            expectation(outcome, lambda lab: bad)
+        outcome = make_outcome(lg, [(Labeling.of({0: F(1, 2)}, {(0, 0): 1, (1, 0): bad}), F(1))])
+        with pytest.raises(InputError, match=r"expectation of \(1, 0\): .* is not an integer or a Fraction"):
+            expectation(outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,8 @@ from locallab.outcomes import (
     SlocalStep,
     deterministic_outcome,
     expectation,
+    labeling_from_json,
+    labeling_to_json,
     make_outcome,
     outcome_from_json,
     outcome_to_json,
@@ -37,12 +40,12 @@ from locallab.outcomes import (
 )
 
 
-def k3_matching_outcome():
+def k3_matching_outcome(matched_label="M", unmatched_label="u"):
     k3 = label_graph(complete_graph(3))
     g = k3.graph
 
     def labeling(matched):
-        he = {(v, e): ("M" if e == matched else "u") for v, e in g.half_edges()}
+        he = {(v, e): (matched_label if e == matched else unmatched_label) for v, e in g.half_edges()}
         return Labeling.of({}, he)
 
     return k3, make_outcome(k3, [(labeling(e), F(1, 3)) for e in range(3)])
@@ -122,28 +125,28 @@ def test_restrict_tower_property():
 def test_expectation_examples():
     lg = label_graph(path_graph(2))
     det = deterministic_outcome(lg, Labeling.of({0: F(1), 1: F(0)}, {}))
-    values = expectation(det, lambda lab: F(lab))
+    values = expectation(det)
     assert values[0] == 1 and values[1] == 0
 
     coin = make_outcome(
         lg,
         [(Labeling.of({0: 0, 1: 0}, {}), F(1, 2)), (Labeling.of({0: 1, 1: 0}, {}), F(1, 2))],
     )
-    assert expectation(coin, lambda lab: F(lab))[0] == F(1, 2)
+    assert expectation(coin)[0] == F(1, 2)
 
-    _, outcome = k3_matching_outcome()
-    exp = expectation(outcome, lambda lab: F(1) if lab == "M" else F(0))
+    _, outcome = k3_matching_outcome(1, 0)
+    exp = expectation(outcome)
     assert all(exp[key] == F(1, 3) for key in exp)
 
 
 def test_expectation_consistent_with_restriction():
-    _, outcome = k3_matching_outcome()
-    full = expectation(outcome, lambda lab: F(1) if lab == "M" else F(0))
+    _, outcome = k3_matching_outcome(F(1), F(0))
+    full = expectation(outcome)
     r = restrict(outcome, [0])
     partial = {}
     for labeling, p in r.support:
         for key, lab in labeling.half_edge_items:
-            partial[key] = partial.get(key, F(0)) + p * (F(1) if lab == "M" else F(0))
+            partial[key] = partial.get(key, F(0)) + p * lab
     for key, value in partial.items():
         assert full[key] == value
 
@@ -152,7 +155,7 @@ def test_success_probability():
     _, outcome = k3_matching_outcome()
     assert success_probability(outcome, lambda lab: True) == 1
     assert success_probability(outcome, lambda lab: False) == 0
-    has_e0 = lambda lab: lab.half_edge(0, 0) == "M"
+    has_e0 = lambda lab: lab.half_edges()[(0, 0)] == "M"
     p = success_probability(outcome, has_e0)
     assert p == F(1, 3)
     assert p + success_probability(outcome, lambda lab: not has_e0(lab)) == 1
@@ -323,6 +326,99 @@ def test_outcome_json_roundtrip():
     assert back.support == outcome.support
 
 
+@pytest.mark.parametrize(
+    "labeling",
+    [
+        Labeling.of({0: F(1, 3), 2: F(-7, 2), 5: F(4)}, {(0, 1): F(0), (3, 0): F(2, 9)}),
+        Labeling.of({0: ("a", 1, F(1, 2)), 1: ()}, {(1, 2): (("x",), F(5, 3)), (2, 2): ("y",)}),
+        Labeling.of({0: "a", 1: "\u22a5", 10: ""}, {(10, 11): "M", (11, 11): "P"}),
+        Labeling.of({}, {}),
+    ],
+    ids=["fraction", "tuple", "string", "empty"],
+)
+def test_labeling_json_roundtrip(labeling):
+    data = labeling_to_json(labeling)
+    assert json.loads(json.dumps(data)) == data
+    back = labeling_from_json(data)
+    assert back == labeling
+    assert [type(lab) for _, lab in back.node_items] == [type(lab) for _, lab in labeling.node_items]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"half_edges": {"0:0:7": "a"}}, "half-edge key '0:0:7'"),
+        ({"half_edges": {"0": "a"}}, "half-edge key '0'"),
+        ({"nodes": {"0": [1]}}, "malformed label JSON [1]"),
+        ({"nodes": {"x": "a"}}, "malformed labeling JSON"),
+        (["nodes"], "malformed labeling JSON"),
+    ],
+)
+def test_labeling_from_json_rejects_malformed_objects(data, message):
+    with pytest.raises(InputError) as err:
+        labeling_from_json(data)
+    assert message in str(err.value)
+
+
+def reference_outcome_to_json(outcome):
+    from locallab.graphs import _label_to_json, labeled_graph_to_json, rational_to_json
+
+    entries = []
+    for labeling, p in outcome.support:
+        entries.append(
+            {
+                "p": rational_to_json(p),
+                "labels": {
+                    "nodes": {str(v): _label_to_json(lab) for v, lab in labeling.node_items},
+                    "half_edges": {
+                        f"{v}:{e}": _label_to_json(lab)
+                        for (v, e), lab in labeling.half_edge_items
+                    },
+                },
+            }
+        )
+    return {"graph": labeled_graph_to_json(outcome.input), "support": entries}
+
+
+def reference_outcome_from_json(data):
+    from locallab.graphs import _label_from_json, json_decoding, labeled_graph_from_json, rational_from_json
+
+    with json_decoding("outcome"):
+        lg = labeled_graph_from_json(data["graph"])
+        pairs = []
+        for entry in data["support"]:
+            nodes = {int(v): _label_from_json(lab) for v, lab in entry["labels"].get("nodes", {}).items()}
+            half_edges = {}
+            for key, lab in entry["labels"].get("half_edges", {}).items():
+                v, e = key.split(":")
+                half_edges[(int(v), int(e))] = _label_from_json(lab)
+            pairs.append((Labeling.of(nodes, half_edges), rational_from_json(entry["p"])))
+        return make_outcome(lg, pairs)
+
+
+def test_outcome_json_matches_reference_codec_on_small_graphs():
+    """Fraction node labels and tuple half-edge labels, on inputs with
+    Fraction and tuple labels, encode and decode as the per-entry codec did."""
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        g = view.source.graph
+        total = sum(seeds[u] for u in view.node_set)
+        half_edges = {e: ("far", seeds[g.other(e, v)], F(i, 3)) for i, e in enumerate(g.adjacency[v])}
+        return NodeOutput(node_label=F(total, len(view.node_set)), half_edge_labels=half_edges)
+
+    alg = LocalAlgorithm(locality=1, rule=rule, seed_alphabet=(0, 1))
+    checked = 0
+    for g in all_connected_graphs(5):
+        lg = label_graph(g, {v: F(v, 2) for v in range(g.n)}, {(v, e): ("in", e) for v, e in g.half_edges()})
+        outcome = run_rand_local(alg, lg)
+        data = outcome_to_json(outcome)
+        assert data == reference_outcome_to_json(outcome)
+        assert outcome_from_json(data) == reference_outcome_from_json(data) == outcome
+        checked += 1
+    assert checked == 31
+
+
 def test_run_rand_local_checks_the_guard_before_any_view(monkeypatch):
     def no_views(*args, **kwargs):
         raise AssertionError("extract_view called before the seed-space guard")
@@ -456,7 +552,7 @@ def test_rand_local_marginal_guards_the_ball_only():
     assert sum(p for _, p in marginal.support) == 1
     node_label = {}
     for lab, p in marginal.support:
-        node_label[lab.node(0)] = node_label.get(lab.node(0), F(0)) + p
+        node_label[lab.nodes()[0]] = node_label.get(lab.nodes()[0], F(0)) + p
     assert node_label == {"0": F(1, 2), "1": F(1, 2)}
     with pytest.raises(InputError):
         rand_local_marginal(LocalAlgorithm(locality=0, rule=lambda view: NodeOutput()), lg, [0])
