@@ -14,13 +14,14 @@ from pathlib import Path
 
 from .graphs import (
     InputError,
-    _label_from_json,
     _label_to_json,
+    _labels_from_json,
     graph_from_json,
     json_decoding,
     label_graph,
     labeled_graph_from_json,
     labeled_graph_to_json,
+    node_from_key,
     to_dot,
 )
 from .lcl import check_constraints, constraint_set_from_json, lcl_problem_from_json, verify_lcl_solution
@@ -317,7 +318,7 @@ def _cmd_lift_verify(args) -> int:
     pi = proper_instance_from_json(_instance_payload(_load(args.instance)))
     labels_data = _load(args.labels)
     with json_decoding("lift labels"):
-        labels = {int(v): _label_from_json(lab) for v, lab in labels_data["labels"].items()}
+        labels = _labels_from_json(labels_data["labels"], node_from_key, "node")
     verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
     _dump({"ok": verdict.ok, "violations": list(verdict.violations)}, args)
     return 0 if verdict.ok else 1

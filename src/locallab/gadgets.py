@@ -689,9 +689,19 @@ class LiftResult:
     simulated_locality: int
 
 
-def _octopus_diameter(pi: ProperInstance, w: OctopusWitness) -> int:
-    nodes = set(w.all_nodes())
-    return max(max(ball_distances(pi.graph, [v], len(nodes), nodes).values()) for v in nodes)
+@functools.cache
+def _shape_diameter(x: int, ports: tuple[tuple[int, int], ...]) -> int:
+    """The diameter of an octopus with head height x and the sorted
+    (slot, height) pairs `ports`, by BFS from every node of the octopus
+    `gen_octopus` builds for that shape.  Copies of one slot hang from the
+    same head node, so which copy has which height does not matter."""
+    eta = [0] * (1 << (x - 1))
+    weights = {}
+    for slot, height in ports:
+        eta[slot] += 1
+        weights[(slot, eta[slot])] = height
+    g = gen_octopus(x, eta, weights).graph
+    return max(max(ball_distances(g, [v], g.n).values()) for v in range(g.n))
 
 
 def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftResult:
@@ -728,12 +738,10 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     sim = 0
     if pi.octopi:
         # make_proper_instance checks a witness's edges against those its head
-        # height and its ports' (slot, height) pairs fix, so octopi alike in
-        # these share a diameter, whatever order their ports are listed in
-        shapes = {
-            (w.x, tuple(sorted((p.slot, p.height) for p in w.ports))): w for w in pi.octopi
-        }
-        stretch = max(_octopus_diameter(pi, w) for w in shapes.values()) + 1
+        # height and its ports' (slot, height) pairs fix, so an octopus has the
+        # diameter of its shape, whatever order its ports are listed in
+        shapes = {(w.x, tuple(sorted((p.slot, p.height) for p in w.ports))) for w in pi.octopi}
+        stretch = max(_shape_diameter(x, ports) for x, ports in shapes) + 1
         sim = observed * stretch
     return LiftResult(
         labels=labels,
@@ -845,20 +853,44 @@ def promise_labeling_of(pi: ProperInstance, labels: Mapping[int, object]) -> Lab
 FAMILY_RADIUS = 2
 
 
-def family_constraint_set(instances: Sequence[ProperInstance]) -> ConstraintSet:
-    """Radius-FAMILY_RADIUS constraint set collecting the labeled balls of the instances."""
+@dataclass(frozen=True)
+class _FamilyBalls:
+    """One instance's labeled radius-FAMILY_RADIUS balls, one per canonical
+    key in first-seen node order, with the labels and the degree bound they
+    need."""
+
+    members: tuple[tuple[tuple, CenteredGraph], ...]  # (canonical key, ball)
+    node_alphabet: frozenset
+    half_edge_alphabet: frozenset
+    delta: int
+
+
+def _instance_balls(pi: ProperInstance) -> _FamilyBalls:
+    lg = pi.labeling
     members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
+    for v in range(lg.graph.n):
+        ball = centered_ball(lg, v, FAMILY_RADIUS)
+        members.setdefault(centered_key(ball), ball)
+    return _FamilyBalls(
+        members=tuple(members.items()),
+        node_alphabet=frozenset(lg.node_labels),
+        half_edge_alphabet=frozenset(lab for _, lab in lg.half_edge_items()),
+        delta=max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1),
+    )
+
+
+def _constraint_set_of(parts: Iterable[_FamilyBalls]) -> ConstraintSet:
+    """The constraint set of the parts' balls, keeping the first ball of each key."""
+    members: dict[tuple, CenteredGraph] = {}
     node_alpha: set = set()
     he_alpha: set = set()
     delta = 1
-    for pi in instances:
-        lg = pi.labeling
-        node_alpha.update(lg.node_labels)
-        he_alpha.update(lab for _, lab in lg.half_edge_items())
-        delta = max(delta, max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1))
-        for v in range(lg.graph.n):
-            ball = centered_ball(lg, v, FAMILY_RADIUS)
-            members.setdefault(centered_key(ball), ball)
+    for part in parts:
+        for key, ball in part.members:
+            members.setdefault(key, ball)
+        node_alpha |= part.node_alphabet
+        he_alpha |= part.half_edge_alphabet
+        delta = max(delta, part.delta)
     return make_constraint_set(
         r=FAMILY_RADIUS,
         delta=delta,
@@ -868,19 +900,29 @@ def family_constraint_set(instances: Sequence[ProperInstance]) -> ConstraintSet:
     )
 
 
-def _calibration_instances(k_values: Iterable[int]) -> list[ProperInstance]:
-    out = []
-    for k in sorted(set(k_values)):
-        for source in (path_graph(2), path_graph(3), path_graph(4)):
-            pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
-            out.append(pi)
-    return out
+def family_constraint_set(instances: Sequence[ProperInstance]) -> ConstraintSet:
+    """Radius-FAMILY_RADIUS constraint set collecting the labeled balls of the instances."""
+    return _constraint_set_of(map(_instance_balls, instances))
+
+
+@functools.cache
+def _calibration_balls(k: int) -> tuple[_FamilyBalls, ...]:
+    """The balls of the calibration instances at port height k: the proper
+    instances of the paths on 2, 3 and 4 nodes, in that order."""
+    return tuple(
+        _instance_balls(gen_proper_instance(incidence_graph_of(path_graph(n)), k=k)[0])
+        for n in (2, 3, 4)
+    )
 
 
 def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
-    """Constraint set whose calibration covers the instance's parameter ranges."""
-    heights = {p.height for w in pi.octopi for p in w.ports} or {1}
-    return family_constraint_set([pi] + _calibration_instances(heights))
+    """Constraint set whose calibration covers the instance's parameter ranges:
+    pi's balls, then the calibration balls of its port heights in ascending
+    order."""
+    heights = sorted({p.height for w in pi.octopi for p in w.ports} or {1})
+    return _constraint_set_of(
+        [_instance_balls(pi), *itertools.chain.from_iterable(map(_calibration_balls, heights))]
+    )
 
 
 def pi_promise_lcl(

@@ -909,7 +909,16 @@ def json_decoding(what: str) -> Iterator[None]:
         raise InputError(f"malformed {what} JSON: {err!r}") from None
 
 
+_NODE_KEY = re.compile(r"[0-9]+")
 _HALF_EDGE_KEY = re.compile(r"([0-9]+):([0-9]+)")
+
+
+def node_from_key(key) -> int:
+    """The node v of a JSON key "v" in decimal digits; anything else (a sign,
+    a space, an underscore, a decimal point) is an InputError."""
+    if not (isinstance(key, str) and _NODE_KEY.fullmatch(key)):
+        raise InputError(f"node key {key!r} is not a decimal node id")
+    return int(key)
 
 
 def half_edge_from_key(key) -> tuple[int, int]:
@@ -918,6 +927,22 @@ def half_edge_from_key(key) -> tuple[int, int]:
     if match is None:
         raise InputError(f'half-edge key {key!r} is not of the form "v:e"')
     return int(match[1]), int(match[2])
+
+
+def _labels_from_json(data: Mapping, from_key: Callable, what: str) -> dict:
+    """{from_key(key): label} of a JSON object of labels keyed by node or
+    half-edge (`what`).  Two keys that name one item, such as "2" and "02",
+    are an InputError, and a malformed label's error names its key."""
+    out: dict = {}
+    key_of: dict = {}
+    for key, lab in data.items():
+        item = from_key(key)
+        if item in key_of:
+            raise InputError(f"{what} keys {key_of[item]!r} and {key!r} name one {what}")
+        key_of[item] = key
+        with json_decoding(f"{what} {key!r} label"):
+            out[item] = _label_from_json(lab)
+    return out
 
 
 def graph_from_json(data: Mapping) -> Graph:
@@ -941,8 +966,7 @@ def labeled_graph_from_json(data: Mapping) -> LabeledGraph:
     with json_decoding("labeled graph"):
         raw_nodes = data.get("node_labels") or [None] * g.n
         nl = {v: _label_from_json(lab) for v, lab in enumerate(raw_nodes) if lab is not None}
-        hl = {half_edge_from_key(key): _label_from_json(lab)
-              for key, lab in (data.get("half_edge_labels") or {}).items()}
+        hl = _labels_from_json(data.get("half_edge_labels") or {}, half_edge_from_key, "half-edge")
         return label_graph(g, nl, hl)
 
 

@@ -22,14 +22,15 @@ from .graphs import (
     InputError,
     LabeledGraph,
     View,
-    _label_from_json,
     _label_to_json,
+    _labels_from_json,
     common_denominator,
     extract_view,
     half_edge_from_key,
     json_decoding,
     labeled_graph_from_json,
     labeled_graph_to_json,
+    node_from_key,
     rational_from_json,
     rational_parts,
     rational_to_json,
@@ -562,9 +563,8 @@ def labeling_to_json(labeling: Labeling) -> dict:
 def labeling_from_json(data: Mapping) -> Labeling:
     """Decode a labeling object; either part may be absent."""
     with json_decoding("labeling"):
-        nodes = {int(v): _label_from_json(lab) for v, lab in data.get("nodes", {}).items()}
-        half_edges = {half_edge_from_key(key): _label_from_json(lab)
-                      for key, lab in data.get("half_edges", {}).items()}
+        nodes = _labels_from_json(data.get("nodes", {}), node_from_key, "node")
+        half_edges = _labels_from_json(data.get("half_edges", {}), half_edge_from_key, "half-edge")
         return Labeling.of(nodes, half_edges)
 
 
@@ -576,5 +576,8 @@ def outcome_to_json(outcome: Outcome) -> dict:
 def outcome_from_json(data: Mapping) -> Outcome:
     with json_decoding("outcome"):
         lg = labeled_graph_from_json(data["graph"])
-        pairs = [(labeling_from_json(entry["labels"]), rational_from_json(entry["p"])) for entry in data["support"]]
+        pairs = []
+        for i, entry in enumerate(data["support"]):
+            with json_decoding(f"support entry {i}"):
+                pairs.append((labeling_from_json(entry["labels"]), rational_from_json(entry["p"])))
         return make_outcome(lg, pairs)

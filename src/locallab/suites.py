@@ -21,6 +21,7 @@ from .graphs import (
     INFINITY,
     ContractError,
     Graph,
+    InputError,
     cycle_graph,
     extract_view,
     is_bipartite,
@@ -825,7 +826,7 @@ def suite_lift(seed: int) -> list[CheckResult]:
             def source_ok(lab: Labeling) -> bool:
                 try:
                     edge_lab = edge_labels_of_pullback(lab, ig)
-                except Exception:
+                except InputError:  # inconsistent half-edge labels: not a valid labeling
                     return False
                 return bool(verify_linearizable(MATCHING_ENCODING, ig, edge_lab))
 

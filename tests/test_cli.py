@@ -329,7 +329,7 @@ def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
     assert _lp_dequantize(tmp_path, [1]) == 2
     err = capsys.readouterr().err
     assert "malformed label JSON [1]" in err
-    assert "in labeling JSON; in outcome JSON" in err
+    assert "; in half-edge '0:0' label JSON; in labeling JSON; in support entry 0 JSON; in outcome JSON" in err
 
 
 def test_sim_rand_local_samples_when_given_a_sample_count(fixtures, capsys):
@@ -499,6 +499,39 @@ def test_lift_verify_list_label_is_usage_error(fixtures, tmp_path, capsys):
     labels_path.write_text(json.dumps({"labels": {str(v): [1] for v in range(n)}}))
     assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 2
     assert "malformed label JSON" in capsys.readouterr().err
+
+
+def test_lift_verify_reads_node_keys_strictly(fixtures, tmp_path, capsys):
+    """Node keys are decimal ids: each edit below leaves every node labeled
+    as `lift run` wrote it, and each is still a usage error."""
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(data))
+    assert main(["lift", "run", "--instance", str(instance_path)]) == 0
+    written = json.loads(capsys.readouterr().out)["labels"]
+    assert int(max(written, key=int)) >= 10
+
+    def verify(labels):
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"labels": labels}))
+        return main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)])
+
+    def renamed(old, new):
+        return {new if key == old else key: lab for key, lab in written.items()}
+
+    assert verify(written) == 0
+    capsys.readouterr()
+    edits = {
+        "1_0": renamed("10", "1_0"),
+        " +2 ": renamed("2", " +2 "),
+        "-1": {**written, "-1": written["0"]},
+        "1.0": {**written, "1.0": written["1"]},
+    }
+    for key, labels in edits.items():
+        assert verify(labels) == 2
+        assert f"node key {key!r} is not a decimal node id; in lift labels JSON" in capsys.readouterr().err
+    assert verify({**written, "02": written["2"]}) == 2
+    assert "node keys '2' and '02' name one node" in capsys.readouterr().err
 
 
 def test_lcl_verify_rejects_malformed_half_edge_keys(tmp_path, capsys):

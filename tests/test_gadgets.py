@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -14,6 +15,8 @@ from locallab.graphs import (
     ContractError,
     Graph,
     InputError,
+    ball_distances,
+    centered_key,
     distances_from,
     induced_labeled_subgraph,
     label_graph,
@@ -22,7 +25,7 @@ from locallab.graphs import (
     star_graph,
     two_edge_components,
 )
-from locallab.lcl import OK, check_constraints, fail, verify_lcl_solution
+from locallab.lcl import OK, centered_ball, check_constraints, fail, make_constraint_set, verify_lcl_solution
 from locallab.linearize import (
     MATCHING_ENCODING,
     WHITE,
@@ -51,6 +54,7 @@ from locallab.gadgets import (
     contract_octopi,
     default_port_height,
     edge_labels_of_pullback,
+    family_constraint_set,
     family_constraint_set_for,
     gen_octopus,
     gen_proper_instance,
@@ -345,6 +349,21 @@ def test_lift_stretch_with_ports_listed_out_of_slot_order():
     result = lift_run(pi)
     assert result.observed_ghat_locality > 0
     assert result.simulated_locality == result.observed_ghat_locality * (max(diameters) + 1)
+
+
+def test_lift_suite_fails_on_a_crash_in_the_pullback(monkeypatch):
+    """Only InputError, the failure edge_labels_of_pullback documents, reads
+    as an invalid labeling in the mass check; any other exception fails it."""
+    from locallab import suites
+
+    def crash(labeling, ig):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(suites, "edge_labels_of_pullback", crash)
+    checks = {c.name: c for c in suites.suite_lift(7)}
+    mass = checks["success-probability-preserved-under-pullback"]
+    assert mass.status == "fail"
+    assert mass.detail == "exception: RuntimeError('planted crash')"
 
 
 def test_pullback_mixture_linearity_and_mass():
@@ -1309,3 +1328,120 @@ def test_generators_build_one_graph_per_call(monkeypatch):
     octopus = gen_octopus(2, (2, 1), {(0, 1): 2, (0, 2): 3, (1, 1): 1})
     pi, _ = gen_proper_instance(ig, k=2)
     assert built == [octopus.graph.n, pi.graph.n]
+
+
+# ---------------------------------------------------------------------------
+# the lift's diameter per octopus shape and the calibration balls per port
+# height, against the earlier per-call computations kept here as oracles
+
+
+def reference_octopus_diameter(pi: ProperInstance, w: OctopusWitness) -> int:
+    nodes = set(w.all_nodes())
+    return max(max(ball_distances(pi.graph, [v], len(nodes), nodes).values()) for v in nodes)
+
+
+def _shape_diameter_of(w: OctopusWitness) -> int:
+    return gadgets._shape_diameter(w.x, tuple(sorted((p.slot, p.height) for p in w.ports)))
+
+
+def test_shape_diameter_matches_reference_on_every_test_instance():
+    lone = (
+        make_proper_instance(o.graph, [INTRA] * o.graph.n, [o.witness]) for o in _octopi()
+    )
+    octopi = 0
+    for pi in itertools.chain(_family_instances(), lone):
+        for w in pi.octopi:
+            assert _shape_diameter_of(w) == reference_octopus_diameter(pi, w)
+            octopi += 1
+    assert octopi > 500
+
+
+def _octopus_shapes(max_x: int) -> Iterator[OctopusGadget]:
+    for x in range(1, max_x + 1):
+        slots = 1 << (x - 1)
+        for eta in itertools.product((1, 2), repeat=slots):
+            index = [(i, j) for i in range(slots) for j in range(1, eta[i] + 1)]
+            for heights in itertools.product((1, 2, 3), repeat=len(index)):
+                yield gen_octopus(x, eta, dict(zip(index, heights)))
+
+
+def _check_shape_diameters(max_x: int) -> int:
+    shapes = 0
+    for octopus in _octopus_shapes(max_x):
+        w = octopus.witness
+        pi = make_proper_instance(octopus.graph, [INTRA] * octopus.graph.n, [w])
+        assert _shape_diameter_of(w) == reference_octopus_diameter(pi, w)
+        shapes += 1
+    return shapes
+
+
+def test_shape_diameter_matches_reference_on_every_shape_with_x_up_to_2():
+    assert _check_shape_diameters(2) == 12 + 12**2
+
+
+@pytest.mark.slow
+def test_shape_diameter_matches_reference_on_every_shape_with_x_up_to_3():
+    assert _check_shape_diameters(3) == 12 + 12**2 + 12**4
+
+
+def reference_family_constraint_set(instances: Sequence[ProperInstance]):
+    members = {}  # canonical key -> first ball with it
+    node_alpha: set = set()
+    he_alpha: set = set()
+    delta = 1
+    for pi in instances:
+        lg = pi.labeling
+        node_alpha.update(lg.node_labels)
+        he_alpha.update(lab for _, lab in lg.half_edge_items())
+        delta = max(delta, max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1))
+        for v in range(lg.graph.n):
+            ball = centered_ball(lg, v, gadgets.FAMILY_RADIUS)
+            members.setdefault(centered_key(ball), ball)
+    return make_constraint_set(
+        r=gadgets.FAMILY_RADIUS,
+        delta=delta,
+        node_alphabet=node_alpha,
+        half_edge_alphabet=he_alpha,
+        members=members.values(),
+    )
+
+
+def _reference_calibration_instances(k_values: Iterable[int]) -> list[ProperInstance]:
+    out = []
+    for k in sorted(set(k_values)):
+        for source in (path_graph(2), path_graph(3), path_graph(4)):
+            pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
+            out.append(pi)
+    return out
+
+
+def reference_family_constraint_set_for(pi: ProperInstance):
+    heights = {p.height for w in pi.octopi for p in w.ports} or {1}
+    return reference_family_constraint_set([pi] + _reference_calibration_instances(heights))
+
+
+@pytest.mark.parametrize("k, accepted", [(None, 8), (1, 31), (2, 31), (3, 31)])
+def test_family_constraint_set_for_matches_reference_on_sources_up_to_5_nodes(k, accepted):
+    checked = 0
+    for source in all_connected_graphs(5):
+        pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
+        gadgets._calibration_balls.cache_clear()
+        try:
+            expected = reference_family_constraint_set_for(pi)
+        except ContractError as err:
+            # a calibration path breaks the size law at this port height
+            for _ in ("cold", "warm"):
+                with pytest.raises(ContractError, match=f"^{re.escape(str(err))}$"):
+                    family_constraint_set_for(pi)
+            continue
+        cold = family_constraint_set_for(pi)
+        warm = family_constraint_set_for(pi)
+        # ConstraintSet's == compares r, delta, both alphabets and the members in order
+        assert cold == expected and warm == expected
+        checked += 1
+    assert checked == accepted
+
+
+def test_family_constraint_set_matches_reference():
+    instances = [gen_proper_instance(incidence_graph_of(g), k=2)[0] for g in all_connected_graphs(4)[-3:]]
+    assert family_constraint_set(instances) == reference_family_constraint_set(instances)

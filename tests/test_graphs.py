@@ -37,6 +37,7 @@ from locallab.graphs import (
     labeled_graph_to_json,
     make_graph,
     neighborhood,
+    node_from_key,
     path_graph,
     rational_from_json,
     rational_to_json,
@@ -223,6 +224,15 @@ def test_label_codec_rejects_arrays_and_unknown_objects():
     for bad in ([1], [], {"tuple": [[1]]}, {"tuple": "ab"}, {"fraction": "1/2", "x": 1}, {}, {"list": [1]}):
         with pytest.raises(InputError, match="malformed label JSON"):
             _label_from_json(bad)
+
+
+def test_node_key_parser_takes_exactly_one_decimal_id():
+    assert node_from_key("0") == 0
+    assert node_from_key("305") == 305
+    assert node_from_key("02") == 2
+    for bad in ("1_0", " +2 ", "+2", "-1", "1.0", "", " 0", "0 ", "0:0", "a", "\u0661", 5, None):
+        with pytest.raises(InputError, match="is not a decimal node id"):
+            node_from_key(bad)
 
 
 def test_half_edge_key_parser_takes_exactly_two_decimal_ids():

@@ -350,8 +350,16 @@ def test_labeling_json_roundtrip(labeling):
         ({"half_edges": {"0:0:7": "a"}}, "half-edge key '0:0:7'"),
         ({"half_edges": {"0": "a"}}, "half-edge key '0'"),
         ({"nodes": {"0": [1]}}, "malformed label JSON [1]"),
-        ({"nodes": {"x": "a"}}, "malformed labeling JSON"),
+        ({"nodes": {"x": "a"}}, "node key 'x'"),
         (["nodes"], "malformed labeling JSON"),
+        ({"nodes": {"0": [1]}}, "; in node '0' label JSON; in labeling JSON"),
+        ({"half_edges": {"3:1": [1]}}, "; in half-edge '3:1' label JSON; in labeling JSON"),
+        ({"nodes": {"1_0": "a"}}, "node key '1_0' is not a decimal node id"),
+        ({"nodes": {" +2 ": "a"}}, "node key ' +2 ' is not a decimal node id"),
+        ({"nodes": {"-1": "a"}}, "node key '-1' is not a decimal node id"),
+        ({"nodes": {"1.0": "a"}}, "node key '1.0' is not a decimal node id"),
+        ({"nodes": {"2": "a", "02": "b"}}, "node keys '2' and '02' name one node"),
+        ({"half_edges": {"0:1": "a", "00:01": "b"}}, "half-edge keys '0:1' and '00:01' name one half-edge"),
     ],
 )
 def test_labeling_from_json_rejects_malformed_objects(data, message):
