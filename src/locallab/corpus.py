@@ -57,8 +57,9 @@ def all_connected_bipartite_graphs(max_n: int) -> tuple[Graph, ...]:
     return _layers(max_n, True, True)
 
 
-def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
-    """Random spanning tree plus independent extra edges; always connected."""
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Random spanning tree plus an independent extra edge on each other
+    node pair with probability 0.3; always connected."""
     if n < 1:
         raise ValueError("need at least one node")
     edges: set[tuple[int, int]] = set()
@@ -67,33 +68,21 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
         edges.add((u, v))
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra_edge_prob:
+            if (u, v) not in edges and rng.random() < 0.3:
                 edges.add((u, v))
     shuffled = sorted(edges)
     rng.shuffle(shuffled)
     return make_graph(n, shuffled)
 
 
-def random_graph_corpus(seed: int, count: int, max_n: int, min_n: int = 2) -> list[Graph]:
+def random_graph_corpus(seed: int, count: int, max_n: int) -> list[Graph]:
+    """`count` random connected graphs of 2..max_n nodes each."""
     rng = random.Random(seed)
-    return [
-        random_connected_graph(rng, rng.randint(min_n, max_n))
-        for _ in range(count)
-    ]
+    return [random_connected_graph(rng, rng.randint(2, max_n)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
 # matchings (independent brute-force oracles)
-
-
-def is_matching(g: Graph, edges: frozenset[int] | set[int]) -> bool:
-    used: set[int] = set()
-    for e in edges:
-        u, v = g.endpoints(e)
-        if u in used or v in used:
-            return False
-        used.update((u, v))
-    return True
 
 
 def all_maximal_matchings(g: Graph) -> list[frozenset[int]]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -32,7 +31,6 @@ from .graphs import (
     ball_distances,
     centered_key,
     connected_components,
-    distances_from,
     graph_from_json,
     graph_to_json,
     json_decoding,
@@ -43,7 +41,7 @@ from .graphs import (
     to_dot,
     two_edge_components,
 )
-from .lcl import OK, ConstraintSet, LclProblem, Verdict, centered_ball, fail, make_constraint_set
+from .lcl import OK, ConstraintSet, Verdict, centered_ball, fail, make_constraint_set
 from .linearize import (
     BLACK,
     WHITE,
@@ -645,9 +643,7 @@ def recognize_proper_instance(
 class GhatMaps:
     """Correspondence between a proper instance and its contracted graph."""
 
-    white_count: int
-    black_of_inter: tuple[tuple[int, int], ...]  # (inter host id, ghat black id)
-    edge_info: tuple[tuple[int, int, int], ...]  # ghat edge -> (octopus idx, port position, host edge)
+    edge_info: tuple[tuple[int, int], ...]  # ghat edge -> (octopus idx, port position)
 
 
 def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
@@ -656,7 +652,7 @@ def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
     g = pi.graph
     octopi = pi.octopi
     inters = pi.inters()
-    black_of_inter = {u: len(octopi) + bi for bi, u in enumerate(sorted(inters))}
+    black_id = {u: len(octopi) + bi for bi, u in enumerate(sorted(inters))}
     edges = []
     info = []
     for oi, w in enumerate(octopi):
@@ -665,25 +661,18 @@ def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
             for e in g.adjacency[leaf]:
                 u = g.other(e, leaf)
                 if pi.lam[u] == INTER:
-                    edges.append((oi, black_of_inter[u]))
-                    info.append((oi, r, e))
+                    edges.append((oi, black_id[u]))
+                    info.append((oi, r))
     n = len(octopi) + len(inters)
     ghat_graph = make_graph(n, edges, multi=True)
     roles = [WHITE] * len(octopi) + [BLACK] * len(inters)
     ghat = make_incidence_graph(ghat_graph, roles)
-    maps = GhatMaps(
-        white_count=len(octopi),
-        black_of_inter=tuple(sorted((u, b) for u, b in black_of_inter.items())),
-        edge_info=tuple(info),
-    )
-    return ghat, maps
+    return ghat, GhatMaps(edge_info=tuple(info))
 
 
 @dataclass(frozen=True)
 class LiftResult:
     labels: Mapping[int, object]  # node -> promise-problem label
-    ghat: IncidenceGraph
-    maps: GhatMaps
     matched_blacks: frozenset[int]  # ghat black ids in the matching
     observed_ghat_locality: int
     simulated_locality: int
@@ -709,7 +698,7 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     matching encoding onto the port gadgets (bottom label elsewhere)."""
     ghat, maps = contract_octopi(pi)
     attached: list[dict[int, int]] = [{} for _ in pi.octopi]  # port position -> ghat edge
-    for ge, (oi, r, _host_e) in enumerate(maps.edge_info):
+    for ge, (oi, r) in enumerate(maps.edge_info):
         if r in attached[oi]:
             raise ContractError("a port gadget carries more than one attachment")
         attached[oi][r] = ge
@@ -745,8 +734,6 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
         sim = observed * stretch
     return LiftResult(
         labels=labels,
-        ghat=ghat,
-        maps=maps,
         matched_blacks=matched_blacks,
         observed_ghat_locality=observed,
         simulated_locality=sim,
@@ -847,7 +834,7 @@ def promise_labeling_of(pi: ProperInstance, labels: Mapping[int, object]) -> Lab
 
 
 # ---------------------------------------------------------------------------
-# family constraint set and the promise problem as an LCL
+# family constraint set
 
 
 FAMILY_RADIUS = 2
@@ -879,8 +866,22 @@ def _instance_balls(pi: ProperInstance) -> _FamilyBalls:
     )
 
 
-def _constraint_set_of(parts: Iterable[_FamilyBalls]) -> ConstraintSet:
-    """The constraint set of the parts' balls, keeping the first ball of each key."""
+@functools.cache
+def _calibration_balls(k: int) -> tuple[_FamilyBalls, ...]:
+    """The balls of the calibration instances at port height k: the proper
+    instances of the paths on 2, 3 and 4 nodes, in that order."""
+    return tuple(
+        _instance_balls(gen_proper_instance(incidence_graph_of(path_graph(n)), k=k)[0])
+        for n in (2, 3, 4)
+    )
+
+
+def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
+    """Constraint set whose calibration covers the instance's parameter ranges:
+    pi's balls, then the calibration balls of its port heights in ascending
+    order, keeping the first ball of each canonical key."""
+    heights = sorted({p.height for w in pi.octopi for p in w.ports} or {1})
+    parts = [_instance_balls(pi), *itertools.chain.from_iterable(map(_calibration_balls, heights))]
     members: dict[tuple, CenteredGraph] = {}
     node_alpha: set = set()
     he_alpha: set = set()
@@ -898,87 +899,6 @@ def _constraint_set_of(parts: Iterable[_FamilyBalls]) -> ConstraintSet:
         half_edge_alphabet=he_alpha,
         members=members.values(),
     )
-
-
-def family_constraint_set(instances: Sequence[ProperInstance]) -> ConstraintSet:
-    """Radius-FAMILY_RADIUS constraint set collecting the labeled balls of the instances."""
-    return _constraint_set_of(map(_instance_balls, instances))
-
-
-@functools.cache
-def _calibration_balls(k: int) -> tuple[_FamilyBalls, ...]:
-    """The balls of the calibration instances at port height k: the proper
-    instances of the paths on 2, 3 and 4 nodes, in that order."""
-    return tuple(
-        _instance_balls(gen_proper_instance(incidence_graph_of(path_graph(n)), k=k)[0])
-        for n in (2, 3, 4)
-    )
-
-
-def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
-    """Constraint set whose calibration covers the instance's parameter ranges:
-    pi's balls, then the calibration balls of its port heights in ascending
-    order."""
-    heights = sorted({p.height for w in pi.octopi for p in w.ports} or {1})
-    return _constraint_set_of(
-        [_instance_balls(pi), *itertools.chain.from_iterable(map(_calibration_balls, heights))]
-    )
-
-
-def pi_promise_lcl(
-    pi: ProperInstance,
-    problem: LinearizableProblem,
-    admissible: Sequence[Mapping[int, object]],
-):
-    """The promise problem on one fixed small instance, packaged as an LCL.
-
-    The radius is the instance's eccentricity bound so each ball determines
-    the whole component; the constraint members are the balls of the supplied
-    valid output labelings (product-labeled with the family labeling).
-    """
-    g = pi.graph
-    ecc = 0
-    for v in range(g.n):
-        d = distances_from(g, [v])
-        finite = [int(x) for x in d if x != math.inf]
-        ecc = max(ecc, max(finite, default=0))
-    r = ecc
-    node_out = frozenset(problem.sigma | {BOTTOM})
-    he_out = frozenset({"-"})
-    members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
-    node_in_alpha = frozenset(pi.labeling.node_labels)
-    he_in_alpha = frozenset(lab for _, lab in pi.labeling.half_edge_items())
-    for out in admissible:
-        product = label_graph(
-            g,
-            {v: (pi.labeling.node_labels[v], out[v]) for v in range(g.n)},
-            {
-                (v, e): (pi.labeling.half_edge_label(v, e), "-")
-                for v, e in g.half_edges()
-            },
-        )
-        for v in range(g.n):
-            ball = centered_ball(product, v, r)
-            members.setdefault(centered_key(ball), ball)
-    constraints = make_constraint_set(
-        r=r,
-        delta=max((g.degree(v) for v in range(g.n)), default=1),
-        node_alphabet={(a, b) for a in node_in_alpha for b in node_out},
-        half_edge_alphabet={(a, b) for a in he_in_alpha for b in he_out},
-        members=members.values(),
-    )
-    lcl = LclProblem(
-        node_in=node_in_alpha,
-        half_edge_in=he_in_alpha,
-        node_out=node_out,
-        half_edge_out=he_out,
-        constraints=constraints,
-    )
-
-    def output_labeling(out: Mapping[int, object]) -> Labeling:
-        return Labeling.of(out, {(v, e): "-" for v, e in g.half_edges()})
-
-    return lcl, output_labeling
 
 
 # ---------------------------------------------------------------------------

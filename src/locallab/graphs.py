@@ -909,16 +909,26 @@ def json_decoding(what: str) -> Iterator[None]:
         raise InputError(f"malformed {what} JSON: {err!r}") from None
 
 
-_NODE_KEY = re.compile(r"[0-9]+")
+_ID_KEY = re.compile(r"[0-9]+")
 _HALF_EDGE_KEY = re.compile(r"([0-9]+):([0-9]+)")
 
 
-def node_from_key(key) -> int:
-    """The node v of a JSON key "v" in decimal digits; anything else (a sign,
-    a space, an underscore, a decimal point) is an InputError."""
-    if not (isinstance(key, str) and _NODE_KEY.fullmatch(key)):
-        raise InputError(f"node key {key!r} is not a decimal node id")
+def _id_from_key(key, what: str) -> int:
+    """The id of a JSON key in decimal digits; anything else (a sign, a space,
+    an underscore, a decimal point) is an InputError naming a `what` key."""
+    if not (isinstance(key, str) and _ID_KEY.fullmatch(key)):
+        raise InputError(f"{what} key {key!r} is not a decimal {what} id")
     return int(key)
+
+
+def node_from_key(key) -> int:
+    """The node v of a JSON key "v"."""
+    return _id_from_key(key, "node")
+
+
+def edge_from_key(key) -> int:
+    """The edge e of a JSON key "e"."""
+    return _id_from_key(key, "edge")
 
 
 def half_edge_from_key(key) -> tuple[int, int]:

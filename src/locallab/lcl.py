@@ -10,7 +10,7 @@ automaton: r and the degree bound are small constants at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .graphs import (
     CenteredGraph,
@@ -49,20 +49,8 @@ class ConstraintSet:
     node_alphabet: frozenset
     half_edge_alphabet: frozenset
     members: tuple[CenteredGraph, ...]
-    # canonical key -> member position; derived from members, built once
-    _member_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-
-
-def _member_index(cs: ConstraintSet) -> dict:
-    """cs's canonical key -> member position, built once; a member with the
-    key of an earlier member is an InputError."""
-    if cs._member_index is None:
-        index: dict = {}
-        for i, member in enumerate(cs.members):
-            if index.setdefault(centered_key(member), i) != i:
-                raise InputError(f"member {i} duplicates an earlier member up to isomorphism")
-        object.__setattr__(cs, "_member_index", index)
-    return cs._member_index
+    # canonical key -> member position; derived from members
+    member_index: Mapping[tuple, int] = field(repr=False, compare=False)
 
 
 def make_constraint_set(
@@ -72,7 +60,8 @@ def make_constraint_set(
     half_edge_alphabet: Iterable,
     members: Iterable[CenteredGraph],
 ) -> ConstraintSet:
-    """Validate eccentricity, degree, alphabets, and pairwise non-isomorphism."""
+    """Validate eccentricity, degree, alphabets, and pairwise non-isomorphism,
+    and index the members by canonical key."""
     va = frozenset(node_alphabet)
     ea = frozenset(half_edge_alphabet)
     members = tuple(members)
@@ -87,9 +76,13 @@ def make_constraint_set(
         for _, lab in member.base.half_edge_items():
             if lab not in ea:
                 raise InputError(f"member {i} uses half-edge label {lab!r} outside the alphabet")
-    cs = ConstraintSet(r=r, delta=delta, node_alphabet=va, half_edge_alphabet=ea, members=members)
-    _member_index(cs)
-    return cs
+    index: dict[tuple, int] = {}
+    for i, member in enumerate(members):
+        if index.setdefault(centered_key(member), i) != i:
+            raise InputError(f"member {i} duplicates an earlier member up to isomorphism")
+    return ConstraintSet(
+        r=r, delta=delta, node_alphabet=va, half_edge_alphabet=ea, members=members, member_index=index
+    )
 
 
 @dataclass(frozen=True)
@@ -122,10 +115,9 @@ def check_constraints(lg: LabeledGraph, constraints: ConstraintSet) -> Verdict:
     for _, lab in lg.half_edge_items():
         if lab not in constraints.half_edge_alphabet:
             raise InputError(f"half-edge label {lab!r} outside the constraint alphabet")
-    index = _member_index(constraints)
     bad: list[tuple[int, str]] = []
     for v in range(lg.graph.n):
-        if centered_key(centered_ball(lg, v, constraints.r)) not in index:
+        if centered_key(centered_ball(lg, v, constraints.r)) not in constraints.member_index:
             bad.append((v, "ball matches no constraint member"))
     return OK if not bad else fail(bad)
 

@@ -11,7 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import ContractError, Graph, InputError, json_decoding, json_int, make_graph
+from .graphs import (
+    ContractError,
+    Graph,
+    InputError,
+    _label_to_json,
+    _labels_from_json,
+    edge_from_key,
+    graph_from_json,
+    graph_to_json,
+    json_decoding,
+    json_int,
+    label_graph,
+    make_graph,
+)
 from .lcl import Verdict, OK, fail
 from .outcomes import NodeOutput, SlocalAlgorithm, SlocalContext, SlocalStep, run_slocal
 
@@ -329,8 +342,6 @@ def greedy_maximal_matching() -> SlocalAlgorithm:
 
 def greedy_matching(g: Graph, order: Sequence[int]) -> tuple[frozenset[int], int]:
     """Run the greedy matcher; returns (matched edge ids, observed locality)."""
-    from .graphs import label_graph
-
     labeling, observed = run_slocal(greedy_maximal_matching(), label_graph(g), order)
     outputs = labeling.nodes()
     matched = set()
@@ -369,28 +380,22 @@ def linearizable_from_json(data: Mapping) -> LinearizableProblem:
 
 
 def incidence_graph_to_json(ig: IncidenceGraph) -> dict:
-    from .graphs import graph_to_json
-
     data = graph_to_json(ig.graph)
     data["roles"] = list(ig.roles)
     return data
 
 
 def incidence_graph_from_json(data: Mapping) -> IncidenceGraph:
-    from .graphs import graph_from_json
-
     with json_decoding("incidence graph"):
         return make_incidence_graph(graph_from_json(data), data["roles"])
 
 
 def edge_labeling_to_json(labeling: Mapping[int, object]) -> dict:
-    from .graphs import _label_to_json
-
     return {str(e): _label_to_json(lab) for e, lab in sorted(labeling.items())}
 
 
 def edge_labeling_from_json(data: Mapping) -> dict[int, object]:
-    from .graphs import _label_from_json
-
+    """{edge: label} of a JSON object keyed by decimal edge ids; a malformed
+    key, or two keys that name one edge, is an InputError."""
     with json_decoding("edge labeling"):
-        return {int(e): _label_from_json(lab) for e, lab in data.items()}
+        return _labels_from_json(data, edge_from_key, "edge")

@@ -101,9 +101,6 @@ class DistLP:
         default=None, init=False, repr=False, compare=False
     )
 
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
 
 def make_dist_lp(
     kind: str,
@@ -671,13 +668,6 @@ def _decode(comp: _CompiledLP, positions: list, labeling: Labeling, entry: int) 
     return [a * (den // b) for a, b in zip(nums, dens)], den
 
 
-def point_from_labeling(lp: DistLP, labeling: Labeling) -> LpPoint:
-    """Decode a labeling into a point; both half-edges of an edge must agree.
-    Labels are ints or Fractions; labels no variable reads are ignored."""
-    comp = _compiled(lp)
-    return _point_of_columns(comp, *_decode(comp, _label_positions(comp, labeling), labeling, 0))
-
-
 def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> Outcome:
     return make_outcome(label_graph(lp.graph), [(labeling_from_point(lp, pt), p) for pt, p in pairs])
 
@@ -733,7 +723,6 @@ class Completion:
 class GraphFamily:
     """A graph family given operationally by its view-completion rule."""
 
-    name: str
     complete: Callable[[View], Completion]
 
 
@@ -772,7 +761,7 @@ def whole_graph_family(lg: LabeledGraph) -> GraphFamily:
             raise ContractError("whole-graph completion got a view of a different network")
         return Completion(network=lg, node_map={v: v for v in view.node_set})
 
-    return GraphFamily(name="whole-graph", complete=complete)
+    return GraphFamily(complete=complete)
 
 
 def oriented_cycle_graph(n: int) -> LabeledGraph:
@@ -822,7 +811,7 @@ def cycle_family(length: int) -> GraphFamily:
             raise ContractError("cycle completion failed to embed the view")
         return comp
 
-    return GraphFamily(name=f"cycle-{length}", complete=complete)
+    return GraphFamily(complete=complete)
 
 
 def local_expectation_algorithm(

@@ -7,17 +7,37 @@ the stated check and is expected to fail: with node-granular sequential
 processing, a greedy matcher that is correct for every order needs observed
 locality 2 (claims on a neighbour are stored at the claimer, two hops away);
 locality 1 admits no such algorithm.  See the repository notes for the counterexample.
+
+Each suite's report must also equal its golden copy, `tests/golden/<suite>.json`
+(`run_suite(name, seed=7).to_json()`), so a change to any reported quantity
+fails until the golden file is updated with it.  Criterion 8 compares its
+golden in a test of its own, outside the strict xfail.
 """
+
+import functools
+import json
+from pathlib import Path
 
 import pytest
 
-from locallab.suites import CRITERION_OF_SUITE, run_suite
+from locallab.suites import CRITERION_OF_SUITE, RunReport, run_suite
 
 SEED = 7
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def _run(name: str) -> bool:
-    report = run_suite(name, seed=SEED)
+@functools.cache
+def _report(name: str) -> RunReport:
+    return run_suite(name, seed=SEED)
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def _run(name: str) -> RunReport:
+    """The suite's report, with one line per check printed."""
+    report = _report(name)
     number = CRITERION_OF_SUITE[name]
     status = "PASS" if report.passed else "FAIL"
     print(f"criterion {number} ({name}): {status}")
@@ -28,39 +48,45 @@ def _run(name: str) -> bool:
         print(line)
         if check.detail:
             print(f"    {check.detail}")
-    return report.passed
+    return report
+
+
+def _check(name: str) -> None:
+    report = _run(name)
+    assert report.to_json() == _golden(name)
+    assert report.passed
 
 
 @pytest.mark.slow
 def test_criterion_1_dequantization_soundness():
-    assert _run("dequantize")
+    _check("dequantize")
 
 
 def test_criterion_2_local_expectation_equivalence():
-    assert _run("local-expectation")
+    _check("local-expectation")
 
 
 @pytest.mark.slow
 def test_criterion_3_simulators_are_non_signaling():
-    assert _run("non-signaling")
+    _check("non-signaling")
 
 
 def test_criterion_4_matching_encoding_roundtrip():
-    assert _run("matching-roundtrip")
+    _check("matching-roundtrip")
 
 
 def test_criterion_5_factor_3_bound_and_konig():
-    assert _run("factor3")
+    _check("factor3")
 
 
 @pytest.mark.slow
 def test_criterion_6_gadget_laws():
-    assert _run("gadgets")
+    _check("gadgets")
 
 
 @pytest.mark.slow
 def test_criterion_7_lift_end_to_end():
-    assert _run("lift")
+    _check("lift")
 
 
 @pytest.mark.xfail(
@@ -73,4 +99,8 @@ def test_criterion_7_lift_end_to_end():
     ),
 )
 def test_criterion_8_slocal_greedy_locality():
-    assert _run("slocal-locality")
+    assert _run("slocal-locality").passed
+
+
+def test_criterion_8_report_matches_golden():
+    assert _report("slocal-locality").to_json() == _golden("slocal-locality")

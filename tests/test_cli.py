@@ -4,8 +4,14 @@ from fractions import Fraction
 import pytest
 
 from locallab.cli import build_parser, main
-from locallab.graphs import label_graph, labeled_graph_to_json, path_graph
-from locallab.linearize import MATCHING_ENCODING, incidence_graph_of, incidence_graph_to_json, linearizable_to_json
+from locallab.graphs import InputError, label_graph, labeled_graph_to_json, path_graph
+from locallab.linearize import (
+    MATCHING_ENCODING,
+    edge_labeling_from_json,
+    incidence_graph_of,
+    incidence_graph_to_json,
+    linearizable_to_json,
+)
 from locallab.lp import build_fractional_matching_lp, exact_opt, lp_to_json
 
 
@@ -532,6 +538,28 @@ def test_lift_verify_reads_node_keys_strictly(fixtures, tmp_path, capsys):
         assert f"node key {key!r} is not a decimal node id; in lift labels JSON" in capsys.readouterr().err
     assert verify({**written, "02": written["2"]}) == 2
     assert "node keys '2' and '02' name one node" in capsys.readouterr().err
+
+
+def test_lin_verify_rejects_malformed_edge_keys(fixtures, tmp_path, capsys):
+    """An edge key is a decimal edge id: "1_0", " +2 ", "-1" and "1.0" are
+    not read with int(), and two keys that name one edge are an error."""
+    with pytest.raises(InputError, match="edge key '1_0' is not a decimal edge id"):
+        edge_labeling_from_json({"1_0": "M", " +2 ": "A", "3": "P", "03": "Q"})
+    _, _, ig_path = fixtures
+    labels_path = tmp_path / "labels.json"
+    written = {"0": "M", "1": "M", "2": "A", "3": "P"}
+
+    def verify(labels):
+        labels_path.write_text(json.dumps(labels))
+        return main(["lin", "verify", "--incidence", str(ig_path), "--labels", str(labels_path)])
+
+    assert verify(written) == 0
+    capsys.readouterr()
+    for key, old in (("1_0", "1"), (" +2 ", "2"), ("-1", "0"), ("1.0", "1")):
+        assert verify({key if k == old else k: lab for k, lab in written.items()}) == 2
+        assert f"edge key {key!r} is not a decimal edge id; in edge labeling JSON" in capsys.readouterr().err
+    assert verify({**written, "03": "P"}) == 2
+    assert "edge keys '3' and '03' name one edge" in capsys.readouterr().err
 
 
 def test_lcl_verify_rejects_malformed_half_edge_keys(tmp_path, capsys):

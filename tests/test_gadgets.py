@@ -25,7 +25,7 @@ from locallab.graphs import (
     star_graph,
     two_edge_components,
 )
-from locallab.lcl import OK, centered_ball, check_constraints, fail, make_constraint_set, verify_lcl_solution
+from locallab.lcl import OK, centered_ball, check_constraints, fail, make_constraint_set
 from locallab.linearize import (
     MATCHING_ENCODING,
     WHITE,
@@ -38,7 +38,7 @@ from locallab.linearize import (
     multigraph_of_incidence,
     verify_linearizable,
 )
-from locallab.outcomes import Labeling, deterministic_outcome, make_outcome, success_probability
+from locallab.outcomes import deterministic_outcome, make_outcome, success_probability
 from locallab.gadgets import (
     BOTTOM,
     INTER,
@@ -54,14 +54,12 @@ from locallab.gadgets import (
     contract_octopi,
     default_port_height,
     edge_labels_of_pullback,
-    family_constraint_set,
     family_constraint_set_for,
     gen_octopus,
     gen_proper_instance,
     gen_tree_like,
     lift_run,
     make_proper_instance,
-    pi_promise_lcl,
     port_map_from_json,
     port_map_to_json,
     promise_labeling_of,
@@ -416,20 +414,6 @@ def test_family_constraints_hold_and_break():
         },
     )
     assert not check_constraints(relabeled, cs).ok
-
-
-def test_pi_promise_as_lcl():
-    src = path_graph(3)
-    ig = incidence_graph_of(src)
-    pi, _ = gen_proper_instance(ig, k=1)
-    good = lift_run(pi).labels
-    lcl, wrap = pi_promise_lcl(pi, MATCHING_ENCODING, [good])
-    assert wrap(good) == Labeling.of(good, {(v, e): "-" for v, e in pi.graph.half_edges()})
-    assert verify_lcl_solution(lcl, pi.labeling, wrap(good)).ok
-    bad = dict(good)
-    port = pi.octopi[0].ports[0]
-    bad[port.nodes[0]] = "B" if good[port.nodes[0]] != "B" else "A"
-    assert not verify_lcl_solution(lcl, pi.labeling, wrap(bad)).ok
 
 
 def test_proper_instance_json_roundtrip():
@@ -1440,8 +1424,3 @@ def test_family_constraint_set_for_matches_reference_on_sources_up_to_5_nodes(k,
         assert cold == expected and warm == expected
         checked += 1
     assert checked == accepted
-
-
-def test_family_constraint_set_matches_reference():
-    instances = [gen_proper_instance(incidence_graph_of(g), k=2)[0] for g in all_connected_graphs(4)[-3:]]
-    assert family_constraint_set(instances) == reference_family_constraint_set(instances)

@@ -43,7 +43,6 @@ from locallab.lp import (
     oriented_cycle_graph,
     outcome_of_points,
     point_from_json,
-    point_from_labeling,
     point_to_json,
     ratio_to_opt,
     whole_graph_family,
@@ -51,6 +50,14 @@ from locallab.lp import (
 from locallab.outcomes import Labeling, expectation, make_outcome, run_local, run_rand_local
 import locallab.lp as lp_module
 import locallab.suites as suites
+
+
+def point_from_labeling(lp, labeling):
+    """The point a labeling encodes, through dequantize's own column
+    decoding: positions, integer numerators over one denominator, point."""
+    comp = lp_module._compiled(lp)
+    positions = lp_module._label_positions(comp, labeling)
+    return lp_module._point_of_columns(comp, *lp_module._decode(comp, positions, labeling, 0))
 
 
 def matching_point(g, edges):
@@ -281,7 +288,7 @@ def test_locality_of_lp_formulation_enforced():
 def test_lp_json_roundtrip():
     lp = build_fractional_matching_lp(complete_graph(3))
     back = lp_from_json(lp_to_json(lp))
-    assert back.variable_names() == lp.variable_names()
+    assert [v.name for v in back.variables] == [v.name for v in lp.variables]
     assert exact_opt(back).value == F(3, 2)
     point = LpPoint.of({edge_var(e): F(1, 3) for e in range(3)})
     assert point_from_json(point_to_json(point)) == point
@@ -428,7 +435,7 @@ def reference_simplex_solve(num_vars, objective, rows):
 
 def _dense(lp):
     """(num_vars, objective, rows) of a DistLP, maximized, as dense Fraction rows."""
-    names = lp.variable_names()
+    names = [v.name for v in lp.variables]
     index = {name: j for j, name in enumerate(names)}
     sign = 1 if lp.sense == "maximize" else -1
     rows = []
@@ -449,7 +456,7 @@ def _assert_matches_reference(lp):
     if expected[0] == "optimal":
         sign = 1 if lp.sense == "maximize" else -1
         assert result.value == sign * expected[1]
-        assert result.point == LpPoint.of(dict(zip(lp.variable_names(), expected[2])))
+        assert result.point == LpPoint.of(dict(zip((v.name for v in lp.variables), expected[2])))
     return expected[0]
 
 
@@ -940,7 +947,7 @@ def test_dequantize_suite_names_a_witness(monkeypatch):
     """A feasible but wrong dequantized point (all zeros) fails the objective
     check, and the failure names the graph, trial and both objectives."""
     monkeypatch.setattr(
-        suites, "dequantize", lambda outcome, lp: LpPoint.of({name: 0 for name in lp.variable_names()})
+        suites, "dequantize", lambda outcome, lp: LpPoint.of({v.name: 0 for v in lp.variables})
     )
     (check,) = suites.suite_dequantize(7)
     assert check.status == "fail"
