@@ -29,7 +29,7 @@ from .graphs import (
     InputError,
     LabeledGraph,
     ball_distances,
-    centered_key,
+    ball_keys,
     connected_components,
     graph_from_json,
     graph_to_json,
@@ -41,7 +41,7 @@ from .graphs import (
     to_dot,
     two_edge_components,
 )
-from .lcl import OK, ConstraintSet, Verdict, centered_ball, fail, make_constraint_set
+from .lcl import OK, ConstraintSet, Verdict, _keyed_constraint_set, centered_ball, fail
 from .linearize import (
     BLACK,
     WHITE,
@@ -855,9 +855,9 @@ class _FamilyBalls:
 def _instance_balls(pi: ProperInstance) -> _FamilyBalls:
     lg = pi.labeling
     members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
-    for v in range(lg.graph.n):
-        ball = centered_ball(lg, v, FAMILY_RADIUS)
-        members.setdefault(centered_key(ball), ball)
+    for v, key in enumerate(ball_keys(lg, FAMILY_RADIUS)):
+        if key not in members:
+            members[key] = centered_ball(lg, v, FAMILY_RADIUS)
     return _FamilyBalls(
         members=tuple(members.items()),
         node_alphabet=frozenset(lg.node_labels),
@@ -892,12 +892,8 @@ def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
         node_alpha |= part.node_alphabet
         he_alpha |= part.half_edge_alphabet
         delta = max(delta, part.delta)
-    return make_constraint_set(
-        r=FAMILY_RADIUS,
-        delta=delta,
-        node_alphabet=node_alpha,
-        half_edge_alphabet=he_alpha,
-        members=members.values(),
+    return _keyed_constraint_set(
+        FAMILY_RADIUS, delta, frozenset(node_alpha), frozenset(he_alpha), members.items()
     )
 
 

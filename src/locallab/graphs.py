@@ -14,10 +14,17 @@ even of edges the view drops).
 
 Each Graph also carries one neighbour tuple per node, aligned with its ports,
 so adjacency queries never resolve an edge id.  Views, balls (`neighborhood`,
-and through it `lcl.centered_ball` and SLOCAL queries) and whole-graph
-distances (`distances_from`) come from one radius-bounded BFS
-(`ball_distances`) that stops at depth T: a ball costs O(|ball|), the nodes
-of N_T[A] and their incident edges, not O(n + m).
+`ball_keys`, `lcl.centered_ball`), SLOCAL queries and whole-graph distances
+(`distances_from`) come from one radius-bounded BFS (`ball_distances`) that
+stops at depth T: a ball costs O(|ball|), the nodes of N_T[A] and their
+incident edges, not O(n + m).
+
+Centered labeled graphs are keyed through one encoder, `_ball_encoding`,
+which reads a node list's colours and arcs from the rows of the graph that
+holds it.  `centered_key` encodes a built graph on all its nodes;
+`ball_keys` encodes every node's ball straight from the host's rows, builds
+no subgraph, and runs the canonical search once per distinct encoding in
+the call.
 
 `ball_distances`, `connected_components`, `bridges` and `two_edge_components`
 take an optional node set and then work on the subgraph it induces, in the
@@ -811,6 +818,12 @@ class CenteredGraph:
 def _numeric_form(lab):
     """The label with each integral Fraction, also inside tuples, as an int,
     so that labels equal under == have one repr."""
+    # exact types first: isinstance against Fraction goes through ABCMeta
+    kind = type(lab)
+    if kind is str or kind is int or lab is None:
+        return lab
+    if kind is tuple:
+        return tuple(map(_numeric_form, lab))
     if isinstance(lab, Fraction) and lab.denominator == 1:
         return lab.numerator
     if isinstance(lab, tuple):
@@ -818,30 +831,73 @@ def _numeric_form(lab):
     return lab
 
 
-def _centered_form(c: CenteredGraph) -> tuple[tuple, tuple[int, ...]]:
-    """A node's colour is its center flag and label; the edge {v, w} gives
-    the arcs v -> w and w -> v, coloured by the pair of its half-edge labels
-    seen from that end, so parallel edges stay a multiset of label pairs.
-    Port order takes no part.  Labels enter through repr, each integral
-    Fraction, also inside a tuple, as the int it equals."""
-    g = c.base.graph
-    colours = [
-        repr((v == c.center, _numeric_form(lab))) for v, lab in enumerate(c.base.node_labels)
-    ]
-    reprs = [tuple([repr(_numeric_form(lab)) for lab in row]) for row in c.base.port_labels]
-    arcs = [
-        [
-            (w, (reprs[v][i], reprs[w][g.adjacency[w].index(e)]))
-            for i, (e, w) in enumerate(_ports(g, v))
-        ]
+def _encoding_rows(lg: LabeledGraph) -> tuple[list, list]:
+    """Per node of lg, its two colours (not center, center) and its row of
+    (far end, arc colour), one per port in port order.  A node's colour is
+    the repr of its center flag and label; the arc over edge {v, w} from v
+    is coloured by the pair of half-edge labels seen from v.  Labels enter
+    through repr, each integral Fraction, also inside a tuple, as the int it
+    equals."""
+    g = lg.graph
+    reprs = [[repr(_numeric_form(lab)) for lab in row] for row in lg.port_labels]
+    colours = []
+    for lab in lg.node_labels:
+        lab = _numeric_form(lab)
+        colours.append((repr((False, lab)), repr((True, lab))))
+    rows = [
+        [(w, (reprs[v][i], reprs[w][g.adjacency[w].index(e)])) for i, (e, w) in enumerate(_ports(g, v))]
         for v in range(g.n)
     ]
-    return _canonical_form(colours, arcs)
+    return colours, rows
+
+
+def _ball_encoding(
+    encoding_rows: tuple[list, list], v: int, nodes: Sequence[int]
+) -> tuple[tuple, tuple]:
+    """(colours, arcs) of the subgraph induced by `nodes`, centered at v,
+    read from the host's `_encoding_rows`: the node at index i of `nodes` is
+    node i, and each of its arcs to a node of `nodes` is (far index, arc
+    colour), in port order.  Port order takes no part in the canonical form
+    of the encoding, so parallel edges stay a multiset of label pairs."""
+    colours, rows = encoding_rows
+    index = {u: i for i, u in enumerate(nodes)}
+    return (
+        tuple([colours[u][u == v] for u in nodes]),
+        tuple([tuple([(index[w], c) for w, c in rows[u] if w in index]) for u in nodes]),
+    )
+
+
+def _centered_form(c: CenteredGraph) -> tuple[tuple, tuple[int, ...]]:
+    """(key, order) of the encoding of c on all its nodes."""
+    return _canonical_form(*_ball_encoding(_encoding_rows(c.base), c.center, range(c.base.graph.n)))
 
 
 def centered_key(c: CenteredGraph) -> tuple:
     """Canonical key of a centered labeled graph: equal iff isomorphic."""
     return _centered_form(c)[0]
+
+
+def ball_keys(lg: LabeledGraph, r: int) -> list[tuple]:
+    """The centered key of every node's radius-r ball (the subgraph induced
+    by N_r[v], centered at v), in node order.
+
+    Each ball is encoded from lg's rows, without building it; balls with
+    equal encodings share one canonical search, since the key is a function
+    of the encoding alone.
+    """
+    if not (_is_json_int(r) and r >= 0):
+        raise InputError(f"radius must be a non-negative integer, not {r!r}")
+    g = lg.graph
+    rows = _encoding_rows(lg)
+    searched: dict[tuple, tuple] = {}  # encoding -> key, for this call only
+    keys = []
+    for v in range(g.n):
+        encoding = _ball_encoding(rows, v, list(ball_distances(g, [v], r)))
+        key = searched.get(encoding)
+        if key is None:
+            key = searched[encoding] = _canonical_form(*encoding)[0]
+        keys.append(key)
+    return keys
 
 
 def centered_isomorphism(c1: CenteredGraph, c2: CenteredGraph) -> Optional[dict[int, int]]:

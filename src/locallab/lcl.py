@@ -2,9 +2,14 @@
 
 A constraint set is a finite list of labeled centered graphs; a graph satisfies
 it when every node's centered radius-r ball is isomorphic to some member.
-Membership is one dict lookup of the ball's exact canonical key
-(`graphs.centered_key`) in an index of the members' keys, never a compiled
-automaton: r and the degree bound are small constants at desk scale.
+Membership is one dict lookup of the ball's exact canonical key in an index of
+the members' keys (`graphs.centered_key`), never a compiled automaton: r and
+the degree bound are small constants at desk scale.
+
+The checker builds no ball.  `graphs.ball_keys` encodes each node's ball
+straight from the graph's rows and runs one canonical search per distinct
+encoding in the call; over finite alphabets and bounded degree there are
+finitely many, so on a large graph most balls cost an encoding and a lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .graphs import (
     _is_json_int,
     _label_from_json,
     _label_to_json,
+    ball_keys,
     centered_key,
     induced_labeled_subgraph,
     json_decoding,
@@ -60,8 +66,11 @@ def make_constraint_set(
     half_edge_alphabet: Iterable,
     members: Iterable[CenteredGraph],
 ) -> ConstraintSet:
-    """Validate eccentricity, degree, alphabets, and pairwise non-isomorphism,
-    and index the members by canonical key."""
+    """Validate the radius, the degree bound, and each member's eccentricity,
+    degree and alphabets, key the members, and build the set."""
+    for name, x in (("r", r), ("delta", delta)):
+        if not (_is_json_int(x) and x >= 0):
+            raise InputError(f"{name} must be a non-negative integer, not {x!r}")
     va = frozenset(node_alphabet)
     ea = frozenset(half_edge_alphabet)
     members = tuple(members)
@@ -76,12 +85,31 @@ def make_constraint_set(
         for _, lab in member.base.half_edge_items():
             if lab not in ea:
                 raise InputError(f"member {i} uses half-edge label {lab!r} outside the alphabet")
+    return _keyed_constraint_set(r, delta, va, ea, [(centered_key(m), m) for m in members])
+
+
+def _keyed_constraint_set(
+    r: int,
+    delta: int,
+    node_alphabet: frozenset,
+    half_edge_alphabet: frozenset,
+    keyed_members: Iterable[tuple[tuple, CenteredGraph]],
+) -> ConstraintSet:
+    """The constraint set of members given with their canonical keys, which
+    must fit r, delta and the alphabets; rejects a repeated key."""
+    members = []
     index: dict[tuple, int] = {}
-    for i, member in enumerate(members):
-        if index.setdefault(centered_key(member), i) != i:
+    for i, (key, member) in enumerate(keyed_members):
+        if index.setdefault(key, i) != i:
             raise InputError(f"member {i} duplicates an earlier member up to isomorphism")
+        members.append(member)
     return ConstraintSet(
-        r=r, delta=delta, node_alphabet=va, half_edge_alphabet=ea, members=members, member_index=index
+        r=r,
+        delta=delta,
+        node_alphabet=node_alphabet,
+        half_edge_alphabet=half_edge_alphabet,
+        members=tuple(members),
+        member_index=index,
     )
 
 
@@ -115,10 +143,12 @@ def check_constraints(lg: LabeledGraph, constraints: ConstraintSet) -> Verdict:
     for _, lab in lg.half_edge_items():
         if lab not in constraints.half_edge_alphabet:
             raise InputError(f"half-edge label {lab!r} outside the constraint alphabet")
-    bad: list[tuple[int, str]] = []
-    for v in range(lg.graph.n):
-        if centered_key(centered_ball(lg, v, constraints.r)) not in constraints.member_index:
-            bad.append((v, "ball matches no constraint member"))
+    index = constraints.member_index
+    bad = [
+        (v, "ball matches no constraint member")
+        for v, key in enumerate(ball_keys(lg, constraints.r))
+        if key not in index
+    ]
     return OK if not bad else fail(bad)
 
 
@@ -191,12 +221,9 @@ def constraint_set_to_json(cs: ConstraintSet) -> dict:
 
 def constraint_set_from_json(data: Mapping) -> ConstraintSet:
     with json_decoding("constraint set"):
-        r, delta = data["r"], data["delta"]
-        if not (_is_json_int(r) and _is_json_int(delta)):
-            raise InputError('constraint set "r" and "delta" must be integers')
         return make_constraint_set(
-            r=r,
-            delta=delta,
+            r=data["r"],
+            delta=data["delta"],
             node_alphabet=[_label_from_json(x) for x in data["node_alphabet"]],
             half_edge_alphabet=[_label_from_json(x) for x in data["half_edge_alphabet"]],
             members=[centered_graph_from_json(m) for m in data["members"]],

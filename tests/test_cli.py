@@ -282,6 +282,10 @@ def test_lcl_verify_float_center_is_usage_error(tmp_path, capsys):
     assert _lcl_verify_exit_code(tmp_path, lambda d: d["constraints"]["members"][0].update(center=1.5)) == 2
 
 
+def test_lcl_verify_negative_radius_is_usage_error(tmp_path, capsys):
+    assert _lcl_verify_exit_code(tmp_path, lambda d: d["constraints"].update(r=-1, members=[])) == 2
+
+
 def test_lift_run_instance_without_graph_is_usage_error(tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text("{}")

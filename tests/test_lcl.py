@@ -1,17 +1,34 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from locallab.graphs import InputError, cycle_graph, label_graph, path_graph
+from locallab import graphs, lcl
+from locallab.corpus import all_connected_graphs
+from locallab.gadgets import contract_octopi, family_constraint_set_for, gen_proper_instance
+from locallab.graphs import (
+    CenteredGraph,
+    InputError,
+    _numeric_form,
+    ball_keys,
+    centered_key,
+    cycle_graph,
+    label_graph,
+    make_graph,
+    path_graph,
+)
 from locallab.lcl import (
+    OK,
     centered_ball,
     check_constraints,
     constraint_set_from_json,
     constraint_set_to_json,
+    fail,
     make_constraint_set,
     verify_lcl_solution,
     LclProblem,
 )
+from locallab.linearize import incidence_graph_of, multigraph_of_incidence
 from locallab.outcomes import Labeling
 
 
@@ -185,3 +202,144 @@ def test_constraint_set_json_roundtrip():
     back = constraint_set_from_json(constraint_set_to_json(constraints))
     assert back.r == constraints.r and len(back.members) == len(constraints.members)
     assert check_constraints(lg, back).ok
+
+
+# ---------------------------------------------------------------------------
+# ball keys from the host's rows, against building each ball
+
+
+def reference_ball_keys(lg, r):
+    """Each node's ball built as a labeled graph, then keyed."""
+    return [centered_key(centered_ball(lg, v, r)) for v in range(lg.graph.n)]
+
+
+def reference_check_constraints(lg, constraints):
+    """check_constraints with one built ball and one canonical search per node."""
+    for lab in lg.node_labels:
+        if lab not in constraints.node_alphabet:
+            raise InputError(f"node label {lab!r} outside the constraint alphabet")
+    for _, lab in lg.half_edge_items():
+        if lab not in constraints.half_edge_alphabet:
+            raise InputError(f"half-edge label {lab!r} outside the constraint alphabet")
+    bad = []
+    for v in range(lg.graph.n):
+        if centered_key(centered_ball(lg, v, constraints.r)) not in constraints.member_index:
+            bad.append((v, "ball matches no constraint member"))
+    return OK if not bad else fail(bad)
+
+
+class _Ratio(F):
+    pass
+
+
+MIXED_LABELS = (0, 3, F(2), F(4, 2), F(1, 2), True, False, (F(2), "x"), None, "a")
+
+
+def _mixed_labeling(g, rng):
+    return label_graph(
+        g,
+        {v: rng.choice(MIXED_LABELS) for v in range(g.n)},
+        {h: rng.choice(MIXED_LABELS) for h in g.half_edges()},
+    )
+
+
+def test_ball_keys_match_built_balls_on_connected_graphs_up_to_5_nodes():
+    rng = random.Random(13)
+    balls = 0
+    for g in all_connected_graphs(5):
+        lg = _mixed_labeling(g, rng)
+        for r in (0, 1, 2):
+            assert ball_keys(lg, r) == reference_ball_keys(lg, r)
+            balls += g.n
+    assert balls == 3 * sum(g.n for g in all_connected_graphs(5))
+
+
+def test_ball_keys_match_built_balls_on_a_multigraph():
+    ig = incidence_graph_of(make_graph(3, [(0, 1), (0, 1), (1, 2), (0, 2), (0, 2)], multi=True))
+    pi, _ = gen_proper_instance(ig, k=1)
+    mg, _, _ = multigraph_of_incidence(contract_octopi(pi)[0])
+    assert mg.multi and mg.m == 5
+    lg = _mixed_labeling(mg, random.Random(5))
+    for r in (0, 1, 2):
+        assert ball_keys(lg, r) == reference_ball_keys(lg, r)
+
+
+@pytest.mark.parametrize(
+    "source, k",
+    [(path_graph(3), 1), (cycle_graph(4), 2), (make_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), None)],
+    ids=["P3-k1", "C4-k2", "paw"],
+)
+def test_ball_keys_match_built_balls_on_family_labelings(source, k):
+    pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
+    for r in (0, 1, 2):
+        assert ball_keys(pi.labeling, r) == reference_ball_keys(pi.labeling, r)
+    constraints = family_constraint_set_for(pi)
+    assert check_constraints(pi.labeling, constraints) == reference_check_constraints(
+        pi.labeling, constraints
+    ) == OK
+
+
+def _colouring_constraints():
+    members = []
+    for b in "123":
+        a, c = [x for x in "123" if x != b]
+        for left, right in ((a, a), (c, c), (a, c)):
+            members.append(CenteredGraph(base=label_graph(path_graph(3), {0: left, 1: b, 2: right}), center=1))
+    return make_constraint_set(1, 2, "123", [None], members)
+
+
+def _proper_colouring(n, rng):
+    colour = [rng.choice("123")]
+    for v in range(1, n):
+        banned = {colour[v - 1], colour[0]} if v == n - 1 else {colour[v - 1]}
+        colour.append(rng.choice([c for c in "123" if c not in banned]))
+    return dict(enumerate(colour))
+
+
+def test_check_constraints_matches_reference_on_proper_and_improper_colourings():
+    constraints = _colouring_constraints()
+    rng = random.Random(29)
+    improper_seen = 0
+    for n in (4, 5, 7, 30, 61):
+        colours = _proper_colouring(n, rng)
+        lg = label_graph(cycle_graph(n), colours)
+        assert check_constraints(lg, constraints) == reference_check_constraints(lg, constraints) == OK
+        for _ in range(3):
+            planted = dict(colours)
+            for v in rng.sample(range(n), 2):
+                planted[v] = planted[(v + 1) % n]
+            bad = label_graph(cycle_graph(n), planted)
+            got = check_constraints(bad, constraints)
+            assert got == reference_check_constraints(bad, constraints)
+            assert got.violations == tuple(sorted(got.violations))
+            improper_seen += not got.ok
+    assert improper_seen == 15
+
+
+def test_check_constraints_builds_no_graph_per_node(monkeypatch):
+    constraints = _colouring_constraints()
+    lg = label_graph(cycle_graph(200), _proper_colouring(200, random.Random(3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "make_graph", refuse)
+    monkeypatch.setattr(lcl, "induced_labeled_subgraph", refuse)
+    assert check_constraints(lg, constraints) == OK
+
+
+def test_numeric_form_keeps_bools_and_maps_fraction_subclasses():
+    assert _numeric_form(True) is True and _numeric_form(False) is False
+    assert type(_numeric_form(_Ratio(4, 2))) is int and _numeric_form(_Ratio(4, 2)) == 2
+    assert type(_numeric_form(_Ratio(1, 2))) is _Ratio
+    assert _numeric_form((F(2), ("a", _Ratio(3)), None, True)) == (2, ("a", 3), None, True)
+
+
+@pytest.mark.parametrize(
+    "r, delta",
+    [(-1, 2), (True, 2), (1.0, 2), (1, -1), (1, False), (1, "2")],
+    ids=["r-negative", "r-bool", "r-float", "delta-negative", "delta-bool", "delta-str"],
+)
+def test_make_constraint_set_rejects_a_bad_radius_or_degree_bound(r, delta):
+    with pytest.raises(InputError):
+        make_constraint_set(r, delta, ["a"], [None], [])
