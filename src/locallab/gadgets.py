@@ -10,8 +10,10 @@ and the family labeling.
 
 The recognizers work on the host graph in host node ids: each takes the node
 set of the component it recognizes and reads the host's neighbour rows, so
-recognition builds no Graph.  Their witnesses try roots and list layers in
-ascending host id and number ports in the edge-id order of their connectors.
+recognition builds no Graph.  Tree-like coordinates are derived, not
+searched: the root and the order of layer 1 fix every deeper layer.
+Witnesses try roots in ascending host id, layer 1 in ascending order first,
+and number ports in the edge-id order of their connectors.
 """
 
 from __future__ import annotations
@@ -116,10 +118,13 @@ def tree_like_assignments(g: Graph, nodes: Optional[Iterable[int]] = None) -> It
     """All valid coordinate assignments of the subgraph of g induced by
     `nodes` (every node by default), as tuples mapping (l,k)-lex index -> node.
 
-    Roots are tried in ascending node id.  Layers are BFS levels from the
-    root; each layer must induce a path whose order extends consistently
-    (children 2k, 2k+1 under parent k), and every edge of the tree-like rule
-    must be present, with no other edge inside the node set.
+    No search: roots with two neighbours in the set are tried in ascending
+    node id, layer 1 in ascending then descending order, and those fix every
+    deeper layer.  A parent's children are its unplaced neighbours in the
+    set; the right child is next to the next parent's children, the last
+    parent's left child next to the previous parent's.  An assignment is
+    valid when its nodes are distinct and every edge of the tree-like rule
+    is present; the edge count, checked first, leaves no other edge.
     """
     order = range(g.n) if nodes is None else sorted(set(nodes))
     inside = set(order)
@@ -131,55 +136,31 @@ def tree_like_assignments(g: Graph, nodes: Optional[Iterable[int]] = None) -> It
         yield (order[0],)
         return
     rows = g.neighbor_rows
+    near = {v: [u for u in rows[v] if u in inside] for v in order}
     edges = _tree_edges(height)
-    if sum(u in inside for v in order for u in rows[v]) != 2 * len(edges):
+    if sum(map(len, near.values())) != 2 * len(edges):
         return
-
-    def layer_path_orders(layer: list[int]) -> list[list[int]]:
-        # orders in which `layer` forms the induced path v0 - v1 - ... in g
-        if len(layer) == 1:
-            return [layer[:]]
-        within = set(layer)
-        deg = {v: sum(1 for u in rows[v] if u in within) for v in layer}
-        ends = [v for v in layer if deg[v] == 1]
-        if len(ends) != 2 or any(deg[v] not in (1, 2) for v in layer):
-            return []
-        orders = []
-        for start in ends:
-            path = [start]
-            prev = None
-            cur = start
-            while len(path) < len(layer):
-                nxts = [u for u in rows[cur] if u in within and u != prev and u not in path]
-                if len(nxts) != 1:
-                    break
-                prev, cur = cur, nxts[0]
-                path.append(cur)
-            if len(path) == len(layer):
-                orders.append(path)
-        return orders
-
     for root in order:
-        dist = ball_distances(g, [root], height - 1, inside)
-        if len(dist) != n:
+        if len(near[root]) != 2:
             continue
-        layers: list[list[int]] = [[] for _ in range(height)]
-        for v in order:
-            layers[dist[v]].append(v)
-        if any(len(layers[l]) != (1 << l) for l in range(height)):
-            continue
-
-        def extend(l: int, assignment: list[int]) -> Iterator[tuple[int, ...]]:
-            if l == height:
-                if all(g.has_edge(assignment[a], assignment[b]) for a, b in edges):
+        a, b = sorted(near[root])
+        for first in ((a, b), (b, a)):
+            assignment = [root, *first]
+            placed = set(assignment)
+            for l in range(2, height):
+                kids = [[u for u in near[p] if u not in placed] for p in assignment[-(1 << (l - 1)) :]]
+                if any(len(pair) != 2 for pair in kids):
+                    break
+                for k, (c, d) in enumerate(kids):
+                    if k + 1 < len(kids):
+                        swap = any(u in kids[k + 1] for u in near[c])
+                    else:
+                        swap = any(u in kids[k - 1] for u in near[d])
+                    assignment += (d, c) if swap else (c, d)
+                placed.update(assignment[-(1 << l) :])
+            else:
+                if len(placed) == n and all(g.has_edge(assignment[i], assignment[j]) for i, j in edges):
                     yield tuple(assignment)
-                return
-            for path in layer_path_orders(layers[l]):
-                # parent consistency: node at position k must neighbor parent k//2
-                if all(g.has_edge(v, assignment[_tree_index(l - 1, k // 2)]) for k, v in enumerate(path)):
-                    yield from extend(l + 1, assignment + path)
-
-        yield from extend(1, [root])
 
 
 def recognize_tree_like(g: Graph) -> Optional[dict[int, tuple[int, int]]]:

@@ -26,9 +26,9 @@ holds it.  `centered_key` encodes a built graph on all its nodes;
 no subgraph, and runs the canonical search once per distinct encoding in
 the call.
 
-`ball_distances`, `connected_components`, `bridges` and `two_edge_components`
-take an optional node set and then work on the subgraph it induces, in the
-host's node and edge ids, without building that subgraph.
+`connected_components`, `bridges` and `two_edge_components` take an optional
+node set and then work on the subgraph it induces, in the host's node and
+edge ids, without building that subgraph.
 """
 
 from __future__ import annotations
@@ -220,24 +220,16 @@ def _node_set(g: Graph, nodes: Optional[Iterable[int]]) -> Collection[int]:
     return keep
 
 
-def ball_distances(
-    g: Graph, sources: Iterable[int], t: int, nodes: Optional[Iterable[int]] = None
-) -> dict[int, int]:
-    """{node: distance} for the nodes within distance t of the sources, in
-    the subgraph induced by `nodes` (every node by default).
+def ball_distances(g: Graph, sources: Iterable[int], t: int) -> dict[int, int]:
+    """{node: distance} for the nodes within distance t of the sources.
 
     A BFS that never expands nodes at depth t: it reads the neighbour rows of
-    the nodes at distance < t only, so its cost is O(|N_t[sources]|), plus
-    O(|nodes|) to read a given node set.
+    the nodes at distance < t only, so its cost is O(|N_t[sources]|).
     """
-    # no membership test without a node set: views and balls are hot paths
-    keep = None if nodes is None else _node_set(g, nodes)
     dist: dict[int, int] = {}
     frontier: list[int] = []
     for s in sources:
         g._check_node(s)
-        if keep is not None and s not in keep:
-            raise InputError(f"source {s} is outside the node set")
         if s not in dist:
             dist[s] = 0
             frontier.append(s)
@@ -246,7 +238,7 @@ def ball_distances(
         reached: list[int] = []
         for v in frontier:
             for u in rows[v]:
-                if u not in dist and (keep is None or u in keep):
+                if u not in dist:
                     dist[u] = d
                     reached.append(u)
         if not reached:
@@ -527,7 +519,7 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
     on an explicit stack.  It checks the port of v toward an already placed
     far end exactly, and toward an unplaced one only that its image is still
     free, so each retained edge's far-end correspondence is checked at its
-    later-placed end only (see ROADMAP item 3).
+    later-placed end only (see ROADMAP item 1).
     """
     if v1.radius != v2.radius:
         return []

@@ -719,13 +719,6 @@ class Completion:
     node_map: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class GraphFamily:
-    """A graph family given operationally by its view-completion rule."""
-
-    complete: Callable[[View], Completion]
-
-
 def _completion_embeds(view: View, completion: Completion, t: int) -> bool:
     """node_map must be a port-aware view isomorphism onto the completed view."""
     from .graphs import extract_view
@@ -753,7 +746,7 @@ def _completion_embeds(view: View, completion: Completion, t: int) -> bool:
     return True
 
 
-def whole_graph_family(lg: LabeledGraph) -> GraphFamily:
+def whole_graph_family(lg: LabeledGraph) -> Callable[[View], Completion]:
     """Completion that returns the actual input network itself."""
 
     def complete(view: View) -> Completion:
@@ -761,7 +754,7 @@ def whole_graph_family(lg: LabeledGraph) -> GraphFamily:
             raise ContractError("whole-graph completion got a view of a different network")
         return Completion(network=lg, node_map={v: v for v in view.node_set})
 
-    return GraphFamily(complete=complete)
+    return complete
 
 
 def oriented_cycle_graph(n: int) -> LabeledGraph:
@@ -773,7 +766,7 @@ def oriented_cycle_graph(n: int) -> LabeledGraph:
     return label_graph(make_graph(n, edges, adjacency_order=order))
 
 
-def cycle_family(length: int) -> GraphFamily:
+def cycle_family(length: int) -> Callable[[View], Completion]:
     """Completion into the oriented cycle of a fixed length.
 
     A path-shaped view of an oriented cycle embeds by rotation; a view that
@@ -806,21 +799,20 @@ def cycle_family(length: int) -> GraphFamily:
             raise ContractError("view is not a path or cycle segment; family descriptor inadequate")
         base = length // 2
         node_map = {v: (base + d) % length for v, d in offset.items()}
-        comp = Completion(network=target, node_map=node_map)
-        if not _completion_embeds(view, comp, view.radius):
-            raise ContractError("cycle completion failed to embed the view")
-        return comp
+        return Completion(network=target, node_map=node_map)
 
-    return GraphFamily(complete=complete)
+    return complete
 
 
 def local_expectation_algorithm(
     oracle: Callable[[LabeledGraph], Outcome],
     t: int,
-    family: GraphFamily,
+    complete: Callable[[View], Completion],
 ) -> LocalAlgorithm:
-    """Deterministic LOCAL rule: complete the view, ask the oracle, output the
-    expectation of the anchor's marginal (pulled back port to port).
+    """Deterministic LOCAL rule: complete the view into a network of the
+    family (`complete`), check that the completion embeds the view, ask the
+    oracle, output the expectation of the anchor's marginal (pulled back
+    port to port).
 
     The oracle's outcomes must be non-signaling beyond t on the family; then
     the choice of completion does not affect the marginal, and composing with
@@ -828,7 +820,7 @@ def local_expectation_algorithm(
     """
 
     def rule(view: View) -> NodeOutput:
-        completion = family.complete(view)
+        completion = complete(view)
         if not _completion_embeds(view, completion, t):
             raise ContractError("completion does not embed the view; family descriptor inadequate")
         v = view.anchor_node()

@@ -195,6 +195,23 @@ def test_lone_octopus_is_proper():
     assert rec is not None and len(rec[1]) == 1
 
 
+def test_subdivided_k4_is_proper_with_heads_on_a_perfect_matching():
+    # The subdivision of a graph K of minimum degree 3 is a proper instance
+    # iff K has a perfect matching: the heads are single subdividers, and the
+    # original nodes are k = 1 ports hanging from them.
+    pairs = list(itertools.combinations(range(4), 2))
+    g = make_graph(10, [e for i, (u, v) in enumerate(pairs) for e in ((u, 4 + i), (4 + i, v))])
+    rec = recognize_proper_instance(g)
+    assert rec is not None
+    lam, witnesses = rec
+    make_proper_instance(g, lam, witnesses)
+    heads = [w.head_nodes for w in witnesses]
+    assert all(len(h) == 1 and h[0] >= 4 for h in heads)
+    covered = [v for (h,) in heads for v in pairs[h - 4]]
+    assert sorted(covered) == [0, 1, 2, 3]
+    assert all(p.height == 1 for w in witnesses for p in w.ports)
+
+
 def test_make_proper_instance_validation():
     ig = incidence_graph_of(path_graph(3))
     pi, _ = gen_proper_instance(ig, k=2)
@@ -883,6 +900,35 @@ def test_tree_like_assignments_match_reference():
             assert list(tree_like_assignments(g)) == list(reference_tree_like_assignments(g))
 
 
+def _hosted(g, rng, extra):
+    """g inside a host with `extra` more nodes, every id shuffled, and up to
+    three edges from each extra node to earlier nodes, g's included; returns
+    the host and g's nodes in host ids."""
+    n = g.n + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edge_list]
+    for u in range(g.n, n):
+        edges += [(perm[u], perm[v]) for v in rng.sample(range(u), min(u, 3))]
+    rng.shuffle(edges)
+    return make_graph(n, edges), perm[: g.n]
+
+
+def test_tree_like_assignments_in_host_match_reference():
+    rng = random.Random(3)
+    found = 0
+    for height in range(1, 6):
+        tree = gen_tree_like(height).graph
+        for g in [tree, _shuffled(tree, rng), *_mutants(tree, rng, 20)]:
+            for extra in (1, 4):
+                host, nodes = _hosted(g, rng, extra)
+                sub, keep = _reference_induced(host, nodes)
+                want = [tuple(keep[i] for i in a) for a in reference_tree_like_assignments(sub)]
+                assert list(tree_like_assignments(host, nodes)) == want
+                found += bool(want)
+    assert found >= 20
+
+
 def _octopi():
     for x in (1, 2, 3):
         slots = 1 << (x - 1)
@@ -1320,8 +1366,8 @@ def test_generators_build_one_graph_per_call(monkeypatch):
 
 
 def reference_octopus_diameter(pi: ProperInstance, w: OctopusWitness) -> int:
-    nodes = set(w.all_nodes())
-    return max(max(ball_distances(pi.graph, [v], len(nodes), nodes).values()) for v in nodes)
+    g = induced_labeled_subgraph(label_graph(pi.graph), w.all_nodes())[0].graph
+    return max(max(ball_distances(g, [v], g.n).values()) for v in range(g.n))
 
 
 def _shape_diameter_of(w: OctopusWitness) -> int:

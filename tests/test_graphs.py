@@ -429,7 +429,6 @@ def _assert_node_set_forms_match(g):
                 for t in (1, 2, g.n):
                     within = ball_distances(sub, [s], t)
                     assert within == {v: d for v, d in literal.items() if d <= t}
-                    assert ball_distances(g, [keep[s]], t, keep) == {keep[v]: d for v, d in within.items()}
 
 
 def test_node_set_forms_match_induced_subgraph_on_corpus():
@@ -446,8 +445,6 @@ def test_node_set_forms_reject_unknown_nodes():
     g = path_graph(3)
     with pytest.raises(InputError):
         connected_components(g, [0, 3])
-    with pytest.raises(InputError):
-        ball_distances(g, [0], 1, [1, 2])
 
 
 def test_graph_equality_ignores_neighbor_rows():
