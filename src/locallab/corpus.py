@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import Graph, canonical_key, is_bipartite, is_connected, make_graph
@@ -136,8 +137,6 @@ def best_half_integral_matching_value(g: Graph):
     Brute force in doubled units with load capping and an optimistic bound;
     independent of the simplex path.
     """
-    from fractions import Fraction
-
     best = 0
     loads = [0] * g.n
 

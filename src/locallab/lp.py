@@ -12,13 +12,15 @@ into integers, checks it on the compiled rows, and adds it into integer
 column sums; it makes one Fraction per coordinate, at the end.
 
 The simplex is a two-phase dense tableau with Bland's rule (termination
-guaranteed), kept fraction-free (Edmonds 1967; Bareiss 1968): it holds
-integers over one common positive denominator, the basis determinant, and
-every pivot divides exactly.  It makes the pivots the rational tableau would
-make, so status, value and point do not depend on the arithmetic.
-`exact_opt` does not trust the answer: it checks the point against the
-compiled rows and the objective, and the dual read off the final objective
-row for feasibility and equal value, a certificate of optimality.
+guaranteed), written straight from the compiled rows and kept fraction-free
+(Edmonds 1967; Bareiss 1968): it holds integers over one common positive
+denominator, the basis determinant, and every pivot divides exactly.  It
+makes the pivots the rational tableau would make, so status, value and point
+do not depend on the arithmetic.  `exact_opt` does not trust the answer: it
+checks the certificate on integers over the tableau's denominator, the point
+against the compiled rows and the objective, and the dual read off the final
+objective row for feasibility and equal value.  Fractions are made only at
+the end, for the value and the point.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .graphs import (
     View,
     ball_distances,
     common_denominator,
+    extract_view,
     graph_from_json,
     graph_to_json,
     json_decoding,
@@ -48,6 +51,7 @@ from .graphs import (
     rational_parts,
     rational_to_json,
 )
+from .linearize import is_maximal_matching
 from .outcomes import (
     Labeling,
     LocalAlgorithm,
@@ -114,6 +118,16 @@ def make_dist_lp(
         raise InputError(f"unknown LP kind {kind!r}")
     if sense not in ("maximize", "minimize"):
         raise InputError(f"unknown sense {sense!r}")
+    for var in variables:
+        if type(var.name) is not str:
+            raise InputError(f"variable name {var.name!r} is not a string")
+        owner_kind, ident = var.owner
+        if owner_kind not in ("node", "edge"):
+            raise InputError(f"variable {var.name!r} has unknown owner kind {owner_kind!r}")
+        if type(ident) is not int or not 0 <= ident < (g.n if owner_kind == "node" else g.m):
+            raise InputError(
+                f"variable {var.name!r} is owned by {owner_kind} {ident!r}, not one of the graph's"
+            )
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
         raise InputError("variable names must be unique")
@@ -402,63 +416,43 @@ _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 def _solve(
-    num_vars: int,
-    objective: Sequence[int],
-    rows: Sequence[tuple[Sequence[int], str, int]],
-    scales: Sequence[int],
-) -> tuple[str, Optional[Fraction], Optional[list[Fraction]], Optional[list[Fraction]]]:
-    """Maximize objective·x over {x >= 0 : rows hold}, all data integers.
+    comp: _CompiledLP, objective: Sequence[int]
+) -> tuple[str, Optional[tuple[int, list[int], list[int], int]]]:
+    """Maximize objective·x over {x >= 0 : comp's rows hold}.
 
-    `scales[i]` is the positive factor row i was multiplied by to make it
-    integral.  Phase 1 weighs row i's artificial variable by 1/scales[i]
-    (times their lcm), so every pivot is the one the unscaled rational
-    tableau would make.  Returns the status and, when optimal, the value,
-    the point and the dual: one entry per row, read off the final objective
-    row (slack column of a <=/>= row, artificial column of an == row, sign
-    flipped for a row negated because its bound is negative, 0 for a row
-    dropped as redundant after phase 1).
+    A row with a negative bound is negated as it is written, its relation
+    flipped.  Columns: the variables, then a slack per <=/>= row, then an
+    artificial per >=/== row, each in row order.  Phase 1 weighs row i's
+    artificial by 1/scale_i (times their lcm), so every pivot is the one the
+    unscaled rational tableau would make.  Returns the status and, when
+    optimal, (den, x, y, value): integer numerators over the one positive
+    denominator den of the point, the dual and the value.  The dual has one
+    entry per row, read off the final objective row (slack column of a
+    <=/>= row, artificial column of an == row, sign flipped for a negated
+    row, 0 for a row dropped as redundant after phase 1).
     """
-    norm_rows: list[tuple[Sequence[int], str, int]] = []
-    negated: list[bool] = []
-    for coeffs, rel, bound in rows:
-        negate = bound < 0
-        if negate:
-            coeffs, rel, bound = [-c for c in coeffs], _FLIPPED[rel], -bound
-        norm_rows.append((coeffs, rel, bound))
-        negated.append(negate)
-
-    m = len(norm_rows)
-    slack_cols: dict[int, int] = {}
-    art_cols: dict[int, int] = {}
-    next_col = num_vars
-    for i, (_, rel, _) in enumerate(norm_rows):
-        if rel in ("<=", ">="):
-            slack_cols[i] = next_col
-            next_col += 1
-    for i, (_, rel, _) in enumerate(norm_rows):
-        if rel in (">=", "=="):
-            art_cols[i] = next_col
-            next_col += 1
-    ncols = next_col
+    n, m = len(comp.names), len(comp.rows)
+    negated = [row.bound < 0 for row in comp.rows]
+    rels = [_FLIPPED[row.relation] if neg else row.relation for row, neg in zip(comp.rows, negated)]
+    slack_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "=="), n)}
+    art_start = n + len(slack_cols)
+    art_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "<="), art_start)}
+    ncols = art_start + len(art_cols)
 
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (coeffs, rel, bound) in enumerate(norm_rows):
-        row = [0] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = c
-        if rel == "<=":
-            row[slack_cols[i]] = 1
-            basis.append(slack_cols[i])
-        elif rel == ">=":
-            row[slack_cols[i]] = -1
-            row[art_cols[i]] = 1
-            basis.append(art_cols[i])
-        else:
-            row[art_cols[i]] = 1
-            basis.append(art_cols[i])
-        row[-1] = bound
-        tableau.append(row)
+    for i, row in enumerate(comp.rows):
+        sign = -1 if negated[i] else 1
+        r = [0] * (ncols + 1)
+        for j, a in row.terms:
+            r[j] = sign * a
+        if i in slack_cols:
+            r[slack_cols[i]] = 1 if rels[i] == "<=" else -1
+        if i in art_cols:
+            r[art_cols[i]] = 1
+        r[-1] = sign * row.bound
+        tableau.append(r)
+        basis.append(art_cols[i] if i in art_cols else slack_cols[i])
 
     den = 1
     allowed = [True] * ncols
@@ -466,15 +460,15 @@ def _solve(
 
     if art_cols:
         # phase 1: maximize -(sum of artificials of the unscaled rows)
-        weight = math.lcm(*(scales[i] for i in art_cols))
+        weight = math.lcm(*(comp.rows[i].scale for i in art_cols))
         obj_row = [0] * (ncols + 1)
         for i, col in art_cols.items():
-            obj_row[col] = weight // scales[i]
+            obj_row[col] = weight // comp.rows[i].scale
         tableau.append(obj_row)
         _price_out(tableau, basis, den)
         _, den = _optimize(tableau, basis, allowed, den)
         if tableau[-1][-1] != 0:
-            return ("infeasible", None, None, None)
+            return "infeasible", None
         tableau.pop()
         art_set = set(art_cols.values())
         # drive surviving artificials out of the basis where possible
@@ -496,62 +490,50 @@ def _solve(
         for col in art_set:
             allowed[col] = False
 
-    obj_row = [0] * (ncols + 1)
-    for j in range(num_vars):
-        obj_row[j] = -objective[j] * den
-    tableau.append(obj_row)
+    tableau.append([-c * den for c in objective] + [0] * (ncols + 1 - n))
     _price_out(tableau, basis, den)
     status, den = _optimize(tableau, basis, allowed, den)
     if status == "unbounded":
-        return ("unbounded", None, None, None)
-    solution = [Fraction(0)] * num_vars
+        return status, None
+    x = [0] * n
     for i, b in enumerate(basis):
-        if b < num_vars:
-            solution[b] = Fraction(tableau[i][-1], den)
+        if b < n:
+            x[b] = tableau[i][-1]
     obj_row = tableau[-1]
-    dual = [Fraction(0)] * m
+    y = [0] * m
     for i in row_of:
-        rel = norm_rows[i][1]
-        y = obj_row[art_cols[i]] if rel == "==" else obj_row[slack_cols[i]]
-        if (rel == ">=") != negated[i]:
-            y = -y
-        dual[i] = Fraction(y, den)
-    return ("optimal", Fraction(obj_row[-1], den), solution, dual)
+        yi = obj_row[art_cols[i]] if rels[i] == "==" else obj_row[slack_cols[i]]
+        y[i] = -yi if (rels[i] == ">=") != negated[i] else yi
+    return status, (den, x, y, obj_row[-1])
 
 
 def _check_certificate(
-    comp: _CompiledLP,
-    objective: Sequence[int],
-    value: Fraction,
-    solution: Sequence[Fraction],
-    dual: Sequence[Fraction],
+    comp: _CompiledLP, objective: Sequence[int], den: int, x: Sequence[int], y: Sequence[int], value: int
 ) -> None:
-    """Raise ContractError unless (solution, dual) proves that `value` is the
-    maximum of objective·x over the compiled rows: the point satisfies every
-    row and has objective `value`, and the dual has the right sign per
-    relation, covers the objective column by column and has b·y == value
-    (weak duality then bounds every feasible point by `value`).
+    """Raise ContractError unless the point x/den and the dual y/den prove that
+    value/den is the maximum of objective·x over the compiled rows: the point
+    satisfies every row and has objective value/den, and the dual has the
+    right sign per relation, covers the objective column by column and has
+    b·y == value (weak duality then bounds every feasible point by value/den).
     """
-    nums, den = common_denominator(solution)
-    bad = _violations(comp, nums, den)
+    bad = _violations(comp, x, den)
     if bad:
         raise ContractError(f"simplex optimum violates {bad}")
-    if sum(map(mul, objective, nums)) * value.denominator != value.numerator * den:
-        raise ContractError(f"simplex optimum's objective differs from its value {value}")
-    ynums, yden = common_denominator(dual)
+    if sum(map(mul, objective, x)) != value:
+        raise ContractError(f"simplex optimum's objective differs from its value {Fraction(value, den)}")
     columns = [0] * len(objective)
     bound_total = 0
-    for row, y in zip(comp.rows, ynums):
-        if (row.relation == "<=" and y < 0) or (row.relation == ">=" and y > 0):
+    for row, yi in zip(comp.rows, y):
+        if (row.relation == "<=" and yi < 0) or (row.relation == ">=" and yi > 0):
             raise ContractError(f"simplex dual has the wrong sign on row {row.name!r}")
         for j, a in row.terms:
-            columns[j] += a * y
-        bound_total += row.bound * y
+            columns[j] += a * yi
+        bound_total += row.bound * yi
     for j, total in enumerate(columns):
-        if total < objective[j] * yden:
+        if total < objective[j] * den:
             raise ContractError(f"simplex dual does not cover variable {comp.names[j]!r}")
-    if bound_total * value.denominator != value.numerator * yden:
-        raise ContractError(f"simplex dual value differs from the optimum {value}")
+    if bound_total != value:
+        raise ContractError(f"simplex dual value differs from the optimum {Fraction(value, den)}")
 
 
 def exact_opt(lp: DistLP) -> OptResult:
@@ -560,22 +542,18 @@ def exact_opt(lp: DistLP) -> OptResult:
     if len(lp.variables) > MAX_EXACT_OPT_VARIABLES:
         raise InputError(f"exact_opt is desk-scale (<= {MAX_EXACT_OPT_VARIABLES} variables)")
     comp = _compiled(lp)
-    n = len(comp.names)
     sign = 1 if lp.sense == "maximize" else -1
     objective = [sign * c for c in comp.objective]
-    rows = []
-    for row in comp.rows:
-        coeffs = [0] * n
-        for j, a in row.terms:
-            coeffs[j] = a
-        rows.append((coeffs, row.relation, row.bound))
-    status, value, solution, dual = _solve(n, objective, rows, [row.scale for row in comp.rows])
-    if status != "optimal":
+    status, optimum = _solve(comp, objective)
+    if optimum is None:
         return OptResult(status=status)
-    assert value is not None and solution is not None and dual is not None
-    _check_certificate(comp, objective, value, solution, dual)
-    point = LpPoint.of(dict(zip(comp.names, solution)))
-    return OptResult(status="optimal", value=sign * value / comp.objective_scale, point=point)
+    den, x, y, value = optimum
+    _check_certificate(comp, objective, den, x, y, value)
+    return OptResult(
+        status=status,
+        value=Fraction(sign * value, den * comp.objective_scale),
+        point=_point_of_columns(comp, x, den),
+    )
 
 
 def ratio_to_opt(sense: str, opt: Fraction, value: Fraction):
@@ -721,8 +699,6 @@ class Completion:
 
 def _completion_embeds(view: View, completion: Completion, t: int) -> bool:
     """node_map must be a port-aware view isomorphism onto the completed view."""
-    from .graphs import extract_view
-
     anchor = view.anchor_node()
     phi = dict(completion.node_map)
     if set(phi) != set(view.node_set):
@@ -842,8 +818,6 @@ def local_expectation_algorithm(
 
 def maximal_matching_to_fractional(g: Graph, matching: Iterable[int]) -> LpPoint:
     """0/1 point of a maximal matching; input error with a witness otherwise."""
-    from .linearize import is_maximal_matching
-
     edges = frozenset(matching)
     verdict = is_maximal_matching(g, edges)
     if not verdict.ok:

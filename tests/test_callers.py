@@ -67,3 +67,17 @@ def test_every_function_has_a_caller_outside_tests():
 def test_every_allowed_name_still_lacks_a_caller():
     """An ALLOWED entry goes once its name gains a caller or is deleted."""
     assert sorted(set(ALLOWED) - set(_uncalled())) == []
+
+
+def test_no_import_inside_a_function_body():
+    """Imports sit at module level, where an import cycle fails at import time."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(found) == []

@@ -373,6 +373,19 @@ def test_lp_opt_boolean_variable_owner_is_usage_error(tmp_path, capsys):
     assert _lp_opt_exit_code(tmp_path, lambda d: d["variables"][1].update(owner=["edge", True])) == 2
 
 
+@pytest.mark.parametrize("owner, name", [
+    pytest.param(["edge", 99], "extra", id="edge-outside-the-graph"),
+    pytest.param(["node", 9], "extra", id="node-outside-the-graph"),
+    pytest.param(["banana", 0], "extra", id="unknown-owner-kind"),
+    pytest.param(["node", 0], 5, id="integer-name"),
+])
+def test_lp_opt_malformed_variable_is_usage_error(tmp_path, capsys, owner, name):
+    """A variable that no constraint uses is still checked: its owner must be
+    a node or an edge of the graph and its name a string."""
+    variable = {"name": name, "owner": owner, "objective": "1"}
+    assert _lp_opt_exit_code(tmp_path, lambda d: d["variables"].append(variable)) == 2
+
+
 def _lift_instance(fixtures, tmp_path, capsys):
     _, _, ig_path = fixtures
     assert main(["lift", "build", "--incidence", str(ig_path), "--k", "2"]) == 0

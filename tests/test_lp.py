@@ -583,29 +583,51 @@ def test_repeated_variable_in_a_row_is_summed_everywhere():
     assert not check_feasible(lp, LpPoint.of({"x0": F(1)})).ok
 
 
+@pytest.mark.parametrize("ident", [True, "0", 0.0, -1])
+def test_variable_owner_id_must_be_an_int_of_the_graph(ident):
+    with pytest.raises(InputError, match="not one of the graph's"):
+        make_dist_lp("node-based", "maximize", make_graph(1, []),
+                     [LpVariable(name="x0", owner=("node", ident), objective=F(1))], [])
+
+
 def test_unknown_relation_is_input_error():
     with pytest.raises(InputError, match="relation"):
         _node_lp(1, [1], [([(0, 1)], "<", 1)])
 
 
-@pytest.mark.parametrize("corrupt", ["point", "value", "dual"])
-def test_exact_opt_rejects_a_corrupted_optimum(monkeypatch, corrupt):
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param("point", "violates", id="point"),
+    pytest.param("value", "objective differs", id="value"),
+    pytest.param("dual", "wrong sign", id="dual"),
+    pytest.param("dual-cover", "does not cover", id="dual-cover"),
+    pytest.param("dual-value", "dual value differs", id="dual-value"),
+])
+def test_exact_opt_rejects_a_corrupted_optimum(monkeypatch, corrupt, message):
+    """Each corruption of the certificate (den, x, y, value) trips its own
+    check.  Every optimum of the K4 matching LP saturates every node row, so
+    raising one edge violates a row; rows are all <=, so a negative dual
+    entry has the wrong sign, a zero dual covers nothing, and raising one
+    dual entry keeps it a cover but changes b·y."""
     real_solve = lp_module._solve
 
-    def corrupted(*args):
-        status, value, solution, dual = real_solve(*args)
+    def corrupted(comp, objective):
+        status, (den, x, y, value) = real_solve(comp, objective)
         if corrupt == "point":
-            solution = [x + F(1, 7) if j == 0 else x for j, x in enumerate(solution)]
+            x = [a + 1 if j == 0 else a for j, a in enumerate(x)]
         elif corrupt == "value":
-            value += F(1, 7)
+            value += 1
+        elif corrupt == "dual":
+            y = [-1 if i == 0 else b for i, b in enumerate(y)]
+        elif corrupt == "dual-cover":
+            y = [0] * len(y)
         else:
-            dual = [y - F(1, 7) if i == 0 else y for i, y in enumerate(dual)]
-        return status, value, solution, dual
+            y = [b + den if i == 0 else b for i, b in enumerate(y)]
+        return status, (den, x, y, value)
 
     lp = build_fractional_matching_lp(complete_graph(4))
     assert exact_opt(lp).value == 2
     monkeypatch.setattr(lp_module, "_solve", corrupted)
-    with pytest.raises(ContractError, match="simplex"):
+    with pytest.raises(ContractError, match=message):
         exact_opt(build_fractional_matching_lp(complete_graph(4)))
 
 
