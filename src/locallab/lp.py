@@ -113,7 +113,8 @@ def make_dist_lp(
     variables: Sequence[LpVariable],
     constraints: Sequence[LpConstraint],
 ) -> DistLP:
-    """Validate ownership locality: constraint variables live within radius 1."""
+    """Validate the variables (string names, each owned by a node or an edge
+    of g) and ownership locality: constraint variables live within radius 1."""
     if kind not in ("node-based", "edge-based", "node-edge-based"):
         raise InputError(f"unknown LP kind {kind!r}")
     if sense not in ("maximize", "minimize"):
