@@ -15,6 +15,7 @@ from locallab import (
     label_graph,
     local_expectation_algorithm,
     objective_value,
+    restrict,
     run_local,
     whole_graph_family,
 )
@@ -36,10 +37,11 @@ print("feasible:", check_feasible(lp, x_hat).ok)
 print("objective:", objective_value(lp, x_hat), "| ratio:", approximation_ratio(lp, x_hat))
 
 # The same expectation computed the distributed way: each node completes its
-# view to a member of the family (here: the whole graph), asks the outcome
-# oracle, and outputs the marginal expectation at its image.
+# view to a member of the family (here: the whole graph), names its image
+# there, asks the oracle for the outcome's marginal on that one node, and
+# outputs the marginal's expectation.
 lg = label_graph(k3)
-rule = local_expectation_algorithm(lambda network: uniform, 1, whole_graph_family(lg))
+rule = local_expectation_algorithm(lambda network, nodes: restrict(uniform, nodes), 1, whole_graph_family(lg))
 labeling = run_local(rule, lg)
 print("distributed expectation equals dequantize:",
       labeling.half_edges() == labeling_from_point(lp, x_hat).half_edges())

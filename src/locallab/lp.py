@@ -21,6 +21,9 @@ checks the certificate on integers over the tableau's denominator, the point
 against the compiled rows and the objective, and the dual read off the final
 objective row for feasibility and equal value.  Fractions are made only at
 the end, for the value and the point.
+
+The local expectation algorithm A' needs per view only a network of the family
+and the anchor's image there, and from its oracle only the marginal on it.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ from .outcomes import (
     LocalAlgorithm,
     NodeOutput,
     Outcome,
+    RestrictedOutcome,
     expectation,
     make_outcome,
-    restrict,
 )
 
 INFEASIBLE = "infeasible"
@@ -428,9 +431,12 @@ def _solve(
     unscaled rational tableau would make.  Returns the status and, when
     optimal, (den, x, y, value): integer numerators over the one positive
     denominator den of the point, the dual and the value.  The dual has one
-    entry per row, read off the final objective row (slack column of a
-    <=/>= row, artificial column of an == row, sign flipped for a negated
-    row, 0 for a row dropped as redundant after phase 1).
+    entry per input row, read off the final objective row at the row's own
+    column (slack column of a <=/>= row, artificial column of an == row,
+    sign flipped for a negated row).  An artificial that phase 1 cannot
+    drive out of the basis sits in a redundant row, zero outside the
+    artificial columns; the row stays in the tableau, no phase-2 pivot
+    chooses it, and the artificial's unit column keeps a reduced cost of 0.
     """
     n, m = len(comp.names), len(comp.rows)
     negated = [row.bound < 0 for row in comp.rows]
@@ -457,7 +463,6 @@ def _solve(
 
     den = 1
     allowed = [True] * ncols
-    row_of = list(range(m))  # the input row of each tableau row
 
     if art_cols:
         # phase 1: maximize -(sum of artificials of the unscaled rows)
@@ -472,22 +477,17 @@ def _solve(
             return "infeasible", None
         tableau.pop()
         art_set = set(art_cols.values())
-        # drive surviving artificials out of the basis where possible
-        drop_rows: list[int] = []
+        # drive surviving artificials out of the basis where possible; a row
+        # that keeps one is zero outside the artificial columns, so no
+        # phase-2 pivot can choose it
         for i in range(m):
             if basis[i] in art_set:
                 pivot_col = next(
                     (j for j in range(ncols) if j not in art_set and tableau[i][j] != 0),
                     None,
                 )
-                if pivot_col is None:
-                    drop_rows.append(i)
-                else:
+                if pivot_col is not None:
                     den = _pivot(tableau, basis, i, pivot_col, den)
-        for i in reversed(drop_rows):
-            tableau.pop(i)
-            basis.pop(i)
-            row_of.pop(i)
         for col in art_set:
             allowed[col] = False
 
@@ -502,7 +502,7 @@ def _solve(
             x[b] = tableau[i][-1]
     obj_row = tableau[-1]
     y = [0] * m
-    for i in row_of:
+    for i in range(m):
         yi = obj_row[art_cols[i]] if rels[i] == "==" else obj_row[slack_cols[i]]
         y[i] = -yi if (rels[i] == ">=") != negated[i] else yi
     return status, (den, x, y, obj_row[-1])
@@ -689,26 +689,28 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
 
 
 # ---------------------------------------------------------------------------
-# local expectation algorithm (view completion + oracle marginal)
+# the local expectation algorithm A' (view completion + oracle marginal)
 
 
-@dataclass(frozen=True)
-class Completion:
-    network: LabeledGraph
-    node_map: Mapping[int, int]
+def _embeds(view: View, network: LabeledGraph, image: int, t: int) -> bool:
+    """Whether the radius-t view of `image` in `network` matches `view` port
+    for port under a bijection that sends the anchor to `image`.
 
-
-def _completion_embeds(view: View, completion: Completion, t: int) -> bool:
-    """node_map must be a port-aware view isomorphism onto the completed view."""
+    A port-numbered view with one anchor is rigid: every node is reached
+    from the anchor through retained ports, so the anchor's image fixes the
+    only candidate map.  The walk builds it through equal retained ports
+    from both anchors and rejects any label, port or far-end mismatch.  A
+    map that passes reaches every node of the target view the same way, so
+    with equal node counts it is a bijection.
+    """
     anchor = view.anchor_node()
-    phi = dict(completion.node_map)
-    if set(phi) != set(view.node_set):
+    target = extract_view(network, [image], t)
+    if len(target.node_set) != len(view.node_set):
         return False
-    target = extract_view(completion.network, [phi[anchor]], t)
-    if set(phi.values()) != set(target.node_set):
-        return False
-    g2 = completion.network.graph
-    for v in view.node_set:
+    g1, g2 = view.source.graph, network.graph
+    phi = {anchor: image}
+    queue = [anchor]
+    for v in queue:
         u = phi[v]
         if view.node_label[v] != target.node_label[u]:
             return False
@@ -718,18 +720,24 @@ def _completion_embeds(view: View, completion: Completion, t: int) -> bool:
         for (lab1, e1), (lab2, e2) in zip(p1, p2):
             if lab1 != lab2 or (e1 is None) != (e2 is None):
                 return False
-            if e1 is not None and phi[view.source.graph.other(e1, v)] != g2.other(e2, u):
+            if e1 is None:
+                continue
+            w1, w2 = g1.other(e1, v), g2.other(e2, u)
+            if w1 not in phi:
+                phi[w1] = w2
+                queue.append(w1)
+            elif phi[w1] != w2:
                 return False
     return True
 
 
-def whole_graph_family(lg: LabeledGraph) -> Callable[[View], Completion]:
-    """Completion that returns the actual input network itself."""
+def whole_graph_family(lg: LabeledGraph) -> Callable[[View], tuple[LabeledGraph, int]]:
+    """Completion into the input network itself: the anchor is its own image."""
 
-    def complete(view: View) -> Completion:
+    def complete(view: View) -> tuple[LabeledGraph, int]:
         if view.source is not lg and view.source != lg:
             raise ContractError("whole-graph completion got a view of a different network")
-        return Completion(network=lg, node_map={v: v for v in view.node_set})
+        return lg, view.anchor_node()
 
     return complete
 
@@ -743,76 +751,46 @@ def oriented_cycle_graph(n: int) -> LabeledGraph:
     return label_graph(make_graph(n, edges, adjacency_order=order))
 
 
-def cycle_family(length: int) -> Callable[[View], Completion]:
-    """Completion into the oriented cycle of a fixed length.
+def cycle_family(length: int) -> Callable[[View], tuple[LabeledGraph, int]]:
+    """Completion into the oriented cycle of a fixed length (at least 3),
+    with the anchor's image at node length // 2.
 
-    A path-shaped view of an oriented cycle embeds by rotation; a view that
-    already contains its whole cycle must match the length exactly.
+    A path-shaped view of an oriented cycle embeds by rotation, and a view
+    that holds a whole cycle must match the length; any other view fails
+    the embedding check of `local_expectation_algorithm`.
     """
+    cycle = oriented_cycle_graph(length)
 
-    def complete(view: View) -> Completion:
-        target = oriented_cycle_graph(length)
-        anchor = view.anchor_node()
-        nodes = sorted(view.node_set)
-        if len(nodes) > length:
-            raise ContractError("view does not fit the declared cycle length")
-        # walk the view from the anchor in the +1 direction (port 0), then -1
-        src = view.source.graph
-        offset: dict[int, int] = {anchor: 0}
-        for direction, start_port in ((1, 0), (-1, 1)):
-            cur = anchor
-            pos = 0
-            while True:
-                ports = view.ports[cur]
-                if start_port >= len(ports) or ports[start_port][1] is None:
-                    break
-                nxt = src.other(ports[start_port][1], cur)
-                pos += direction
-                if nxt in offset:
-                    break
-                offset[nxt] = pos
-                cur = nxt
-        if set(offset) != set(view.node_set):
-            raise ContractError("view is not a path or cycle segment; family descriptor inadequate")
-        base = length // 2
-        node_map = {v: (base + d) % length for v, d in offset.items()}
-        return Completion(network=target, node_map=node_map)
+    def complete(view: View) -> tuple[LabeledGraph, int]:
+        return cycle, length // 2
 
     return complete
 
 
 def local_expectation_algorithm(
-    oracle: Callable[[LabeledGraph], Outcome],
+    oracle: Callable[[LabeledGraph, Sequence[int]], RestrictedOutcome],
     t: int,
-    complete: Callable[[View], Completion],
+    complete: Callable[[View], tuple[LabeledGraph, int]],
 ) -> LocalAlgorithm:
     """Deterministic LOCAL rule: complete the view into a network of the
-    family (`complete`), check that the completion embeds the view, ask the
-    oracle, output the expectation of the anchor's marginal (pulled back
-    port to port).
+    family and the anchor's image there (`complete`), check that the
+    completion embeds the view, and output the expectation of the oracle's
+    marginal on the image (pulled back port to port).
 
-    The oracle's outcomes must be non-signaling beyond t on the family; then
+    The oracle maps (network, nodes) to the marginal of its outcome on those
+    nodes.  Its outcomes must be non-signaling beyond t on the family; then
     the choice of completion does not affect the marginal, and composing with
     run_local reproduces the dequantized point coordinatewise.
     """
 
     def rule(view: View) -> NodeOutput:
-        completion = complete(view)
-        if not _completion_embeds(view, completion, t):
+        network, image = complete(view)
+        if not _embeds(view, network, image, t):
             raise ContractError("completion does not embed the view; family descriptor inadequate")
-        v = view.anchor_node()
-        v2 = completion.node_map[v]
-        outcome = oracle(completion.network)
-        sums = expectation(restrict(outcome, [v2]))
-        node_label = sums.get(v2)
-        half_edges: dict[int, object] = {}
-        g1 = view.source.graph
-        g2 = completion.network.graph
-        for i, e in enumerate(g1.adjacency[v]):
-            target_e = g2.adjacency[v2][i]
-            if (v2, target_e) in sums:
-                half_edges[e] = sums[(v2, target_e)]
-        return NodeOutput(node_label=node_label, half_edge_labels=half_edges)
+        sums = expectation(oracle(network, [image]))
+        ports = zip(view.source.graph.adjacency[view.anchor_node()], network.graph.adjacency[image])
+        half_edges = {e: sums[(image, f)] for e, f in ports if (image, f) in sums}
+        return NodeOutput(node_label=sums.get(image), half_edge_labels=half_edges)
 
     return LocalAlgorithm(locality=t, rule=rule)
 

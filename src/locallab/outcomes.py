@@ -138,15 +138,7 @@ def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
 class RestrictedOutcome:
     """Marginal of an outcome on a node subset and its half-edges H(G)[S]."""
 
-    scope_nodes: frozenset[int]
-    scope_half_edges: frozenset[tuple[int, int]]
     support: tuple[tuple[Labeling, Fraction], ...]
-
-
-def _scope_half_edges(g, nodes: frozenset[int]) -> frozenset[tuple[int, int]]:
-    for v in nodes:
-        g._check_node(v)
-    return frozenset((v, e) for v in nodes for e in g.adjacency[v])
 
 
 def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
@@ -154,22 +146,25 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
 
     `make_outcome` gives every support labeling one domain, so the in-scope
     positions are read once from the first labeling and picked out of all.
+    That domain holds only half-edges of the graph, so a half-edge is in
+    H(G)[S] exactly when its node is in S.
     """
     nodes = frozenset(s)
     cached = outcome._marginals.get(nodes)
     if cached is not None:
         return cached
-    scope_he = _scope_half_edges(outcome.input.graph, nodes)
+    for v in nodes:
+        outcome.input.graph._check_node(v)
     weights, denominator = common_denominator([p for _, p in outcome.support])
     first = outcome.support[0][0]
     node_keep = [v in nodes for v, _ in first.node_items]
-    he_keep = [k in scope_he for k, _ in first.half_edge_items]
+    he_keep = [v in nodes for (v, _), _ in first.half_edge_items]
     merged: dict[tuple[tuple, tuple], int] = {}
     for (labeling, _), w in zip(outcome.support, weights):
         key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
         merged[key] = merged.get(key, 0) + w
     support = _support(((Labeling(*key), w) for key, w in merged.items()), denominator)
-    marginal = outcome._marginals[nodes] = RestrictedOutcome(nodes, scope_he, support)
+    marginal = outcome._marginals[nodes] = RestrictedOutcome(support)
     return marginal
 
 
@@ -403,14 +398,11 @@ def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int])
     if not alg.randomized:
         raise InputError("rand_local_marginal needs a randomized algorithm; use run_local")
     alphabet = _seed_alphabet(alg)
-    nodes = frozenset(s)
-    scope_he = _scope_half_edges(lg.graph, nodes)
-    tables = [_NodeTable(alg, lg, v) for v in sorted(nodes)]
+    tables = [_NodeTable(alg, lg, v) for v in sorted(frozenset(s))]
     universe = sorted(set().union(*(table.ball for table in tables)))
     denominator = _seed_space(alphabet, len(universe))
     assignments = product(alphabet, repeat=len(universe))
-    support = _tables_support(tables, universe, assignments, denominator)
-    return RestrictedOutcome(scope_nodes=nodes, scope_half_edges=scope_he, support=support)
+    return RestrictedOutcome(_tables_support(tables, universe, assignments, denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from . import corpus
 from .graphs import (
-    INFINITY,
     ContractError,
     Graph,
     InputError,
@@ -65,6 +64,8 @@ from .outcomes import (
     NodeOutput,
     deterministic_outcome,
     make_outcome,
+    rand_local_marginal,
+    restrict,
     run_local,
     run_rand_local,
     success_probability,
@@ -153,12 +154,6 @@ def _check(checks: list[CheckResult], name: str, fn: Callable[[], tuple[bool, di
             wall_ms=ms,
         )
     )
-
-
-def _frac(x) -> str:
-    if x == INFINITY:
-        return "inf"
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +275,10 @@ def suite_local_expectation(seed: int) -> list[CheckResult]:
             lg = label_graph(g)
             outcome = _uniform_maximal_matching_oracle(g, lp)
 
-            def oracle(network, _outcome=outcome, _lg=lg):
+            def oracle(network, nodes, _outcome=outcome, _lg=lg):
                 if network != _lg:
                     raise ContractError("oracle asked about a foreign network")
-                return _outcome
+                return restrict(_outcome, nodes)
 
             alg = local_expectation_algorithm(oracle, 1, whole_graph_family(lg))
             labeling = run_local(alg, lg)
@@ -296,15 +291,9 @@ def suite_local_expectation(seed: int) -> list[CheckResult]:
 
     def cycle_part() -> tuple[bool, dict, str]:
         alg = _cycle_parity_algorithm()
-        cache: dict[int, object] = {}
 
-        def oracle(network):
-            n = network.graph.n
-            if n not in cache:
-                cache[n] = run_rand_local(alg, network)
-            if network != oriented_cycle_graph(n):
-                raise ContractError("cycle oracle expects oriented cycles")
-            return cache[n]
+        def oracle(network, nodes):
+            return rand_local_marginal(alg, network, nodes)
 
         rules = [
             local_expectation_algorithm(oracle, 1, cycle_family(9)),
@@ -588,7 +577,7 @@ def suite_factor3(seed: int) -> list[CheckResult]:
                     return False, {}, "matching point infeasible"
                 ratio = ratio_to_opt(lp.sense, opt.value, objective_value(lp, point))
                 if not (ratio <= 3):
-                    return False, {"edges": g.edge_list, "ratio": _frac(ratio)}, "factor-3 violated"
+                    return False, {"edges": g.edge_list, "ratio": ratio}, "factor-3 violated"
                 worst = max(worst, ratio)
                 runs += 1
         sample = graphs[0]
@@ -597,7 +586,7 @@ def suite_factor3(seed: int) -> list[CheckResult]:
         tie = approximation_ratio(lp0, maximal_matching_to_fractional(sample, m0))
         if not (tie <= 3):
             return False, {}, "approximation_ratio op disagrees"
-        return True, {"greedy_runs": runs, "worst_ratio": _frac(worst)}, ""
+        return True, {"greedy_runs": runs, "worst_ratio": worst}, ""
 
     _check(checks, "greedy-maximal-matching-ratio-at-most-3", factor3_part)
 
@@ -612,7 +601,7 @@ def suite_factor3(seed: int) -> list[CheckResult]:
             if opt.value != integral:
                 return (
                     False,
-                    {"edges": g.edge_list, "opt": _frac(opt.value), "integral": integral},
+                    {"edges": g.edge_list, "opt": opt.value, "integral": integral},
                     "fractional and integral optima differ on a bipartite graph",
                 )
             count += 1
@@ -819,11 +808,11 @@ def suite_lift(seed: int) -> list[CheckResult]:
             before = success_probability(outcome, promise_ok)
             after = success_probability(pulled, source_ok)
             if after < before:
-                return False, {"before": _frac(before), "after": _frac(after)}, "mass lost in pullback"
+                return False, {"before": before, "after": after}, "mass lost in pullback"
             if before != after:
                 return (
                     False,
-                    {"before": _frac(before), "after": _frac(after)},
+                    {"before": before, "after": after},
                     "mass not preserved for a stay-invalid corruption",
                 )
         return True, {}, ""

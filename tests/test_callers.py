@@ -23,8 +23,6 @@ ALLOWED = {
     "star_graph": "public graph constructor, next to path_graph, cycle_graph and complete_graph",
     "all_connected_bipartite_graphs": "the Konig test's corpus; it prunes while it enumerates "
     "rather than filter all 12,113 connected graphs on up to 8 nodes",
-    "rand_local_marginal": "the ball-local marginal oracle planned for the local expectation "
-    "algorithm (ROADMAP item 3); tested against the restricted joint",
 }
 
 

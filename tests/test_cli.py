@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from locallab.cli import build_parser, main
-from locallab.graphs import InputError, label_graph, labeled_graph_to_json, path_graph
+from locallab.graphs import InputError, complete_graph, label_graph, labeled_graph_to_json, path_graph
 from locallab.linearize import (
     MATCHING_ENCODING,
     edge_labeling_from_json,
@@ -12,7 +12,14 @@ from locallab.linearize import (
     incidence_graph_to_json,
     linearizable_to_json,
 )
-from locallab.lp import build_fractional_matching_lp, exact_opt, lp_to_json
+from locallab.lp import (
+    LpConstraint,
+    LpVariable,
+    build_fractional_matching_lp,
+    exact_opt,
+    lp_to_json,
+    make_dist_lp,
+)
 
 
 @pytest.fixture
@@ -203,6 +210,23 @@ def _lp_opt_exit_code(tmp_path, edit):
 def test_lp_opt_roundtrips_through_lp_json(tmp_path, capsys):
     assert _lp_opt_exit_code(tmp_path, lambda d: None) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "1"
+
+
+def test_lp_opt_solves_an_lp_with_a_redundant_equality(tmp_path, capsys):
+    """maximize x1 s.t. x0 - x1 = 0, x0 = 0, x0 + 2*x1 = 0: the third row is
+    a combination of the first two, and the optimum 0 comes with a dual that
+    passes its certificate."""
+    rows = [({"x0": 1, "x1": -1}, "a"), ({"x0": 1}, "b"), ({"x0": 1, "x1": 2}, "c")]
+    lp = make_dist_lp(
+        "node-based", "maximize", complete_graph(2),
+        [LpVariable("x0", ("node", 0), Fraction(0)), LpVariable("x1", ("node", 1), Fraction(1))],
+        [LpConstraint(name, tuple((x, Fraction(a)) for x, a in coeffs.items()), "==", Fraction(0), 0)
+         for coeffs, name in rows],
+    )
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(lp_to_json(lp)))
+    assert main(["lp", "opt", "--lp", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
 
 
 def test_lp_opt_without_sense_is_usage_error(tmp_path, capsys):

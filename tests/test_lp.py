@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from locallab.graphs import (
     InputError,
     complete_graph,
     cycle_graph,
+    extract_view,
     label_graph,
     make_graph,
     path_graph,
@@ -47,7 +49,14 @@ from locallab.lp import (
     ratio_to_opt,
     whole_graph_family,
 )
-from locallab.outcomes import Labeling, expectation, make_outcome, run_local, run_rand_local
+from locallab.outcomes import (
+    Labeling,
+    expectation,
+    make_outcome,
+    rand_local_marginal,
+    restrict,
+    run_local,
+)
 import locallab.lp as lp_module
 import locallab.suites as suites
 
@@ -235,13 +244,13 @@ def test_local_expectation_whole_graph():
     lg = label_graph(k3)
     uniform = outcome_of_points(lp, [(matching_point(k3, {e}), F(1, 3)) for e in range(3)])
 
-    alg = local_expectation_algorithm(lambda network: uniform, 1, whole_graph_family(lg))
+    alg = local_expectation_algorithm(lambda network, nodes: restrict(uniform, nodes), 1, whole_graph_family(lg))
     labeling = run_local(alg, lg)
     assert all(value == F(1, 3) for value in labeling.half_edges().values())
 
     # deterministic oracle reproduces its own labeling exactly
     det = outcome_of_points(lp, [(matching_point(k3, {1}), F(1))])
-    alg2 = local_expectation_algorithm(lambda network: det, 1, whole_graph_family(lg))
+    alg2 = local_expectation_algorithm(lambda network, nodes: restrict(det, nodes), 1, whole_graph_family(lg))
     assert run_local(alg2, lg).half_edges() == labeling_from_point(lp, matching_point(k3, {1})).half_edges()
 
 
@@ -257,22 +266,106 @@ def test_local_expectation_two_completions_agree():
         return NodeOutput(node_label=total)
 
     alg = LocalAlgorithm(locality=1, rule=rule, seed_alphabet=("0", "1"))
-    cache = {}
 
-    def oracle(network):
-        n = network.graph.n
-        if n not in cache:
-            cache[n] = run_rand_local(alg, network)
-        return cache[n]
+    def oracle(network, nodes):
+        return rand_local_marginal(alg, network, nodes)
 
     r9 = local_expectation_algorithm(oracle, 1, cycle_family(9))
     r12 = local_expectation_algorithm(oracle, 1, cycle_family(12))
     lg = oriented_cycle_graph(15)
-    from locallab.graphs import extract_view
 
     for v in (0, 7):
         view = extract_view(lg, [v], 1)
         assert r9.rule(view).node_label == r12.rule(view).node_label
+
+
+def _brute_force_embeds(view, network, image, t):
+    """Literal port-exact embedding: some bijection from the view onto the
+    radius-t view of `image` sends the anchor to `image` and matches node
+    labels, and per port the half-edge label, the retained pattern and the
+    far end."""
+    target = extract_view(network, [image], t)
+    anchor = view.anchor_node()
+    rest = sorted(view.node_set - {anchor})
+    g1, g2 = view.source.graph, network.graph
+    if len(view.node_set) != len(target.node_set):
+        return False
+    for images in itertools.permutations(sorted(target.node_set - {image})):
+        phi = {anchor: image, **dict(zip(rest, images))}
+        if all(_ports_match(view, target, g1, g2, phi, v) for v in view.node_set):
+            return True
+    return False
+
+
+def _ports_match(view, target, g1, g2, phi, v):
+    u = phi[v]
+    p1, p2 = view.ports[v], target.ports[u]
+    if view.node_label[v] != target.node_label[u] or len(p1) != len(p2):
+        return False
+    for (lab1, e1), (lab2, e2) in zip(p1, p2):
+        if lab1 != lab2 or (e1 is None) != (e2 is None):
+            return False
+        if e1 is not None and phi[g1.other(e1, v)] != g2.other(e2, u):
+            return False
+    return True
+
+
+def test_embeds_agrees_with_brute_force_on_small_graphs():
+    """Every view at t = 0, 1, 2 of the connected graphs up to 5 nodes, with
+    seeded port orders and, on two graphs in three, seeded node or half-edge
+    labels, against every image in the graph itself and in the oriented
+    cycles of length 3-9."""
+    rng = random.Random("embeds")
+    cycles = [oriented_cycle_graph(n) for n in range(3, 10)]
+    sources = []
+    for i, g in enumerate(all_connected_graphs(5)):
+        order = [rng.sample(row, len(row)) for row in g.adjacency]
+        shuffled = make_graph(g.n, g.edge_list, adjacency_order=order)
+        node_labels = {v: rng.choice([None, "a"]) for v in range(g.n)} if i % 3 == 1 else None
+        port_labels = {h: rng.choice([None, "p"]) for h in shuffled.half_edges()} if i % 3 == 2 else None
+        sources.append(label_graph(shuffled, node_labels, port_labels))
+    checked = embedded = 0
+    for lg in sources:
+        for t in (0, 1, 2):
+            for v in range(lg.graph.n):
+                view = extract_view(lg, [v], t)
+                for network in [lg, *cycles]:
+                    for image in range(network.graph.n):
+                        expected = _brute_force_embeds(view, network, image, t)
+                        assert lp_module._embeds(view, network, image, t) == expected, (lg, t, v, image)
+                        checked += 1
+                        embedded += expected
+    assert embedded and embedded < checked
+
+
+def _no_oracle(network, nodes):
+    raise AssertionError("the oracle is asked only after the view embeds")
+
+
+@pytest.mark.parametrize("view, family", [
+    # radius 3: at radius 2 the edge between C5's two far nodes is dropped,
+    # so that view is a path, as in C9, and embeds
+    pytest.param(extract_view(oriented_cycle_graph(5), [0], 3), cycle_family(9), id="whole-5-cycle-into-9"),
+    pytest.param(extract_view(label_graph(path_graph(4)), [0], 1), cycle_family(9), id="path-end"),
+    pytest.param(extract_view(label_graph(cycle_graph(6)), [0], 1), cycle_family(9), id="unoriented-cycle"),
+    # the walk maps C6 onto C3 twice around, port for port; it is no bijection
+    pytest.param(extract_view(oriented_cycle_graph(6), [0], 3), cycle_family(3), id="6-cycle-covers-3-cycle"),
+])
+def test_completion_that_cannot_hold_the_view_is_a_contract_error(view, family):
+    rule = local_expectation_algorithm(_no_oracle, view.radius, family)
+    with pytest.raises(ContractError, match="completion does not embed the view"):
+        rule.rule(view)
+
+
+def test_cycle_family_needs_three_nodes():
+    with pytest.raises(InputError, match="at least 3"):
+        cycle_family(2)
+
+
+def test_whole_graph_completion_rejects_a_foreign_network():
+    rule = local_expectation_algorithm(_no_oracle, 1, whole_graph_family(oriented_cycle_graph(5)))
+    with pytest.raises(ContractError, match="view of a different network"):
+        rule.rule(extract_view(oriented_cycle_graph(6), [0], 1))
 
 
 def test_locality_of_lp_formulation_enforced():
@@ -545,6 +638,60 @@ def test_simplex_edge_cases_match_reference():
     assert _assert_matches_reference(infeasible) == "infeasible"
     unbounded = _node_lp(2, [1, 0], [([(0, 1), (1, -1)], "<=", 1)])
     assert _assert_matches_reference(unbounded) == "unbounded"
+
+
+def redundant_rows_lp():
+    """maximize x1 s.t. x0 - x1 = 0, x0 = 0, x0 + 2*x1 = 0 on K2: phase 1 ends
+    with an artificial basic in a row that is zero outside the artificial
+    columns, and that artificial is not the row's own."""
+    return _node_lp(2, [0, 1], [
+        ([(0, 1), (1, -1)], "==", 0),
+        ([(0, 1)], "==", 0),
+        ([(0, 1), (1, 2)], "==", 0),
+    ])
+
+
+def test_exact_opt_reads_each_dual_from_its_own_row_after_a_redundant_row():
+    lp = redundant_rows_lp()
+    assert _assert_matches_reference(lp) == "optimal"
+    result = exact_opt(lp)
+    assert result.value == 0
+    assert result.point == LpPoint.of({"x0": 0, "x1": 0})
+
+
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
+def _redundant_lp(rng, sense):
+    """A node-based LP on up to 3 variables whose base rows come back
+    duplicated, scaled by a positive factor or negated with the relation
+    flipped, and sometimes with a combination of two base equalities."""
+    k = rng.randint(1, 3)
+    base = [
+        ([(j, rng.randint(-2, 2)) for j in range(k)], rng.choice(["==", "==", ">=", "<="]), rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3))
+    ]
+    rows = list(base)
+    for _ in range(rng.randint(1, 3)):
+        terms, rel, bound = rng.choice(base)
+        f = F(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice([1, -1])
+        rows.append(([(j, f * a) for j, a in terms], _FLIPPED[rel] if f < 0 else rel, f * bound))
+    equalities = [row for row in base if row[1] == "=="]
+    if len(equalities) >= 2 and rng.random() < 0.5:
+        (t1, _, b1), (t2, _, b2) = rng.sample(equalities, 2)
+        a, c = rng.choice([1, -1, 2]), rng.choice([1, -1, 2])
+        rows.append(([(j, a * x + c * y) for (j, x), (_, y) in zip(t1, t2)], "==", a * b1 + c * b2))
+    rng.shuffle(rows)
+    return _node_lp(k, [rng.randint(-2, 3) for _ in range(k)], rows, sense)
+
+
+def test_simplex_matches_reference_on_seeded_lps_with_redundant_rows():
+    rng = random.Random("redundant")
+    statuses = {}
+    for trial in range(3000):
+        status = _assert_matches_reference(_redundant_lp(rng, "maximize" if trial % 2 else "minimize"))
+        statuses[status] = statuses.get(status, 0) + 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
 
 
 def test_simplex_weighs_artificials_of_scaled_rows_like_the_rational_tableau():

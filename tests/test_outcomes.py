@@ -117,7 +117,7 @@ def test_restrict_tower_property():
     # restricting the restricted distribution again must agree
     refined = {}
     for labeling, p in via_pair.support:
-        part = _restrict_labeling(labeling, frozenset({0}), one_shot.scope_half_edges)
+        part = _restrict_labeling(labeling, frozenset({0}), {(0, e) for e in k3.graph.adjacency[0]})
         refined[part] = refined.get(part, F(0)) + p
     assert tuple(sorted(refined.items(), key=lambda kv: kv[0].sort_key())) == one_shot.support
 
