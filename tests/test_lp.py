@@ -659,9 +659,6 @@ def test_exact_opt_reads_each_dual_from_its_own_row_after_a_redundant_row():
     assert result.point == LpPoint.of({"x0": 0, "x1": 0})
 
 
-_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
-
-
 def _redundant_lp(rng, sense):
     """A node-based LP on up to 3 variables whose base rows come back
     duplicated, scaled by a positive factor or negated with the relation
@@ -675,7 +672,7 @@ def _redundant_lp(rng, sense):
     for _ in range(rng.randint(1, 3)):
         terms, rel, bound = rng.choice(base)
         f = F(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice([1, -1])
-        rows.append(([(j, f * a) for j, a in terms], _FLIPPED[rel] if f < 0 else rel, f * bound))
+        rows.append(([(j, f * a) for j, a in terms], lp_module._FLIPPED[rel] if f < 0 else rel, f * bound))
     equalities = [row for row in base if row[1] == "=="]
     if len(equalities) >= 2 and rng.random() < 0.5:
         (t1, _, b1), (t2, _, b2) = rng.sample(equalities, 2)
