@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -61,8 +61,9 @@ from .outcomes import (
     NodeOutput,
     Outcome,
     RestrictedOutcome,
+    _merge,
+    _support_fields,
     expectation,
-    make_outcome,
 )
 
 INFEASIBLE = "infeasible"
@@ -585,14 +586,17 @@ def approximation_ratio(lp: DistLP, x: LpPoint):
 # outcomes over LP points and dequantization
 
 
-def labeling_from_point(lp: DistLP, x: LpPoint) -> Labeling:
-    """Encode a point as a labeling: edge values on both half-edges, node values on nodes."""
-    comp = _compiled(lp)
-    vals = _column_values(comp, x)
+def _labeling_of_columns(comp: _CompiledLP, vals: Sequence) -> Labeling:
     return Labeling(
         node_items=tuple((v, vals[j]) for v, j in comp.node_columns),
         half_edge_items=tuple((key, vals[j]) for key, j in comp.half_edge_columns),
     )
+
+
+def labeling_from_point(lp: DistLP, x: LpPoint) -> Labeling:
+    """Encode a point as a labeling: edge values on both half-edges, node values on nodes."""
+    comp = _compiled(lp)
+    return _labeling_of_columns(comp, _column_values(comp, x))
 
 
 def _label_positions(comp: _CompiledLP, labeling: Labeling) -> list:
@@ -648,7 +652,26 @@ def _decode(comp: _CompiledLP, positions: list, labeling: Labeling, entry: int) 
 
 
 def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> Outcome:
-    return make_outcome(label_graph(lp.graph), [(labeling_from_point(lp, pt), p) for pt, p in pairs])
+    """The distribution of `labeling_from_point` over weighted points: equal
+    to `make_outcome` over those labelings, entry for entry and error for
+    error.
+
+    Duplicate points are merged on (den, *numerators) of the columns the
+    labeling shows, which is equal exactly when the labelings are.  The
+    compiled layout gives every labeling one domain inside the graph, so no
+    domain is checked.
+    """
+    comp = _compiled(lp)
+    pairs = list(pairs)
+    columns = [_column_values(comp, pt) for pt, _ in pairs]
+    shown = sorted({j for _, j in comp.node_columns} | {j for _, j in comp.half_edge_columns})
+    keys = []
+    for vals in columns:
+        nums, den = common_denominator([vals[j] for j in shown])
+        keys.append((den, *nums))
+    merged, denominator = _merge(keys, map(itemgetter(1), pairs))
+    entries = [(_labeling_of_columns(comp, columns[i]), w) for i, w in merged.values()]
+    return Outcome(input=label_graph(lp.graph), **_support_fields(entries, denominator))
 
 
 def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
@@ -661,20 +684,20 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     of the support, exactly.
 
     Each entry i is decoded once into integers nums_i over its own
-    denominator d_i and checked against the compiled rows.  With W the
-    support's common denominator and w_i = p_i * W, the column sums hold
-    sum_i w_i * nums_i * (L / d_i) as integers over W * L, where L is the lcm
-    of the d_i seen so far.  One Fraction per column is made at the end.
+    denominator d_i and checked against the compiled rows.  With the
+    outcome's integer weights w_i over its denominator W, the column sums
+    hold sum_i w_i * nums_i * (L / d_i) as integers over W * L, where L is
+    the lcm of the d_i seen so far.  One Fraction per column is made at the
+    end.
     """
     if outcome.input.graph != lp.graph:
         raise InputError("dequantize needs an outcome over the LP's graph")
     comp = _compiled(lp)
     support = outcome.support
     positions = _label_positions(comp, support[0][0])
-    weights, w_den = common_denominator([p for _, p in support])
     sums = [0] * len(comp.names)
     lcm_d = 1
-    for i, ((labeling, _), w) in enumerate(zip(support, weights)):
+    for i, ((labeling, _), w) in enumerate(zip(support, outcome.weights)):
         nums, d = _decode(comp, positions, labeling, i)
         bad = _violations(comp, nums, d)
         if bad:
@@ -685,7 +708,7 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
             lcm_d *= scale
         k = w * (lcm_d // d)
         sums = [s + k * a for s, a in zip(sums, nums)]
-    return _point_of_columns(comp, sums, w_den * lcm_d)
+    return _point_of_columns(comp, sums, outcome.denominator * lcm_d)
 
 
 # ---------------------------------------------------------------------------

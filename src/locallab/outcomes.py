@@ -5,17 +5,35 @@ probabilities; there is no tolerance anywhere.  Randomized LOCAL replaces the
 infinite per-node bit string with a declared finite seed alphabet so the full
 output distribution can be enumerated exactly; a sampling mode exists for
 larger instances and is excluded from exactness-critical suites.
+
+An outcome keeps its probabilities twice: as Fractions in `support` and as
+integer `weights` over one `denominator`, which `restrict`, `expectation`,
+`verify_non_signaling` and `lp.dequantize` read.  Supports are merged and
+validated where their entries come from, and sorted in one step,
+`_support_fields`:
+
+- `make_outcome` (labelings from users or JSON) is the one generic merge:
+  it merges equal labelings, checks the probabilities, the shared domain and
+  that the domain lies within the network.
+- The randomized simulators count seed vectors per tuple of node parts;
+  distinct tuples are distinct labelings, and each node's table checks that
+  its parts share one domain.
+- `restrict` merges on the picked item tuples of an outcome whose labelings
+  already share one domain.
+- `lp.outcome_of_points` merges points on their integer columns; the LP's
+  layout gives every labeling one domain inside the graph.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
     ContractError,
@@ -68,20 +86,20 @@ class Labeling:
         return (tuple(map(itemgetter(0), self.node_items)),
                 tuple(map(itemgetter(0), self.half_edge_items)))
 
-    def sort_key(self) -> str:
-        return repr((self.node_items, self.half_edge_items))
-
 
 @dataclass(frozen=True)
 class Outcome:
     """Explicit probability distribution over output labelings of one network.
 
-    Build it with `make_outcome` or a simulator: they check that every
-    support labeling has one domain, which `restrict` relies on.
+    Build it with `make_outcome` or a simulator: they give every support
+    labeling one domain, which `restrict` relies on.  `weights` holds the
+    support's probabilities as integers over `denominator`.
     """
 
     input: LabeledGraph
     support: tuple[tuple[Labeling, Fraction], ...]
+    weights: tuple[int, ...] = field(compare=False, repr=False)
+    denominator: int = field(compare=False, repr=False)
     # restrict() results by node set; immutable, so handing them out is safe
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -89,45 +107,98 @@ class Outcome:
         return sum((p for _, p in self.support), Fraction(0))
 
 
-def _support(
-    weighted: Iterable[tuple[Labeling, int]], denominator: int
-) -> tuple[tuple[Labeling, Fraction], ...]:
-    """The one support validator, over integer weights with a common denominator.
+class _Slot:
+    """A label's place in a domain's item structure: its repr is the format
+    directive that the label's own repr fills."""
 
-    Rejects negative weights, drops zero ones and merges duplicate labelings
-    (the first occurrence stays as the key), then requires the weights to sum
-    to the denominator and every labeling to share one domain.  The support
-    is sorted by `Labeling.sort_key`; a Fraction is made per entry only here.
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "%s"
+
+
+_SLOT = _Slot()
+
+
+def _sort_key(domain: Labeling) -> Callable[[Labeling], str]:
+    """repr((node_items, half_edge_items)) of the labelings that share the
+    domain of `domain`.  The item structure is written once, with a slot
+    per label, and each key fills the slots with the reprs of its labels."""
+    template = repr((
+        tuple([(key, _SLOT) for key, _ in domain.node_items]),
+        tuple([(key, _SLOT) for key, _ in domain.half_edge_items]),
+    ))
+
+    def key(labeling: Labeling) -> str:
+        return template % tuple(map(repr, chain(
+            map(itemgetter(1), labeling.node_items), map(itemgetter(1), labeling.half_edge_items)
+        )))
+
+    return key
+
+
+def _support_fields(entries: Iterable[tuple[Labeling, int]], denominator: int) -> dict:
+    """The one ordering step: `support`, `weights` and `denominator` of an
+    outcome whose entries are distinct labelings of one domain, with positive
+    integer weights summing to the denominator.  Entries are sorted by
+    `_sort_key`; a one-entry support computes no key."""
+    entries = list(entries)
+    if len(entries) > 1:
+        key = _sort_key(entries[0][0])
+        entries.sort(key=lambda entry: key(entry[0]))
+    return {
+        "support": tuple([(labeling, Fraction(w, denominator)) for labeling, w in entries]),
+        "weights": tuple(map(itemgetter(1), entries)),
+        "denominator": denominator,
+    }
+
+
+def _merge(keys: Iterable[Hashable], probabilities: Iterable) -> tuple[dict, int]:
+    """Probabilities merged by key, as integers over their common denominator.
+
+    A negative probability is an InputError, a zero one is dropped, and the
+    rest must sum to exactly 1.  Each key maps to [the index of its first
+    nonzero probability, its total weight]; the denominator comes second.
     """
-    merged: dict[Labeling, int] = {}
-    for labeling, w in weighted:
+    weights, denominator = common_denominator([Fraction(p) for p in probabilities])
+    merged: dict = {}
+    for i, (key, w) in enumerate(zip(keys, weights)):
         if w < 0:
             raise InputError("probabilities must be non-negative")
         if w:
-            merged[labeling] = merged.get(labeling, 0) + w
-    total = sum(merged.values())
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [i, w]
+            else:
+                entry[1] += w
+    total = sum(map(itemgetter(1), merged.values()))
     if total != denominator:
         raise InputError(f"probabilities sum to {Fraction(total, denominator)}, expected exactly 1")
-    domains = {labeling.domain() for labeling in merged}
-    if len(domains) > 1:
-        raise InputError("support labelings do not share one node/half-edge domain")
-    ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key())
-    return tuple((labeling, Fraction(w, denominator)) for labeling, w in ordered)
+    return merged, denominator
 
 
 def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -> Outcome:
-    """Validate probabilities and domains, merging duplicate labelings; the
-    support's shared domain must lie within lg's nodes and half-edges."""
+    """Validate probabilities and domains, merging duplicate labelings (the
+    first occurrence stays as the key); the support's shared domain must lie
+    within lg's nodes and half-edges.
+
+    The one generic merge and domain check, for labelings from users or
+    JSON; every other producer already holds distinct labelings of one
+    domain and hands them straight to `_support_fields`.
+    """
     pairs = list(pairs)
-    weights, denominator = common_denominator([Fraction(p) for _, p in pairs])
-    support = _support(zip(map(itemgetter(0), pairs), weights), denominator)
+    merged, denominator = _merge(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
+    domains = {labeling.domain() for labeling in merged}
+    if len(domains) > 1:
+        raise InputError("support labelings do not share one node/half-edge domain")
     g = lg.graph
-    nodes, half_edges = support[0][0].domain()
+    nodes, half_edges = domains.pop()
     for v in chain(nodes, map(itemgetter(0), half_edges)):
         g._check_node(v)
     for v, e in half_edges:
         g.port_of(v, e)
-    return Outcome(input=lg, support=support)
+    entries = [(labeling, w) for labeling, (_, w) in merged.items()]
+    return Outcome(input=lg, **_support_fields(entries, denominator))
 
 
 def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
@@ -139,15 +210,18 @@ class RestrictedOutcome:
     """Marginal of an outcome on a node subset and its half-edges H(G)[S]."""
 
     support: tuple[tuple[Labeling, Fraction], ...]
+    weights: tuple[int, ...] = field(compare=False, repr=False)
+    denominator: int = field(compare=False, repr=False)
 
 
 def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
     """Marginal distribution on S and H(G)[S]; duplicates merged.
 
-    `make_outcome` gives every support labeling one domain, so the in-scope
-    positions are read once from the first labeling and picked out of all.
-    That domain holds only half-edges of the graph, so a half-edge is in
-    H(G)[S] exactly when its node is in S.
+    Every support labeling of an outcome has one domain, so the in-scope
+    positions are read once from the first labeling and picked out of all,
+    and entries are merged on the picked item tuples.  That domain holds only
+    half-edges of the graph, so a half-edge is in H(G)[S] exactly when its
+    node is in S.
     """
     nodes = frozenset(s)
     cached = outcome._marginals.get(nodes)
@@ -155,16 +229,15 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
         return cached
     for v in nodes:
         outcome.input.graph._check_node(v)
-    weights, denominator = common_denominator([p for _, p in outcome.support])
     first = outcome.support[0][0]
     node_keep = [v in nodes for v, _ in first.node_items]
     he_keep = [v in nodes for (v, _), _ in first.half_edge_items]
     merged: dict[tuple[tuple, tuple], int] = {}
-    for (labeling, _), w in zip(outcome.support, weights):
+    for (labeling, _), w in zip(outcome.support, outcome.weights):
         key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
         merged[key] = merged.get(key, 0) + w
-    support = _support(((Labeling(*key), w) for key, w in merged.items()), denominator)
-    marginal = outcome._marginals[nodes] = RestrictedOutcome(support)
+    entries = [(Labeling(*key), w) for key, w in merged.items()]
+    marginal = outcome._marginals[nodes] = RestrictedOutcome(**_support_fields(entries, outcome.denominator))
     return marginal
 
 
@@ -178,12 +251,12 @@ def expectation(outcome: Outcome | RestrictedOutcome) -> dict:
 
     Every label must be an int or a Fraction (anything else is an
     InputError naming its key).  Each key's sum is kept as an integer over
-    the support's common denominator times the lcm of the label denominators
-    seen so far; one Fraction per key is made at the end.
+    the outcome's denominator times the lcm of the label denominators seen
+    so far; one Fraction per key is made at the end.
     """
-    weights, denominator = common_denominator([p for _, p in outcome.support])
+    denominator = outcome.denominator
     sums: dict = {}  # key -> [numerator, label denominator]
-    for (labeling, _), w in zip(outcome.support, weights):
+    for (labeling, _), w in zip(outcome.support, outcome.weights):
         for key, lab in chain(labeling.node_items, labeling.half_edge_items):
             parts = rational_parts(lab)
             if parts is None:
@@ -296,8 +369,11 @@ class _NodeTable(dict):
     """One node's randomized rule, memoised on the seeds of its radius-T view.
 
     `ball` is the view's node set in iteration order; a key is the tuple of
-    those nodes' seeds, and the table maps it to the node's labeling part.
-    The rule runs only when a key is first looked up.
+    those nodes' seeds (the seed itself for a one-node ball), and the table
+    maps it to the node's labeling part.  The rule runs only when a key is
+    first looked up.  `domains` collects its parts' domains (node label
+    present, half-edge keys); a table with more than one breaks the shared
+    domain of the support.
     """
 
     def __init__(self, alg: LocalAlgorithm, lg: LabeledGraph, v: int):
@@ -305,12 +381,15 @@ class _NodeTable(dict):
         self.alg, self.lg, self.v = alg, lg, v
         self.view = extract_view(lg, [v], alg.locality)
         self.ball = tuple(self.view.node_set)
+        self.domains: set[tuple] = set()
 
-    def __missing__(self, key: tuple) -> _Part:
+    def __missing__(self, key) -> _Part:
         alg = self.alg
-        out = alg.rule(self.view, dict(zip(self.ball, key)))
+        seeds = dict(zip(self.ball, key)) if len(self.ball) > 1 else {self.v: key}
+        out = alg.rule(self.view, seeds)
         _check_node_output(self.lg, self.v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
         part = self[key] = _node_part(self.v, out)
+        self.domains.add((len(part[0]), tuple(map(itemgetter(0), part[1]))))
         return part
 
 
@@ -330,27 +409,36 @@ def _seed_alphabet(alg: LocalAlgorithm) -> tuple:
     return alphabet
 
 
+_CHUNK = 2**14
+
+
 def _tables_support(
     tables: Sequence[_NodeTable],
     universe: Sequence[int],
     assignments: Iterable[tuple],
     denominator: int,
-) -> tuple[tuple[Labeling, Fraction], ...]:
+) -> dict:
     """Distribution of the tables' labeling over the given seed vectors.
 
     An assignment lists one seed per node of `universe`, which must contain
     every table's ball; tables are in node order.  Seed vectors are counted
-    per tuple of parts: equal part tuples are equal labelings, and the first
-    occurrence stays as the key, as when merging whole labelings.
+    per tuple of parts, 2^14 vectors at a time: each table maps the seeds of
+    its ball, picked out by one itemgetter, to its part.  Distinct part
+    tuples are distinct labelings, so the counts need no second merge, and
+    the tables' own domain checks stand for the whole support's.
     """
     index = {u: i for i, u in enumerate(universe)}
-    lookups = [(table, tuple(index[u] for u in table.ball)) for table in tables]
-    counts: dict[tuple[_Part, ...], int] = {}
-    for assignment in assignments:
-        seeds = assignment.__getitem__
-        key = tuple([table[tuple(map(seeds, ball))] for table, ball in lookups])
-        counts[key] = counts.get(key, 0) + 1
-    return _support(((_join_parts(parts), c) for parts, c in counts.items()), denominator)
+    columns = [(table.__getitem__, itemgetter(*[index[u] for u in table.ball])) for table in tables]
+    counts: Counter = Counter()
+    assignments = iter(assignments)
+    while chunk := list(islice(assignments, _CHUNK)):
+        if columns:
+            counts.update(zip(*[map(lookup, map(pick, chunk)) for lookup, pick in columns]))
+        else:
+            counts.update(repeat((), len(chunk)))
+    if any(len(table.domains) > 1 for table in tables):
+        raise InputError("support labelings do not share one node/half-edge domain")
+    return _support_fields(((_join_parts(parts), c) for parts, c in counts.items()), denominator)
 
 
 def run_rand_local(
@@ -384,7 +472,7 @@ def run_rand_local(
         rng = random.Random(seed)
         assignments = (tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(samples))
     tables = [_NodeTable(alg, lg, v) for v in range(n)]
-    return Outcome(input=lg, support=_tables_support(tables, range(n), assignments, denominator))
+    return Outcome(input=lg, **_tables_support(tables, range(n), assignments, denominator))
 
 
 def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> RestrictedOutcome:
@@ -402,7 +490,7 @@ def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int])
     universe = sorted(set().union(*(table.ball for table in tables)))
     denominator = _seed_space(alphabet, len(universe))
     assignments = product(alphabet, repeat=len(universe))
-    return RestrictedOutcome(_tables_support(tables, universe, assignments, denominator))
+    return RestrictedOutcome(**_tables_support(tables, universe, assignments, denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +615,15 @@ def verify_non_signaling(
         return NsVerdict(status="precondition-unmet", detail="no radius-t view isomorphism")
     r_g = restrict(outcome_g, a_g)
     r_h = restrict(outcome_h, a_h)
+    # both sides' weights over the product of their denominators
+    den_g, den_h = r_g.denominator, r_h.denominator
+    target = {labeling: w * den_g for (labeling, _), w in zip(r_h.support, r_h.weights)}
     for phi in isos:
-        transported: dict[Labeling, Fraction] = {}
-        for labeling, p in r_g.support:
+        transported: dict[Labeling, int] = {}
+        for (labeling, _), w in zip(r_g.support, r_g.weights):
             moved = _transport_partial(labeling, phi, lg_g.graph, lg_h.graph)
-            transported[moved] = transported.get(moved, Fraction(0)) + p
-        if transported != dict(r_h.support):
+            transported[moved] = transported.get(moved, 0) + w * den_h
+        if transported != target:
             return NsVerdict(
                 status="violation",
                 detail=f"marginals differ under phi={dict(sorted(phi.items()))}",

@@ -1122,3 +1122,47 @@ def test_dequantize_suite_names_a_witness(monkeypatch):
     assert set(q) == {"graph_edges", "trial", "objective", "expected_objective"}
     assert q["objective"] == "0" and F(q["expected_objective"]) > 0
     assert int(q["trial"]) >= 0 and q["graph_edges"].startswith("(")
+
+
+def _outcome_of_labelings(lp, pairs):
+    return make_outcome(label_graph(lp.graph), [(labeling_from_point(lp, pt), p) for pt, p in pairs])
+
+
+def test_outcome_of_points_equals_make_outcome_over_labelings():
+    p3 = path_graph(3)
+    lp = build_fractional_matching_lp(p3)
+    a, b, c = (LpPoint.of({"e0": x, "e1": y}) for x, y in [(1, 0), (0, 1), (F(1, 2), F(1, 2))])
+    a_ints = LpPoint(values=(("e0", 1), ("e1", 0)))  # equal to a, labels of another type
+    # two variables on node 0: the labeling shows only the last, so points
+    # that differ in the first give one labeling
+    shadowed = make_dist_lp("node-based", "maximize", p3, [
+        LpVariable(name="s", owner=("node", 0), objective=F(1)),
+        LpVariable(name="t", owner=("node", 0), objective=F(1)),
+        LpVariable(name="u", owner=("node", 1), objective=F(0)),
+    ], [])
+    s0, s1, s2 = (LpPoint.of({"s": s, "t": F(1, 3), "u": 2}) for s in (0, F(1, 7), 5))
+    cases = [
+        (lp, [(a, F(1, 4)), (b, F(1, 4)), (a, F(1, 4)), (c, F(1, 4))]),
+        (lp, [(c, F(0)), (a, F(1, 2)), (c, F(1, 2)), (b, F(0))]),
+        (lp, [(a_ints, F(0)), (a, F(1, 3)), (a_ints, F(1, 3)), (b, F(1, 3))]),
+        (lp, [(a_ints, F(1, 2)), (a, F(1, 2))]),
+        (lp, [(a, F(1, 2)), (b, F(-1, 2)), (c, F(1))]),
+        (lp, [(a, F(1, 2)), (b, F(1, 3))]),
+        (lp, [(c, F(0))]),
+        (lp, []),
+        (shadowed, [(s0, F(1, 3)), (s1, F(1, 3)), (s2, F(1, 3))]),
+    ]
+    for lp_, pairs in cases:
+        got = _result(outcome_of_points, lp_, pairs)
+        assert got == _result(_outcome_of_labelings, lp_, pairs)
+        if got[0] != "ok":
+            continue
+        want = _outcome_of_labelings(lp_, pairs)
+        assert [repr(labeling) for labeling, _ in got[1].support] == [
+            repr(labeling) for labeling, _ in want.support
+        ]
+        weights, denominator = got[1].weights, got[1].denominator
+        assert [F(w, denominator) for w in weights] == [p for _, p in want.support]
+    assert len(outcome_of_points(shadowed, cases[-1][1]).support) == 1
+    dropped = outcome_of_points(lp, cases[1][1])
+    assert [labeling for labeling, _ in dropped.support] == [labeling_from_point(lp, x) for x in (a, c)]

@@ -40,6 +40,11 @@ from locallab.outcomes import (
 )
 
 
+def reference_sort_key(labeling):
+    """The support order: repr of the labeling's whole item structure."""
+    return repr((labeling.node_items, labeling.half_edge_items))
+
+
 def k3_matching_outcome(matched_label="M", unmatched_label="u"):
     k3 = label_graph(complete_graph(3))
     g = k3.graph
@@ -119,7 +124,7 @@ def test_restrict_tower_property():
     for labeling, p in via_pair.support:
         part = _restrict_labeling(labeling, frozenset({0}), {(0, e) for e in k3.graph.adjacency[0]})
         refined[part] = refined.get(part, F(0)) + p
-    assert tuple(sorted(refined.items(), key=lambda kv: kv[0].sort_key())) == one_shot.support
+    assert tuple(sorted(refined.items(), key=lambda kv: reference_sort_key(kv[0]))) == one_shot.support
 
 
 def test_expectation_examples():
@@ -464,7 +469,7 @@ def _parity_rule(t, alphabet=("0", "1")):
 
 def _reference_rand_local(alg, lg, samples=0, seed=0):
     """Every seed vector, every node: Labeling.of per vector, Fraction weights
-    merged in enumeration order and sorted by sort_key."""
+    merged in enumeration order and sorted by reference_sort_key."""
     g = lg.graph
     views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
     if samples == 0:
@@ -483,7 +488,7 @@ def _reference_rand_local(alg, lg, samples=0, seed=0):
                 half_edges[(v, e)] = lab
         labeling = Labeling.of(nodes, half_edges)
         merged[labeling] = merged.get(labeling, F(0)) + F(1, len(vectors))
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+    return tuple(sorted(merged.items(), key=lambda kv: reference_sort_key(kv[0])))
 
 
 def _reference_restrict(outcome, s):
@@ -494,7 +499,7 @@ def _reference_restrict(outcome, s):
     for labeling, p in outcome.support:
         part = _restrict_labeling(labeling, nodes, scope_he)
         merged[part] = merged.get(part, F(0)) + p
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+    return tuple(sorted(merged.items(), key=lambda kv: reference_sort_key(kv[0])))
 
 
 SMALL_GRAPHS = [label_graph(g) for g in all_connected_graphs(6)]
@@ -612,3 +617,137 @@ def test_run_local_and_run_slocal_match_reference_assembly():
 
         labeling, _ = run_slocal(SlocalAlgorithm(locality=1, step=step), lg, list(reversed(range(n))))
         assert labeling == reference_assemble(lg, recorded)
+
+
+# ---------------------------------------------------------------------------
+# supports built from the producers' own keys
+
+
+def _varying_domain_rule(vary, non_incident=False):
+    """Seed "1" adds a node label (vary="node") or a half-edge label on the
+    first port (vary="half-edge"); with non_incident, seed "1" also labels an
+    edge not incident to the anchor, where there is one."""
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        g = view.source.graph
+        on = seeds[v] == "1"
+        half_edges = {g.adjacency[v][0]: "h"} if on and vary == "half-edge" else {}
+        if on and non_incident:
+            far = [e for e in range(g.m) if v not in g.endpoints(e)]
+            half_edges.update({e: "x" for e in far[:1]})
+        return NodeOutput(node_label="n" if on or vary != "node" else None, half_edge_labels=half_edges)
+
+    return LocalAlgorithm(locality=1, rule=rule, seed_alphabet=("0", "1"))
+
+
+@pytest.mark.parametrize("vary", ["node", "half-edge"])
+def test_randomized_rule_with_varying_domain_is_input_error(vary):
+    lg = label_graph(path_graph(3))
+    alg = _varying_domain_rule(vary)
+    message = "do not share one node/half-edge domain"
+    with pytest.raises(InputError, match=message):
+        run_rand_local(alg, lg)
+    with pytest.raises(InputError, match=message):
+        run_rand_local(alg, lg, samples=64, seed=3)
+    with pytest.raises(InputError, match=message):
+        rand_local_marginal(alg, lg, [0])
+
+
+@pytest.mark.parametrize("vary", ["node", "half-edge"])
+def test_randomized_rule_with_varying_domain_and_non_incident_edge_is_contract_error(vary):
+    lg = label_graph(path_graph(3))
+    alg = _varying_domain_rule(vary, non_incident=True)
+    with pytest.raises(ContractError, match="non-incident"):
+        run_rand_local(alg, lg)
+    with pytest.raises(ContractError, match="non-incident"):
+        run_rand_local(alg, lg, samples=64, seed=3)
+    with pytest.raises(ContractError, match="non-incident"):
+        rand_local_marginal(alg, lg, [0])
+
+
+def _label_strategy(st):
+    text = st.text(alphabet=st.sampled_from("%s'\"\\ab \n⊥")) | st.text()
+    base = text | st.integers() | st.fractions() | st.booleans() | st.none()
+    return st.recursive(base, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+def test_sort_key_is_repr_of_the_items():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = _label_strategy(st)
+    nodes = st.lists(st.integers(0, 40), min_size=0, max_size=5, unique=True)
+    half_edges = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=5, unique=True)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(nodes, half_edges, st.data())
+    @hypothesis.example([7], [], None)
+    @hypothesis.example([], [(0, 1)], None)
+    def check(node_ids, half_edge_keys, data):
+        def draw_labeling():
+            if data is None:
+                return Labeling.of(dict.fromkeys(node_ids, "%s"), dict.fromkeys(half_edge_keys, "'%'"))
+            return Labeling.of(
+                {v: data.draw(labels) for v in node_ids},
+                {key: data.draw(labels) for key in half_edge_keys},
+            )
+
+        first, other = draw_labeling(), draw_labeling()
+        key = outcomes._sort_key(first)
+        assert key(first) == reference_sort_key(first)
+        assert key(other) == reference_sort_key(other)
+
+    check()
+
+
+def _sparse_seed_rule():
+    """Nodes 0, 5, 10 and 15 output their seed, the others a constant, so
+    16 labelings each collect 4,096 of the 65,536 seed vectors."""
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        ports = view.source.graph.adjacency[v]
+        return NodeOutput(
+            node_label=seeds[v] if v % 5 == 0 else "-",
+            half_edge_labels={e: i for i, e in enumerate(ports)},
+        )
+
+    return LocalAlgorithm(locality=0, rule=rule, seed_alphabet=("0", "1"))
+
+
+def test_run_rand_local_counts_across_chunks():
+    lg = label_graph(path_graph(16))
+    alg = _sparse_seed_rule()
+    assert 2**16 > 2 * outcomes._CHUNK
+    exact = run_rand_local(alg, lg)
+    assert exact.support == _reference_rand_local(alg, lg)
+    assert len(exact.support) == 16 and set(exact.weights) == {4096}
+    sampled = run_rand_local(alg, lg, samples=20_000, seed=2)
+    assert sampled.support == _reference_rand_local(alg, lg, samples=20_000, seed=2)
+
+
+def _assert_weights(outcome):
+    assert sum(outcome.weights) == outcome.denominator
+    assert all(w > 0 for w in outcome.weights)
+    assert [F(w, outcome.denominator) for w in outcome.weights] == [p for _, p in outcome.support]
+
+
+def test_every_producer_fills_integer_weights():
+    _, k3 = k3_matching_outcome()
+    lg = label_graph(path_graph(4))
+    alg = _parity_rule(1)
+    produced = [
+        k3,
+        restrict(k3, [0]),
+        deterministic_outcome(lg, Labeling.of({0: "a"}, {})),
+        make_outcome(lg, [(Labeling.of({0: "a"}, {}), F(0)), (Labeling.of({0: "b"}, {}), F(1))]),
+        run_rand_local(alg, lg),
+        run_rand_local(alg, lg, samples=10, seed=1),
+        run_rand_local(LocalAlgorithm(locality=0, rule=lambda view: NodeOutput(node_label=1)), lg),
+        rand_local_marginal(alg, lg, [1, 2]),
+        rand_local_marginal(alg, lg, []),
+        restrict(run_rand_local(alg, lg), [3]),
+        outcome_from_json(outcome_to_json(k3)),
+    ]
+    for outcome in produced:
+        _assert_weights(outcome)
