@@ -654,7 +654,8 @@ def _decode(comp: _CompiledLP, positions: list, labeling: Labeling, entry: int) 
 def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> Outcome:
     """The distribution of `labeling_from_point` over weighted points: equal
     to `make_outcome` over those labelings, entry for entry and error for
-    error.
+    error, when every value the labelings show is an int or a Fraction (any
+    other value is an InputError).
 
     Duplicate points are merged on (den, *numerators) of the columns the
     labeling shows, which is equal exactly when the labelings are.  The
@@ -666,8 +667,15 @@ def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> 
     columns = [_column_values(comp, pt) for pt, _ in pairs]
     shown = sorted({j for _, j in comp.node_columns} | {j for _, j in comp.half_edge_columns})
     keys = []
-    for vals in columns:
-        nums, den = common_denominator([vals[j] for j in shown])
+    for i, vals in enumerate(columns):
+        try:
+            nums, den = common_denominator([vals[j] for j in shown])
+        except AttributeError:
+            j = next(j for j in shown if not isinstance(vals[j], (int, Fraction)))
+            raise InputError(
+                f"point {i} gives variable {comp.names[j]!r} the value {vals[j]!r}, "
+                "not an integer or a Fraction"
+            ) from None
         keys.append((den, *nums))
     merged, denominator = _merge(keys, map(itemgetter(1), pairs))
     entries = [(_labeling_of_columns(comp, columns[i]), w) for i, w in merged.values()]

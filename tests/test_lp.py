@@ -1164,5 +1164,7 @@ def test_outcome_of_points_equals_make_outcome_over_labelings():
         weights, denominator = got[1].weights, got[1].denominator
         assert [F(w, denominator) for w in weights] == [p for _, p in want.support]
     assert len(outcome_of_points(shadowed, cases[-1][1]).support) == 1
+    with pytest.raises(InputError, match="point 1 gives variable 'e1' the value 0.5"):
+        outcome_of_points(lp, [(a, F(1, 2)), (LpPoint(values=(("e0", 0), ("e1", 0.5))), F(1, 2))])
     dropped = outcome_of_points(lp, cases[1][1])
     assert [labeling for labeling, _ in dropped.support] == [labeling_from_point(lp, x) for x in (a, c)]
