@@ -41,7 +41,7 @@ print("instance size:", pi.graph.n, "| octopi:", len(pi.octopi), "| inters:", le
 print("recognized as proper:", recognize_proper_instance(pi.graph) is not None)
 
 # Contraction recovers the source incidence structure.
-ghat, _maps = contract_octopi(pi)
+ghat, _attachments = contract_octopi(pi)
 mg, _, _ = multigraph_of_incidence(ghat)
 print("contracted multigraph edges:", [mg.endpoints(e) for e in range(mg.m)])
 

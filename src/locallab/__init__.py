@@ -49,7 +49,6 @@ from .outcomes import (
     LocalAlgorithm,
     NodeOutput,
     Outcome,
-    RestrictedOutcome,
     SlocalAlgorithm,
     SlocalStep,
     deterministic_outcome,

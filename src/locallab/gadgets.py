@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -32,6 +33,7 @@ from .graphs import (
     LabeledGraph,
     ball_distances,
     ball_keys,
+    bridges,
     connected_components,
     graph_from_json,
     graph_to_json,
@@ -41,7 +43,6 @@ from .graphs import (
     make_graph,
     path_graph,
     to_dot,
-    two_edge_components,
 )
 from .lcl import OK, ConstraintSet, Verdict, _keyed_constraint_set, centered_ball, fail
 from .linearize import (
@@ -57,7 +58,7 @@ from .linearize import (
     make_incidence_graph,
     multigraph_of_incidence,
 )
-from .outcomes import Labeling, Outcome, make_outcome
+from .outcomes import Labeling, Outcome, _support_fields
 
 BOTTOM = "⊥"
 _MIXED = object()  # the label of a port gadget that is not uniform
@@ -265,21 +266,16 @@ def recognize_octopus(
     a star with the head in the middle.  Ports are numbered in the edge-id
     order of their connectors.
     """
-    comps = two_edge_components(g, nodes)
+    cut = bridges(g, nodes)
+    comps = connected_components(g, nodes, cut)
     if len(comps) < 2:
         return None
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    rows = g.neighbor_rows
-    connectors = {
-        e
-        for v, ci in comp_of.items()
-        for e, u in zip(g.adjacency[v], rows[v])
-        if comp_of.get(u, ci) != ci
-    }
-    # two components share at most one edge: two would lie on a cycle
+    # the bridges are exactly the edges between two-edge components, and two
+    # components share at most one: two would lie on a cycle
     links: dict[tuple[int, int], tuple[int, int]] = {}
     degree = [0] * len(comps)
-    for e in sorted(connectors):
+    for e in sorted(cut):
         u, v = g.edge_list[e]
         a, b = sorted((comp_of[u], comp_of[v]))
         links[(a, b)] = (u, v)
@@ -620,16 +616,10 @@ def recognize_proper_instance(
 # contraction and the lift
 
 
-@dataclass(frozen=True)
-class GhatMaps:
-    """Correspondence between a proper instance and its contracted graph."""
-
-    edge_info: tuple[tuple[int, int], ...]  # ghat edge -> (octopus idx, port position)
-
-
-def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
+def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, tuple[tuple[int, int], ...]]:
     """White node per octopus, black node per inter node, one edge per
-    leaf-inter attachment; white port order is the left-to-right port order."""
+    leaf-inter attachment (octopus index, port position, returned per edge);
+    white port order is the left-to-right port order."""
     g = pi.graph
     octopi = pi.octopi
     inters = pi.inters()
@@ -648,13 +638,12 @@ def contract_octopi(pi: ProperInstance) -> tuple[IncidenceGraph, GhatMaps]:
     ghat_graph = make_graph(n, edges, multi=True)
     roles = [WHITE] * len(octopi) + [BLACK] * len(inters)
     ghat = make_incidence_graph(ghat_graph, roles)
-    return ghat, GhatMaps(edge_info=tuple(info))
+    return ghat, tuple(info)
 
 
 @dataclass(frozen=True)
 class LiftResult:
     labels: Mapping[int, object]  # node -> promise-problem label
-    matched_blacks: frozenset[int]  # ghat black ids in the matching
     observed_ghat_locality: int
     simulated_locality: int
 
@@ -677,9 +666,9 @@ def _shape_diameter(x: int, ports: tuple[tuple[int, int], ...]) -> int:
 def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftResult:
     """Contract, run the greedy matcher on the contracted graph, and write the
     matching encoding onto the port gadgets (bottom label elsewhere)."""
-    ghat, maps = contract_octopi(pi)
+    ghat, attachments = contract_octopi(pi)
     attached: list[dict[int, int]] = [{} for _ in pi.octopi]  # port position -> ghat edge
-    for ge, (oi, r) in enumerate(maps.edge_info):
+    for ge, (oi, r) in enumerate(attachments):
         if r in attached[oi]:
             raise ContractError("a port gadget carries more than one attachment")
         attached[oi][r] = ge
@@ -690,10 +679,7 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     if order is None:
         order = list(range(mg.n))
     matching, observed = greedy_matching(mg, list(order))
-    matched_blacks = frozenset(
-        b for b, me in edge_of_black.items() if me in matching
-    )
-    edge_labels = encode_matching(ghat, matched_blacks)
+    edge_labels = encode_matching(ghat, (b for b, me in edge_of_black.items() if me in matching))
     labels: dict[int, object] = dict.fromkeys(range(pi.graph.n), BOTTOM)
     for w, ports in zip(pi.octopi, attached):
         mi = next((r for r, ge in ports.items() if edge_labels[ge] == "M"), None)
@@ -715,7 +701,6 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
         sim = observed * stretch
     return LiftResult(
         labels=labels,
-        matched_blacks=matched_blacks,
         observed_ghat_locality=observed,
         simulated_locality=sim,
     )
@@ -780,21 +765,24 @@ def pullback_outcome(outcome: Outcome, port_map: PortMap) -> Outcome:
     """Carry a promise-problem outcome back to the source incidence graph.
 
     Each support labeling sends source edge e to the label of the root of the
-    port gadget mapped to e; probabilities are preserved exactly.
+    port gadget mapped to e; probabilities are preserved exactly.  Each root's
+    position is read once off the support's shared domain (a root it lacks is
+    an InputError), and entries merge on integer weights, as in `restrict`.
     """
-    ig = port_map.source
-    source_lg = label_graph(ig.graph)
-    pairs = []
-    for labeling, p in outcome.support:
-        nodes = labeling.nodes()
-        he: dict[tuple[int, int], object] = {}
-        for root, e in port_map.root_to_edge:
-            lab = nodes[root]
-            u, v = ig.graph.endpoints(e)
-            he[(u, e)] = lab
-            he[(v, e)] = lab
-        pairs.append((Labeling.of({}, he), p))
-    return make_outcome(source_lg, pairs)
+    g = port_map.source.graph
+    position = {v: i for i, (v, _) in enumerate(outcome.support[0][0].node_items)}
+    slots = []  # (source half-edge, position of its root's label)
+    for root, e in port_map.root_to_edge:
+        if root not in position:
+            raise InputError(f"the outcome leaves port root {root} unlabeled")
+        slots.extend(((v, e), position[root]) for v in g.endpoints(e))
+    slots.sort()
+    merged: dict[tuple, int] = {}
+    for (labeling, _), w in zip(outcome.support, outcome.weights):
+        items = tuple([(key, labeling.node_items[i][1]) for key, i in slots])
+        merged[items] = merged.get(items, 0) + w
+    entries = [(Labeling(node_items=(), half_edge_items=items), w) for items, w in merged.items()]
+    return Outcome(input=label_graph(g), **_support_fields(entries, outcome.denominator))
 
 
 def edge_labels_of_pullback(labeling: Labeling, ig: IncidenceGraph) -> dict[int, object]:
@@ -932,11 +920,19 @@ def port_map_to_json(pm: PortMap) -> dict:
 
 
 def port_map_from_json(data: Mapping) -> PortMap:
+    """Decode a port map: distinct roots, each source edge id exactly once."""
     with json_decoding("port map"):
-        return PortMap(
-            source=incidence_graph_from_json(data["source"]),
-            root_to_edge=tuple((json_int(a), json_int(b)) for a, b in data["root_to_edge"]),
-        )
+        source = incidence_graph_from_json(data["source"])
+        pairs = tuple((json_int(a), json_int(b)) for a, b in data["root_to_edge"])
+        m = source.graph.m
+        roots, edges = Counter(r for r, _ in pairs), Counter(e for _, e in pairs)
+        bad = [f"root {r} is named {c} times" for r, c in roots.items() if c > 1]
+        bad += [f"edge {e} is not an edge of the source graph" for e in edges if not 0 <= e < m]
+        bad += [f"edge {e} is named {c} times" for e, c in edges.items() if c > 1]
+        bad += [f"edge {e} has no root" for e in range(m) if e not in edges]
+        if bad:
+            raise InputError(f"root_to_edge needs distinct roots and edges 0..{m - 1} once each: {bad[0]}")
+        return PortMap(source=source, root_to_edge=pairs)
 
 
 def proper_instance_dot(pi: ProperInstance) -> str:

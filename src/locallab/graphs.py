@@ -26,9 +26,10 @@ holds it.  `centered_key` encodes a built graph on all its nodes;
 no subgraph, and runs the canonical search once per distinct encoding in
 the call.
 
-`connected_components`, `bridges` and `two_edge_components` take an optional
-node set and then work on the subgraph it induces, in the host's node and
-edge ids, without building that subgraph.
+`connected_components` and `bridges` take an optional node set and then
+work on the subgraph it induces, in the host's node and edge ids, without
+building it.  The octopus recognizer cuts the bridges once and takes the
+two-edge components as `connected_components(g, nodes, cut)`.
 """
 
 from __future__ import annotations
@@ -346,12 +347,6 @@ def bridges(g: Graph, nodes: Optional[Iterable[int]] = None) -> set[int]:
     return out
 
 
-def two_edge_components(g: Graph, nodes: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-    """Components of the subgraph induced by `nodes` (every node by default)
-    after deleting its bridges."""
-    return connected_components(g, nodes, cut=bridges(g, nodes))
-
-
 # ---------------------------------------------------------------------------
 # labeled graphs
 
@@ -519,7 +514,7 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
     on an explicit stack.  It checks the port of v toward an already placed
     far end exactly, and toward an unplaced one only that its image is still
     free, so each retained edge's far-end correspondence is checked at its
-    later-placed end only (see ROADMAP item 1).
+    later-placed end only (see ROADMAP item 2).
     """
     if v1.radius != v2.radius:
         return []

@@ -60,7 +60,6 @@ from .outcomes import (
     LocalAlgorithm,
     NodeOutput,
     Outcome,
-    RestrictedOutcome,
     _merge,
     _support_fields,
     expectation,
@@ -291,8 +290,19 @@ def _column_values(comp: _CompiledLP, x: LpPoint) -> list[Fraction]:
     return [vals[name] for name in comp.names]
 
 
+def _numerators(comp: _CompiledLP, values: list, columns: Sequence[int], point: str) -> tuple[list[int], int]:
+    """`common_denominator` of the values of the given columns; a value that
+    is not an int or a Fraction is an InputError naming its variable."""
+    try:
+        return common_denominator(values)
+    except AttributeError:
+        j, x = next((j, x) for j, x in zip(columns, values) if not isinstance(x, (int, Fraction)))
+        raise InputError(f"{point} gives variable {comp.names[j]!r} the value {x!r}, "
+                         "not an integer or a Fraction") from None
+
+
 def _point_numerators(comp: _CompiledLP, x: LpPoint) -> tuple[list[int], int]:
-    return common_denominator(_column_values(comp, x))
+    return _numerators(comp, _column_values(comp, x), range(len(comp.names)), "point")
 
 
 def _point_of_columns(comp: _CompiledLP, nums: Sequence[int], den: int) -> LpPoint:
@@ -668,14 +678,7 @@ def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> 
     shown = sorted({j for _, j in comp.node_columns} | {j for _, j in comp.half_edge_columns})
     keys = []
     for i, vals in enumerate(columns):
-        try:
-            nums, den = common_denominator([vals[j] for j in shown])
-        except AttributeError:
-            j = next(j for j in shown if not isinstance(vals[j], (int, Fraction)))
-            raise InputError(
-                f"point {i} gives variable {comp.names[j]!r} the value {vals[j]!r}, "
-                "not an integer or a Fraction"
-            ) from None
+        nums, den = _numerators(comp, [vals[j] for j in shown], shown, f"point {i}")
         keys.append((den, *nums))
     merged, denominator = _merge(keys, map(itemgetter(1), pairs))
     entries = [(_labeling_of_columns(comp, columns[i]), w) for i, w in merged.values()]
@@ -799,7 +802,7 @@ def cycle_family(length: int) -> Callable[[View], tuple[LabeledGraph, int]]:
 
 
 def local_expectation_algorithm(
-    oracle: Callable[[LabeledGraph, Sequence[int]], RestrictedOutcome],
+    oracle: Callable[[LabeledGraph, Sequence[int]], Outcome],
     t: int,
     complete: Callable[[View], tuple[LabeledGraph, int]],
 ) -> LocalAlgorithm:

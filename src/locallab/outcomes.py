@@ -6,6 +6,9 @@ infinite per-node bit string with a declared finite seed alphabet so the full
 output distribution can be enumerated exactly; a sampling mode exists for
 larger instances and is excluded from exactness-critical suites.
 
+A marginal on a node set S is an `Outcome` whose labelings cover S and
+H(G)[S]: it can be restricted again, compared and written to JSON.
+
 An outcome keeps its probabilities twice: as Fractions in `support` and as
 integer `weights` over one `denominator`, which `restrict`, `expectation`,
 `verify_non_signaling` and `lp.dequantize` read.  Supports are merged and
@@ -19,7 +22,7 @@ validated where their entries come from, and sorted in one step,
   distinct tuples are distinct labelings, and each node's table checks that
   its parts share one domain.
 - `restrict` merges on the picked item tuples of an outcome whose labelings
-  already share one domain.
+  already share one domain, and so does `gadgets.pullback_outcome`.
 - `lp.outcome_of_points` merges points on their integer columns; the LP's
   layout gives every labeling one domain inside the graph.
 """
@@ -89,11 +92,11 @@ class Labeling:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Explicit probability distribution over output labelings of one network.
+    """Explicit probability distribution over partial output labelings of one network.
 
-    Build it with `make_outcome` or a simulator: they give every support
-    labeling one domain, which `restrict` relies on.  `weights` holds the
-    support's probabilities as integers over `denominator`.
+    Build it with `make_outcome`, a simulator or `restrict`: they give every
+    support labeling one domain, which `restrict` relies on.  `weights` holds
+    the support's probabilities as integers over `denominator`.
     """
 
     input: LabeledGraph
@@ -205,17 +208,9 @@ def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
     return make_outcome(lg, [(labeling, Fraction(1))])
 
 
-@dataclass(frozen=True)
-class RestrictedOutcome:
-    """Marginal of an outcome on a node subset and its half-edges H(G)[S]."""
-
-    support: tuple[tuple[Labeling, Fraction], ...]
-    weights: tuple[int, ...] = field(compare=False, repr=False)
-    denominator: int = field(compare=False, repr=False)
-
-
-def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
-    """Marginal distribution on S and H(G)[S]; duplicates merged.
+def restrict(outcome: Outcome, s: Iterable[int]) -> Outcome:
+    """Marginal distribution on S and H(G)[S], over the same network, with
+    duplicates merged; restricting it again to T within S gives T's marginal.
 
     Every support labeling of an outcome has one domain, so the in-scope
     positions are read once from the first labeling and picked out of all,
@@ -237,7 +232,7 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> RestrictedOutcome:
         key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
         merged[key] = merged.get(key, 0) + w
     entries = [(Labeling(*key), w) for key, w in merged.items()]
-    marginal = outcome._marginals[nodes] = RestrictedOutcome(**_support_fields(entries, outcome.denominator))
+    marginal = outcome._marginals[nodes] = Outcome(input=outcome.input, **_support_fields(entries, outcome.denominator))
     return marginal
 
 
@@ -246,7 +241,7 @@ def success_probability(outcome: Outcome, verifier: Callable[[Labeling], bool]) 
     return sum((p for labeling, p in outcome.support if verifier(labeling)), Fraction(0))
 
 
-def expectation(outcome: Outcome | RestrictedOutcome) -> dict:
+def expectation(outcome: Outcome) -> dict:
     """Coordinatewise expected label; keys are node ids and (node, edge) pairs.
 
     Every label must be an int or a Fraction (anything else is an
@@ -303,33 +298,17 @@ class LocalAlgorithm:
     locality: int
     rule: Callable
     seed_alphabet: Optional[tuple] = None
-    node_out_alphabet: Optional[frozenset] = None
-    half_edge_out_alphabet: Optional[frozenset] = None
 
     @property
     def randomized(self) -> bool:
         return self.seed_alphabet is not None
 
 
-def _check_node_output(
-    lg: LabeledGraph,
-    v: int,
-    out: NodeOutput,
-    node_alphabet: Optional[frozenset] = None,
-    half_edge_alphabet: Optional[frozenset] = None,
-) -> None:
-    g = lg.graph
-    incident = set(g.adjacency[v])
+def _check_node_output(lg: LabeledGraph, v: int, out: NodeOutput) -> None:
+    incident = set(lg.graph.adjacency[v])
     for e in out.half_edge_labels:
         if e not in incident:
             raise ContractError(f"rule at node {v} labeled a half-edge of non-incident edge {e}")
-    if node_alphabet is not None and out.node_label is not None:
-        if out.node_label not in node_alphabet:
-            raise ContractError(f"rule at node {v} produced node label {out.node_label!r} outside the alphabet")
-    if half_edge_alphabet is not None:
-        for e, lab in out.half_edge_labels.items():
-            if lab not in half_edge_alphabet:
-                raise ContractError(f"rule at node {v} produced half-edge label {lab!r} outside the alphabet")
 
 
 # A node's items of a labeling: (node items, half-edge items).  Every
@@ -360,7 +339,7 @@ def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
     parts = []
     for v in range(lg.graph.n):
         out = alg.rule(extract_view(lg, [v], alg.locality))
-        _check_node_output(lg, v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
+        _check_node_output(lg, v, out)
         parts.append(_node_part(v, out))
     return _join_parts(parts)
 
@@ -384,10 +363,9 @@ class _NodeTable(dict):
         self.domains: set[tuple] = set()
 
     def __missing__(self, key) -> _Part:
-        alg = self.alg
         seeds = dict(zip(self.ball, key)) if len(self.ball) > 1 else {self.v: key}
-        out = alg.rule(self.view, seeds)
-        _check_node_output(self.lg, self.v, out, alg.node_out_alphabet, alg.half_edge_out_alphabet)
+        out = self.alg.rule(self.view, seeds)
+        _check_node_output(self.lg, self.v, out)
         part = self[key] = _node_part(self.v, out)
         self.domains.add((len(part[0]), tuple(map(itemgetter(0), part[1]))))
         return part
@@ -475,7 +453,7 @@ def run_rand_local(
     return Outcome(input=lg, **_tables_support(tables, range(n), assignments, denominator))
 
 
-def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> RestrictedOutcome:
+def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> Outcome:
     """Exact marginal of `run_rand_local(alg, lg)` on S and H(G)[S].
 
     The outputs on S depend only on the seeds of N_T[S], the union of the
@@ -490,7 +468,7 @@ def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int])
     universe = sorted(set().union(*(table.ball for table in tables)))
     denominator = _seed_space(alphabet, len(universe))
     assignments = product(alphabet, repeat=len(universe))
-    return RestrictedOutcome(**_tables_support(tables, universe, assignments, denominator))
+    return Outcome(input=lg, **_tables_support(tables, universe, assignments, denominator))
 
 
 # ---------------------------------------------------------------------------

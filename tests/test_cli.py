@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -665,3 +666,63 @@ def test_lift_run_writes_labels_through_the_codec_lift_verify_reads(fixtures, tm
     assert main(["lift", "run", "--instance", str(instance_path)]) == 0
     written = json.loads(capsys.readouterr().out)["labels"]
     assert {int(v): _label_from_json(lab) for v, lab in written.items()} == labels
+
+
+def _pullback_files(fixtures, tmp_path, capsys, labels, edit_port_map=None):
+    """Write the P3 lift's port map (edited in place by `edit_port_map`) and
+    the deterministic outcome with the given node labels on its instance."""
+    from locallab.gadgets import proper_instance_from_json
+    from locallab.outcomes import Labeling, deterministic_outcome, outcome_to_json
+
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    pi = proper_instance_from_json(data["instance"])
+    if edit_port_map is not None:
+        edit_port_map(data["port_map"])
+    portmap_path = tmp_path / "portmap.json"
+    portmap_path.write_text(json.dumps(data))
+    outcome = deterministic_outcome(label_graph(pi.graph), Labeling.of(labels(pi), {}))
+    outcome_path = tmp_path / "outcome.json"
+    outcome_path.write_text(json.dumps(outcome_to_json(outcome)))
+    return ["lift", "pullback", "--outcome", str(outcome_path), "--portmap", str(portmap_path)]
+
+
+def _lift_labels(pi):
+    from locallab.gadgets import lift_run
+
+    return dict(lift_run(pi).labels)
+
+
+def test_lift_pullback_writes_the_source_outcome(fixtures, tmp_path, capsys):
+    from locallab.gadgets import port_map_from_json, pullback_outcome
+    from locallab.outcomes import outcome_from_json, outcome_to_json
+
+    args = _pullback_files(fixtures, tmp_path, capsys, _lift_labels)
+    assert main(args) == 0
+    written = json.loads(capsys.readouterr().out)
+    outcome = outcome_from_json(json.loads((tmp_path / "outcome.json").read_text()))
+    port_map = port_map_from_json(json.loads((tmp_path / "portmap.json").read_text())["port_map"])
+    assert written == outcome_to_json(pullback_outcome(outcome, port_map))
+    assert sorted(written["support"][0]["labels"]["half_edges"]) == ["0:0", "1:1", "1:2", "2:3", "3:0", "3:1", "4:2", "4:3"]
+
+
+def test_lift_pullback_unlabeled_root_is_usage_error(fixtures, tmp_path, capsys):
+    args = _pullback_files(fixtures, tmp_path, capsys, lambda pi: {0: "M"})
+    assert main(args) == 2
+    assert "leaves port root" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda pm: pm["root_to_edge"][0].__setitem__(1, 99), "edge 99 is not an edge of the source graph"),
+        (lambda pm: pm["root_to_edge"][0].__setitem__(1, pm["root_to_edge"][1][1]), r"edge \d+ is named 2 times"),
+        (lambda pm: pm["root_to_edge"][0].__setitem__(0, pm["root_to_edge"][1][0]), r"root \d+ is named 2 times"),
+        (lambda pm: pm["root_to_edge"].pop(), "has no root"),
+    ],
+    ids=["edge-outside", "edge-repeated", "root-repeated", "edge-missing"],
+)
+def test_lift_pullback_malformed_port_map_is_usage_error(fixtures, tmp_path, capsys, edit, message):
+    args = _pullback_files(fixtures, tmp_path, capsys, _lift_labels, edit)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "in port map JSON" in err

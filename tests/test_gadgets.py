@@ -16,14 +16,15 @@ from locallab.graphs import (
     Graph,
     InputError,
     ball_distances,
+    bridges,
     centered_key,
+    connected_components,
     distances_from,
     induced_labeled_subgraph,
     label_graph,
     make_graph,
     path_graph,
     star_graph,
-    two_edge_components,
 )
 from locallab.lcl import OK, centered_ball, check_constraints, fail, make_constraint_set
 from locallab.linearize import (
@@ -38,7 +39,7 @@ from locallab.linearize import (
     multigraph_of_incidence,
     verify_linearizable,
 )
-from locallab.outcomes import deterministic_outcome, make_outcome, success_probability
+from locallab.outcomes import Labeling, deterministic_outcome, make_outcome, success_probability
 from locallab.gadgets import (
     BOTTOM,
     INTER,
@@ -408,6 +409,53 @@ def test_pullback_mixture_linearity_and_mass():
     assert success_probability(pulled, source_ok) == 1
 
 
+def _reference_pullback_outcome(outcome, port_map):
+    """Each labeling's source half-edges from a dict of its node labels,
+    merged by `make_outcome`."""
+    g = port_map.source.graph
+    pairs = []
+    for labeling, p in outcome.support:
+        nodes = labeling.nodes()
+        he = {(v, e): nodes[root] for root, e in port_map.root_to_edge for v in g.endpoints(e)}
+        pairs.append((Labeling.of({}, he), p))
+    return make_outcome(label_graph(g), pairs)
+
+
+def test_pullback_outcome_matches_reference():
+    rng = random.Random(3)
+    for src in (path_graph(3), star_graph(3), make_graph(2, [(0, 1), (0, 1)], multi=True)):
+        ig = incidence_graph_of(src)
+        pi, pm = gen_proper_instance(ig, k=2)
+        lg = label_graph(pi.graph)
+        roots = [root for root, _ in pm.root_to_edge]
+        mixes = [
+            # whole lift labelings under random orders, some of them equal
+            [(promise_labeling_of(pi, lift_run(pi, order=rng.sample(range(len(pi.octopi)), len(pi.octopi))).labels), F(1, 4))
+             for _ in range(4)],
+            # roots only, few labels, so equal pullbacks merge
+            [(Labeling.of({r: rng.choice("MP") for r in roots}), F(1, 6)) for _ in range(6)],
+            # every node, with labels of several types
+            [(Labeling.of({v: rng.choice([0, F(1, 2), "A", None, ("t", 1)]) for v in range(pi.graph.n)}), F(1, 3))
+             for _ in range(3)],
+        ]
+        for pairs in mixes:
+            outcome = make_outcome(lg, pairs)
+            got, want = pullback_outcome(outcome, pm), _reference_pullback_outcome(outcome, pm)
+            assert got == want
+            assert [repr(lab) for lab, _ in got.support] == [repr(lab) for lab, _ in want.support]
+            assert [F(w, got.denominator) for w in got.weights] == [p for _, p in want.support]
+
+
+def test_pullback_outcome_unlabeled_root_is_input_error():
+    """An outcome that labels only node 0 of the P3 instance leaves every
+    port root unlabeled."""
+    pi, pm = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    outcome = deterministic_outcome(label_graph(pi.graph), Labeling.of({0: "M"}))
+    first_root = pm.root_to_edge[0][0]
+    with pytest.raises(InputError, match=f"leaves port root {first_root} unlabeled"):
+        pullback_outcome(outcome, pm)
+
+
 def test_family_constraints_hold_and_break():
     src = path_graph(3)
     pi, _ = gen_proper_instance(incidence_graph_of(src), k=2)
@@ -592,7 +640,7 @@ def reference_recognize_octopus(g: Graph, leaf_required: frozenset[int] = frozen
     """
     if g.n < 2:
         return None
-    comps = two_edge_components(g)
+    comps = connected_components(g, cut=bridges(g))
     if len(comps) < 2:
         return None
     comp_of: dict[int, int] = {}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -1126,6 +1127,15 @@ def test_dequantize_suite_names_a_witness(monkeypatch):
 
 def _outcome_of_labelings(lp, pairs):
     return make_outcome(label_graph(lp.graph), [(labeling_from_point(lp, pt), p) for pt, p in pairs])
+
+
+@pytest.mark.parametrize("evaluate", [check_feasible, objective_value, approximation_ratio])
+def test_point_value_that_is_not_exact_is_input_error(evaluate):
+    lp = build_fractional_matching_lp(path_graph(3))
+    for value, shown in [(0.5, "0.5"), ("1/2", "'1/2'"), (None, "None")]:
+        x = LpPoint(values=(("e0", F(1, 2)), ("e1", value)))
+        with pytest.raises(InputError, match=f"variable 'e1' the value {re.escape(shown)}, not an integer"):
+            evaluate(lp, x)
 
 
 def test_outcome_of_points_equals_make_outcome_over_labelings():

@@ -125,6 +125,7 @@ def test_restrict_tower_property():
         part = _restrict_labeling(labeling, frozenset({0}), {(0, e) for e in k3.graph.adjacency[0]})
         refined[part] = refined.get(part, F(0)) + p
     assert tuple(sorted(refined.items(), key=lambda kv: reference_sort_key(kv[0]))) == one_shot.support
+    assert restrict(restrict(outcome, [0, 1]), [0]) == restrict(outcome, [0])
 
 
 def test_expectation_examples():
@@ -195,13 +196,6 @@ def test_run_local_contract_error():
     )
     with pytest.raises(ContractError):
         run_local(bad, lg)
-    out_of_alphabet = LocalAlgorithm(
-        locality=0,
-        rule=lambda view: NodeOutput(node_label="zzz"),
-        node_out_alphabet=frozenset({"a"}),
-    )
-    with pytest.raises(ContractError):
-        run_local(out_of_alphabet, lg)
 
 
 def test_run_rand_local_examples():
