@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, canonical_key, is_bipartite, is_connected, make_graph
+from .graphs import Graph, InputError, canonical_key, is_bipartite, is_connected, make_graph
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +62,7 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Random spanning tree plus an independent extra edge on each other
     node pair with probability 0.3; always connected."""
     if n < 1:
-        raise ValueError("need at least one node")
+        raise InputError(f"a random connected graph needs at least one node, got {n}")
     edges: set[tuple[int, int]] = set()
     for v in range(1, n):
         u = rng.randrange(v)

@@ -371,6 +371,16 @@ class PortMap:
     source: IncidenceGraph
     root_to_edge: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        m = self.source.graph.m
+        roots, edges = Counter(r for r, _ in self.root_to_edge), Counter(e for _, e in self.root_to_edge)
+        bad = [f"root {r} is named {c} times" for r, c in roots.items() if c > 1]
+        bad += [f"edge {e} is not an edge of the source graph" for e in edges if not 0 <= e < m]
+        bad += [f"edge {e} is named {c} times" for e, c in edges.items() if c > 1]
+        bad += [f"edge {e} has no root" for e in range(m) if e not in edges]
+        if bad:
+            raise InputError(f"root_to_edge needs distinct roots and edges 0..{m - 1} once each: {bad[0]}")
+
 
 # an edge's two end nodes -> ((end, its family half-edge label), (end, label))
 _FixedEdges = dict[frozenset[int], tuple[tuple[int, object], ...]]
@@ -492,6 +502,9 @@ def gen_proper_instance(
     next_id = 0
     port_leaf_of_edge: dict[int, int] = {}  # source edge -> attachment leaf host id
     for w in ig.whites():
+        if not g.degree(w) and ig.blacks():
+            # recognize_proper_instance rejects an unattached port leaf beside inter nodes
+            raise InputError(f"white node {w} is isolated, so its port leaf would stay unattached")
         d_eff = max(g.degree(w), 1)
         x = max(1, (d_eff - 1).bit_length())
         slots = 1 << (x - 1)
@@ -920,18 +933,10 @@ def port_map_to_json(pm: PortMap) -> dict:
 
 
 def port_map_from_json(data: Mapping) -> PortMap:
-    """Decode a port map: distinct roots, each source edge id exactly once."""
+    """Decode a port map; `PortMap` checks its pairs."""
     with json_decoding("port map"):
         source = incidence_graph_from_json(data["source"])
         pairs = tuple((json_int(a), json_int(b)) for a, b in data["root_to_edge"])
-        m = source.graph.m
-        roots, edges = Counter(r for r, _ in pairs), Counter(e for _, e in pairs)
-        bad = [f"root {r} is named {c} times" for r, c in roots.items() if c > 1]
-        bad += [f"edge {e} is not an edge of the source graph" for e in edges if not 0 <= e < m]
-        bad += [f"edge {e} is named {c} times" for e, c in edges.items() if c > 1]
-        bad += [f"edge {e} has no root" for e in range(m) if e not in edges]
-        if bad:
-            raise InputError(f"root_to_edge needs distinct roots and edges 0..{m - 1} once each: {bad[0]}")
         return PortMap(source=source, root_to_edge=pairs)
 
 

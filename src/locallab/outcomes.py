@@ -11,20 +11,13 @@ H(G)[S]: it can be restricted again, compared and written to JSON.
 
 An outcome keeps its probabilities twice: as Fractions in `support` and as
 integer `weights` over one `denominator`, which `restrict`, `expectation`,
-`verify_non_signaling` and `lp.dequantize` read.  Supports are merged and
-validated where their entries come from, and sorted in one step,
-`_support_fields`:
-
-- `make_outcome` (labelings from users or JSON) is the one generic merge:
-  it merges equal labelings, checks the probabilities, the shared domain and
-  that the domain lies within the network.
-- The randomized simulators count seed vectors per tuple of node parts;
-  distinct tuples are distinct labelings, and each node's table checks that
-  its parts share one domain.
-- `restrict` merges on the picked item tuples of an outcome whose labelings
-  already share one domain, and so does `gadgets.pullback_outcome`.
-- `lp.outcome_of_points` merges points on their integer columns; the LP's
-  layout gives every labeling one domain inside the graph.
+`verify_non_signaling` and `lp.dequantize` read.  A support is a
+distribution: its entries keep the order in which their producer first made
+them, two outcomes are equal when their entries are equal as sets, and only
+`outcome_to_json` orders them.  Each producer merges and validates its
+entries where they come from: `make_outcome` (the one generic merge, for
+labelings from users or JSON), the randomized simulators, `restrict`,
+`lp.outcome_of_points` and `gadgets.pullback_outcome`.
 """
 
 from __future__ import annotations
@@ -106,54 +99,24 @@ class Outcome:
     # restrict() results by node set; immutable, so handing them out is safe
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        return self.input == other.input and frozenset(self.support) == frozenset(other.support)
+
+    def __hash__(self) -> int:
+        return hash((self.input, frozenset(self.support)))
+
     def probabilities_sum(self) -> Fraction:
         return sum((p for _, p in self.support), Fraction(0))
 
 
-class _Slot:
-    """A label's place in a domain's item structure: its repr is the format
-    directive that the label's own repr fills."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "%s"
-
-
-_SLOT = _Slot()
-
-
-def _sort_key(domain: Labeling) -> Callable[[Labeling], str]:
-    """repr((node_items, half_edge_items)) of the labelings that share the
-    domain of `domain`.  The item structure is written once, with a slot
-    per label, and each key fills the slots with the reprs of its labels."""
-    template = repr((
-        tuple([(key, _SLOT) for key, _ in domain.node_items]),
-        tuple([(key, _SLOT) for key, _ in domain.half_edge_items]),
-    ))
-
-    def key(labeling: Labeling) -> str:
-        return template % tuple(map(repr, chain(
-            map(itemgetter(1), labeling.node_items), map(itemgetter(1), labeling.half_edge_items)
-        )))
-
-    return key
-
-
-def _support_fields(entries: Iterable[tuple[Labeling, int]], denominator: int) -> dict:
-    """The one ordering step: `support`, `weights` and `denominator` of an
-    outcome whose entries are distinct labelings of one domain, with positive
-    integer weights summing to the denominator.  Entries are sorted by
-    `_sort_key`; a one-entry support computes no key."""
-    entries = list(entries)
-    if len(entries) > 1:
-        key = _sort_key(entries[0][0])
-        entries.sort(key=lambda entry: key(entry[0]))
-    return {
-        "support": tuple([(labeling, Fraction(w, denominator)) for labeling, w in entries]),
-        "weights": tuple(map(itemgetter(1), entries)),
-        "denominator": denominator,
-    }
+def _support_fields(entries: Sequence[tuple[Labeling, int]], denominator: int) -> dict:
+    """`support`, `weights` and `denominator` of an outcome whose entries are
+    distinct labelings of one domain, with positive integer weights summing
+    to the denominator, kept in the order given."""
+    support = tuple([(labeling, Fraction(w, denominator)) for labeling, w in entries])
+    return {"support": support, "weights": tuple(map(itemgetter(1), entries)), "denominator": denominator}
 
 
 def _merge(keys: Iterable[Hashable], probabilities: Iterable) -> tuple[dict, int]:
@@ -416,7 +379,7 @@ def _tables_support(
             counts.update(repeat((), len(chunk)))
     if any(len(table.domains) > 1 for table in tables):
         raise InputError("support labelings do not share one node/half-edge domain")
-    return _support_fields(((_join_parts(parts), c) for parts, c in counts.items()), denominator)
+    return _support_fields([(_join_parts(parts), c) for parts, c in counts.items()], denominator)
 
 
 def run_rand_local(
@@ -630,7 +593,9 @@ def labeling_from_json(data: Mapping) -> Labeling:
 
 
 def outcome_to_json(outcome: Outcome) -> dict:
-    entries = [{"p": rational_to_json(p), "labels": labeling_to_json(labeling)} for labeling, p in outcome.support]
+    """The one place a support is ordered: by repr((node_items, half_edge_items))."""
+    support = sorted(outcome.support, key=lambda entry: repr((entry[0].node_items, entry[0].half_edge_items)))
+    entries = [{"p": rational_to_json(p), "labels": labeling_to_json(labeling)} for labeling, p in support]
     return {"graph": labeled_graph_to_json(outcome.input), "support": entries}
 
 

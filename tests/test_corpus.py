@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from locallab.corpus import (
     all_connected_bipartite_graphs,
     all_connected_graphs,
@@ -10,7 +12,7 @@ from locallab.corpus import (
     random_connected_graph,
     random_graph_corpus,
 )
-from locallab.graphs import canonical_key, complete_graph, cycle_graph, is_connected, path_graph
+from locallab.graphs import InputError, canonical_key, complete_graph, cycle_graph, is_connected, path_graph
 
 
 def is_matching(g, edges) -> bool:
@@ -50,6 +52,12 @@ def test_random_connected_graph_connected():
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(1, 8))
         assert is_connected(g)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_connected_graph_without_nodes_is_input_error(n):
+    with pytest.raises(InputError, match="at least one node"):
+        random_connected_graph(random.Random(0), n)
 
 
 def test_matching_oracles():

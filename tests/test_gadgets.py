@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import pytest
 
 from locallab import gadgets, graphs
+from locallab.cli import main
 from locallab.corpus import all_connected_graphs, random_connected_graph
 from locallab.graphs import (
     ContractError,
@@ -34,6 +36,7 @@ from locallab.linearize import (
     IncidenceGraph,
     decode_to_matching,
     incidence_graph_of,
+    incidence_graph_to_json,
     is_maximal_matching,
     make_incidence_graph,
     multigraph_of_incidence,
@@ -454,6 +457,43 @@ def test_pullback_outcome_unlabeled_root_is_input_error():
     first_root = pm.root_to_edge[0][0]
     with pytest.raises(InputError, match=f"leaves port root {first_root} unlabeled"):
         pullback_outcome(outcome, pm)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda pairs: [(pairs[0][0], 99), *pairs[1:]], "edge 99 is not an edge of the source graph"),
+        (lambda pairs: [(pairs[0][0], pairs[1][1]), *pairs[1:]], r"edge \d+ is named 2 times"),
+        (lambda pairs: [(pairs[1][0], pairs[0][1]), *pairs[1:]], r"root \d+ is named 2 times"),
+        (lambda pairs: pairs[:-1], "has no root"),
+    ],
+    ids=["edge-outside", "edge-repeated", "root-repeated", "edge-missing"],
+)
+def test_port_map_built_directly_is_checked(edit, message):
+    """The checks of port_map_from_json hold for a PortMap built in code, so
+    pullback_outcome never meets edge 99 as an IndexError."""
+    ig = incidence_graph_of(path_graph(3))
+    _, pm = gen_proper_instance(ig, k=2)
+    with pytest.raises(InputError, match=message):
+        PortMap(source=ig, root_to_edge=tuple(edit(list(pm.root_to_edge))))
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_gen_proper_instance_rejects_an_isolated_white_beside_a_black(k):
+    """Node 2's port leaf would have no attachment while an inter node
+    exists, and recognize_proper_instance would reject the instance; with no
+    black there is no inter node, and the instance is recognized."""
+    with pytest.raises(InputError, match="white node 2 is isolated"):
+        gen_proper_instance(incidence_graph_of(make_graph(3, [(0, 1)])), k)
+    pi, _ = gen_proper_instance(incidence_graph_of(make_graph(2, [])), k)
+    assert recognize_proper_instance(pi.graph) is not None
+
+
+def test_lift_build_isolated_white_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ig.json"
+    path.write_text(json.dumps(incidence_graph_to_json(incidence_graph_of(make_graph(3, [(0, 1)])))))
+    assert main(["lift", "build", "--incidence", str(path)]) == 2
+    assert "white node 2 is isolated" in capsys.readouterr().err
 
 
 def test_family_constraints_hold_and_break():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -16,6 +17,7 @@ from locallab.graphs import (
     label_graph,
     make_graph,
     path_graph,
+    rational_to_json,
 )
 from locallab.outcomes import (
     Labeling,
@@ -371,7 +373,7 @@ def reference_outcome_to_json(outcome):
     from locallab.graphs import _label_to_json, labeled_graph_to_json, rational_to_json
 
     entries = []
-    for labeling, p in outcome.support:
+    for labeling, p in sorted(outcome.support, key=lambda entry: reference_sort_key(entry[0])):
         entries.append(
             {
                 "p": rational_to_json(p),
@@ -463,7 +465,7 @@ def _parity_rule(t, alphabet=("0", "1")):
 
 def _reference_rand_local(alg, lg, samples=0, seed=0):
     """Every seed vector, every node: Labeling.of per vector, Fraction weights
-    merged in enumeration order and sorted by reference_sort_key."""
+    merged into {labeling: probability}."""
     g = lg.graph
     views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
     if samples == 0:
@@ -482,7 +484,7 @@ def _reference_rand_local(alg, lg, samples=0, seed=0):
                 half_edges[(v, e)] = lab
         labeling = Labeling.of(nodes, half_edges)
         merged[labeling] = merged.get(labeling, F(0)) + F(1, len(vectors))
-    return tuple(sorted(merged.items(), key=lambda kv: reference_sort_key(kv[0])))
+    return merged
 
 
 def _reference_restrict(outcome, s):
@@ -493,7 +495,14 @@ def _reference_restrict(outcome, s):
     for labeling, p in outcome.support:
         part = _restrict_labeling(labeling, nodes, scope_he)
         merged[part] = merged.get(part, F(0)) + p
-    return tuple(sorted(merged.items(), key=lambda kv: reference_sort_key(kv[0])))
+    return merged
+
+
+def _distribution(outcome):
+    """The support as {labeling: probability}, which must not merge entries."""
+    support = dict(outcome.support)
+    assert len(support) == len(outcome.support)
+    return support
 
 
 SMALL_GRAPHS = [label_graph(g) for g in all_connected_graphs(6)]
@@ -503,14 +512,14 @@ SMALL_GRAPHS = [label_graph(g) for g in all_connected_graphs(6)]
 def test_run_rand_local_matches_per_vector_enumeration(t):
     alg = _parity_rule(t)
     for lg in SMALL_GRAPHS:
-        assert run_rand_local(alg, lg).support == _reference_rand_local(alg, lg)
+        assert _distribution(run_rand_local(alg, lg)) == _reference_rand_local(alg, lg)
 
 
 def test_run_rand_local_sampling_matches_per_vector_enumeration():
     alg = _parity_rule(1, alphabet=("a", "b", "c"))
     for lg in SMALL_GRAPHS[::7]:
         got = run_rand_local(alg, lg, samples=40, seed=5)
-        assert got.support == _reference_rand_local(alg, lg, samples=40, seed=5)
+        assert _distribution(got) == _reference_rand_local(alg, lg, samples=40, seed=5)
 
 
 def test_run_rand_local_calls_the_rule_once_per_view_assignment():
@@ -538,7 +547,7 @@ def test_restrict_matches_literal_definition():
         for scope in itertools.chain(
             itertools.combinations(range(n), 1), itertools.combinations(range(n), 2)
         ):
-            assert restrict(outcome, scope).support == _reference_restrict(outcome, scope)
+            assert _distribution(restrict(outcome, scope)) == _reference_restrict(outcome, scope)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -666,32 +675,51 @@ def _label_strategy(st):
     return st.recursive(base, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
 
 
-def test_sort_key_is_repr_of_the_items():
+def test_outcome_to_json_lists_entries_in_reference_sort_key_order():
+    """outcome_to_json is the one place a support is ordered: by the repr of
+    each labeling's item structure, whatever order the support holds."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     labels = _label_strategy(st)
-    nodes = st.lists(st.integers(0, 40), min_size=0, max_size=5, unique=True)
-    half_edges = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=5, unique=True)
+    k3 = label_graph(complete_graph(3))
+    nodes = st.lists(st.integers(0, 2), max_size=3, unique=True)
+    half_edges = st.lists(st.sampled_from(sorted(k3.graph.half_edges())), max_size=4, unique=True)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(nodes, half_edges, st.data())
-    @hypothesis.example([7], [], None)
-    @hypothesis.example([], [(0, 1)], None)
+    @hypothesis.example([2], [], None)
+    @hypothesis.example([], [(0, 0)], None)
     def check(node_ids, half_edge_keys, data):
-        def draw_labeling():
-            if data is None:
-                return Labeling.of(dict.fromkeys(node_ids, "%s"), dict.fromkeys(half_edge_keys, "'%'"))
-            return Labeling.of(
-                {v: data.draw(labels) for v in node_ids},
-                {key: data.draw(labels) for key in half_edge_keys},
-            )
-
-        first, other = draw_labeling(), draw_labeling()
-        key = outcomes._sort_key(first)
-        assert key(first) == reference_sort_key(first)
-        assert key(other) == reference_sort_key(other)
+        if data is None:
+            labelings = [
+                Labeling.of(dict.fromkeys(node_ids, lab), dict.fromkeys(half_edge_keys, lab))
+                for lab in ("%s", "'%'", '"', 1, F(1, 2), True, None, ("t", 1))
+            ]
+        else:
+            labelings = data.draw(st.lists(st.builds(
+                Labeling.of,
+                st.fixed_dictionaries({v: labels for v in node_ids}),
+                st.fixed_dictionaries({key: labels for key in half_edge_keys}),
+            ), min_size=1, max_size=6))
+        outcome = make_outcome(k3, [(labeling, F(1, len(labelings))) for labeling in labelings])
+        want = sorted(outcome.support, key=lambda entry: reference_sort_key(entry[0]))
+        assert outcome_to_json(outcome)["support"] == [
+            {"p": rational_to_json(p), "labels": labeling_to_json(labeling)} for labeling, p in want
+        ]
 
     check()
+
+
+def test_outcomes_listing_one_distribution_in_different_orders_are_equal():
+    lg = label_graph(path_graph(2))
+    entries = [(Labeling.of({0: lab}), F(1, 4)) for lab in ("a", 2, F(1, 2), ("t", None))]
+    forward = make_outcome(lg, entries)
+    backward = dataclasses.replace(forward, support=forward.support[::-1], weights=forward.weights[::-1])
+    assert forward == backward and hash(forward) == hash(backward)
+    assert make_outcome(lg, entries[::-1]) == forward
+    assert outcome_to_json(backward) == outcome_to_json(forward)
+    assert forward != make_outcome(lg, entries[:3] + [(Labeling.of({0: "b"}), F(1, 4))])
+    assert forward != make_outcome(label_graph(path_graph(3)), entries)
 
 
 def _sparse_seed_rule():
@@ -714,10 +742,10 @@ def test_run_rand_local_counts_across_chunks():
     alg = _sparse_seed_rule()
     assert 2**16 > 2 * outcomes._CHUNK
     exact = run_rand_local(alg, lg)
-    assert exact.support == _reference_rand_local(alg, lg)
+    assert _distribution(exact) == _reference_rand_local(alg, lg)
     assert len(exact.support) == 16 and set(exact.weights) == {4096}
     sampled = run_rand_local(alg, lg, samples=20_000, seed=2)
-    assert sampled.support == _reference_rand_local(alg, lg, samples=20_000, seed=2)
+    assert _distribution(sampled) == _reference_rand_local(alg, lg, samples=20_000, seed=2)
 
 
 def _assert_weights(outcome):
