@@ -58,7 +58,7 @@ from .linearize import (
     make_incidence_graph,
     multigraph_of_incidence,
 )
-from .outcomes import Labeling, Outcome, _support_fields
+from .outcomes import Labeling, Outcome
 
 BOTTOM = "⊥"
 _MIXED = object()  # the label of a port gadget that is not uniform
@@ -439,12 +439,19 @@ def make_proper_instance(
     if fixed.keys() != {frozenset((u, v)) for u, v in g.edge_list if lam[u] == lam[v] == INTRA}:
         raise InputError("octopus witness edges do not match the graph")
     leaves = {p.leaf for w in octopi for p in w.ports}
+    attached = set()
     for u, v in g.edge_list:
         if lam[u] == lam[v] == INTER:
             raise InputError(f"inter nodes {u} and {v} are adjacent")
         for a, b in ((u, v), (v, u)):
-            if lam[a] == INTER and b not in leaves:
-                raise InputError(f"inter node {a} attaches to non-leaf intra node {b}")
+            if lam[a] == INTER:
+                if b not in leaves:
+                    raise InputError(f"inter node {a} attaches to non-leaf intra node {b}")
+                attached.add(b)
+    # the definition's "if and only if", as in the recognizer: with inter
+    # nodes present, every port leaf carries an attachment
+    if INTER in lam and leaves - attached:
+        raise InputError(f"port leaf {min(leaves - attached)} carries no attachment beside inter nodes")
     labeling = _family_labeling(g, lam, octopi, fixed)
     return ProperInstance(graph=g, lam=lam, octopi=octopi, labeling=labeling)
 
@@ -783,7 +790,7 @@ def pullback_outcome(outcome: Outcome, port_map: PortMap) -> Outcome:
     an InputError), and entries merge on integer weights, as in `restrict`.
     """
     g = port_map.source.graph
-    position = {v: i for i, (v, _) in enumerate(outcome.support[0][0].node_items)}
+    position = {v: i for i, (v, _) in enumerate(outcome.entries[0][0].node_items)}
     slots = []  # (source half-edge, position of its root's label)
     for root, e in port_map.root_to_edge:
         if root not in position:
@@ -791,11 +798,11 @@ def pullback_outcome(outcome: Outcome, port_map: PortMap) -> Outcome:
         slots.extend(((v, e), position[root]) for v in g.endpoints(e))
     slots.sort()
     merged: dict[tuple, int] = {}
-    for (labeling, _), w in zip(outcome.support, outcome.weights):
+    for labeling, w in outcome.entries:
         items = tuple([(key, labeling.node_items[i][1]) for key, i in slots])
         merged[items] = merged.get(items, 0) + w
-    entries = [(Labeling(node_items=(), half_edge_items=items), w) for items, w in merged.items()]
-    return Outcome(input=label_graph(g), **_support_fields(entries, outcome.denominator))
+    entries = tuple([(Labeling(node_items=(), half_edge_items=items), w) for items, w in merged.items()])
+    return Outcome(input=label_graph(g), entries=entries, denominator=outcome.denominator)
 
 
 def edge_labels_of_pullback(labeling: Labeling, ig: IncidenceGraph) -> dict[int, object]:

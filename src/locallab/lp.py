@@ -61,7 +61,6 @@ from .outcomes import (
     NodeOutput,
     Outcome,
     _merge,
-    _support_fields,
     expectation,
 )
 
@@ -292,13 +291,16 @@ def _column_values(comp: _CompiledLP, x: LpPoint) -> list[Fraction]:
 
 def _numerators(comp: _CompiledLP, values: list, columns: Sequence[int], point: str) -> tuple[list[int], int]:
     """`common_denominator` of the values of the given columns; a value that
-    is not an int or a Fraction is an InputError naming its variable."""
+    is not an int (a bool is not) or a Fraction is an InputError naming its
+    variable."""
     try:
-        return common_denominator(values)
+        if bool not in map(type, values):
+            return common_denominator(values)
     except AttributeError:
-        j, x = next((j, x) for j, x in zip(columns, values) if not isinstance(x, (int, Fraction)))
-        raise InputError(f"{point} gives variable {comp.names[j]!r} the value {x!r}, "
-                         "not an integer or a Fraction") from None
+        pass
+    j, x = next((j, x) for j, x in zip(columns, values) if rational_parts(x) is None)
+    raise InputError(f"{point} gives variable {comp.names[j]!r} the value {x!r}, "
+                     "not an integer or a Fraction")
 
 
 def _point_numerators(comp: _CompiledLP, x: LpPoint) -> tuple[list[int], int]:
@@ -681,8 +683,8 @@ def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> 
         nums, den = _numerators(comp, [vals[j] for j in shown], shown, f"point {i}")
         keys.append((den, *nums))
     merged, denominator = _merge(keys, map(itemgetter(1), pairs))
-    entries = [(_labeling_of_columns(comp, columns[i]), w) for i, w in merged.values()]
-    return Outcome(input=label_graph(lp.graph), **_support_fields(entries, denominator))
+    entries = tuple([(_labeling_of_columns(comp, columns[i]), w) for i, w in merged.values()])
+    return Outcome(input=label_graph(lp.graph), entries=entries, denominator=denominator)
 
 
 def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
@@ -704,11 +706,10 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     if outcome.input.graph != lp.graph:
         raise InputError("dequantize needs an outcome over the LP's graph")
     comp = _compiled(lp)
-    support = outcome.support
-    positions = _label_positions(comp, support[0][0])
+    positions = _label_positions(comp, outcome.entries[0][0])
     sums = [0] * len(comp.names)
     lcm_d = 1
-    for i, ((labeling, _), w) in enumerate(zip(support, outcome.weights)):
+    for i, (labeling, w) in enumerate(outcome.entries):
         nums, d = _decode(comp, positions, labeling, i)
         bad = _violations(comp, nums, d)
         if bad:

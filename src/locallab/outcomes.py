@@ -9,15 +9,17 @@ larger instances and is excluded from exactness-critical suites.
 A marginal on a node set S is an `Outcome` whose labelings cover S and
 H(G)[S]: it can be restricted again, compared and written to JSON.
 
-An outcome keeps its probabilities twice: as Fractions in `support` and as
-integer `weights` over one `denominator`, which `restrict`, `expectation`,
-`verify_non_signaling` and `lp.dequantize` read.  A support is a
-distribution: its entries keep the order in which their producer first made
-them, two outcomes are equal when their entries are equal as sets, and only
-`outcome_to_json` orders them.  Each producer merges and validates its
-entries where they come from: `make_outcome` (the one generic merge, for
-labelings from users or JSON), the randomized simulators, `restrict`,
-`lp.outcome_of_points` and `gadgets.pullback_outcome`.
+An outcome stores its distribution once: `entries` pairs each labeling with
+an integer weight over one `denominator`, and every reader in the package
+works on those integers.  `support`, the same entries with Fraction
+probabilities, is derived on first use for JSON, demos and callers.  The
+entries keep the order in which their producer first made them, two
+outcomes are equal when they give every labeling the same probability
+(whatever their denominators), and only `outcome_to_json` orders them.  Each
+producer merges and validates its entries where they come from:
+`make_outcome` (the one generic merge, for labelings from users or JSON),
+the randomized simulators, `restrict`, `lp.outcome_of_points` and
+`gadgets.pullback_outcome`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, islice, product, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
@@ -88,16 +91,22 @@ class Outcome:
     """Explicit probability distribution over partial output labelings of one network.
 
     Build it with `make_outcome`, a simulator or `restrict`: they give every
-    support labeling one domain, which `restrict` relies on.  `weights` holds
-    the support's probabilities as integers over `denominator`.
+    labeling one domain, which `restrict` relies on.  `entries` holds
+    distinct labelings with positive integer weights summing to
+    `denominator`; `support` is the same distribution with Fraction
+    probabilities, in entry order.
     """
 
     input: LabeledGraph
-    support: tuple[tuple[Labeling, Fraction], ...]
-    weights: tuple[int, ...] = field(compare=False, repr=False)
-    denominator: int = field(compare=False, repr=False)
+    entries: tuple[tuple[Labeling, int], ...]
+    denominator: int
     # restrict() results by node set; immutable, so handing them out is safe
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def support(self) -> tuple[tuple[Labeling, Fraction], ...]:
+        d = self.denominator
+        return tuple([(labeling, Fraction(w, d)) for labeling, w in self.entries])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Outcome):
@@ -108,15 +117,7 @@ class Outcome:
         return hash((self.input, frozenset(self.support)))
 
     def probabilities_sum(self) -> Fraction:
-        return sum((p for _, p in self.support), Fraction(0))
-
-
-def _support_fields(entries: Sequence[tuple[Labeling, int]], denominator: int) -> dict:
-    """`support`, `weights` and `denominator` of an outcome whose entries are
-    distinct labelings of one domain, with positive integer weights summing
-    to the denominator, kept in the order given."""
-    support = tuple([(labeling, Fraction(w, denominator)) for labeling, w in entries])
-    return {"support": support, "weights": tuple(map(itemgetter(1), entries)), "denominator": denominator}
+        return Fraction(sum(map(itemgetter(1), self.entries)), self.denominator)
 
 
 def _merge(keys: Iterable[Hashable], probabilities: Iterable) -> tuple[dict, int]:
@@ -150,7 +151,7 @@ def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -
 
     The one generic merge and domain check, for labelings from users or
     JSON; every other producer already holds distinct labelings of one
-    domain and hands them straight to `_support_fields`.
+    domain and builds its `Outcome` directly.
     """
     pairs = list(pairs)
     merged, denominator = _merge(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
@@ -163,8 +164,8 @@ def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -
         g._check_node(v)
     for v, e in half_edges:
         g.port_of(v, e)
-    entries = [(labeling, w) for labeling, (_, w) in merged.items()]
-    return Outcome(input=lg, **_support_fields(entries, denominator))
+    entries = tuple([(labeling, w) for labeling, (_, w) in merged.items()])
+    return Outcome(input=lg, entries=entries, denominator=denominator)
 
 
 def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
@@ -187,21 +188,21 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> Outcome:
         return cached
     for v in nodes:
         outcome.input.graph._check_node(v)
-    first = outcome.support[0][0]
+    first = outcome.entries[0][0]
     node_keep = [v in nodes for v, _ in first.node_items]
     he_keep = [v in nodes for (v, _), _ in first.half_edge_items]
     merged: dict[tuple[tuple, tuple], int] = {}
-    for (labeling, _), w in zip(outcome.support, outcome.weights):
+    for labeling, w in outcome.entries:
         key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
         merged[key] = merged.get(key, 0) + w
-    entries = [(Labeling(*key), w) for key, w in merged.items()]
-    marginal = outcome._marginals[nodes] = Outcome(input=outcome.input, **_support_fields(entries, outcome.denominator))
+    entries = tuple([(Labeling(*key), w) for key, w in merged.items()])
+    marginal = outcome._marginals[nodes] = Outcome(input=outcome.input, entries=entries, denominator=outcome.denominator)
     return marginal
 
 
 def success_probability(outcome: Outcome, verifier: Callable[[Labeling], bool]) -> Fraction:
     """Total probability of support entries accepted by the verifier."""
-    return sum((p for labeling, p in outcome.support if verifier(labeling)), Fraction(0))
+    return Fraction(sum(w for labeling, w in outcome.entries if verifier(labeling)), outcome.denominator)
 
 
 def expectation(outcome: Outcome) -> dict:
@@ -214,7 +215,7 @@ def expectation(outcome: Outcome) -> dict:
     """
     denominator = outcome.denominator
     sums: dict = {}  # key -> [numerator, label denominator]
-    for (labeling, _), w in zip(outcome.support, outcome.weights):
+    for labeling, w in outcome.entries:
         for key, lab in chain(labeling.node_items, labeling.half_edge_items):
             parts = rational_parts(lab)
             if parts is None:
@@ -353,13 +354,13 @@ def _seed_alphabet(alg: LocalAlgorithm) -> tuple:
 _CHUNK = 2**14
 
 
-def _tables_support(
+def _tables_entries(
     tables: Sequence[_NodeTable],
     universe: Sequence[int],
     assignments: Iterable[tuple],
-    denominator: int,
-) -> dict:
-    """Distribution of the tables' labeling over the given seed vectors.
+) -> tuple[tuple[Labeling, int], ...]:
+    """Entries of the tables' labeling's distribution over the given seed
+    vectors: each distinct labeling with its count of vectors.
 
     An assignment lists one seed per node of `universe`, which must contain
     every table's ball; tables are in node order.  Seed vectors are counted
@@ -379,7 +380,7 @@ def _tables_support(
             counts.update(repeat((), len(chunk)))
     if any(len(table.domains) > 1 for table in tables):
         raise InputError("support labelings do not share one node/half-edge domain")
-    return _support_fields([(_join_parts(parts), c) for parts, c in counts.items()], denominator)
+    return tuple([(_join_parts(parts), c) for parts, c in counts.items()])
 
 
 def run_rand_local(
@@ -413,7 +414,7 @@ def run_rand_local(
         rng = random.Random(seed)
         assignments = (tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(samples))
     tables = [_NodeTable(alg, lg, v) for v in range(n)]
-    return Outcome(input=lg, **_tables_support(tables, range(n), assignments, denominator))
+    return Outcome(input=lg, entries=_tables_entries(tables, range(n), assignments), denominator=denominator)
 
 
 def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> Outcome:
@@ -431,7 +432,7 @@ def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int])
     universe = sorted(set().union(*(table.ball for table in tables)))
     denominator = _seed_space(alphabet, len(universe))
     assignments = product(alphabet, repeat=len(universe))
-    return Outcome(input=lg, **_tables_support(tables, universe, assignments, denominator))
+    return Outcome(input=lg, entries=_tables_entries(tables, universe, assignments), denominator=denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +559,10 @@ def verify_non_signaling(
     r_h = restrict(outcome_h, a_h)
     # both sides' weights over the product of their denominators
     den_g, den_h = r_g.denominator, r_h.denominator
-    target = {labeling: w * den_g for (labeling, _), w in zip(r_h.support, r_h.weights)}
+    target = {labeling: w * den_g for labeling, w in r_h.entries}
     for phi in isos:
         transported: dict[Labeling, int] = {}
-        for (labeling, _), w in zip(r_g.support, r_g.weights):
+        for labeling, w in r_g.entries:
             moved = _transport_partial(labeling, phi, lg_g.graph, lg_h.graph)
             transported[moved] = transported.get(moved, 0) + w * den_h
         if transported != target:

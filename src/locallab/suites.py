@@ -484,69 +484,27 @@ def suite_matching_roundtrip(seed: int) -> list[CheckResult]:
 
 
 def _accepted_labelings(ig):
-    """Exhaustive enumeration of verify_linearizable-accepted labelings.
-
-    Equivalent to filtering all of sigma^edges, but the white strings and
-    black multisets are pruned during the backtracking, which keeps K4's
-    4^12 space tractable.
-    """
+    """Every labeling that verify_linearizable accepts, in lexicographic
+    order of the whites' strings: the product of each white's allowed
+    strings, filtered by the black multisets."""
     problem = MATCHING_ENCODING
     g = ig.graph
     sigma = sorted(problem.sigma)
-    order: list[int] = []
-    for w in ig.whites():
-        order.extend(g.adjacency[w])
-    white_of_edge = {}
-    string_pos = {}
-    for w in ig.whites():
-        for idx, e in enumerate(g.adjacency[w]):
-            white_of_edge[e] = w
-            string_pos[e] = (idx, g.degree(w))
-    labeling: dict[int, object] = {}
-    out: list[dict[int, object]] = []
 
-    def black_ok(e: int) -> bool:
-        b = next(x for x in g.endpoints(e) if ig.roles[x] == "black")
-        incident = g.adjacency[b]
-        if not incident:
-            return True
-        labs = [labeling[x] for x in incident if x in labeling]
-        if len(labs) == len(incident):
-            return tuple(sorted(labs)) in problem.black
-        return any(_multiset_contains(ms, labs) for ms in problem.black)
+    def allowed(string: tuple) -> bool:
+        return (string[0] in problem.first and string[-1] in problem.last
+                and all(pair in problem.pairs for pair in zip(string, string[1:])))
 
-    def rec(i: int) -> None:
-        if i == len(order):
-            out.append(dict(labeling))
-            return
-        e = order[i]
-        idx, deg = string_pos[e]
-        w = white_of_edge[e]
-        prev = labeling.get(g.adjacency[w][idx - 1]) if idx > 0 else None
-        for lab in sigma:
-            if idx == 0 and lab not in problem.first:
-                continue
-            if idx > 0 and (prev, lab) not in problem.pairs:
-                continue
-            if idx == deg - 1 and lab not in problem.last:
-                continue
-            labeling[e] = lab
-            if black_ok(e):
-                rec(i + 1)
-            del labeling[e]
-
-    rec(0)
+    whites = [w for w in ig.whites() if g.adjacency[w]]
+    edges = [e for w in whites for e in g.adjacency[w]]
+    strings = [list(filter(allowed, itertools.product(sigma, repeat=g.degree(w)))) for w in whites]
+    out = []
+    for choice in itertools.product(*strings):
+        labeling = dict(zip(edges, itertools.chain.from_iterable(choice)))
+        if all(tuple(sorted(labeling[e] for e in g.adjacency[b])) in problem.black
+               for b in ig.blacks() if g.adjacency[b]):
+            out.append(labeling)
     return out
-
-
-def _multiset_contains(ms: tuple, labs: list) -> bool:
-    pool = list(ms)
-    for lab in labs:
-        if lab in pool:
-            pool.remove(lab)
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +715,7 @@ def suite_lift(seed: int) -> list[CheckResult]:
                     label_graph(pi.graph), promise_labeling_of(pi, result.labels)
                 )
                 pulled = pullback_outcome(out, pm)
-                labeling = edge_labels_of_pullback(pulled.support[0][0], ig)
+                labeling = edge_labels_of_pullback(pulled.entries[0][0], ig)
                 if not verify_linearizable(MATCHING_ENCODING, ig, labeling):
                     return False, {"edges": source.edge_list, "order": order}, "pullback invalid"
                 blacks = decode_to_matching(ig, labeling)

@@ -337,9 +337,12 @@ def test_lift_stretch_is_the_largest_octopus_diameter():
         assert result.simulated_locality == result.observed_ghat_locality * (max(diameters) + 1)
 
 
-def test_lift_stretch_with_ports_listed_out_of_slot_order():
-    # two octopi with x = 3 and one tall port each, at slot 0 and at slot 1;
-    # the second lists its ports from slot 1, so both list port heights 3, 2, 2, 2
+def _octopi_with_ports_out_of_slot_order():
+    """Two octopi with x = 3 and one tall port each, at slot 0 and at slot 1;
+    the second lists its ports from slot 1, so both list port heights 3, 2,
+    2, 2.  Returns their witnesses, their edges in one host numbering and
+    the host's first free node id."""
+
     def octopus(tall_slot, offset):
         weights = {(i, 1): 3 if i == tall_slot else 2 for i in range(4)}
         w = gen_octopus(3, (1, 1, 1, 1), weights)
@@ -353,11 +356,18 @@ def test_lift_stretch_with_ports_listed_out_of_slot_order():
 
     g0, w0 = octopus(0, 0)
     g1, w1 = octopus(1, g0.n)
-    inter = g0.n + g1.n
     edges = [*g0.edge_list, *((u + g0.n, v + g0.n) for u, v in g1.edge_list)]
-    edges += [(w0.ports[0].leaf, inter), (w1.ports[0].leaf, inter)]
-    lam = [INTRA] * inter + [INTER]
-    data = proper_instance_to_json(make_proper_instance(make_graph(inter + 1, edges), lam, [w0, w1]))
+    return w0, w1, edges, g0.n + g1.n
+
+
+def test_lift_stretch_with_ports_listed_out_of_slot_order():
+    # each port leaf of octopus 0 shares an inter node with the leaf at the
+    # same position of octopus 1
+    w0, w1, edges, inter = _octopi_with_ports_out_of_slot_order()
+    for i, (p0, p1) in enumerate(zip(w0.ports, w1.ports)):
+        edges += [(p0.leaf, inter + i), (p1.leaf, inter + i)]
+    lam = [INTRA] * inter + [INTER] * len(w0.ports)
+    data = proper_instance_to_json(make_proper_instance(make_graph(len(lam), edges), lam, [w0, w1]))
     pi = proper_instance_from_json(data)
     assert [[p.height for p in w.ports] for w in pi.octopi] == [[3, 2, 2, 2]] * 2
     diameters = []
@@ -368,6 +378,19 @@ def test_lift_stretch_with_ports_listed_out_of_slot_order():
     result = lift_run(pi)
     assert result.observed_ghat_locality > 0
     assert result.simulated_locality == result.observed_ghat_locality * (max(diameters) + 1)
+
+
+def test_make_proper_instance_rejects_an_unattached_port_leaf_beside_inter_nodes():
+    """One inter node joins the first port leaves of two octopi; the other
+    six port leaves carry no attachment, so `recognize_proper_instance`
+    rejects the graph and `make_proper_instance` must too."""
+    w0, w1, edges, inter = _octopi_with_ports_out_of_slot_order()
+    edges += [(w0.ports[0].leaf, inter), (w1.ports[0].leaf, inter)]
+    lam = [INTRA] * inter + [INTER]
+    g = make_graph(inter + 1, edges)
+    assert recognize_proper_instance(g) is None
+    with pytest.raises(InputError, match=f"port leaf {w0.ports[1].leaf} carries no attachment"):
+        make_proper_instance(g, lam, [w0, w1])
 
 
 def test_lift_suite_fails_on_a_crash_in_the_pullback(monkeypatch):
@@ -446,7 +469,8 @@ def test_pullback_outcome_matches_reference():
             got, want = pullback_outcome(outcome, pm), _reference_pullback_outcome(outcome, pm)
             assert got == want
             assert [repr(lab) for lab, _ in got.support] == [repr(lab) for lab, _ in want.support]
-            assert [F(w, got.denominator) for w in got.weights] == [p for _, p in want.support]
+            assert got.denominator == outcome.denominator
+            assert [F(w, got.denominator) for _, w in got.entries] == [p for _, p in want.support]
 
 
 def test_pullback_outcome_unlabeled_root_is_input_error():

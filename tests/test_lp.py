@@ -1132,7 +1132,7 @@ def _outcome_of_labelings(lp, pairs):
 @pytest.mark.parametrize("evaluate", [check_feasible, objective_value, approximation_ratio])
 def test_point_value_that_is_not_exact_is_input_error(evaluate):
     lp = build_fractional_matching_lp(path_graph(3))
-    for value, shown in [(0.5, "0.5"), ("1/2", "'1/2'"), (None, "None")]:
+    for value, shown in [(0.5, "0.5"), ("1/2", "'1/2'"), (None, "None"), (True, "True")]:
         x = LpPoint(values=(("e0", F(1, 2)), ("e1", value)))
         with pytest.raises(InputError, match=f"variable 'e1' the value {re.escape(shown)}, not an integer"):
             evaluate(lp, x)
@@ -1171,10 +1171,12 @@ def test_outcome_of_points_equals_make_outcome_over_labelings():
         assert [repr(labeling) for labeling, _ in got[1].support] == [
             repr(labeling) for labeling, _ in want.support
         ]
-        weights, denominator = got[1].weights, got[1].denominator
-        assert [F(w, denominator) for w in weights] == [p for _, p in want.support]
+        denominator = got[1].denominator
+        assert [F(w, denominator) for _, w in got[1].entries] == [p for _, p in want.support]
     assert len(outcome_of_points(shadowed, cases[-1][1]).support) == 1
     with pytest.raises(InputError, match="point 1 gives variable 'e1' the value 0.5"):
         outcome_of_points(lp, [(a, F(1, 2)), (LpPoint(values=(("e0", 0), ("e1", 0.5))), F(1, 2))])
+    with pytest.raises(InputError, match="point 1 gives variable 'e0' the value True"):
+        outcome_of_points(lp, [(a, F(1, 2)), (LpPoint(values=(("e0", True), ("e1", False))), F(1, 2))])
     dropped = outcome_of_points(lp, cases[1][1])
     assert [labeling for labeling, _ in dropped.support] == [labeling_from_point(lp, x) for x in (a, c)]

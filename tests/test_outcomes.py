@@ -714,12 +714,25 @@ def test_outcomes_listing_one_distribution_in_different_orders_are_equal():
     lg = label_graph(path_graph(2))
     entries = [(Labeling.of({0: lab}), F(1, 4)) for lab in ("a", 2, F(1, 2), ("t", None))]
     forward = make_outcome(lg, entries)
-    backward = dataclasses.replace(forward, support=forward.support[::-1], weights=forward.weights[::-1])
+    backward = dataclasses.replace(forward, entries=forward.entries[::-1])
     assert forward == backward and hash(forward) == hash(backward)
     assert make_outcome(lg, entries[::-1]) == forward
     assert outcome_to_json(backward) == outcome_to_json(forward)
     assert forward != make_outcome(lg, entries[:3] + [(Labeling.of({0: "b"}), F(1, 4))])
     assert forward != make_outcome(label_graph(path_graph(3)), entries)
+
+
+def test_restricted_marginal_equals_its_reduced_outcome():
+    """`restrict` keeps its parent's denominator 2^n; `make_outcome` of the
+    same distribution reduces it.  Equality and hash see only probabilities."""
+    lg = label_graph(path_graph(4))
+    full = run_rand_local(_parity_rule(1), lg)
+    marginal = restrict(full, [1])
+    reduced = make_outcome(lg, list(_reference_restrict(full, [1]).items()))
+    assert marginal.denominator == 2**4 and reduced.denominator < 2**4
+    assert marginal == reduced and hash(marginal) == hash(reduced)
+    (a, p), (b, q), *rest = reduced.support
+    assert marginal != make_outcome(lg, [(a, p + q), (b, F(0)), *rest])
 
 
 def _sparse_seed_rule():
@@ -743,15 +756,18 @@ def test_run_rand_local_counts_across_chunks():
     assert 2**16 > 2 * outcomes._CHUNK
     exact = run_rand_local(alg, lg)
     assert _distribution(exact) == _reference_rand_local(alg, lg)
-    assert len(exact.support) == 16 and set(exact.weights) == {4096}
+    assert len(exact.entries) == 16 and {w for _, w in exact.entries} == {4096}
+    assert exact.denominator == 2**16
     sampled = run_rand_local(alg, lg, samples=20_000, seed=2)
     assert _distribution(sampled) == _reference_rand_local(alg, lg, samples=20_000, seed=2)
 
 
 def _assert_weights(outcome):
-    assert sum(outcome.weights) == outcome.denominator
-    assert all(w > 0 for w in outcome.weights)
-    assert [F(w, outcome.denominator) for w in outcome.weights] == [p for _, p in outcome.support]
+    weights = [w for _, w in outcome.entries]
+    assert all(type(w) is int and w > 0 for w in weights)
+    assert sum(weights) == outcome.denominator
+    assert len({labeling for labeling, _ in outcome.entries}) == len(weights)
+    assert outcome.support == tuple((labeling, F(w, outcome.denominator)) for labeling, w in outcome.entries)
 
 
 def test_every_producer_fills_integer_weights():
