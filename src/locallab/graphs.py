@@ -289,10 +289,6 @@ def connected_components(
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def is_bipartite(g: Graph) -> Optional[list[int]]:
     """2-coloring as a list of 0/1, or None if an odd cycle exists."""
     color = [-1] * g.n
@@ -629,12 +625,13 @@ def views_isomorphic(v1: View, v2: View) -> Optional[dict[int, int]]:
 #
 # One individualization-refinement search (McKay & Piperno, "Practical graph
 # isomorphism, II", J. Symb. Comput. 60, 2014) gives canonical keys of bare
-# graphs (corpus deduplication) and of centered labeled balls (LCL
-# membership).  A structure is encoded as one colour per node and one
-# coloured arc (far node, arc colour) per half-edge; labels enter colours
-# through repr, integral Fractions as ints.  Two encodings are isomorphic iff
-# their keys are equal, and then mapping each canonical position to the same
-# position of the other is an isomorphism.
+# graphs (corpus deduplication, pruned by the automorphisms the search
+# meets) and of centered labeled balls (LCL membership).  A structure is
+# encoded as one colour per node and one coloured arc (far node, arc colour)
+# per half-edge; labels enter colours through repr, integral Fractions as
+# ints.  Two encodings are isomorphic iff their keys are equal, and then
+# mapping each canonical position to the same position of the other is an
+# isomorphism.
 
 
 def _refine(lab: list, pos: list, cell: list, ends: list, into: list, active: list) -> None:
@@ -698,9 +695,10 @@ def _refine(lab: list, pos: list, cell: list, ends: list, into: list, active: li
 
 def _canonical_form(
     colours: Sequence, arcs: Sequence[Sequence[tuple[int, object]]]
-) -> tuple[tuple, tuple[int, ...]]:
-    """(key, order) of a node- and arc-coloured digraph on 0..n-1, where
-    order[p] is the node at canonical position p.
+) -> tuple[tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(key, order, automorphisms) of a node- and arc-coloured digraph on
+    0..n-1, where order[p] is the node at canonical position p and each
+    automorphism is a tuple sigma with sigma[v] the image of v.
 
     The root of the search tree refines the colour partition; a node that is
     not discrete has one child per node of its first smallest non-singleton
@@ -710,7 +708,10 @@ def _canonical_form(
     smallest certificate.  A leaf whose certificate equals the best one is
     the best leaf moved by an automorphism, which maps the best leaf's branch
     at the level where their paths part, explored first, onto this leaf's:
-    the search resumes at that level.
+    the search resumes at that level.  That automorphism maps the best
+    leaf's node at each position p to this leaf's, and it is returned: the
+    search's automorphisms, in the order found, generate a subgroup of the
+    automorphism group.
     """
     n = len(colours)
     palette = sorted(set(colours))
@@ -740,6 +741,7 @@ def _canonical_form(
     _refine(lab, pos, cell, ends, into, starts)
 
     best = None  # (certificate, order, path)
+    automorphisms = []
     stack: list[list] = []  # one frame per level: [partition, branch nodes, next, path]
     part, path = (lab, pos, cell, ends), ()
     while True:
@@ -757,6 +759,10 @@ def _canonical_form(
             if best is None or cert < best[0]:
                 best = (cert, tuple(lab), path)
             elif cert == best[0]:
+                sigma = [0] * n
+                for v, u in zip(best[1], lab):
+                    sigma[v] = u
+                automorphisms.append(tuple(sigma))
                 level = 0
                 while path[level] == best[2][level]:
                     level += 1
@@ -778,12 +784,16 @@ def _canonical_form(
         _refine(lab, pos, cell, ends, into, [s])
         part, path = (lab, pos, cell, ends), frame[3] + (v,)
 
-    return (tuple(zip(palette, counts)), tuple(arc_palette), best[0]), best[1]
+    return (tuple(zip(palette, counts)), tuple(arc_palette), best[0]), best[1], tuple(automorphisms)
 
 
-def canonical_key(g: Graph) -> tuple:
-    """Canonical key of a bare graph: equal for two graphs iff isomorphic."""
-    return _canonical_form([0] * g.n, [[(w, 0) for w in row] for row in g.neighbor_rows])[0]
+def bare_canonical_form(rows: Sequence[Sequence[int]]) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """(key, automorphisms) of the bare graph on 0..n-1 whose node v has the
+    neighbours rows[v]: two graphs have equal keys iff they are isomorphic,
+    and each automorphism the search met is a tuple sigma, sigma[v] the
+    image of v.  A Graph's rows are its `neighbor_rows`."""
+    key, _, automorphisms = _canonical_form([0] * len(rows), [[(w, 0) for w in row] for row in rows])
+    return key, automorphisms
 
 
 @dataclass(frozen=True)
@@ -856,7 +866,7 @@ def _ball_encoding(
 
 def _centered_form(c: CenteredGraph) -> tuple[tuple, tuple[int, ...]]:
     """(key, order) of the encoding of c on all its nodes."""
-    return _canonical_form(*_ball_encoding(_encoding_rows(c.base), c.center, range(c.base.graph.n)))
+    return _canonical_form(*_ball_encoding(_encoding_rows(c.base), c.center, range(c.base.graph.n)))[:2]
 
 
 def centered_key(c: CenteredGraph) -> tuple:

@@ -123,11 +123,16 @@ class Outcome:
 def _merge(keys: Iterable[Hashable], probabilities: Iterable) -> tuple[dict, int]:
     """Probabilities merged by key, as integers over their common denominator.
 
-    A negative probability is an InputError, a zero one is dropped, and the
+    A probability must be exact, an int (not a bool) or a Fraction; anything
+    else, or a negative one, is an InputError, a zero one is dropped, and the
     rest must sum to exactly 1.  Each key maps to [the index of its first
     nonzero probability, its total weight]; the denominator comes second.
     """
-    weights, denominator = common_denominator([Fraction(p) for p in probabilities])
+    probabilities = list(probabilities)
+    for i, p in enumerate(probabilities):
+        if rational_parts(p) is None:
+            raise InputError(f"probability {i} is {p!r}, not an int or a Fraction")
+    weights, denominator = common_denominator(probabilities)
     merged: dict = {}
     for i, (key, w) in enumerate(zip(keys, weights)):
         if w < 0:

@@ -18,8 +18,8 @@ from locallab.graphs import (
     _label_from_json,
     _label_to_json,
     ball_distances,
+    bare_canonical_form,
     bridges,
-    canonical_key,
     centered_isomorphism,
     centered_key,
     connected_components,
@@ -264,6 +264,10 @@ def test_dot_export():
     lg = label_graph(path_graph(2), node_labels={0: "A", 1: "B"}, half_edge_labels={(0, 0): "t"})
     dot = to_dot(lg)
     assert "0|A" in dot and 'taillabel="t"' in dot and "0 -- 1" in dot
+
+
+def canonical_key(g):
+    return bare_canonical_form(g.neighbor_rows)[0]
 
 
 def test_canonical_key_detects_isomorphism():

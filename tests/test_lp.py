@@ -211,6 +211,19 @@ def test_dequantize_rejects_an_outcome_over_another_graph():
         dequantize(over_c4, lp)
 
 
+@pytest.mark.parametrize(
+    "probabilities, index",
+    [((0.5, 0.5), 0), ((True,), 0), ((F(1, 2), 0.5), 1)],
+    ids=["floats", "bool", "float-after-fraction"],
+)
+def test_outcome_of_points_rejects_an_inexact_probability(probabilities, index):
+    p2 = path_graph(2)
+    lp = build_fractional_matching_lp(p2)
+    points = [matching_point(p2, {0}), matching_point(p2, set())]
+    with pytest.raises(InputError, match=f"probability {index} is"):
+        outcome_of_points(lp, list(zip(points, probabilities)))
+
+
 def test_dequantize_soundness_random_mixtures():
     rng = random.Random(11)
     for g in all_connected_graphs(5):

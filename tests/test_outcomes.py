@@ -71,6 +71,18 @@ def test_outcome_validation():
 
 
 @pytest.mark.parametrize(
+    "probabilities, index",
+    [((0.5, 0.5), 0), ((True,), 0), ((F(1, 2), 0.5), 1)],
+    ids=["floats", "bool", "float-after-fraction"],
+)
+def test_make_outcome_rejects_an_inexact_probability(probabilities, index):
+    lg = label_graph(path_graph(2))
+    pairs = [(Labeling.of({0: i, 1: i}, {}), p) for i, p in enumerate(probabilities)]
+    with pytest.raises(InputError, match=f"probability {index} is"):
+        make_outcome(lg, pairs)
+
+
+@pytest.mark.parametrize(
     "labeling",
     [
         Labeling.of({0: "a", 1: "a", 2: "a", 7: "a"}, {}),
