@@ -55,10 +55,6 @@ def canonical_key(g):
     return bare_canonical_form(g.neighbor_rows)[0]
 
 
-def _edge_set(g):
-    return {frozenset(e) for e in g.edge_list}
-
-
 def _generated_group(n, generators):
     """Every permutation of 0..n-1 the generators generate, by closure."""
     identity = tuple(range(n))
@@ -124,10 +120,7 @@ def test_orbit_pruning_keys_one_subset_per_orbit(monkeypatch):
 
     monkeypatch.setattr(corpus, "bare_canonical_form", counted)
     corpus._layers.cache_clear()
-    try:
-        assert len(all_connected_graphs(7)) == 996
-    finally:
-        corpus._layers.cache_clear()
+    assert len(all_connected_graphs(7)) == 996
     # keying every nonempty subset of every base would take 7,815 searches
     assert len(searches) <= 4159
 
@@ -136,7 +129,7 @@ def test_search_automorphisms_generate_the_whole_automorphism_group():
     graphs, automorphisms = corpus._layers(6, False, False)
     for g, found in zip(graphs, automorphisms):
         assert bare_canonical_form(g.neighbor_rows)[1] == found
-        edges = _edge_set(g)
+        edges = {frozenset(e) for e in g.edge_list}
         for sigma in found:
             assert sorted(sigma) == list(range(g.n))
             assert {frozenset((sigma[u], sigma[v])) for u, v in g.edge_list} == edges
