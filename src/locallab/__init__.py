@@ -33,6 +33,7 @@ from .graphs import (
     star_graph,
     to_dot,
     view_isomorphisms,
+    view_key,
     views_isomorphic,
 )
 from .lcl import (

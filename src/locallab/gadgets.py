@@ -629,6 +629,13 @@ def recognize_proper_instance(
         result = attempt(base)
         if result is not None:
             return result
+    # the repair never reaches the empty inter set, where every component
+    # must be an octopus (they come ordered by their smallest node)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        octopi = [witness(c) for c in comps]
+        if all(w is not None for w in octopi):
+            return (INTRA,) * g.n, tuple(octopi)
     return None
 
 
@@ -701,16 +708,11 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     matching, observed = greedy_matching(mg, list(order))
     edge_labels = encode_matching(ghat, (b for b, me in edge_of_black.items() if me in matching))
     labels: dict[int, object] = dict.fromkeys(range(pi.graph.n), BOTTOM)
+    # beside inter nodes every port leaf carries one attachment, so a port
+    # without one lies in an instance with no inter nodes, where no port is "M"
     for w, ports in zip(pi.octopi, attached):
-        mi = next((r for r, ge in ports.items() if edge_labels[ge] == "M"), None)
         for r, p in enumerate(w.ports):
-            if r in ports:
-                lab = edge_labels[ports[r]]
-            elif mi is None:
-                lab = "P"
-            else:
-                lab = "B" if r < mi else "A"
-            labels.update(dict.fromkeys(p.nodes, lab))
+            labels.update(dict.fromkeys(p.nodes, edge_labels[ports[r]] if r in ports else "P"))
     sim = 0
     if pi.octopi:
         # make_proper_instance checks a witness's edges against those its head

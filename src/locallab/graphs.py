@@ -492,6 +492,29 @@ def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
 # view isomorphism
 
 
+def view_key(view: View) -> tuple:
+    """Key of a single-anchor view, equal for two views iff a bijection sends
+    anchor to anchor and matches node labels and, port by port, half-edge
+    labels, the retained/dropped pattern and far ends.  Such a view is rigid
+    (every node is reached from the anchor through retained ports), so a BFS
+    in port order numbers it canonically; per node in that order the key
+    lists its label and per port (label, far end's BFS index or None)."""
+    g = view.source.graph
+    order = [view.anchor_node()]
+    index = {order[0]: 0}
+    key = []
+    for v in order:
+        row = []
+        for lab, e in view.ports[v]:
+            w = None if e is None else g.other(e, v)
+            if w is not None and w not in index:
+                index[w] = len(order)
+                order.append(w)
+            row.append((lab, index.get(w)))
+        key.append((view.node_label[v], tuple(row)))
+    return tuple(key)
+
+
 def _view_node_key(view: View, v: int):
     port_sig = tuple((lab, e is not None) for (lab, e) in view.ports[v])
     return (v in view.anchor, view.node_label[v], port_sig)

@@ -24,6 +24,8 @@ the end, for the value and the point.
 
 The local expectation algorithm A' needs per view only a network of the family
 and the anchor's image there, and from its oracle only the marginal on it.
+It checks the completion by comparing the view's key (`graphs.view_key`)
+with the image's: A' outputs a function of the view alone.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .graphs import (
     rational_from_json,
     rational_parts,
     rational_to_json,
+    view_key,
 )
 from .linearize import is_maximal_matching
 from .outcomes import (
@@ -727,45 +730,6 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
 # the local expectation algorithm A' (view completion + oracle marginal)
 
 
-def _embeds(view: View, network: LabeledGraph, image: int, t: int) -> bool:
-    """Whether the radius-t view of `image` in `network` matches `view` port
-    for port under a bijection that sends the anchor to `image`.
-
-    A port-numbered view with one anchor is rigid: every node is reached
-    from the anchor through retained ports, so the anchor's image fixes the
-    only candidate map.  The walk builds it through equal retained ports
-    from both anchors and rejects any label, port or far-end mismatch.  A
-    map that passes reaches every node of the target view the same way, so
-    with equal node counts it is a bijection.
-    """
-    anchor = view.anchor_node()
-    target = extract_view(network, [image], t)
-    if len(target.node_set) != len(view.node_set):
-        return False
-    g1, g2 = view.source.graph, network.graph
-    phi = {anchor: image}
-    queue = [anchor]
-    for v in queue:
-        u = phi[v]
-        if view.node_label[v] != target.node_label[u]:
-            return False
-        p1, p2 = view.ports[v], target.ports[u]
-        if len(p1) != len(p2):
-            return False
-        for (lab1, e1), (lab2, e2) in zip(p1, p2):
-            if lab1 != lab2 or (e1 is None) != (e2 is None):
-                return False
-            if e1 is None:
-                continue
-            w1, w2 = g1.other(e1, v), g2.other(e2, u)
-            if w1 not in phi:
-                phi[w1] = w2
-                queue.append(w1)
-            elif phi[w1] != w2:
-                return False
-    return True
-
-
 def whole_graph_family(lg: LabeledGraph) -> Callable[[View], tuple[LabeledGraph, int]]:
     """Completion into the input network itself: the anchor is its own image."""
 
@@ -792,7 +756,7 @@ def cycle_family(length: int) -> Callable[[View], tuple[LabeledGraph, int]]:
 
     A path-shaped view of an oriented cycle embeds by rotation, and a view
     that holds a whole cycle must match the length; any other view fails
-    the embedding check of `local_expectation_algorithm`.
+    the view-key check of `local_expectation_algorithm`.
     """
     cycle = oriented_cycle_graph(length)
 
@@ -809,8 +773,8 @@ def local_expectation_algorithm(
 ) -> LocalAlgorithm:
     """Deterministic LOCAL rule: complete the view into a network of the
     family and the anchor's image there (`complete`), check that the
-    completion embeds the view, and output the expectation of the oracle's
-    marginal on the image (pulled back port to port).
+    image's radius-t view has the view's key, and output the expectation of
+    the oracle's marginal on the image (pulled back port to port).
 
     The oracle maps (network, nodes) to the marginal of its outcome on those
     nodes.  Its outcomes must be non-signaling beyond t on the family; then
@@ -820,7 +784,7 @@ def local_expectation_algorithm(
 
     def rule(view: View) -> NodeOutput:
         network, image = complete(view)
-        if not _embeds(view, network, image, t):
+        if view_key(view) != view_key(extract_view(network, [image], t)):
             raise ContractError("completion does not embed the view; family descriptor inadequate")
         sums = expectation(oracle(network, [image]))
         ports = zip(view.source.graph.adjacency[view.anchor_node()], network.graph.adjacency[image])

@@ -12,7 +12,7 @@ import pytest
 
 from locallab import gadgets, graphs
 from locallab.cli import main
-from locallab.corpus import all_connected_graphs, random_connected_graph
+from locallab.corpus import all_connected_graphs, all_graphs, random_connected_graph
 from locallab.graphs import (
     ContractError,
     Graph,
@@ -578,6 +578,84 @@ def test_recognize_k1_port_instance_with_inters():
     lam, octs = rec
     # whatever witness is returned must re-validate independently
     make_proper_instance(pi.graph, lam, octs)
+
+
+@pytest.mark.parametrize("g", [
+    # a 2-node octopus beside a height-2 head with two 1-node ports
+    make_graph(7, [(0, 4), (1, 5), (2, 5), (1, 6), (3, 6), (5, 6)]),
+    # the default-k instance of path_graph(2) without its edge (6, 8)
+    make_graph(9, [(1, 2), (2, 3), (1, 3), (1, 0), (5, 6), (6, 7), (5, 7), (5, 4), (2, 8)]),
+], ids=["two-octopi", "p2-instance-cut"])
+def test_recognize_several_octopi_with_no_inter_nodes(g):
+    """Each component is an octopus, so every node is intra; the repair
+    search alone never tries the empty inter set."""
+    rec = recognize_proper_instance(g)
+    assert rec is not None
+    lam, octs = rec
+    assert lam == (INTRA,) * g.n and len(octs) == len(connected_components(g))
+    make_proper_instance(g, lam, octs)
+
+
+def reference_exhaustive_recognize(g: Graph) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
+    """Try every independent set I of candidates (nodes with an independent
+    neighbourhood), smallest first: accept when every component C of g - I
+    has an octopus witness whose port leaves include C's nodes adjacent to
+    I, and, with I nonempty, every port leaf has a neighbour in I."""
+    candidates = [v for v in range(g.n) if _reference_independent_neighborhood(g, v)]
+    for size in range(len(candidates) + 1):
+        for inter in itertools.combinations(candidates, size):
+            if any(g.has_edge(a, b) for a, b in itertools.combinations(inter, 2)):
+                continue
+            octopi = []
+            for comp in connected_components(g, set(range(g.n)) - set(inter)):
+                required = frozenset(v for v in comp if any(u in inter for u in g.neighbors(v)))
+                w = recognize_octopus(g, required, comp)
+                if w is None or inter and any(p.leaf not in required for p in w.ports):
+                    break
+                octopi.append(w)
+            else:
+                return tuple(INTER if v in inter else INTRA for v in range(g.n)), tuple(octopi)
+    return None
+
+
+def test_recognize_proper_instance_agrees_with_exhaustive_search_on_graphs_up_to_7_nodes():
+    accepted = 0
+    for g in all_graphs(7):
+        rec = recognize_proper_instance(g)
+        ref = reference_exhaustive_recognize(g)
+        assert (rec is None) == (ref is None), g.edge_list
+        for found in (rec, ref):
+            if found is not None:
+                make_proper_instance(g, *found)
+        accepted += rec is not None
+    assert accepted
+
+
+def _p3_instance_with_swapped_triangles() -> tuple[Graph, list[str], list[OctopusWitness]]:
+    """The k = 2 instance of path_graph(3) plus the edge (8, 11), with inter
+    nodes 0, 4 and 11 and single-node heads 15 and 16: each height-2 port
+    triangle swaps its root and its leaf, and port leaf 8 carries two
+    attachments."""
+    pi, _ = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    g = make_graph(pi.graph.n, [*pi.graph.edge_list, (8, 11)])
+    lam = [INTER if v in (0, 4, 11) else INTRA for v in range(g.n)]
+    octopi = [
+        OctopusWitness(1, (2,), (15,), (PortWitness(0, 1, 2, (2, 1, 3)), PortWitness(0, 2, 2, (6, 5, 7)))),
+        OctopusWitness(1, (2,), (16,), (PortWitness(0, 1, 2, (9, 8, 10)), PortWitness(0, 2, 2, (13, 12, 14)))),
+    ]
+    return g, lam, octopi
+
+
+def test_p3_instance_with_swapped_triangles_is_proper():
+    g, lam, octopi = _p3_instance_with_swapped_triangles()
+    make_proper_instance(g, lam, octopi)
+    assert reference_exhaustive_recognize(g) is not None
+
+
+@pytest.mark.xfail(strict=True, reason="the greedy repair misses the swapped-triangle decomposition (ROADMAP item 3)")
+def test_recognize_p3_instance_with_swapped_triangles():
+    g, _, _ = _p3_instance_with_swapped_triangles()
+    assert recognize_proper_instance(g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from locallab.graphs import (
     star_graph,
     to_dot,
     view_isomorphisms,
+    view_key,
     views_isomorphic,
 )
 from locallab.lcl import centered_ball
@@ -175,6 +176,12 @@ def test_views_respect_labels():
     hb = label_graph(g, half_edge_labels={(1, 0): "x", (1, 1): "y"})
     assert views_isomorphic(extract_view(ha, [1], 1), extract_view(ha, [1], 1)) is not None
     assert views_isomorphic(extract_view(ha, [1], 1), extract_view(hb, [1], 1)) is None
+
+
+def test_view_key_needs_a_single_anchor():
+    view = extract_view(label_graph(path_graph(4)), [0, 3], 1)
+    with pytest.raises(InputError, match="single node"):
+        view_key(view)
 
 
 def test_boundary_edge_dropped_when_both_ends_at_distance_t():
