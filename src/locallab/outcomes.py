@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, product, repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
@@ -273,11 +273,20 @@ class LocalAlgorithm:
         return self.seed_alphabet is not None
 
 
-def _check_node_output(lg: LabeledGraph, v: int, out: NodeOutput) -> None:
-    incident = set(lg.graph.adjacency[v])
-    for e in out.half_edge_labels:
-        if e not in incident:
-            raise ContractError(f"rule at node {v} labeled a half-edge of non-incident edge {e}")
+def _check_node_output(v: int, out: NodeOutput, incident: set) -> None:
+    """A rule's output must be a NodeOutput whose half-edge labels map edges
+    incident to v (`incident`); anything else is a ContractError naming v."""
+    if not isinstance(out, NodeOutput):
+        raise ContractError(f"rule at node {v} returned {out!r}, not a NodeOutput")
+    try:
+        edges = out.half_edge_labels.keys()
+    except AttributeError:
+        raise ContractError(
+            f"rule at node {v} returned half-edge labels {out.half_edge_labels!r}, not a mapping"
+        ) from None
+    if not incident.issuperset(edges):
+        e = next(e for e in edges if e not in incident)
+        raise ContractError(f"rule at node {v} labeled a half-edge of non-incident edge {e}")
 
 
 # A node's items of a labeling: (node items, half-edge items).  Every
@@ -308,9 +317,36 @@ def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
     parts = []
     for v in range(lg.graph.n):
         out = alg.rule(extract_view(lg, [v], alg.locality))
-        _check_node_output(lg, v, out)
+        _check_node_output(v, out, set(lg.graph.adjacency[v]))
         parts.append(_node_part(v, out))
     return _join_parts(parts)
+
+
+# No value of one of these types equals a value of another, so values made
+# of them (through tuples) are equal only when they agree in every type.
+_PLAIN_TYPES = frozenset({str, int, type(None)})
+
+
+def _exact_key(value) -> Hashable:
+    """A key two values share exactly when they are equal and agree in type
+    throughout (1, True and Fraction(1) get three keys).
+
+    A plain value (made of `_PLAIN_TYPES` through tuples) is its own key;
+    any other key is a pair whose second element is a type, which no plain
+    value holds.  A bool or a Fraction is keyed by value and type, and any
+    other non-tuple by identity, so it must be kept alive.  An unhashable
+    value raises TypeError.
+    """
+    t = type(value)
+    if t in _PLAIN_TYPES:
+        return value
+    if t is tuple:
+        keys = tuple(map(_exact_key, value))
+        return value if all(map(is_, keys, value)) else (keys, t)
+    if t is bool or t is Fraction:
+        return value, t
+    hash(value)
+    return id(value), object
 
 
 class _NodeTable(dict):
@@ -318,26 +354,66 @@ class _NodeTable(dict):
 
     `ball` is the view's node set in iteration order; a key is the tuple of
     those nodes' seeds (the seed itself for a one-node ball), and the table
-    maps it to the node's labeling part.  The rule runs only when a key is
-    first looked up.  `domains` collects its parts' domains (node label
-    present, half-edge keys); a table with more than one breaks the shared
-    domain of the support.
+    maps it to the index of the node's labeling part in `parts`.  The rule
+    runs only when a key is first looked up, so once per ball assignment.
+
+    Outputs that agree in value and type share one part, and every item
+    (v, label) or ((v, e), label) of the table's parts is one object per
+    `_exact_key`, so the labelings built from the parts, and their
+    marginals, keep those objects alive and no per-call copies.  `mixed` is
+    set once an output is not plain; only then can two parts be equal in
+    value and differ in type, and the labelings built from them must be
+    merged.  `domains` collects the parts' domains (node label present,
+    half-edge keys); a table with more than one breaks the shared domain of
+    the support.
     """
 
     def __init__(self, alg: LocalAlgorithm, lg: LabeledGraph, v: int):
         super().__init__()
-        self.alg, self.lg, self.v = alg, lg, v
+        self.alg, self.v = alg, v
+        self.incident = frozenset(lg.graph.adjacency[v])
         self.view = extract_view(lg, [v], alg.locality)
         self.ball = tuple(self.view.node_set)
+        self.parts: list[_Part] = []
+        self.mixed = False
         self.domains: set[tuple] = set()
+        self._index: dict = {}  # exact key of an output -> its part's index in parts
+        self._node_items: dict = {}  # exact key of a node label -> its item
+        self._half_edge_items: dict = {}  # exact key of an (edge, label) pair -> its item
 
-    def __missing__(self, key) -> _Part:
+    def __missing__(self, key) -> int:
         seeds = dict(zip(self.ball, key)) if len(self.ball) > 1 else {self.v: key}
         out = self.alg.rule(self.view, seeds)
-        _check_node_output(self.lg, self.v, out)
-        part = self[key] = _node_part(self.v, out)
-        self.domains.add((len(part[0]), tuple(map(itemgetter(0), part[1]))))
-        return part
+        _check_node_output(self.v, out, self.incident)
+        node_label = out.node_label
+        labels = sorted(out.half_edge_labels.items())
+        output = (node_label, *labels)
+        plain = _PLAIN_TYPES.issuperset(map(type, chain((node_label,), *labels)))
+        if not plain:
+            self.mixed = True
+            try:
+                output = _exact_key(output)
+            except TypeError as exc:
+                raise ContractError(f"rule at node {self.v} returned an unhashable label: {exc}") from None
+        index = self._index.get(output)
+        if index is None:
+            index = self._index[output] = len(self.parts)
+            self.parts.append(self._new_part(node_label, labels, plain))
+        self[key] = index
+        return index
+
+    def _new_part(self, node_label, labels: list, plain: bool) -> _Part:
+        """The part of an output, made of the table's shared items; a plain
+        output's node label and (edge, label) pairs are their own keys."""
+        v, nodes, pairs = self.v, self._node_items, self._half_edge_items
+        node_key = node_label if plain else _exact_key(node_label)
+        pair_keys = labels if plain else map(_exact_key, labels)
+        node_items = () if node_label is None else (nodes.get(node_key) or nodes.setdefault(node_key, (v, node_label)),)
+        he_items = tuple([
+            pairs.get(key) or pairs.setdefault(key, ((v, e), lab)) for key, (e, lab) in zip(pair_keys, labels)
+        ])
+        self.domains.add((len(node_items), tuple(map(itemgetter(0), labels))))
+        return node_items, he_items
 
 
 def _seed_space(alphabet: tuple, nodes: int) -> int:
@@ -369,10 +445,12 @@ def _tables_entries(
 
     An assignment lists one seed per node of `universe`, which must contain
     every table's ball; tables are in node order.  Seed vectors are counted
-    per tuple of parts, 2^14 vectors at a time: each table maps the seeds of
-    its ball, picked out by one itemgetter, to its part.  Distinct part
-    tuples are distinct labelings, so the counts need no second merge, and
-    the tables' own domain checks stand for the whole support's.
+    per tuple of part indices, 2^14 vectors at a time: each table maps the
+    seeds of its ball, picked out by one itemgetter, to its part's index.
+    Distinct index tuples are distinct labelings unless a table holds two
+    parts equal in value; only then are equal labelings merged, the first
+    one seen standing for them, as a merge per seed vector would leave it.  The
+    tables' own domain checks stand for the whole support's.
     """
     index = {u: i for i, u in enumerate(universe)}
     columns = [(table.__getitem__, itemgetter(*[index[u] for u in table.ball])) for table in tables]
@@ -385,7 +463,14 @@ def _tables_entries(
             counts.update(repeat((), len(chunk)))
     if any(len(table.domains) > 1 for table in tables):
         raise InputError("support labelings do not share one node/half-edge domain")
-    return tuple([(_join_parts(parts), c) for parts, c in counts.items()])
+    parts = [table.parts for table in tables]
+    entries = [(_join_parts(list(map(list.__getitem__, parts, key))), c) for key, c in counts.items()]
+    if any(table.mixed and len(set(table.parts)) < len(table.parts) for table in tables):
+        merged: dict[Labeling, int] = {}
+        for labeling, c in entries:
+            merged[labeling] = merged.get(labeling, 0) + c
+        entries = list(merged.items())
+    return tuple(entries)
 
 
 def run_rand_local(
@@ -403,9 +488,23 @@ def run_rand_local(
     distinct view assignment: in exact mode, sum over v of |alphabet|^|ball_v|
     rule calls, plus one table lookup per node and seed vector
     (n * |alphabet|^n) to count labelings.
+
+    The outcome keeps alive one Labeling and its two item tuples per entry,
+    and the items they hold: one object per node or half-edge and label
+    (`_NodeTable`), shared by every entry and every `restrict` marginal,
+    not one per rule call.  A malformed rule output (not a NodeOutput,
+    half-edge labels that are not a mapping or name a non-incident edge,
+    an unhashable label) is a ContractError naming its node.
     """
     if not alg.randomized:
-        return deterministic_outcome(lg, run_local(alg, lg))
+        labeling = run_local(alg, lg)
+        node_labels = chain(labeling.node_items, [(v, lab) for (v, _), lab in labeling.half_edge_items])
+        for v, lab in node_labels:
+            try:
+                hash(lab)
+            except TypeError as exc:
+                raise ContractError(f"rule at node {v} returned an unhashable label: {exc}") from None
+        return deterministic_outcome(lg, labeling)
     n = lg.graph.n
     alphabet = _seed_alphabet(alg)
     assignments: Iterable[tuple]
@@ -500,7 +599,7 @@ def run_slocal(
     for v in order:
         ctx = SlocalContext(lg, v, alg.locality, states)
         step = alg.step(ctx)
-        _check_node_output(lg, v, step.output)
+        _check_node_output(v, step.output, set(g.adjacency[v]))
         parts[v] = _node_part(v, step.output)
         states[v] = step.state
         observed = max(observed, ctx.max_queried)
@@ -520,20 +619,10 @@ class NsVerdict:
         return self.status == "ok"
 
 
-def _transport_partial(
-    labeling: Labeling,
-    phi: Mapping[int, int],
-    g_from,
-    g_to,
-) -> Labeling:
-    """Carry a restricted labeling through a view isomorphism, port to port."""
-    nodes = {phi[v]: lab for v, lab in labeling.node_items}
-    half_edges = {}
-    for (v, e), lab in labeling.half_edge_items:
-        port = g_from.port_of(v, e)
-        target = g_to.adjacency[phi[v]][port]
-        half_edges[(phi[v], target)] = lab
-    return Labeling.of(nodes, half_edges)
+def _sorted_move(keys: list) -> tuple[tuple, list[int]]:
+    """Moved keys in sorted order, and the positions they were moved from."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple([keys[i] for i in order]), order
 
 
 def verify_non_signaling(
@@ -551,6 +640,16 @@ def verify_non_signaling(
     pair does not meet the precondition, which is distinct from a violation.
     A radius-t isomorphism restricted to the anchors is a radius-0 one, so
     the radius-t search alone decides the precondition.
+
+    Every entry of a marginal has one domain, so per phi the domain is moved
+    once (a half-edge port to port) and its moved keys sorted once.  A moved
+    labeling is then its labels picked in that order: it equals an entry of
+    the other marginal exactly when the sorted keys are that marginal's
+    domain and the labels agree, so the comparison runs on label tuples.
+
+    Each outcome keeps its anchors' marginal alive (`restrict` caches it on
+    the outcome); the marginal's items are the outcome's own objects.  The
+    label tuples made for a phi are dropped after it.
     """
     a_g = frozenset(anchors_g)
     a_h = frozenset(anchors_h)
@@ -562,19 +661,32 @@ def verify_non_signaling(
         return NsVerdict(status="precondition-unmet", detail="no radius-t view isomorphism")
     r_g = restrict(outcome_g, a_g)
     r_h = restrict(outcome_h, a_h)
+    g_from, g_to = lg_g.graph, lg_h.graph
+    nodes, half_edges = r_g.entries[0][0].domain()
+    domain_h = r_h.entries[0][0].domain()
     # both sides' weights over the product of their denominators
     den_g, den_h = r_g.denominator, r_h.denominator
-    target = {labeling: w * den_g for labeling, w in r_h.entries}
+    target = {
+        (tuple(map(itemgetter(1), labeling.node_items)), tuple(map(itemgetter(1), labeling.half_edge_items))):
+        w * den_g for labeling, w in r_h.entries
+    }
     for phi in isos:
-        transported: dict[Labeling, int] = {}
-        for labeling, w in r_g.entries:
-            moved = _transport_partial(labeling, phi, lg_g.graph, lg_h.graph)
-            transported[moved] = transported.get(moved, 0) + w * den_h
-        if transported != target:
-            return NsVerdict(
-                status="violation",
-                detail=f"marginals differ under phi={dict(sorted(phi.items()))}",
-            )
+        moved_nodes, node_order = _sorted_move([phi[v] for v in nodes])
+        moved_half_edges, he_order = _sorted_move(
+            [(phi[v], g_to.adjacency[phi[v]][g_from.port_of(v, e)]) for v, e in half_edges]
+        )
+        if (moved_nodes, moved_half_edges) == domain_h:
+            transported: dict[tuple, int] = {}
+            for labeling, w in r_g.entries:
+                node_items, he_items = labeling.node_items, labeling.half_edge_items
+                moved = (tuple([node_items[i][1] for i in node_order]), tuple([he_items[i][1] for i in he_order]))
+                transported[moved] = transported.get(moved, 0) + w * den_h
+            if transported == target:
+                continue
+        return NsVerdict(
+            status="violation",
+            detail=f"marginals differ under phi={dict(sorted(phi.items()))}",
+        )
     return NsVerdict(status="ok", detail=f"checked {len(isos)} isomorphism(s)")
 
 

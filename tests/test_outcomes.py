@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from locallab.graphs import (
     make_graph,
     path_graph,
     rational_to_json,
+    view_isomorphisms,
 )
 from locallab.outcomes import (
     Labeling,
@@ -801,3 +803,257 @@ def test_every_producer_fills_integer_weights():
     ]
     for outcome in produced:
         _assert_weights(outcome)
+
+
+# ---------------------------------------------------------------------------
+# exact labels and shared items in the randomized simulator
+
+
+def _first_occurrence_entries(alg, lg, scope=None):
+    """Every seed vector of the nodes whose views cover `scope` (all nodes by
+    default), one Labeling.of per vector, merged in a dict: the first vector
+    of each labeling gives its key and its place.  Returns the entries as
+    (repr of the item structure, count) and the number of vectors."""
+    g = lg.graph
+    scope = range(g.n) if scope is None else sorted(scope)
+    views = {v: extract_view(lg, [v], alg.locality) for v in scope}
+    universe = sorted(set().union(*(view.node_set for view in views.values())))
+    merged = {}
+    vectors = list(itertools.product(alg.seed_alphabet, repeat=len(universe)))
+    for assignment in vectors:
+        seeds = dict(zip(universe, assignment))
+        nodes, half_edges = {}, {}
+        for v, view in views.items():
+            out = alg.rule(view, {u: seeds[u] for u in view.node_set})
+            if out.node_label is not None:
+                nodes[v] = out.node_label
+            for e, lab in out.half_edge_labels.items():
+                half_edges[(v, e)] = lab
+        labeling = Labeling.of(nodes, half_edges)
+        merged[labeling] = merged.get(labeling, 0) + 1
+    return [(reference_sort_key(labeling), c) for labeling, c in merged.items()], len(vectors)
+
+
+def _entries_by_repr(outcome):
+    return [(reference_sort_key(labeling), w) for labeling, w in outcome.entries], outcome.denominator
+
+
+def _palette_rule(t, palette, alphabet=(0, 1, 2)):
+    """Node label: palette[sum of the view's seeds mod len(palette)];
+    half-edge on port i: the own seed as a string on even ports and
+    palette[(own seed + i) mod len(palette)] on odd ones.  With a palette of
+    equal labels of different types, a labeling fixed by the seeds' strings
+    takes a label equal to, but not of the type of, an earlier output."""
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        ports = view.source.graph.adjacency[v]
+        k = len(palette)
+        return NodeOutput(
+            node_label=palette[sum(seeds[u] for u in view.node_set) % k],
+            half_edge_labels={e: palette[(seeds[v] + i) % k] if i % 2 else str(seeds[v]) for i, e in enumerate(ports)},
+        )
+
+    return LocalAlgorithm(locality=t, rule=rule, seed_alphabet=alphabet)
+
+
+def test_run_rand_local_keeps_the_type_of_each_label():
+    """Node 0 outputs True on seeds (0, 0) and 1 otherwise, node 1 its own
+    seed: the second labeling keeps its 1, which equals True."""
+
+    def rule(view, seeds):
+        if view.anchor_node() == 1:
+            return NodeOutput(node_label=seeds[1])
+        return NodeOutput(node_label=True if seeds[0] == seeds[1] == "0" else 1)
+
+    alg = LocalAlgorithm(locality=1, rule=rule, seed_alphabet=("0", "1"))
+    outcome = run_rand_local(alg, label_graph(path_graph(2)))
+    assert [(repr(labeling.node_items), w) for labeling, w in outcome.entries] == [
+        ("((0, True), (1, '0'))", 2),
+        ("((0, 1), (1, '1'))", 2),
+    ]
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_rand_local_entries_match_first_occurrence_reference_on_the_corpus(t):
+    alg = _parity_rule(t)
+    for lg in SMALL_GRAPHS:
+        assert _entries_by_repr(run_rand_local(alg, lg)) == _first_occurrence_entries(alg, lg)
+        for v in range(lg.graph.n):
+            assert _entries_by_repr(rand_local_marginal(alg, lg, [v])) == _first_occurrence_entries(alg, lg, [v])
+
+
+@pytest.mark.parametrize(
+    "palette",
+    [(1, True, F(1)), (True, 1), (F(1), 1, "1"), ((1, True), (1, 1)), ((1, (True,)), (1, (1,)), (F(1), (1,)))],
+    ids=["one-true-fraction", "true-one", "fraction-one-str", "pairs", "nested"],
+)
+@pytest.mark.parametrize("t", [0, 1])
+def test_rand_local_entries_keep_equal_labels_of_different_types(palette, t):
+    alg = _palette_rule(t, palette)
+    star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    for lg in [label_graph(g) for g in (path_graph(2), path_graph(3), cycle_graph(3), star)]:
+        assert _entries_by_repr(run_rand_local(alg, lg)) == _first_occurrence_entries(alg, lg)
+        for scope in ([0], [0, lg.graph.n - 1]):
+            assert _entries_by_repr(rand_local_marginal(alg, lg, scope)) == _first_occurrence_entries(alg, lg, scope)
+
+
+def test_outcome_and_its_marginals_share_equal_items():
+    """Items that are equal in key, label type and label repr are one
+    object across an outcome and its restrict marginals, at t = 2 on every
+    eighth connected 7-node graph of the corpus."""
+    alg = _parity_rule(2)
+    seven = [label_graph(g) for g in all_connected_graphs(7) if g.n == 7][::8]
+    for lg in seven:
+        outcome = run_rand_local(alg, lg)
+        n = lg.graph.n
+        held = [outcome] + [restrict(outcome, scope) for scope in itertools.chain(
+            itertools.combinations(range(n), 1), itertools.combinations(range(n), 2), [range(n)]
+        )]
+        ids = {}
+        for held_outcome in held:
+            for labeling, _ in held_outcome.entries:
+                for item in itertools.chain(labeling.node_items, labeling.half_edge_items):
+                    ids.setdefault((item[0], type(item[1]), repr(item[1])), set()).add(id(item))
+        # every node and half-edge takes both labels, "0" and "1", and each
+        # of its two items is one object
+        assert len(ids) == 2 * (n + 2 * lg.graph.m)
+        assert sum(map(len, ids.values())) == len(ids)
+
+
+# ---------------------------------------------------------------------------
+# malformed rule outputs
+
+
+def _malformed_rules():
+    """Rules on path_graph(3) whose output at node 1 is malformed."""
+
+    def none_output(view, seeds=None):
+        return None if view.anchor_node() == 1 else NodeOutput(node_label="a")
+
+    def none_half_edges(view, seeds=None):
+        return NodeOutput(node_label="a", half_edge_labels=None if view.anchor_node() == 1 else {})
+
+    def unhashable(view, seeds=None):
+        v = view.anchor_node()
+        ports = view.source.graph.adjacency[v]
+        return NodeOutput(node_label="a", half_edge_labels={e: ["x"] if v == 1 else "x" for e in ports})
+
+    return {"none-output": none_output, "none-half-edges": none_half_edges, "unhashable": unhashable}
+
+
+@pytest.mark.parametrize("name", ["none-output", "none-half-edges", "unhashable"])
+def test_malformed_randomized_rule_output_is_contract_error_naming_the_node(name):
+    lg = label_graph(path_graph(3))
+    alg = LocalAlgorithm(locality=1, rule=_malformed_rules()[name], seed_alphabet=("0", "1"))
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_rand_local(alg, lg)
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_rand_local(alg, lg, samples=8, seed=1)
+    with pytest.raises(ContractError, match="rule at node 1"):
+        rand_local_marginal(alg, lg, [1])
+
+
+@pytest.mark.parametrize("name", ["none-output", "none-half-edges", "unhashable"])
+def test_malformed_deterministic_rule_output_in_run_rand_local_is_contract_error(name):
+    alg = LocalAlgorithm(locality=1, rule=_malformed_rules()[name])
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_rand_local(alg, label_graph(path_graph(3)))
+
+
+@pytest.mark.parametrize("name", ["none-output", "none-half-edges"])
+def test_malformed_deterministic_rule_output_is_contract_error_naming_the_node(name):
+    lg = label_graph(path_graph(3))
+    rule = _malformed_rules()[name]
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_local(LocalAlgorithm(locality=1, rule=rule), lg)
+
+    def step(ctx):
+        return SlocalStep(output=rule(ctx.query(1)[0]), state=None)
+
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_slocal(SlocalAlgorithm(locality=1, step=step), lg, [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the certifier against the per-labeling transport
+
+
+def _reference_transport_partial(labeling, phi, g_from, g_to):
+    """Carry a restricted labeling through a view isomorphism, port to port,
+    one labeling at a time."""
+    nodes = {phi[v]: lab for v, lab in labeling.node_items}
+    half_edges = {}
+    for (v, e), lab in labeling.half_edge_items:
+        port = g_from.port_of(v, e)
+        target = g_to.adjacency[phi[v]][port]
+        half_edges[(phi[v], target)] = lab
+    return Labeling.of(nodes, half_edges)
+
+
+def _reference_verify_non_signaling(outcome_g, outcome_h, anchors_g, anchors_h, t):
+    a_g, a_h = frozenset(anchors_g), frozenset(anchors_h)
+    lg_g, lg_h = outcome_g.input, outcome_h.input
+    isos = view_isomorphisms(extract_view(lg_g, a_g, t), extract_view(lg_h, a_h, t), find_all=True)
+    if not isos:
+        return "precondition-unmet", "no radius-t view isomorphism"
+    r_g, r_h = restrict(outcome_g, a_g), restrict(outcome_h, a_h)
+    target = {labeling: p for labeling, p in r_h.support}
+    for phi in isos:
+        transported = {}
+        for labeling, p in r_g.support:
+            moved = _reference_transport_partial(labeling, phi, lg_g.graph, lg_h.graph)
+            transported[moved] = transported.get(moved, 0) + p
+        if transported != target:
+            return "violation", f"marginals differ under phi={dict(sorted(phi.items()))}"
+    return "ok", f"checked {len(isos)} isomorphism(s)"
+
+
+def _view_bucket(view):
+    """Per node, the anchor flag and which ports carry a retained edge."""
+    per_node = sorted((v in view.anchor, tuple(e is not None for _, e in view.ports[v])) for v in view.node_set)
+    return len(view.node_set), len(view.edge_set), tuple(per_node)
+
+
+def _degree_sum_rule(t):
+    """A (t+1)-round rule: the parity rule's labels, with the node label
+    paired with the degree sum of the radius-(t+1) view, so it signals at t."""
+    inner = _parity_rule(t + 1)
+
+    def rule(view, seeds):
+        out = inner.rule(view, seeds)
+        degrees = sum(len(view.ports[u]) for u in view.node_set)
+        return NodeOutput(node_label=(degrees, out.node_label), half_edge_labels=out.half_edge_labels)
+
+    return LocalAlgorithm(locality=t + 1, rule=rule, seed_alphabet=inner.seed_alphabet)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_verify_non_signaling_matches_the_per_labeling_transport(t):
+    """Every same-bucket pair of views of the connected graphs up to 5
+    nodes, on outcomes of a t-round rule (non-signaling at t) and of a
+    (t+1)-round rule that signals at t."""
+    graphs = [label_graph(g) for g in all_connected_graphs(5)]
+    statuses = Counter()
+    for alg in (_parity_rule(t), _degree_sum_rule(t)):
+        views = {}
+        for lg in graphs:
+            outcome = run_rand_local(alg, lg)
+            for v in range(lg.graph.n):
+                views.setdefault(_view_bucket(extract_view(lg, [v], t)), []).append((outcome, v))
+        for bucket in views.values():
+            for (o_g, v_g), (o_h, v_h) in itertools.combinations(bucket, 2):
+                verdict = verify_non_signaling(o_g, o_h, [v_g], [v_h], t)
+                assert (verdict.status, verdict.detail) == _reference_verify_non_signaling(o_g, o_h, [v_g], [v_h], t)
+                statuses[verdict.status] += 1
+    assert statuses["ok"] and statuses["violation"], statuses
+
+
+def test_verify_non_signaling_finds_a_violation_under_the_second_isomorphism():
+    """On K2 with both nodes anchored, the node labels are symmetric and the
+    half-edge labels are not: the identity passes and the swap fails."""
+    lg = label_graph(make_graph(2, [(0, 1)]))
+    outcome = deterministic_outcome(lg, Labeling.of({0: "a", 1: "a"}, {(0, 0): "x", (1, 0): "y"}))
+    verdict = verify_non_signaling(outcome, outcome, [0, 1], [0, 1], 1)
+    assert (verdict.status, verdict.detail) == ("violation", "marginals differ under phi={0: 1, 1: 0}")
+    assert (verdict.status, verdict.detail) == _reference_verify_non_signaling(outcome, outcome, [0, 1], [0, 1], 1)
