@@ -273,7 +273,7 @@ class LocalAlgorithm:
         return self.seed_alphabet is not None
 
 
-def _check_node_output(v: int, out: NodeOutput, incident: set) -> None:
+def _check_node_output(v: int, out: NodeOutput, incident: frozenset) -> None:
     """A rule's output must be a NodeOutput whose half-edge labels map edges
     incident to v (`incident`); anything else is a ContractError naming v."""
     if not isinstance(out, NodeOutput):
@@ -291,7 +291,8 @@ def _check_node_output(v: int, out: NodeOutput, incident: set) -> None:
 
 # A node's items of a labeling: (node items, half-edge items).  Every
 # simulator builds its labelings from parts; the randomized ones count seed
-# vectors per tuple of parts and build a Labeling only per distinct tuple.
+# vectors per tuple of part indices and build a Labeling only per distinct
+# tuple.
 _Part = tuple[tuple, tuple]
 
 
@@ -317,7 +318,7 @@ def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
     parts = []
     for v in range(lg.graph.n):
         out = alg.rule(extract_view(lg, [v], alg.locality))
-        _check_node_output(v, out, set(lg.graph.adjacency[v]))
+        _check_node_output(v, out, frozenset(lg.graph.adjacency[v]))
         parts.append(_node_part(v, out))
     return _join_parts(parts)
 
@@ -599,7 +600,7 @@ def run_slocal(
     for v in order:
         ctx = SlocalContext(lg, v, alg.locality, states)
         step = alg.step(ctx)
-        _check_node_output(v, step.output, set(g.adjacency[v]))
+        _check_node_output(v, step.output, frozenset(g.adjacency[v]))
         parts[v] = _node_part(v, step.output)
         states[v] = step.state
         observed = max(observed, ctx.max_queried)
