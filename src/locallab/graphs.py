@@ -257,10 +257,15 @@ def distance(g: Graph, u: int, v: int) -> float:
     return distances_from(g, [u])[v]
 
 
+def check_radius(t) -> None:
+    """A radius is a non-negative int (not a bool); anything else is an InputError."""
+    if not (_is_json_int(t) and t >= 0):
+        raise InputError(f"radius must be a non-negative integer, not {t!r}")
+
+
 def neighborhood(g: Graph, a: Iterable[int], t: int) -> frozenset[int]:
     """N_T[A]: all nodes at distance at most T from A."""
-    if t < 0:
-        raise InputError("radius must be non-negative")
+    check_radius(t)
     return frozenset(sorted(ball_distances(g, a, t)))
 
 
@@ -459,8 +464,7 @@ def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
     a = frozenset(anchor)
     if not a:
         raise InputError("anchor set must be nonempty")
-    if t < 0:
-        raise InputError("radius must be non-negative")
+    check_radius(t)
     g = lg.graph
     dist = ball_distances(g, a, t)
     keep = frozenset(sorted(dist))
@@ -905,8 +909,7 @@ def ball_keys(lg: LabeledGraph, r: int) -> list[tuple]:
     equal encodings share one canonical search, since the key is a function
     of the encoding alone.
     """
-    if not (_is_json_int(r) and r >= 0):
-        raise InputError(f"radius must be a non-negative integer, not {r!r}")
+    check_radius(r)
     g = lg.graph
     rows = _encoding_rows(lg)
     searched: dict[tuple, tuple] = {}  # encoding -> key, for this call only

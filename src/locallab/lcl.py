@@ -39,8 +39,6 @@ from .outcomes import Labeling
 def centered_ball(lg: LabeledGraph, v: int, r: int) -> CenteredGraph:
     """Induced subgraph on N_r[v] with all labels, centered at v."""
     lg.graph._check_node(v)
-    if r < 0:
-        raise InputError("radius must be non-negative")
     nodes = neighborhood(lg.graph, [v], r)
     sub, node_map = induced_labeled_subgraph(lg, nodes)
     return CenteredGraph(base=sub, center=node_map[v])

@@ -111,6 +111,13 @@ class DistLP:
     )
 
 
+def _check_exact(x, what: str) -> None:
+    """An LP number is an int (not a bool) or a Fraction; anything else is an
+    InputError naming `what`."""
+    if rational_parts(x) is None:
+        raise InputError(f"{what} is {x!r}, not an int or a Fraction")
+
+
 def make_dist_lp(
     kind: str,
     sense: str,
@@ -119,7 +126,8 @@ def make_dist_lp(
     constraints: Sequence[LpConstraint],
 ) -> DistLP:
     """Validate the variables (string names, each owned by a node or an edge
-    of g) and ownership locality: constraint variables live within radius 1."""
+    of g), the numbers (each an int or a Fraction) and ownership locality:
+    constraint variables live within radius 1."""
     if kind not in ("node-based", "edge-based", "node-edge-based"):
         raise InputError(f"unknown LP kind {kind!r}")
     if sense not in ("maximize", "minimize"):
@@ -134,6 +142,7 @@ def make_dist_lp(
             raise InputError(
                 f"variable {var.name!r} is owned by {owner_kind} {ident!r}, not one of the graph's"
             )
+        _check_exact(var.objective, f"the objective of variable {var.name!r}")
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
         raise InputError("variable names must be unique")
@@ -141,8 +150,10 @@ def make_dist_lp(
     for c in constraints:
         if c.relation not in _FLIPPED:
             raise InputError(f"constraint {c.name!r} has unknown relation {c.relation!r}")
+        _check_exact(c.bound, f"the bound of constraint {c.name!r}")
         dist = ball_distances(g, [c.owner], 1)
-        for name, _ in c.coeffs:
+        for name, a in c.coeffs:
+            _check_exact(a, f"the coefficient of {name!r} in constraint {c.name!r}")
             if name not in by_name:
                 raise InputError(f"constraint {c.name!r} references unknown variable {name!r}")
             owners = by_name[name].owner_nodes(g)
@@ -160,6 +171,9 @@ class LpPoint:
 
     @staticmethod
     def of(mapping: Mapping[str, Fraction | int]) -> "LpPoint":
+        """The point of exact values: each an int (not a bool) or a Fraction."""
+        for name, x in mapping.items():
+            _check_exact(x, f"the value of {name!r}")
         return LpPoint(values=tuple(sorted((k, Fraction(v)) for k, v in mapping.items())))
 
     def as_dict(self) -> dict[str, Fraction]:

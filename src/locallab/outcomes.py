@@ -41,6 +41,7 @@ from .graphs import (
     View,
     _label_to_json,
     _labels_from_json,
+    check_radius,
     common_denominator,
     extract_view,
     half_edge_from_key,
@@ -150,15 +151,21 @@ def _merge(keys: Iterable[Hashable], probabilities: Iterable) -> tuple[dict, int
 
 
 def make_outcome(lg: LabeledGraph, pairs: Iterable[tuple[Labeling, Fraction]]) -> Outcome:
-    """Validate probabilities and domains, merging duplicate labelings (the
-    first occurrence stays as the key); the support's shared domain must lie
-    within lg's nodes and half-edges.
+    """Validate labels, probabilities and domains, merging duplicate
+    labelings (the first occurrence stays as the key); every label must be
+    hashable, and the support's shared domain must lie within lg's nodes and
+    half-edges.
 
     The one generic merge and domain check, for labelings from users or
     JSON; every other producer already holds distinct labelings of one
     domain and builds its `Outcome` directly.
     """
     pairs = list(pairs)
+    for i, (labeling, _) in enumerate(pairs):
+        try:
+            hash(labeling)
+        except TypeError as exc:
+            raise InputError(f"support entry {i} has an unhashable label: {exc}") from None
     merged, denominator = _merge(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
     domains = {labeling.domain() for labeling in merged}
     if len(domains) > 1:
@@ -564,8 +571,7 @@ class SlocalContext:
 
     def query(self, r: int) -> tuple[View, dict[int, object]]:
         """Radius-r view of the current node plus states stored in it."""
-        if r < 0:
-            raise InputError("query radius must be non-negative")
+        check_radius(r)
         if r > self._locality:
             raise ContractError(f"step queried radius {r} beyond declared locality {self._locality}")
         self.max_queried = max(self.max_queried, r)

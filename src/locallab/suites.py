@@ -27,7 +27,7 @@ from .graphs import (
     is_bipartite,
     label_graph,
     make_graph,
-    view_isomorphisms,
+    view_key,
 )
 from .lcl import check_constraints
 from .linearize import (
@@ -345,18 +345,6 @@ def _invariant_algorithm(t: int) -> LocalAlgorithm:
     return LocalAlgorithm(locality=t, rule=rule, seed_alphabet=("0", "1"))
 
 
-def _view_bucket_key(view) -> tuple:
-    per_node = sorted(
-        (
-            v in view.anchor,
-            view.node_label[v] is not None,
-            tuple((lab is not None, e is not None) for lab, e in view.ports[v]),
-        )
-        for v in view.node_set
-    )
-    return (view.radius, len(view.node_set), len(view.edge_set), tuple(map(repr, per_node)))
-
-
 def suite_non_signaling(seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     checks: list[CheckResult] = []
@@ -369,43 +357,26 @@ def suite_non_signaling(seed: int) -> list[CheckResult]:
         for t in (0, 1, 2):
             alg = _invariant_algorithm(t)
             outcomes = []
-            views = []
+            # anchored views classed by view key: equal keys iff port-isomorphic
+            classes: dict[tuple, list[tuple[int, int]]] = {}
             for gi, g in enumerate(graphs):
                 lg = label_graph(g)
                 outcomes.append(run_rand_local(alg, lg))
                 for v in range(g.n):
-                    views.append((gi, v, extract_view(lg, [v], t)))
-            buckets: dict[tuple, list[tuple[int, int, object]]] = {}
-            for gi, v, view in views:
-                buckets.setdefault(_view_bucket_key(view), []).append((gi, v, view))
-            members_by_class: list[list[tuple[int, int]]] = []
-            for bucket in buckets.values():
-                reps: list[tuple[object, list[tuple[int, int]]]] = []
-                for gi, v, view in bucket:
-                    placed = False
-                    for rep_view, members in reps:
-                        if view_isomorphisms(view, rep_view):
-                            members.append((gi, v))
-                            placed = True
-                            break
-                    if not placed:
-                        reps.append((view, [(gi, v)]))
-                for rep_view, members in reps:
-                    members_by_class.append(members)
-                    rep_gi, rep_v = members[0]
-                    for gi, v in members[1:]:
-                        verdict = verify_non_signaling(
-                            outcomes[gi], outcomes[rep_gi], [v], [rep_v], t
+                    classes.setdefault(view_key(extract_view(lg, [v], t)), []).append((gi, v))
+            for members in classes.values():
+                rep_gi, rep_v = members[0]
+                for gi, v in members[1:]:
+                    verdict = verify_non_signaling(outcomes[gi], outcomes[rep_gi], [v], [rep_v], t)
+                    if not verdict:
+                        return (
+                            False,
+                            {"t": t, "graph": gi, "node": v},
+                            f"simulator violated non-signaling: {verdict.detail}",
                         )
-                        if not verdict:
-                            return (
-                                False,
-                                {"t": t, "graph": gi, "node": v},
-                                f"simulator violated non-signaling: {verdict.detail}",
-                            )
-                        pairs_checked += 1
-            classes_total += len(members_by_class)
-            big = [m for m in members_by_class if len(m) >= 2]
+                    pairs_checked += 1
+            classes_total += len(classes)
+            big = [m for m in classes.values() if len(m) >= 2]
             for _ in range(min(40, len(big))):
                 members = big[rng.randrange(len(big))]
                 a = members[rng.randrange(len(members))]

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from locallab.suites import CRITERION_OF_SUITE, RunReport, run_suite
+from locallab import corpus
+from locallab.graphs import cycle_graph, extract_view, label_graph, view_key
+from locallab.suites import CRITERION_OF_SUITE, RunReport, run_suite, suite_non_signaling
 
 SEED = 7
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,6 +71,21 @@ def test_criterion_2_local_expectation_equivalence():
 @pytest.mark.slow
 def test_criterion_3_simulators_are_non_signaling():
     _check("non-signaling")
+
+
+def test_criterion_3_classes_views_by_view_key(monkeypatch):
+    """On C6 alone the classes are the distinct view keys at t = 0, 1 and 2,
+    1 + 4 + 6 = 11: port numbers tell apart views that a relation which is
+    not port-exact merges, such as the radius-2 views at 0 and 3."""
+    c6 = cycle_graph(6)
+    monkeypatch.setattr(corpus, "all_connected_graphs", lambda n: (c6,))
+    lg = label_graph(c6)
+    keys = [len({view_key(extract_view(lg, [v], t)) for v in c6.nodes()}) for t in (0, 1, 2)]
+    assert keys == [1, 4, 6]
+    simulator, _ = suite_non_signaling(SEED)
+    assert simulator.status == "pass"
+    assert simulator.quantities["iso_classes"] == "11"
+    assert simulator.quantities["pairs_via_representatives"] == str(3 * 6 - 11)
 
 
 def test_criterion_4_matching_encoding_roundtrip():

@@ -18,6 +18,7 @@ from locallab.graphs import (
     _label_from_json,
     _label_to_json,
     ball_distances,
+    ball_keys,
     bare_canonical_form,
     bridges,
     centered_isomorphism,
@@ -48,7 +49,14 @@ from locallab.graphs import (
     views_isomorphic,
 )
 from locallab.lcl import centered_ball
-from locallab.outcomes import SlocalContext
+from locallab.outcomes import (
+    LocalAlgorithm,
+    NodeOutput,
+    SlocalContext,
+    run_local,
+    run_rand_local,
+    verify_non_signaling,
+)
 
 
 def test_distance_examples():
@@ -515,6 +523,39 @@ def test_ball_queries_read_rows_of_the_ball_only(query, ball_size):
     lg, reads = _counting_cycle()
     query(lg)
     assert 0 < reads() <= 4 * ball_size
+
+
+def _rand_local_echo(locality):
+    return LocalAlgorithm(
+        locality=locality,
+        rule=lambda view, seeds: NodeOutput(node_label=seeds[view.anchor_node()]),
+        seed_alphabet=("0", "1"),
+    )
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        lambda lg, r: extract_view(lg, [0], r),
+        lambda lg, r: neighborhood(lg.graph, [0], r),
+        lambda lg, r: centered_ball(lg, 0, r),
+        lambda lg, r: ball_keys(lg, r),
+        lambda lg, r: SlocalContext(lg, 0, 2, {}).query(r),
+        lambda lg, r: run_local(
+            LocalAlgorithm(locality=r, rule=lambda view: NodeOutput(node_label="a")), lg
+        ),
+        lambda lg, r: run_rand_local(_rand_local_echo(r), lg),
+        lambda lg, r: verify_non_signaling(
+            run_rand_local(_rand_local_echo(0), lg), run_rand_local(_rand_local_echo(0), lg), [0], [1], r
+        ),
+    ],
+    ids=["extract_view", "neighborhood", "centered_ball", "ball_keys", "slocal_query",
+         "run_local", "run_rand_local", "verify_non_signaling"],
+)
+@pytest.mark.parametrize("radius", [1.5, "1", True, -1, None])
+def test_a_radius_that_is_not_a_non_negative_int_is_an_input_error(enter, radius):
+    with pytest.raises(InputError, match="radius"):
+        enter(label_graph(cycle_graph(5)), radius)
 
 
 # ---------------------------------------------------------------------------

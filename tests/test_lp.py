@@ -751,6 +751,35 @@ def test_variable_owner_id_must_be_an_int_of_the_graph(ident):
                      [LpVariable(name="x0", owner=("node", ident), objective=F(1))], [])
 
 
+def _one_row_lp(objective=F(1), coefficient=F(1), bound=F(1)):
+    return make_dist_lp(
+        "node-based", "maximize", make_graph(1, []),
+        [LpVariable(name="x0", owner=("node", 0), objective=objective)],
+        [LpConstraint(name="r0", coeffs=(("x0", coefficient),), relation="<=", bound=bound, owner=0)],
+    )
+
+
+@pytest.mark.parametrize("inexact", [0.5, "1/2", True, None], ids=["float", "str", "bool", "none"])
+@pytest.mark.parametrize("field, names", [
+    ("objective", "variable 'x0'"),
+    ("coefficient", "constraint 'r0'"),
+    ("bound", "constraint 'r0'"),
+])
+def test_lp_numbers_must_be_ints_or_fractions(inexact, field, names):
+    with pytest.raises(InputError, match=names):
+        _one_row_lp(**{field: inexact})
+
+
+def test_lp_with_int_numbers_solves_as_with_fractions():
+    assert exact_opt(_one_row_lp(1, 2, 1)).value == exact_opt(_one_row_lp()).value / 2
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/3", True, None], ids=["float", "str", "bool", "none"])
+def test_lp_point_values_must_be_ints_or_fractions(inexact):
+    with pytest.raises(InputError, match="'x'"):
+        LpPoint.of({"y": F(1), "x": inexact})
+
+
 def test_unknown_relation_is_input_error():
     with pytest.raises(InputError, match="relation"):
         _node_lp(1, [1], [([(0, 1)], "<", 1)])

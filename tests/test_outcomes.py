@@ -99,6 +99,14 @@ def test_make_outcome_rejects_labels_outside_its_network(labeling):
         make_outcome(label_graph(path_graph(3)), [(labeling, F(1))])
 
 
+def test_make_outcome_rejects_an_unhashable_label():
+    labeling = Labeling.of({0: ["x"], 1: "a"})
+    with pytest.raises(InputError, match="support entry 1"):
+        make_outcome(label_graph(path_graph(2)), [(Labeling.of({0: "x", 1: "a"}), F(1, 2)), (labeling, F(1, 2))])
+    with pytest.raises(InputError, match="support entry 0"):
+        deterministic_outcome(label_graph(path_graph(2)), labeling)
+
+
 def test_restrict_examples():
     lg = label_graph(path_graph(3))
     det = deterministic_outcome(lg, Labeling.of({0: "x", 1: "y", 2: "z"}, {}))
