@@ -12,7 +12,7 @@ from locallab import (
     neighborhood,
     path_graph,
     to_dot,
-    views_isomorphic,
+    view_isomorphisms,
 )
 
 g = path_graph(5)
@@ -35,7 +35,7 @@ print("radius-0 ports of the anchor:", zero.ports[2])
 # indistinguishability argument in this package.
 c4 = label_graph(cycle_graph(4))
 c5 = label_graph(cycle_graph(5))
-phi = views_isomorphic(extract_view(c4, [0], 1), extract_view(c5, [0], 1))
+phi = view_isomorphisms(extract_view(c4, [0], 1), extract_view(c5, [0], 1))[0]
 print("C4/C5 radius-1 views isomorphic via:", phi)
 
 # DOT rendering for a quick look with graphviz.

@@ -34,7 +34,6 @@ from .graphs import (
     to_dot,
     view_isomorphisms,
     view_key,
-    views_isomorphic,
 )
 from .lcl import (
     ConstraintSet,

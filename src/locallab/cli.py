@@ -295,12 +295,15 @@ def _cmd_lift_build(args) -> int:
     return 0
 
 
-def _instance_payload(data):
-    return data["instance"] if "instance" in data else data
+def _payload(data, key: str, what: str):
+    """The document's `key` entry when it has one (`lift build` writes the
+    instance and the port map into one file), else the document itself."""
+    with json_decoding(what):
+        return data[key] if key in data else data
 
 
 def _cmd_lift_run(args) -> int:
-    pi = proper_instance_from_json(_instance_payload(_load(args.instance)))
+    pi = proper_instance_from_json(_payload(_load(args.instance), "instance", "proper instance"))
     order = _ints(args.order) if args.order else None
     result = lift_run(pi, order=order)
     _dump(
@@ -315,7 +318,7 @@ def _cmd_lift_run(args) -> int:
 
 
 def _cmd_lift_verify(args) -> int:
-    pi = proper_instance_from_json(_instance_payload(_load(args.instance)))
+    pi = proper_instance_from_json(_payload(_load(args.instance), "instance", "proper instance"))
     labels_data = _load(args.labels)
     with json_decoding("lift labels"):
         labels = _labels_from_json(labels_data["labels"], node_from_key, "node")
@@ -326,8 +329,7 @@ def _cmd_lift_verify(args) -> int:
 
 def _cmd_lift_pullback(args) -> int:
     outcome = outcome_from_json(_load(args.outcome))
-    pm_data = _load(args.portmap)
-    pm = port_map_from_json(pm_data["port_map"] if "port_map" in pm_data else pm_data)
+    pm = port_map_from_json(_payload(_load(args.portmap), "port_map", "port map"))
     pulled = pullback_outcome(outcome, pm)
     _dump(outcome_to_json(pulled), args)
     return 0

@@ -567,8 +567,6 @@ def recognize_proper_instance(
     enumerated outright.  Every inter set tried is independent by
     construction.  All work reads g's rows in host node ids.
     """
-    if g.n == 0:
-        return ((), ())
     rows = g.neighbor_rows
     candidates = [v for v in range(g.n) if _independent_neighborhood(g, v)]
     groups = connected_components(g, candidates)

@@ -524,8 +524,9 @@ def _view_node_key(view: View, v: int):
     return (v in view.anchor, view.node_label[v], port_sig)
 
 
-def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[int, int]]:
-    """Port-aware isomorphisms mapping anchor onto anchor; [] when none.
+def view_isomorphisms(v1: View, v2: View) -> list[dict[int, int]]:
+    """Every port-aware isomorphism mapping anchor onto anchor, in the order
+    the search finds them; [] when none.
 
     A bijection phi qualifies iff it maps the anchor set onto the anchor set,
     preserves node labels, preserves every per-port half-edge label and the
@@ -618,8 +619,6 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
         placed = False
         if level == len(order):
             found.append(dict(phi))
-            if not find_all:
-                return found
         else:
             v = order[level]
             if tried[level] == 0:
@@ -639,12 +638,6 @@ def view_isomorphisms(v1: View, v2: View, find_all: bool = False) -> list[dict[i
         else:
             level -= 1
             used.discard(phi.pop(order[level]))
-
-
-def views_isomorphic(v1: View, v2: View) -> Optional[dict[int, int]]:
-    """Some port-aware view isomorphism, or None."""
-    isos = view_isomorphisms(v1, v2, find_all=False)
-    return isos[0] if isos else None
 
 
 # ---------------------------------------------------------------------------

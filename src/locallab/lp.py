@@ -239,6 +239,9 @@ class _CompiledLP:
     # takes the value of the last, as a dict built in variable order would
     node_columns: tuple[tuple[int, int], ...]  # (node, column)
     half_edge_columns: tuple[tuple[tuple[int, int], int], ...]  # ((v, e), column)
+    # the first two variables that share a node or an edge, which a labeling
+    # cannot tell apart, as "variables 'x' and 'y' share node 0"; or None
+    shared_owner: Optional[str]
 
 
 def _compiled(lp: DistLP) -> _CompiledLP:
@@ -271,15 +274,19 @@ def _compiled(lp: DistLP) -> _CompiledLP:
     owners = []
     node_columns: dict[int, int] = {}
     half_edge_columns: dict[tuple[int, int], int] = {}
+    shared_owner = None
     for j, var in enumerate(lp.variables):
         kind, ident = var.owner
         if kind == "node":
-            owners.append(ident)
-            node_columns[ident] = j
+            owner, columns, keys = ident, node_columns, (ident,)
         else:
             u, v = lp.graph.endpoints(ident)
-            owners.append(((u, ident), (v, ident)))
-            half_edge_columns[(u, ident)] = half_edge_columns[(v, ident)] = j
+            owner = keys = ((u, ident), (v, ident))
+            columns = half_edge_columns
+        if shared_owner is None and keys[0] in columns:
+            shared_owner = f"variables {names[columns[keys[0]]]!r} and {var.name!r} share {kind} {ident}"
+        owners.append(owner)
+        columns.update(dict.fromkeys(keys, j))
     comp = _CompiledLP(
         names=names,
         name_set=frozenset(names),
@@ -290,6 +297,7 @@ def _compiled(lp: DistLP) -> _CompiledLP:
         owners=tuple(owners),
         node_columns=tuple(sorted(node_columns.items())),
         half_edge_columns=tuple(sorted(half_edge_columns.items())),
+        shared_owner=shared_owner,
     )
     object.__setattr__(lp, "_integer_form", comp)
     return comp
@@ -707,7 +715,9 @@ def outcome_of_points(lp: DistLP, pairs: Iterable[tuple[LpPoint, Fraction]]) -> 
 def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     """Coordinatewise expectation of a distribution over feasible points.
 
-    The outcome must be over the LP's graph.  Every support entry must
+    The outcome must be over the LP's graph, and no two variables may share
+    a node or an edge: a labeling shows one label there, so the later
+    variable's value would be read back for both.  Every support entry must
     itself be feasible (the hypothesis of the expectation-approximation
     argument); an infeasible entry is a contract error naming the entry.
     The result is feasible and its objective equals the expected objective
@@ -723,6 +733,8 @@ def dequantize(outcome: Outcome, lp: DistLP) -> LpPoint:
     if outcome.input.graph != lp.graph:
         raise InputError("dequantize needs an outcome over the LP's graph")
     comp = _compiled(lp)
+    if comp.shared_owner is not None:
+        raise InputError(f"dequantize cannot tell apart {comp.shared_owner}")
     positions = _label_positions(comp, outcome.entries[0][0])
     sums = [0] * len(comp.names)
     lcm_d = 1

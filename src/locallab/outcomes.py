@@ -282,18 +282,25 @@ class LocalAlgorithm:
 
 def _check_node_output(v: int, out: NodeOutput, incident: frozenset) -> None:
     """A rule's output must be a NodeOutput whose half-edge labels map edges
-    incident to v (`incident`); anything else is a ContractError naming v."""
+    incident to v (`incident`) and whose labels are hashable; anything else
+    is a ContractError naming v.  The one check of a rule's output, for
+    every simulator."""
     if not isinstance(out, NodeOutput):
         raise ContractError(f"rule at node {v} returned {out!r}, not a NodeOutput")
+    labels = out.half_edge_labels
     try:
-        edges = out.half_edge_labels.keys()
+        edges = labels.keys()
     except AttributeError:
-        raise ContractError(
-            f"rule at node {v} returned half-edge labels {out.half_edge_labels!r}, not a mapping"
-        ) from None
+        raise ContractError(f"rule at node {v} returned half-edge labels {labels!r}, not a mapping") from None
     if not incident.issuperset(edges):
         e = next(e for e in edges if e not in incident)
         raise ContractError(f"rule at node {v} labeled a half-edge of non-incident edge {e}")
+    try:
+        hash(out.node_label)
+        for lab in labels.values():
+            hash(lab)
+    except TypeError as exc:
+        raise ContractError(f"rule at node {v} returned an unhashable label: {exc}") from None
 
 
 # A node's items of a labeling: (node items, half-edge items).  Every
@@ -319,7 +326,8 @@ def _join_parts(parts: Sequence[_Part]) -> Labeling:
 
 
 def run_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Labeling:
-    """Evaluate a deterministic rule on every node's radius-T view."""
+    """Evaluate a deterministic rule on every node's radius-T view; a
+    malformed rule output is a ContractError naming its node."""
     if alg.randomized:
         raise InputError("run_local needs a deterministic algorithm; use run_rand_local")
     parts = []
@@ -342,8 +350,7 @@ def _exact_key(value) -> Hashable:
     A plain value (made of `_PLAIN_TYPES` through tuples) is its own key;
     any other key is a pair whose second element is a type, which no plain
     value holds.  A bool or a Fraction is keyed by value and type, and any
-    other non-tuple by identity, so it must be kept alive.  An unhashable
-    value raises TypeError.
+    other non-tuple by identity, so it must be kept alive.
     """
     t = type(value)
     if t in _PLAIN_TYPES:
@@ -353,7 +360,6 @@ def _exact_key(value) -> Hashable:
         return value if all(map(is_, keys, value)) else (keys, t)
     if t is bool or t is Fraction:
         return value, t
-    hash(value)
     return id(value), object
 
 
@@ -399,10 +405,7 @@ class _NodeTable(dict):
         plain = _PLAIN_TYPES.issuperset(map(type, chain((node_label,), *labels)))
         if not plain:
             self.mixed = True
-            try:
-                output = _exact_key(output)
-            except TypeError as exc:
-                raise ContractError(f"rule at node {self.v} returned an unhashable label: {exc}") from None
+            output = _exact_key(output)
         index = self._index.get(output)
         if index is None:
             index = self._index[output] = len(self.parts)
@@ -505,14 +508,7 @@ def run_rand_local(
     an unhashable label) is a ContractError naming its node.
     """
     if not alg.randomized:
-        labeling = run_local(alg, lg)
-        node_labels = chain(labeling.node_items, [(v, lab) for (v, _), lab in labeling.half_edge_items])
-        for v, lab in node_labels:
-            try:
-                hash(lab)
-            except TypeError as exc:
-                raise ContractError(f"rule at node {v} returned an unhashable label: {exc}") from None
-        return deterministic_outcome(lg, labeling)
+        return deterministic_outcome(lg, run_local(alg, lg))
     n = lg.graph.n
     alphabet = _seed_alphabet(alg)
     assignments: Iterable[tuple]
@@ -663,7 +659,7 @@ def verify_non_signaling(
     lg_g, lg_h = outcome_g.input, outcome_h.input
     view_g = extract_view(lg_g, a_g, t)
     view_h = extract_view(lg_h, a_h, t)
-    isos = view_isomorphisms(view_g, view_h, find_all=True)
+    isos = view_isomorphisms(view_g, view_h)
     if not isos:
         return NsVerdict(status="precondition-unmet", detail="no radius-t view isomorphism")
     r_g = restrict(outcome_g, a_g)

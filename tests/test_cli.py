@@ -726,3 +726,97 @@ def test_lift_pullback_malformed_port_map_is_usage_error(fixtures, tmp_path, cap
     assert main(args) == 2
     err = capsys.readouterr().err
     assert re.search(message, err) and "in port map JSON" in err
+
+
+def _valid_json_inputs():
+    """One well-formed document per kind of JSON file the CLI reads, all
+    over P3 (the lift over its incidence graph)."""
+    from locallab.gadgets import gen_proper_instance, lift_run, port_map_to_json, proper_instance_to_json
+    from locallab.graphs import cycle_graph
+    from locallab.lcl import lcl_problem_to_json
+    from locallab.linearize import edge_labeling_to_json, encode_matching
+    from locallab.lp import LpPoint, outcome_of_points, point_to_json
+    from locallab.outcomes import Labeling, deterministic_outcome, outcome_to_json
+    from test_lcl import make_trivial_problem, uniform
+
+    g = path_graph(3)
+    ig = incidence_graph_of(g)
+    lp = build_fractional_matching_lp(g)
+    point = LpPoint.of({"e0": 1, "e1": 0})
+    pi, pm = gen_proper_instance(ig, k=2)
+    lift_labels = lift_run(pi).labels
+    lcl_graph = uniform(cycle_graph(4))
+    problem, _ = make_trivial_problem(lcl_graph)
+    return {
+        "graph": labeled_graph_to_json(label_graph(g)),
+        "lcl_problem": lcl_problem_to_json(problem),
+        "lcl_graph": labeled_graph_to_json(lcl_graph),
+        "lcl_output": {
+            "nodes": {str(v): "0" for v in range(4)},
+            "half_edges": {f"{v}:{e}": "0" for v, e in lcl_graph.graph.half_edges()},
+        },
+        "outcome": outcome_to_json(outcome_of_points(lp, [(point, Fraction(1))])),
+        "lp": lp_to_json(lp),
+        "point": point_to_json(point),
+        "linearizable": linearizable_to_json(MATCHING_ENCODING),
+        "incidence": incidence_graph_to_json(ig),
+        "edge_labels": edge_labeling_to_json(encode_matching(ig, [3])),
+        "lift": {"instance": proper_instance_to_json(pi), "port_map": port_map_to_json(pm)},
+        "lift_labels": {"labels": {str(v): lab for v, lab in sorted(lift_labels.items())}},
+        "lift_outcome": outcome_to_json(
+            deterministic_outcome(label_graph(pi.graph), Labeling.of(lift_labels, {}))
+        ),
+    }
+
+
+# every verb that reads a JSON file: its fixed arguments and, per file
+# option, the kind of document it reads
+_JSON_VERBS = [
+    (["lcl", "verify"], {"--problem": "lcl_problem", "--graph": "lcl_graph", "--output": "lcl_output"}),
+    (["sim", "local"], {"--graph": "graph"}),
+    (["sim", "rand-local"], {"--graph": "graph"}),
+    (["sim", "slocal"], {"--graph": "graph"}),
+    (["ns", "verify", "--ag", "0", "--ah", "0", "-T", "1"], {"--g": "outcome", "--h": "outcome"}),
+    (["lp", "opt"], {"--lp": "lp"}),
+    (["lp", "opt"], {"--graph": "graph"}),
+    (["lp", "check"], {"--lp": "lp", "--point": "point"}),
+    (["lp", "ratio"], {"--lp": "lp", "--point": "point"}),
+    (["lp", "dequantize"], {"--lp": "lp", "--outcome": "outcome"}),
+    (["lin", "verify"], {"--problem": "linearizable", "--incidence": "incidence", "--labels": "edge_labels"}),
+    (["lin", "encode", "--matching", "3"], {"--incidence": "incidence"}),
+    (["lin", "decode"], {"--incidence": "incidence", "--labels": "edge_labels"}),
+    (["lin", "greedy"], {"--graph": "graph"}),
+    (["gadget", "recognize"], {"--graph": "graph"}),
+    (["gadget", "recognize", "--kind", "tree"], {"--graph": "graph"}),
+    (["lift", "build", "--k", "2"], {"--incidence": "incidence"}),
+    (["lift", "run"], {"--instance": "lift"}),
+    (["lift", "verify"], {"--instance": "lift", "--labels": "lift_labels"}),
+    (["lift", "pullback"], {"--outcome": "lift_outcome", "--portmap": "lift"}),
+]
+
+
+@pytest.fixture(scope="module")
+def valid_json_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    paths = {}
+    for kind, data in _valid_json_inputs().items():
+        paths[kind] = root / f"{kind}.json"
+        paths[kind].write_text(json.dumps(data))
+    return paths
+
+
+@pytest.mark.parametrize("verb, files", _JSON_VERBS, ids=[" ".join(verb) for verb, _ in _JSON_VERBS])
+def test_a_json_file_holding_a_scalar_or_a_list_is_usage_error(valid_json_files, tmp_path, capsys, verb, files):
+    def argv(bad_option=None, bad_path=None):
+        args = list(verb)
+        for option, kind in files.items():
+            args += [option, str(bad_path if option == bad_option else valid_json_files[kind])]
+        return args
+
+    assert main(argv()) in (0, 1)  # the valid files are accepted
+    for value in (5, None, [], "instance"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(value))
+        for option in files:
+            assert main(argv(option, bad)) == 2, (option, value)
+    capsys.readouterr()

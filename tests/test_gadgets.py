@@ -199,6 +199,12 @@ def test_lone_octopus_is_proper():
     assert rec is not None and len(rec[1]) == 1
 
 
+def test_the_empty_graph_is_a_proper_instance_without_octopi():
+    empty = make_graph(0, [])
+    assert recognize_proper_instance(empty) == ((), ())
+    make_proper_instance(empty, (), ())
+
+
 def test_subdivided_k4_is_proper_with_heads_on_a_perfect_matching():
     # The subdivision of a graph K of minimum degree 3 is a proper instance
     # iff K has a perfect matching: the heads are single subdividers, and the

@@ -46,7 +46,6 @@ from locallab.graphs import (
     to_dot,
     view_isomorphisms,
     view_key,
-    views_isomorphic,
 )
 from locallab.lcl import centered_ball
 from locallab.outcomes import (
@@ -144,16 +143,16 @@ def test_views_isomorphic_examples():
     v1 = extract_view(p7, [3], 1)
     p9 = label_graph(path_graph(9))
     v2 = extract_view(p9, [4], 1)
-    assert views_isomorphic(v1, v2) is not None
+    assert view_isomorphisms(v1, v2) != []
 
     star = label_graph(star_graph(3))
     v3 = extract_view(star, [0], 1)
-    assert views_isomorphic(v1, v3) is None
+    assert view_isomorphisms(v1, v3) == []
 
     c4 = label_graph(cycle_graph(4))
     c5 = label_graph(cycle_graph(5))
-    phi = views_isomorphic(extract_view(c4, [0], 1), extract_view(c5, [0], 1))
-    assert phi is not None and phi[0] == 0
+    isos = view_isomorphisms(extract_view(c4, [0], 1), extract_view(c5, [0], 1))
+    assert isos != [] and isos[0][0] == 0
 
 
 def test_views_isomorphic_is_equivalence():
@@ -162,28 +161,27 @@ def test_views_isomorphic_is_equivalence():
         lg = label_graph(g)
         for v in range(g.n):
             view = extract_view(lg, [v], 1)
-            phi = views_isomorphic(view, view)
-            assert phi is not None
+            assert view_isomorphisms(view, view) != []
     # symmetry: a found map inverts to a valid map the other way
     a = extract_view(label_graph(cycle_graph(6)), [0], 2)
     b = extract_view(label_graph(cycle_graph(6)), [3], 2)
-    phi = views_isomorphic(a, b)
-    assert phi is not None
-    inv = {u: v for v, u in phi.items()}
-    assert inv in view_isomorphisms(b, a, find_all=True)
+    isos = view_isomorphisms(a, b)
+    assert isos != []
+    inv = {u: v for v, u in isos[0].items()}
+    assert inv in view_isomorphisms(b, a)
 
 
 def test_views_respect_labels():
     g = path_graph(3)
     red = label_graph(g, node_labels={0: "r", 1: "r", 2: "r"})
     blue = label_graph(g, node_labels={0: "b", 1: "b", 2: "b"})
-    assert views_isomorphic(extract_view(red, [1], 1), extract_view(blue, [1], 1)) is None
+    assert view_isomorphisms(extract_view(red, [1], 1), extract_view(blue, [1], 1)) == []
 
     # half-edge labels matter too
     ha = label_graph(g, half_edge_labels={(1, 0): "x", (1, 1): "x"})
     hb = label_graph(g, half_edge_labels={(1, 0): "x", (1, 1): "y"})
-    assert views_isomorphic(extract_view(ha, [1], 1), extract_view(ha, [1], 1)) is not None
-    assert views_isomorphic(extract_view(ha, [1], 1), extract_view(hb, [1], 1)) is None
+    assert view_isomorphisms(extract_view(ha, [1], 1), extract_view(ha, [1], 1)) != []
+    assert view_isomorphisms(extract_view(ha, [1], 1), extract_view(hb, [1], 1)) == []
 
 
 def test_view_key_needs_a_single_anchor():
@@ -859,8 +857,7 @@ def test_view_isomorphisms_equal_reference_search(t, anchors):
         views = views[::4]
     for a in views:
         for b in views:
-            assert view_isomorphisms(a, b, find_all=True) == reference_view_isomorphisms(a, b, True)
-            assert view_isomorphisms(a, b) == reference_view_isomorphisms(a, b)
+            assert view_isomorphisms(a, b) == reference_view_isomorphisms(a, b, True)
 
 
 def test_view_isomorphisms_equal_reference_search_on_labeled_views():
@@ -871,14 +868,14 @@ def test_view_isomorphisms_equal_reference_search_on_labeled_views():
         views.extend(extract_view(lg, [v], t) for v in range(g.n) for t in (1, 2))
     for a in views:
         for b in views:
-            assert view_isomorphisms(a, b, find_all=True) == reference_view_isomorphisms(a, b, True)
+            assert view_isomorphisms(a, b) == reference_view_isomorphisms(a, b, True)
 
 
 def test_long_path_view_matches_itself_without_recursion():
     view = extract_view(label_graph(path_graph(3000)), [1500], 1400)
     assert len(view.node_set) == 2801
     start = time.perf_counter()
-    assert view_isomorphisms(view, view, find_all=True) == [{v: v for v in sorted(view.node_set)}]
+    assert view_isomorphisms(view, view) == [{v: v for v in sorted(view.node_set)}]
     assert time.perf_counter() - start < 5
 
 
@@ -923,7 +920,7 @@ def test_view_isomorphisms_compare_node_keys_by_equality():
     # 1 == Fraction(1) although their reprs differ; the search compares by ==
     ints = extract_view(label_graph(path_graph(3), {v: 1 for v in range(3)}), [1], 1)
     fractions = extract_view(label_graph(path_graph(3), {v: Fraction(1) for v in range(3)}), [1], 1)
-    assert {0: 0, 1: 1, 2: 2} in view_isomorphisms(ints, fractions, find_all=True)
+    assert {0: 0, 1: 1, 2: 2} in view_isomorphisms(ints, fractions)
     assert view_isomorphisms(fractions, ints) != []
 
 
@@ -933,7 +930,7 @@ def test_radius_t_view_isomorphism_restricts_to_a_radius_0_one(t):
     pairs = list(zip(_views_up_to_five_nodes(t, 1), _views_up_to_five_nodes(0, 1)))
     for a, a0 in pairs:
         for b, b0 in pairs:
-            restrictions = {phi[a.anchor_node()] for phi in view_isomorphisms(a, b, find_all=True)}
+            restrictions = {phi[a.anchor_node()] for phi in view_isomorphisms(a, b)}
             if restrictions:
-                zero = view_isomorphisms(a0, b0, find_all=True)
+                zero = view_isomorphisms(a0, b0)
                 assert restrictions <= {phi[a0.anchor_node()] for phi in zero}

@@ -212,6 +212,34 @@ def test_dequantize_rejects_an_outcome_over_another_graph():
         dequantize(over_c4, lp)
 
 
+def test_dequantize_refuses_variables_that_share_a_node():
+    # the labeling of a point shows one label per node, so x = 1 would read
+    # back through y's label as 0 and give objective 0 where 1 is expected
+    p2 = path_graph(2)
+    lp = make_dist_lp("node-based", "maximize", p2, [
+        LpVariable(name="x", owner=("node", 0), objective=F(1)),
+        LpVariable(name="y", owner=("node", 0), objective=F(1)),
+    ], [LpConstraint(name="c", coeffs=(("x", F(1)), ("y", F(1))), relation="<=", bound=F(1), owner=0)])
+    point = LpPoint.of({"x": 1, "y": 0})
+    assert check_feasible(lp, point).ok and objective_value(lp, point) == 1
+    assert exact_opt(lp).value == 1
+    outcome = outcome_of_points(lp, [(point, F(1))])
+    with pytest.raises(InputError, match="'x' and 'y' share node 0"):
+        dequantize(outcome, lp)
+
+
+def test_dequantize_refuses_variables_that_share_an_edge():
+    p3 = path_graph(3)
+    lp = make_dist_lp("edge-based", "maximize", p3, [
+        LpVariable(name="a", owner=("edge", 0), objective=F(1)),
+        LpVariable(name="b", owner=("edge", 1), objective=F(1)),
+        LpVariable(name="c", owner=("edge", 1), objective=F(1)),
+    ], [])
+    outcome = outcome_of_points(lp, [(LpPoint.of({"a": 0, "b": 1, "c": 0}), F(1))])
+    with pytest.raises(InputError, match="'b' and 'c' share edge 1"):
+        dequantize(outcome, lp)
+
+
 @pytest.mark.parametrize(
     "probabilities, index",
     [((0.5, 0.5), 0), ((True,), 0), ((F(1, 2), 0.5), 1)],
