@@ -54,6 +54,7 @@ from .outcomes import (
     labeling_to_json,
     outcome_from_json,
     outcome_to_json,
+    rand_local_marginal,
     run_local,
     run_rand_local,
     verify_non_signaling,
@@ -154,7 +155,7 @@ def _cmd_sim_rand_local(args) -> int:
     alg = _builtin_local_algorithm(args.algorithm, args.locality, args.seeds)
     if not alg.randomized:
         raise InputError("deterministic algorithm: use `sim local`")
-    outcome = run_rand_local(alg, lg, samples=args.samples, seed=args.seed)
+    outcome = run_rand_local(alg, lg) if args.nodes is None else rand_local_marginal(alg, lg, _ints(args.nodes))
     _dump(outcome_to_json(outcome), args)
     return 0
 
@@ -365,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="seed-echo")
     p.add_argument("--locality", type=int, default=1)
     p.add_argument("--seeds", type=int, default=2, help="seed alphabet size")
-    p.add_argument("--samples", type=int, default=0, help="sample this many seed vectors instead of all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", help="comma-separated nodes: write the exact marginal on them")
     p.set_defaults(func=_cmd_sim_rand_local)
     p = sim.add_parser("slocal", parents=[common])
     p.add_argument("--graph", required=True)

@@ -3,8 +3,8 @@
 Every distribution is an explicit finite support with exact rational
 probabilities; there is no tolerance anywhere.  Randomized LOCAL replaces the
 infinite per-node bit string with a declared finite seed alphabet so the full
-output distribution can be enumerated exactly; a sampling mode exists for
-larger instances and is excluded from exactness-critical suites.
+output distribution can be enumerated exactly; `rand_local_marginal`
+enumerates only the seeds a node set's outputs depend on.
 
 A marginal on a node set S is an `Outcome` whose labelings cover S and
 H(G)[S]: it can be restricted again, compared and written to JSON.
@@ -25,12 +25,11 @@ the randomized simulators, `restrict`, `lp.outcome_of_points` and
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import is_, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -107,7 +106,8 @@ class Outcome:
     @cached_property
     def support(self) -> tuple[tuple[Labeling, Fraction], ...]:
         d = self.denominator
-        return tuple([(labeling, Fraction(w, d)) for labeling, w in self.entries])
+        probability = {w: Fraction(w, d) for w in set(map(itemgetter(1), self.entries))}
+        return tuple([(labeling, probability[w]) for labeling, w in self.entries])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Outcome):
@@ -184,6 +184,13 @@ def deterministic_outcome(lg: LabeledGraph, labeling: Labeling) -> Outcome:
     return make_outcome(lg, [(labeling, Fraction(1))])
 
 
+def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
+    """Picks the given increasing positions of a tuple, as a tuple (by one slice when they are consecutive)."""
+    if positions and positions[-1] - positions[0] >= len(positions):
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[-1] + 1) if positions else slice(0))
+
+
 def restrict(outcome: Outcome, s: Iterable[int]) -> Outcome:
     """Marginal distribution on S and H(G)[S], over the same network, with
     duplicates merged; restricting it again to T within S gives T's marginal.
@@ -201,11 +208,11 @@ def restrict(outcome: Outcome, s: Iterable[int]) -> Outcome:
     for v in nodes:
         outcome.input.graph._check_node(v)
     first = outcome.entries[0][0]
-    node_keep = [v in nodes for v, _ in first.node_items]
-    he_keep = [v in nodes for (v, _), _ in first.half_edge_items]
+    pick_nodes = _picker([i for i, (v, _) in enumerate(first.node_items) if v in nodes])
+    pick_half_edges = _picker([i for i, ((v, _), _) in enumerate(first.half_edge_items) if v in nodes])
     merged: dict[tuple[tuple, tuple], int] = {}
     for labeling, w in outcome.entries:
-        key = (tuple(compress(labeling.node_items, node_keep)), tuple(compress(labeling.half_edge_items, he_keep)))
+        key = (pick_nodes(labeling.node_items), pick_half_edges(labeling.half_edge_items))
         merged[key] = merged.get(key, 0) + w
     entries = tuple([(Labeling(*key), w) for key, w in merged.items()])
     marginal = outcome._marginals[nodes] = Outcome(input=outcome.input, entries=entries, denominator=outcome.denominator)
@@ -363,13 +370,17 @@ def _exact_key(value) -> Hashable:
     return id(value), object
 
 
-class _NodeTable(dict):
-    """One node's randomized rule, memoised on the seeds of its radius-T view.
+class _NodeTable:
+    """One node's randomized rule, evaluated once per seed assignment of its radius-T view.
 
-    `ball` is the view's node set in iteration order; a key is the tuple of
-    those nodes' seeds (the seed itself for a one-node ball), and the table
-    maps it to the index of the node's labeling part in `parts`.  The rule
-    runs only when a key is first looked up, so once per ball assignment.
+    `ball` is the view's node set in iteration order; `lookup` maps every
+    tuple of those nodes' seeds (the seed itself for a one-node ball) to the
+    index of the node's labeling part in `parts`.  The constructor fills it
+    in one sweep over the assignments, in `product` order.
+
+    An output is checked (`_check_node_output`) once per distinct value: a
+    `NodeOutput` whose exact key is in `_index` equals a checked output in
+    value and type and takes its part at once; any other is checked first.
 
     Outputs that agree in value and type share one part, and every item
     (v, label) or ((v, e), label) of the table's parts is one object per
@@ -382,41 +393,50 @@ class _NodeTable(dict):
     the support.
     """
 
-    def __init__(self, alg: LocalAlgorithm, lg: LabeledGraph, v: int):
-        super().__init__()
-        self.alg, self.v = alg, v
-        self.incident = frozenset(lg.graph.adjacency[v])
-        self.view = extract_view(lg, [v], alg.locality)
-        self.ball = tuple(self.view.node_set)
+    def __init__(self, alg: LocalAlgorithm, lg: LabeledGraph, v: int, view: View, alphabet: tuple):
+        self.v = v
+        self.ball = ball = tuple(view.node_set)
         self.parts: list[_Part] = []
         self.mixed = False
         self.domains: set[tuple] = set()
         self._index: dict = {}  # exact key of an output -> its part's index in parts
         self._node_items: dict = {}  # exact key of a node label -> its item
         self._half_edge_items: dict = {}  # exact key of an (edge, label) pair -> its item
-
-    def __missing__(self, key) -> int:
-        seeds = dict(zip(self.ball, key)) if len(self.ball) > 1 else {self.v: key}
-        out = self.alg.rule(self.view, seeds)
-        _check_node_output(self.v, out, self.incident)
-        node_label = out.node_label
-        labels = sorted(out.half_edge_labels.items())
-        output = (node_label, *labels)
-        plain = _PLAIN_TYPES.issuperset(map(type, chain((node_label,), *labels)))
-        if not plain:
-            self.mixed = True
-            output = _exact_key(output)
-        index = self._index.get(output)
-        if index is None:
-            index = self._index[output] = len(self.parts)
-            self.parts.append(self._new_part(node_label, labels, plain))
-        self[key] = index
-        return index
+        rule, index, parts, new_part = alg.rule, self._index, self.parts, self._new_part
+        check, plain_types, node_output = _check_node_output, _PLAIN_TYPES, NodeOutput
+        incident = frozenset(lg.graph.adjacency[v])
+        one = len(ball) == 1
+        keys = alphabet if one else list(product(alphabet, repeat=len(ball)))
+        found = []
+        for key in keys:
+            out = rule(view, {v: key} if one else dict(zip(ball, key)))
+            # only an exact NodeOutput may take a checked output's part unchecked
+            checked = type(out) is not node_output
+            if checked:
+                check(v, out, incident)
+            try:
+                node_label = out.node_label
+                labels = sorted(out.half_edge_labels.items())
+                plain = plain_types.issuperset(map(type, chain((node_label,), *labels)))
+                output = (node_label, *labels) if plain else _exact_key((node_label, *labels))
+                i = index.get(output)
+            except (AttributeError, TypeError):
+                check(v, out, incident)
+                raise
+            if i is None:
+                if not checked:
+                    check(v, out, incident)
+                i = index[output] = len(parts)
+                parts.append(new_part(node_label, labels, plain))
+            found.append(i)
+        self.lookup = dict(zip(keys, found))
 
     def _new_part(self, node_label, labels: list, plain: bool) -> _Part:
         """The part of an output, made of the table's shared items; a plain
         output's node label and (edge, label) pairs are their own keys."""
         v, nodes, pairs = self.v, self._node_items, self._half_edge_items
+        if not plain:
+            self.mixed = True
         node_key = node_label if plain else _exact_key(node_label)
         pair_keys = labels if plain else map(_exact_key, labels)
         node_items = () if node_label is None else (nodes.get(node_key) or nodes.setdefault(node_key, (v, node_label)),)
@@ -427,53 +447,53 @@ class _NodeTable(dict):
         return node_items, he_items
 
 
-def _seed_space(alphabet: tuple, nodes: int) -> int:
-    total = len(alphabet) ** nodes
-    if total > EXACT_SEED_SPACE_LIMIT:
-        raise InputError(
-            f"exact mode refuses {total} seed assignments (limit {EXACT_SEED_SPACE_LIMIT})"
-        )
-    return total
-
-
-def _seed_alphabet(alg: LocalAlgorithm) -> tuple:
+def _seed_space(alg: LocalAlgorithm, nodes: int) -> tuple[tuple, int]:
+    """The seed alphabet and the number of seed vectors of `nodes` nodes,
+    guarded at 2^24.  The symbols must be hashable and pairwise unequal, as
+    seeds key the tables (0 and False, or two "0", would share an entry)."""
     alphabet = tuple(alg.seed_alphabet or ())
     if not alphabet:
         raise InputError("randomized algorithm declares an empty seed alphabet")
-    return alphabet
+    seen: set = set()
+    for symbol in alphabet:
+        try:
+            if symbol in seen:
+                raise InputError(f"seed symbol {symbol!r} equals an earlier symbol of the alphabet")
+            seen.add(symbol)
+        except TypeError:
+            raise InputError(f"seed symbol {symbol!r} is unhashable") from None
+    total = len(alphabet) ** nodes
+    if total > EXACT_SEED_SPACE_LIMIT:
+        raise InputError(f"exact mode refuses {total} seed assignments (limit {EXACT_SEED_SPACE_LIMIT})")
+    return alphabet, total
 
 
 _CHUNK = 2**14
 
 
-def _tables_entries(
-    tables: Sequence[_NodeTable],
-    universe: Sequence[int],
-    assignments: Iterable[tuple],
-) -> tuple[tuple[Labeling, int], ...]:
-    """Entries of the tables' labeling's distribution over the given seed
-    vectors: each distinct labeling with its count of vectors.
+def _sweep_entries(alg: LocalAlgorithm, lg: LabeledGraph, alphabet: tuple, views: Mapping[int, View],
+                   universe: Sequence[int]) -> tuple[tuple[Labeling, int], ...]:
+    """Each distinct labeling of the nodes of `views` (node -> radius-T view,
+    in node order) with its count of seed vectors of `universe` (which holds
+    every view's nodes), in the order of the first vector that makes it.
 
-    An assignment lists one seed per node of `universe`, which must contain
-    every table's ball; tables are in node order.  Seed vectors are counted
-    per tuple of part indices, 2^14 vectors at a time: each table maps the
-    seeds of its ball, picked out by one itemgetter, to its part's index.
-    Distinct index tuples are distinct labelings unless a table holds two
-    parts equal in value; only then are equal labelings merged, the first
-    one seen standing for them, as a merge per seed vector would leave it.  The
-    tables' own domain checks stand for the whole support's.
+    The tables, all swept first, map the seeds of their balls, picked out by
+    one itemgetter, to part indices, and seed vectors are counted per tuple
+    of part indices, 2^14 at a time.  Distinct index tuples are distinct
+    labelings unless a table holds two parts equal in value; only then are
+    equal labelings merged, the first one seen standing for them.  The
+    tables' domain checks stand for the whole support's.
     """
-    index = {u: i for i, u in enumerate(universe)}
-    columns = [(table.__getitem__, itemgetter(*[index[u] for u in table.ball])) for table in tables]
-    counts: Counter = Counter()
-    assignments = iter(assignments)
-    while chunk := list(islice(assignments, _CHUNK)):
-        if columns:
-            counts.update(zip(*[map(lookup, map(pick, chunk)) for lookup, pick in columns]))
-        else:
-            counts.update(repeat((), len(chunk)))
+    tables = [_NodeTable(alg, lg, v, view, alphabet) for v, view in views.items()]
     if any(len(table.domains) > 1 for table in tables):
         raise InputError("support labelings do not share one node/half-edge domain")
+    index = {u: i for i, u in enumerate(universe)}
+    columns = [(table.lookup.__getitem__, itemgetter(*[index[u] for u in table.ball])) for table in tables]
+    counts: Counter = Counter()
+    assignments = product(alphabet, repeat=len(universe))
+    while chunk := list(islice(assignments, _CHUNK)):
+        keys = zip(*[map(lookup, map(pick, chunk)) for lookup, pick in columns])
+        counts.update(keys if columns else repeat((), len(chunk)))
     parts = [table.parts for table in tables]
     entries = [(_join_parts(list(map(list.__getitem__, parts, key))), c) for key, c in counts.items()]
     if any(table.mixed and len(set(table.parts)) < len(table.parts) for table in tables):
@@ -484,45 +504,27 @@ def _tables_entries(
     return tuple(entries)
 
 
-def run_rand_local(
-    alg: LocalAlgorithm,
-    lg: LabeledGraph,
-    samples: int = 0,
-    seed: int = 0,
-) -> Outcome:
-    """Aggregate the exact output distribution over all seed assignments.
+def run_rand_local(alg: LocalAlgorithm, lg: LabeledGraph) -> Outcome:
+    """Aggregate the exact output distribution over all |alphabet|^n seed
+    vectors (guarded at 2^24 before any view is built).
 
-    Exact mode (samples == 0) enumerates |alphabet|^n seed vectors (guarded
-    at 2^24); with samples > 0 it draws that many vectors with a seeded RNG
-    instead, which is not exactness-preserving.  A node's output depends
-    only on the seeds of its view, so the rule runs once per node and
-    distinct view assignment: in exact mode, sum over v of |alphabet|^|ball_v|
-    rule calls, plus one table lookup per node and seed vector
-    (n * |alphabet|^n) to count labelings.
+    A node's output depends only on the seeds of its view, so the rule runs
+    sum over v of |alphabet|^|ball_v| times, each distinct output of a node
+    is checked once, and counting takes n * |alphabet|^n table lookups.
 
     The outcome keeps alive one Labeling and its two item tuples per entry,
     and the items they hold: one object per node or half-edge and label
-    (`_NodeTable`), shared by every entry and every `restrict` marginal,
-    not one per rule call.  A malformed rule output (not a NodeOutput,
-    half-edge labels that are not a mapping or name a non-incident edge,
-    an unhashable label) is a ContractError naming its node.
+    (`_NodeTable`), shared by every entry and `restrict` marginal.  A
+    malformed rule output (not a NodeOutput, half-edge labels that are not
+    a mapping or name a non-incident edge, an unhashable label) is a
+    ContractError naming its node.
     """
     if not alg.randomized:
         return deterministic_outcome(lg, run_local(alg, lg))
     n = lg.graph.n
-    alphabet = _seed_alphabet(alg)
-    assignments: Iterable[tuple]
-    if samples < 0:
-        raise InputError(f"sample count must be non-negative, got {samples}")
-    if samples == 0:
-        denominator = _seed_space(alphabet, n)
-        assignments = product(alphabet, repeat=n)
-    else:
-        denominator = samples
-        rng = random.Random(seed)
-        assignments = (tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(samples))
-    tables = [_NodeTable(alg, lg, v) for v in range(n)]
-    return Outcome(input=lg, entries=_tables_entries(tables, range(n), assignments), denominator=denominator)
+    alphabet, denominator = _seed_space(alg, n)
+    views = {v: extract_view(lg, [v], alg.locality) for v in range(n)}
+    return Outcome(input=lg, entries=_sweep_entries(alg, lg, alphabet, views, range(n)), denominator=denominator)
 
 
 def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int]) -> Outcome:
@@ -530,17 +532,15 @@ def rand_local_marginal(alg: LocalAlgorithm, lg: LabeledGraph, s: Iterable[int])
 
     The outputs on S depend only on the seeds of N_T[S], the union of the
     radius-T views of S, so only those |alphabet|^|N_T[S]| assignments are
-    enumerated and the 2^24 guard applies to them rather than to all n
-    nodes.  Equal to `restrict(run_rand_local(alg, lg), S)`.
+    enumerated, and the 2^24 guard applies to them, before any rule call,
+    rather than to all n nodes.  Equal to `restrict(run_rand_local(alg, lg), S)`.
     """
     if not alg.randomized:
         raise InputError("rand_local_marginal needs a randomized algorithm; use run_local")
-    alphabet = _seed_alphabet(alg)
-    tables = [_NodeTable(alg, lg, v) for v in sorted(frozenset(s))]
-    universe = sorted(set().union(*(table.ball for table in tables)))
-    denominator = _seed_space(alphabet, len(universe))
-    assignments = product(alphabet, repeat=len(universe))
-    return Outcome(input=lg, entries=_tables_entries(tables, universe, assignments), denominator=denominator)
+    views = {v: extract_view(lg, [v], alg.locality) for v in sorted(frozenset(s))}
+    universe = sorted(set().union(*(view.node_set for view in views.values())))
+    alphabet, denominator = _seed_space(alg, len(universe))
+    return Outcome(input=lg, entries=_sweep_entries(alg, lg, alphabet, views, universe), denominator=denominator)
 
 
 # ---------------------------------------------------------------------------

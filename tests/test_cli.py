@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from locallab.cli import build_parser, main
-from locallab.graphs import InputError, complete_graph, label_graph, labeled_graph_to_json, path_graph
+from locallab.cli import _builtin_local_algorithm, build_parser, main
+from locallab.graphs import (
+    InputError,
+    complete_graph,
+    cycle_graph,
+    label_graph,
+    labeled_graph_to_json,
+    path_graph,
+)
 from locallab.linearize import (
     MATCHING_ENCODING,
     edge_labeling_from_json,
@@ -21,6 +28,7 @@ from locallab.lp import (
     lp_to_json,
     make_dist_lp,
 )
+from locallab.outcomes import outcome_to_json, restrict, run_rand_local
 
 
 @pytest.fixture
@@ -367,13 +375,37 @@ def test_lp_dequantize_list_label_is_usage_error(tmp_path, capsys):
     assert "; in half-edge '0:0' label JSON; in labeling JSON; in support entry 0 JSON; in outcome JSON" in err
 
 
-def test_sim_rand_local_samples_when_given_a_sample_count(fixtures, capsys):
-    _, graph_path, _ = fixtures
-    args = ["sim", "rand-local", "--graph", str(graph_path), "--algorithm", "seed-echo"]
-    assert main(args + ["--samples", "3", "--seed", "1"]) == 0
-    probabilities = [Fraction(entry["p"]) for entry in json.loads(capsys.readouterr().out)["support"]]
-    assert len(probabilities) <= 3 and sum(probabilities) == 1
-    assert all((3 * p).denominator == 1 for p in probabilities)
+def _write_graph(path, g):
+    path.write_text(json.dumps(labeled_graph_to_json(label_graph(g))))
+    return str(path)
+
+
+def test_sim_rand_local_nodes_writes_the_restricted_joint(tmp_path, capsys):
+    lg = label_graph(cycle_graph(5))
+    graph = _write_graph(tmp_path / "c5.json", lg.graph)
+    alg = _builtin_local_algorithm("seed-parity", 1, 3)
+    args = ["sim", "rand-local", "--graph", graph, "--algorithm", "seed-parity", "--seeds", "3"]
+    for nodes, scope in (("0,2", [0, 2]), ("4", [4]), ("1,0,1", [0, 1])):
+        assert main(args + ["--nodes", nodes]) == 0
+        assert json.loads(capsys.readouterr().out) == outcome_to_json(restrict(run_rand_local(alg, lg), scope))
+
+
+def test_sim_rand_local_nodes_runs_on_a_large_cycle(tmp_path, capsys):
+    graph = _write_graph(tmp_path / "c4096.json", cycle_graph(4096))
+    args = ["sim", "rand-local", "--graph", graph, "--algorithm", "seed-parity", "--locality", "2"]
+    assert main(args + ["--nodes", "0,4000"]) == 0
+    support = json.loads(capsys.readouterr().out)["support"]
+    assert sum(Fraction(entry["p"]) for entry in support) == 1
+    assert {tuple(sorted(entry["labels"]["nodes"])) for entry in support} == {("0", "4000")}
+    # the two balls are disjoint, so the two parities are independent
+    assert sorted(Fraction(entry["p"]) for entry in support) == [Fraction(1, 4)] * 4
+
+
+@pytest.mark.parametrize("nodes", ["0,x", "5", "-1", "0,,2.5"])
+def test_sim_rand_local_bad_node_list_is_usage_error(tmp_path, capsys, nodes):
+    graph = _write_graph(tmp_path / "c5.json", cycle_graph(5))
+    assert main(["sim", "rand-local", "--graph", graph, "--nodes", nodes]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_lp_verbs_accept_json_flag(fixtures, capsys):

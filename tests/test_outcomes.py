@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 import json
-import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -19,6 +19,7 @@ from locallab.graphs import (
     make_graph,
     path_graph,
     rational_to_json,
+    star_graph,
     view_isomorphisms,
 )
 from locallab.outcomes import (
@@ -253,10 +254,6 @@ def test_run_rand_local_guard():
     )
     with pytest.raises(InputError):
         run_rand_local(echo, big)
-    sampled = run_rand_local(echo, big, samples=16, seed=1)
-    assert sampled.probabilities_sum() == 1
-    with pytest.raises(InputError, match="non-negative"):
-        run_rand_local(echo, big, samples=-1)
 
 
 def test_run_slocal_basics():
@@ -464,6 +461,54 @@ def test_run_rand_local_checks_the_guard_before_any_view(monkeypatch):
         run_rand_local(echo, label_graph(cycle_graph(30)))
 
 
+def test_rand_local_marginal_checks_the_guard_before_any_rule_call():
+    """The ball of the star's centre holds all 31 nodes: 2^31 assignments."""
+    calls = []
+
+    def rule(view, seeds):
+        calls.append(1)
+        return NodeOutput(node_label=seeds[view.anchor_node()])
+
+    alg = LocalAlgorithm(locality=1, rule=rule, seed_alphabet=(0, 1))
+    with pytest.raises(InputError, match="limit"):
+        rand_local_marginal(alg, label_graph(star_graph(30)), [0])
+    assert calls == []
+
+
+def _echo(alphabet):
+    return LocalAlgorithm(
+        locality=0,
+        rule=lambda view, seeds: NodeOutput(node_label=seeds[view.anchor_node()]),
+        seed_alphabet=alphabet,
+    )
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [(0, False), (1, True), ("0", "0"), ("a", 1, F(1))],
+    ids=["zero-false", "one-true", "repeat", "one-fraction"],
+)
+def test_a_seed_alphabet_with_value_equal_symbols_is_input_error(alphabet):
+    """Seeds key the tables, so a symbol equal to an earlier one would read
+    that one's entry and the rule would never see it: with (0, False) one
+    echoing node gave {0: 1}, not 1/2 each."""
+    lg = label_graph(make_graph(1, []))
+    message = f"seed symbol {re.escape(repr(alphabet[-1]))} equals an earlier"
+    with pytest.raises(InputError, match=message):
+        run_rand_local(_echo(alphabet), lg)
+    with pytest.raises(InputError, match=message):
+        rand_local_marginal(_echo(alphabet), lg, [0])
+
+
+def test_a_seed_alphabet_with_an_unhashable_symbol_is_input_error():
+    lg = label_graph(make_graph(1, []))
+    message = re.escape("seed symbol ['x'] is unhashable")
+    with pytest.raises(InputError, match=message):
+        run_rand_local(_echo((["x"], ["y"])), lg)
+    with pytest.raises(InputError, match=message):
+        rand_local_marginal(_echo(("x", ["x"])), lg, [0])
+
+
 # ---------------------------------------------------------------------------
 # the memoised simulator against the literal per-vector enumeration
 
@@ -485,16 +530,12 @@ def _parity_rule(t, alphabet=("0", "1")):
     return LocalAlgorithm(locality=t, rule=rule, seed_alphabet=alphabet)
 
 
-def _reference_rand_local(alg, lg, samples=0, seed=0):
+def _reference_rand_local(alg, lg):
     """Every seed vector, every node: Labeling.of per vector, Fraction weights
     merged into {labeling: probability}."""
     g = lg.graph
     views = [extract_view(lg, [v], alg.locality) for v in range(g.n)]
-    if samples == 0:
-        vectors = list(itertools.product(alg.seed_alphabet, repeat=g.n))
-    else:
-        rng = random.Random(seed)
-        vectors = [tuple(rng.choice(alg.seed_alphabet) for _ in range(g.n)) for _ in range(samples)]
+    vectors = list(itertools.product(alg.seed_alphabet, repeat=g.n))
     merged = {}
     for assignment in vectors:
         nodes, half_edges = {}, {}
@@ -534,14 +575,10 @@ SMALL_GRAPHS = [label_graph(g) for g in all_connected_graphs(6)]
 def test_run_rand_local_matches_per_vector_enumeration(t):
     alg = _parity_rule(t)
     for lg in SMALL_GRAPHS:
-        assert _distribution(run_rand_local(alg, lg)) == _reference_rand_local(alg, lg)
-
-
-def test_run_rand_local_sampling_matches_per_vector_enumeration():
-    alg = _parity_rule(1, alphabet=("a", "b", "c"))
-    for lg in SMALL_GRAPHS[::7]:
-        got = run_rand_local(alg, lg, samples=40, seed=5)
-        assert _distribution(got) == _reference_rand_local(alg, lg, samples=40, seed=5)
+        outcome, reference = run_rand_local(alg, lg), _reference_rand_local(alg, lg)
+        assert _distribution(outcome) == reference
+        # each labeling comes where its first seed vector puts it
+        assert [labeling for labeling, _ in outcome.entries] == list(reference)
 
 
 def test_run_rand_local_calls_the_rule_once_per_view_assignment():
@@ -674,8 +711,6 @@ def test_randomized_rule_with_varying_domain_is_input_error(vary):
     with pytest.raises(InputError, match=message):
         run_rand_local(alg, lg)
     with pytest.raises(InputError, match=message):
-        run_rand_local(alg, lg, samples=64, seed=3)
-    with pytest.raises(InputError, match=message):
         rand_local_marginal(alg, lg, [0])
 
 
@@ -685,8 +720,6 @@ def test_randomized_rule_with_varying_domain_and_non_incident_edge_is_contract_e
     alg = _varying_domain_rule(vary, non_incident=True)
     with pytest.raises(ContractError, match="non-incident"):
         run_rand_local(alg, lg)
-    with pytest.raises(ContractError, match="non-incident"):
-        run_rand_local(alg, lg, samples=64, seed=3)
     with pytest.raises(ContractError, match="non-incident"):
         rand_local_marginal(alg, lg, [0])
 
@@ -780,8 +813,6 @@ def test_run_rand_local_counts_across_chunks():
     assert _distribution(exact) == _reference_rand_local(alg, lg)
     assert len(exact.entries) == 16 and {w for _, w in exact.entries} == {4096}
     assert exact.denominator == 2**16
-    sampled = run_rand_local(alg, lg, samples=20_000, seed=2)
-    assert _distribution(sampled) == _reference_rand_local(alg, lg, samples=20_000, seed=2)
 
 
 def _assert_weights(outcome):
@@ -802,7 +833,6 @@ def test_every_producer_fills_integer_weights():
         deterministic_outcome(lg, Labeling.of({0: "a"}, {})),
         make_outcome(lg, [(Labeling.of({0: "a"}, {}), F(0)), (Labeling.of({0: "b"}, {}), F(1))]),
         run_rand_local(alg, lg),
-        run_rand_local(alg, lg, samples=10, seed=1),
         run_rand_local(LocalAlgorithm(locality=0, rule=lambda view: NodeOutput(node_label=1)), lg),
         rand_local_marginal(alg, lg, [1, 2]),
         rand_local_marginal(alg, lg, []),
@@ -957,7 +987,25 @@ def test_malformed_randomized_rule_output_is_contract_error_naming_the_node(name
     with pytest.raises(ContractError, match="rule at node 1"):
         run_rand_local(alg, lg)
     with pytest.raises(ContractError, match="rule at node 1"):
-        run_rand_local(alg, lg, samples=8, seed=1)
+        rand_local_marginal(alg, lg, [1])
+
+
+@pytest.mark.parametrize("name", ["none-output", "none-half-edges", "unhashable", "non-incident"])
+def test_randomized_rule_output_malformed_on_a_later_assignment_is_contract_error(name):
+    """Node 1's rule is well formed except on its last ball assignment, all
+    seeds "1", after every other output was seen and checked."""
+    bad = dict(_malformed_rules(), **{"non-incident": lambda view, seeds: NodeOutput(half_edge_labels={5: "x"})})[name]
+
+    def rule(view, seeds):
+        v = view.anchor_node()
+        if v == 1 and set(seeds.values()) == {"1"}:
+            return bad(view, seeds)
+        return NodeOutput(node_label="a", half_edge_labels={e: "x" for e in view.source.graph.adjacency[v]})
+
+    lg = label_graph(path_graph(3))
+    alg = LocalAlgorithm(locality=1, rule=rule, seed_alphabet=("0", "1"))
+    with pytest.raises(ContractError, match="rule at node 1"):
+        run_rand_local(alg, lg)
     with pytest.raises(ContractError, match="rule at node 1"):
         rand_local_marginal(alg, lg, [1])
 
