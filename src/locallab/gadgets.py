@@ -14,6 +14,9 @@ recognition builds no Graph.  Tree-like coordinates are derived, not
 searched: the root and the order of layer 1 fix every deeper layer.
 Witnesses try roots in ascending host id, layer 1 in ascending order first,
 and number ports in the edge-id order of their connectors.
+
+A proper instance is what the lift runs on: `make_proper_instance` states
+the attachment rule once, and the recognizer and `lift_run` follow it.
 """
 
 from __future__ import annotations
@@ -366,20 +369,23 @@ class ProperInstance:
 
 @dataclass(frozen=True)
 class PortMap:
-    """Bijection from port-gadget root nodes to edges of the source incidence graph."""
+    """Bijection from the port-gadget root nodes of a proper instance's
+    graph to the edges of the source incidence graph."""
 
     source: IncidenceGraph
     root_to_edge: tuple[tuple[int, int], ...]
+    graph: Graph  # the proper instance's
 
     def __post_init__(self) -> None:
         m = self.source.graph.m
         roots, edges = Counter(r for r, _ in self.root_to_edge), Counter(e for _, e in self.root_to_edge)
-        bad = [f"root {r} is named {c} times" for r, c in roots.items() if c > 1]
+        bad = [f"root {r} is not a node of the instance" for r in roots if not 0 <= r < self.graph.n]
+        bad += [f"root {r} is named {c} times" for r, c in roots.items() if c > 1]
         bad += [f"edge {e} is not an edge of the source graph" for e in edges if not 0 <= e < m]
         bad += [f"edge {e} is named {c} times" for e, c in edges.items() if c > 1]
         bad += [f"edge {e} has no root" for e in range(m) if e not in edges]
         if bad:
-            raise InputError(f"root_to_edge needs distinct roots and edges 0..{m - 1} once each: {bad[0]}")
+            raise InputError(f"root_to_edge needs distinct instance nodes and edges 0..{m - 1} once each: {bad[0]}")
 
 
 # an edge's two end nodes -> ((end, its family half-edge label), (end, label))
@@ -420,7 +426,9 @@ def _octopus_edges(w: OctopusWitness) -> _FixedEdges:
 def make_proper_instance(
     g: Graph, lam: Sequence[str], octopi: Iterable[OctopusWitness]
 ) -> ProperInstance:
-    """Validate the witness decomposition and attach the family labeling."""
+    """Validate the witness decomposition and attach the family labeling.
+    The one statement of the attachment rule: each inter node joins leaves
+    of two octopi, and beside inter nodes each port leaf carries one."""
     lam = tuple(lam)
     if len(lam) != g.n or any(x not in (INTRA, INTER) for x in lam):
         raise InputError("lambda must assign intra/inter to every node")
@@ -438,20 +446,23 @@ def make_proper_instance(
     # checks every witness's edges against the graph
     if fixed.keys() != {frozenset((u, v)) for u, v in g.edge_list if lam[u] == lam[v] == INTRA}:
         raise InputError("octopus witness edges do not match the graph")
-    leaves = {p.leaf for w in octopi for p in w.ports}
-    attached = set()
+    octopus_of_leaf = {p.leaf: i for i, w in enumerate(octopi) for p in w.ports}
+    attached = Counter()
     for u, v in g.edge_list:
         if lam[u] == lam[v] == INTER:
             raise InputError(f"inter nodes {u} and {v} are adjacent")
         for a, b in ((u, v), (v, u)):
             if lam[a] == INTER:
-                if b not in leaves:
+                if b not in octopus_of_leaf:
                     raise InputError(f"inter node {a} attaches to non-leaf intra node {b}")
-                attached.add(b)
-    # the definition's "if and only if", as in the recognizer: with inter
-    # nodes present, every port leaf carries an attachment
-    if INTER in lam and leaves - attached:
-        raise InputError(f"port leaf {min(leaves - attached)} carries no attachment beside inter nodes")
+                attached[b] += 1
+    for a in (v for v in range(g.n) if lam[v] == INTER):
+        reached = {octopus_of_leaf[b] for b in g.neighbor_rows[a]}
+        if g.degree(a) != 2 or len(reached) != 2:
+            raise InputError(f"inter node {a} has {g.degree(a)} attachments in {len(reached)} octopi, not one in each of two")
+    for b in sorted(octopus_of_leaf) if INTER in lam else ():
+        if attached[b] != 1:
+            raise InputError(f"port leaf {b} carries {attached[b] or 'no'} attachments; beside inter nodes it needs one")
     labeling = _family_labeling(g, lam, octopi, fixed)
     return ProperInstance(graph=g, lam=lam, octopi=octopi, labeling=labeling)
 
@@ -495,8 +506,9 @@ def default_port_height(n: int) -> int:
 def gen_proper_instance(
     ig: IncidenceGraph, k: Optional[int] = None
 ) -> tuple[ProperInstance, PortMap]:
-    """Octopus per white node, inter node per black node, attachments at the
-    left-most port leaves; port heights are uniform (= k)."""
+    """Octopus per white node, inter node per black node (joined to two whites
+    by `make_proper_instance`'s rule), attachments at the left-most port
+    leaves; port heights are uniform (= k)."""
     n = ig.graph.n
     if k is None:
         k = default_port_height(n)
@@ -510,7 +522,7 @@ def gen_proper_instance(
     port_leaf_of_edge: dict[int, int] = {}  # source edge -> attachment leaf host id
     for w in ig.whites():
         if not g.degree(w) and ig.blacks():
-            # recognize_proper_instance rejects an unattached port leaf beside inter nodes
+            # the attachment rule rejects an unattached port leaf beside inter nodes
             raise InputError(f"white node {w} is isolated, so its port leaf would stay unattached")
         d_eff = max(g.degree(w), 1)
         x = max(1, (d_eff - 1).bit_length())
@@ -538,7 +550,7 @@ def gen_proper_instance(
     pi = make_proper_instance(graph, lam, octopi)
     if n >= 3 and not (n <= graph.n <= n**3):
         raise ContractError(f"size law violated: n={n}, N={graph.n}")
-    port_map = PortMap(source=ig, root_to_edge=tuple(sorted(port_root_edge)))
+    port_map = PortMap(source=ig, root_to_edge=tuple(sorted(port_root_edge)), graph=graph)
     return pi, port_map
 
 
@@ -560,15 +572,18 @@ def recognize_proper_instance(
 ) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
     """Search for the intra/inter bipartition and octopus decomposition.
 
-    Only nodes with an independent neighborhood can be inter.  The search
-    starts from "every candidate is inter" and repairs failing intra
+    A node in no triangle is inter (two neighbours) or a one-node head or
+    port (one or two), so only one with two neighbours is a candidate.  The
+    search starts from "every candidate is inter" and repairs failing intra
     components by flipping adjacent candidates to intra (smallest flip sets
-    first); candidate clusters that are adjacent within the candidate set are
-    enumerated outright.  Every inter set tried is independent by
-    construction.  All work reads g's rows in host node ids.
+    first); adjacent candidates are enumerated outright, so every inter set
+    is independent.  All work reads g's rows in host node ids.
     """
     rows = g.neighbor_rows
-    candidates = [v for v in range(g.n) if _independent_neighborhood(g, v)]
+    loose = [v for v in range(g.n) if _independent_neighborhood(g, v)]
+    if any(len(rows[v]) not in (1, 2) for v in loose):
+        return None
+    candidates = [v for v in loose if len(rows[v]) == 2]
     groups = connected_components(g, candidates)
     multi_groups = [sorted(grp) for grp in groups if len(grp) > 1]
     singles = [min(grp) for grp in groups if len(grp) == 1]
@@ -586,11 +601,13 @@ def recognize_proper_instance(
     found: dict[frozenset[int], Optional[OctopusWitness]] = {}
 
     def witness(comp: frozenset[int]) -> Optional[OctopusWitness]:
-        # every neighbour outside an intra component is inter, so the nodes
-        # that must be port leaves, and so the witness, follow from comp alone
+        # its outside neighbours are inter, each on one leaf of comp by
+        # `make_proper_instance`'s rule, so the witness follows from comp
         if comp not in found:
-            attached = frozenset(v for v in comp if any(u not in comp for u in rows[v]))
-            found[comp] = recognize_octopus(g, attached, comp)
+            outside = [(v, u) for v in comp for u in rows[v] if u not in comp]
+            attached = frozenset(v for v, _ in outside)
+            once = len(attached) == len({u for _, u in outside}) == len(outside)
+            found[comp] = recognize_octopus(g, attached, comp) if once else None
         return found[comp]
 
     def attempt(base_inter: frozenset[int]) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
@@ -689,28 +706,21 @@ def _shape_diameter(x: int, ports: tuple[tuple[int, int], ...]) -> int:
 
 
 def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftResult:
-    """Contract, run the greedy matcher on the contracted graph, and write the
-    matching encoding onto the port gadgets (bottom label elsewhere)."""
+    """Contract to the multigraph of `make_proper_instance`'s rule, run the
+    greedy matcher on it, and write the matching encoding onto the port
+    gadgets, one attachment each (bottom label elsewhere)."""
     ghat, attachments = contract_octopi(pi)
-    attached: list[dict[int, int]] = [{} for _ in pi.octopi]  # port position -> ghat edge
-    for ge, (oi, r) in enumerate(attachments):
-        if r in attached[oi]:
-            raise ContractError("a port gadget carries more than one attachment")
-        attached[oi][r] = ge
-    try:
-        mg, whites, edge_of_black = multigraph_of_incidence(ghat)
-    except InputError as err:
-        raise ContractError(f"contracted instance is not rank-2 and loop-free: {err}") from err
+    mg, whites, edge_of_black = multigraph_of_incidence(ghat)
     if order is None:
         order = list(range(mg.n))
     matching, observed = greedy_matching(mg, list(order))
     edge_labels = encode_matching(ghat, (b for b, me in edge_of_black.items() if me in matching))
+    port_label = {port: edge_labels[ge] for ge, port in enumerate(attachments)}
     labels: dict[int, object] = dict.fromkeys(range(pi.graph.n), BOTTOM)
-    # beside inter nodes every port leaf carries one attachment, so a port
-    # without one lies in an instance with no inter nodes, where no port is "M"
-    for w, ports in zip(pi.octopi, attached):
+    # a port without an attachment lies in an instance with no inter nodes
+    for oi, w in enumerate(pi.octopi):
         for r, p in enumerate(w.ports):
-            labels.update(dict.fromkeys(p.nodes, edge_labels[ports[r]] if r in ports else "P"))
+            labels.update(dict.fromkeys(p.nodes, port_label.get((oi, r), "P")))
     sim = 0
     if pi.octopi:
         # make_proper_instance checks a witness's edges against those its head
@@ -787,8 +797,11 @@ def pullback_outcome(outcome: Outcome, port_map: PortMap) -> Outcome:
     Each support labeling sends source edge e to the label of the root of the
     port gadget mapped to e; probabilities are preserved exactly.  Each root's
     position is read once off the support's shared domain (a root it lacks is
-    an InputError), and entries merge on integer weights, as in `restrict`.
+    an InputError, as is an outcome over another graph than the port map's
+    instance), and entries merge on integer weights, as in `restrict`.
     """
+    if outcome.input.graph != port_map.graph:
+        raise InputError("the outcome is not over the port map's proper instance")
     g = port_map.source.graph
     position = {v: i for i, (v, _) in enumerate(outcome.entries[0][0].node_items)}
     slots = []  # (source half-edge, position of its root's label)
@@ -936,6 +949,7 @@ def port_map_to_json(pm: PortMap) -> dict:
     return {
         "source": incidence_graph_to_json(pm.source),
         "root_to_edge": [list(pair) for pair in pm.root_to_edge],
+        "graph": graph_to_json(pm.graph),
     }
 
 
@@ -944,7 +958,7 @@ def port_map_from_json(data: Mapping) -> PortMap:
     with json_decoding("port map"):
         source = incidence_graph_from_json(data["source"])
         pairs = tuple((json_int(a), json_int(b)) for a, b in data["root_to_edge"])
-        return PortMap(source=source, root_to_edge=pairs)
+        return PortMap(source=source, root_to_edge=pairs, graph=graph_from_json(data["graph"]))
 
 
 def proper_instance_dot(pi: ProperInstance) -> str:

@@ -833,14 +833,17 @@ class CenteredGraph:
 
 
 def _numeric_form(lab):
-    """The label with each integral Fraction, also inside tuples, as an int,
-    so that labels equal under == have one repr."""
+    """The label with each bool, finite float and Fraction, also inside
+    tuples, as the rational it equals, an int when integral, so that labels
+    equal under == have one repr.  A NaN or an infinity stays as it is."""
     # exact types first: isinstance against Fraction goes through ABCMeta
     kind = type(lab)
     if kind is str or kind is int or lab is None:
         return lab
     if kind is tuple:
         return tuple(map(_numeric_form, lab))
+    if isinstance(lab, (bool, float)) and math.isfinite(lab):
+        lab = Fraction(lab)
     if isinstance(lab, Fraction) and lab.denominator == 1:
         return lab.numerator
     if isinstance(lab, tuple):

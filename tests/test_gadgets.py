@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction as F
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -133,9 +134,10 @@ def test_gen_proper_instance_examples():
     assert sorted(len(w.all_nodes()) for w in pi.octopi) == [2, 2, 3]
     assert len(pi.inters()) == 2
 
+    # a black of degree 1 becomes an inter node with one attachment
     tiny = make_incidence_graph(make_graph(2, [(0, 1)]), [WHITE, BLACK])
-    pi2, _ = gen_proper_instance(tiny, k=1)
-    assert (pi2.graph.n, pi2.graph.m) == (3, 2)
+    with pytest.raises(InputError, match="inter node 2 has 1 attachments in 1 octopi"):
+        gen_proper_instance(tiny, k=1)
 
 
 def test_port_map_is_a_bijection_onto_edges():
@@ -205,21 +207,36 @@ def test_the_empty_graph_is_a_proper_instance_without_octopi():
     make_proper_instance(empty, (), ())
 
 
-def test_subdivided_k4_is_proper_with_heads_on_a_perfect_matching():
-    # The subdivision of a graph K of minimum degree 3 is a proper instance
-    # iff K has a perfect matching: the heads are single subdividers, and the
-    # original nodes are k = 1 ports hanging from them.
-    pairs = list(itertools.combinations(range(4), 2))
-    g = make_graph(10, [e for i, (u, v) in enumerate(pairs) for e in ((u, 4 + i), (4 + i, v))])
-    rec = recognize_proper_instance(g)
-    assert rec is not None
-    lam, witnesses = rec
-    make_proper_instance(g, lam, witnesses)
-    heads = [w.head_nodes for w in witnesses]
-    assert all(len(h) == 1 and h[0] >= 4 for h in heads)
-    covered = [v for (h,) in heads for v in pairs[h - 4]]
-    assert sorted(covered) == [0, 1, 2, 3]
-    assert all(p.height == 1 for w in witnesses for p in w.ports)
+def _subdivided(k: Graph) -> tuple[Graph, list[tuple[int, int]]]:
+    """The subdivision of k: node k.n + i subdivides edge i."""
+    edges = [e for i, (u, v) in enumerate(k.edge_list) for e in ((u, k.n + i), (k.n + i, v))]
+    return make_graph(k.n + k.m, edges), list(k.edge_list)
+
+
+def test_subdivided_k4_is_not_proper():
+    """Heads on a perfect matching of K4's subdividers, with K4's nodes as
+    k = 1 ports hanging from them, would leave each port leaf with two
+    attachments: the other two subdividers at it."""
+    g, pairs = _subdivided(make_graph(4, list(itertools.combinations(range(4), 2))))
+    assert recognize_proper_instance(g) is None
+    assert reference_exhaustive_recognize(g) is None
+    heads = [4 + pairs.index(e) for e in ((0, 1), (2, 3))]
+    lam = [INTRA if v < 4 or v in heads else INTER for v in range(g.n)]
+    octopi = [OctopusWitness(1, (2,), (h,), tuple(PortWitness(0, j + 1, 1, (u,)) for j, u in enumerate(pairs[h - 4]))) for h in heads]
+    with pytest.raises(InputError, match="port leaf 0 carries 2 attachments"):
+        make_proper_instance(g, lam, octopi)
+
+
+def test_subdivided_petersen_graph_is_rejected_at_once():
+    """Each of the Petersen graph's nodes has three neighbours and lies in no
+    triangle, so it is neither inter nor in a one-node gadget."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    g, _ = _subdivided(make_graph(10, outer + spokes + inner))
+    start = time.perf_counter()
+    assert recognize_proper_instance(g) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_make_proper_instance_validation():
@@ -496,8 +513,9 @@ def test_pullback_outcome_unlabeled_root_is_input_error():
         (lambda pairs: [(pairs[0][0], pairs[1][1]), *pairs[1:]], r"edge \d+ is named 2 times"),
         (lambda pairs: [(pairs[1][0], pairs[0][1]), *pairs[1:]], r"root \d+ is named 2 times"),
         (lambda pairs: pairs[:-1], "has no root"),
+        (lambda pairs: [(99, pairs[0][1]), *pairs[1:]], "root 99 is not a node of the instance"),
     ],
-    ids=["edge-outside", "edge-repeated", "root-repeated", "edge-missing"],
+    ids=["edge-outside", "edge-repeated", "root-repeated", "edge-missing", "root-outside"],
 )
 def test_port_map_built_directly_is_checked(edit, message):
     """The checks of port_map_from_json hold for a PortMap built in code, so
@@ -505,7 +523,17 @@ def test_port_map_built_directly_is_checked(edit, message):
     ig = incidence_graph_of(path_graph(3))
     _, pm = gen_proper_instance(ig, k=2)
     with pytest.raises(InputError, match=message):
-        PortMap(source=ig, root_to_edge=tuple(edit(list(pm.root_to_edge))))
+        PortMap(source=ig, root_to_edge=tuple(edit(list(pm.root_to_edge))), graph=pm.graph)
+
+
+def test_pullback_outcome_over_another_graph_is_input_error():
+    """An outcome over a 60-node path labels every root of the 17-node P3
+    instance's port map, but it is not an outcome over that instance."""
+    _, pm = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    outcome = deterministic_outcome(label_graph(path_graph(60)), Labeling.of(dict.fromkeys(range(60), "M")))
+    with pytest.raises(InputError, match="not over the port map's proper instance"):
+        pullback_outcome(outcome, pm)
+    assert port_map_from_json(json.loads(json.dumps(port_map_to_json(pm)))) == pm
 
 
 @pytest.mark.parametrize("k", [None, 1, 2, 3])
@@ -524,6 +552,59 @@ def test_lift_build_isolated_white_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(incidence_graph_to_json(incidence_graph_of(make_graph(3, [(0, 1)])))))
     assert main(["lift", "build", "--incidence", str(path)]) == 2
     assert "white node 2 is isolated" in capsys.readouterr().err
+
+
+def _p3_reattached(attachments: Sequence[Sequence[int]]):
+    """The k = 2 instance of path_graph(3) with its two inter nodes replaced
+    by one inter node per entry of `attachments`, each joined to the port
+    leaves at those positions of the left-to-right leaf list."""
+    pi, _ = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    leaves = [p.leaf for w in pi.octopi for p in w.ports]
+    first = pi.graph.n - len(pi.inters())
+    edges = [(u, v) for u, v in pi.graph.edge_list if max(u, v) < first]
+    edges += [(leaves[i], first + a) for a, row in enumerate(attachments) for i in row]
+    lam = [INTRA] * first + [INTER] * len(attachments)
+    return make_graph(len(lam), edges), lam, pi.octopi
+
+
+@pytest.mark.parametrize(
+    "attachments, message",
+    [
+        ([(0, 1), (2, 3), (0, 3)], "port leaf 2 carries 2 attachments"),
+        ([(0, 1), (2, 3), ()], "inter node 17 has 0 attachments in 0 octopi"),
+        ([(0, 1), (2,), (3,)], "inter node 16 has 1 attachments in 1 octopi"),
+        ([(0, 1, 3), (2,)], "inter node 15 has 3 attachments in 3 octopi"),
+        ([(0, 3), (1, 2)], "inter node 16 has 2 attachments in 1 octopi"),
+    ],
+    ids=["leaf-twice", "inter-degree-0", "inter-degree-1", "inter-degree-3", "inter-in-one-octopus"],
+)
+def test_make_proper_instance_rejects_a_broken_attachment_rule(attachments, message):
+    """Each inter node joins leaves of two octopi, and beside inter nodes
+    each port leaf carries one attachment.  The P3 instance's port leaves
+    2, 6, 9 and 13 (positions 0..3) lie in octopi 0, 1, 1 and 2."""
+    g, lam, octopi = _p3_reattached(attachments)
+    with pytest.raises(InputError, match=message):
+        make_proper_instance(g, lam, octopi)
+    assert recognize_proper_instance(g) is None
+
+
+def test_make_proper_instance_accepts_the_rule_with_leaves_rewired():
+    g, lam, octopi = _p3_reattached([(0, 2), (1, 3)])
+    lift_run(make_proper_instance(g, lam, octopi))
+
+
+def test_lift_run_on_a_lone_inter_node_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"graph": graphs.graph_to_json(make_graph(1, [])), "lambda": [INTER], "octopi": []}))
+    assert main(["lift", "run", "--instance", str(path)]) == 2
+    assert "inter node 0 has 0 attachments" in capsys.readouterr().err
+
+
+def test_lift_build_black_of_degree_1_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ig.json"
+    path.write_text(json.dumps(incidence_graph_to_json(make_incidence_graph(make_graph(2, [(0, 1)]), [WHITE, BLACK]))))
+    assert main(["lift", "build", "--incidence", str(path)]) == 2
+    assert "inter node 2 has 1 attachments" in capsys.readouterr().err
 
 
 def test_family_constraints_hold_and_break():
@@ -604,19 +685,29 @@ def test_recognize_several_octopi_with_no_inter_nodes(g):
 
 def reference_exhaustive_recognize(g: Graph) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
     """Try every independent set I of candidates (nodes with an independent
-    neighbourhood), smallest first: accept when every component C of g - I
+    neighbourhood), smallest first: accept when each node of I has two
+    neighbours, in two components of g - I, and every component C of g - I
     has an octopus witness whose port leaves include C's nodes adjacent to
-    I, and, with I nonempty, every port leaf has a neighbour in I."""
+    I, each with one neighbour in I, and, with I nonempty, every port leaf
+    has a neighbour in I."""
     candidates = [v for v in range(g.n) if _reference_independent_neighborhood(g, v)]
     for size in range(len(candidates) + 1):
         for inter in itertools.combinations(candidates, size):
             if any(g.has_edge(a, b) for a, b in itertools.combinations(inter, 2)):
                 continue
+            comps = connected_components(g, set(range(g.n)) - set(inter))
+            comp_of = {v: c for c in comps for v in c}
+            if any(len(g.neighbors(u)) != 2 or len({comp_of[v] for v in g.neighbors(u)}) != 2 for u in inter):
+                continue
             octopi = []
-            for comp in connected_components(g, set(range(g.n)) - set(inter)):
+            for comp in comps:
                 required = frozenset(v for v in comp if any(u in inter for u in g.neighbors(v)))
                 w = recognize_octopus(g, required, comp)
-                if w is None or inter and any(p.leaf not in required for p in w.ports):
+                if (
+                    w is None
+                    or any(sum(u in inter for u in g.neighbors(v)) != 1 for v in required)
+                    or inter and any(p.leaf not in required for p in w.ports)
+                ):
                     break
                 octopi.append(w)
             else:
@@ -624,24 +715,36 @@ def reference_exhaustive_recognize(g: Graph) -> Optional[tuple[tuple[str, ...], 
     return None
 
 
-def test_recognize_proper_instance_agrees_with_exhaustive_search_on_graphs_up_to_7_nodes():
+def _recognized_and_lifted(graphs: Iterable[Graph]) -> int:
+    """Check that the recognizer and the exhaustive oracle accept the same
+    graphs, and that `make_proper_instance` and `lift_run` take each
+    witness either gives; return how many graphs were accepted."""
     accepted = 0
-    for g in all_graphs(7):
+    for g in graphs:
         rec = recognize_proper_instance(g)
         ref = reference_exhaustive_recognize(g)
         assert (rec is None) == (ref is None), g.edge_list
         for found in (rec, ref):
             if found is not None:
-                make_proper_instance(g, *found)
+                lift_run(make_proper_instance(g, *found))
         accepted += rec is not None
-    assert accepted
+    return accepted
+
+
+def test_recognize_proper_instance_agrees_with_exhaustive_search_on_graphs_up_to_7_nodes():
+    assert _recognized_and_lifted(all_graphs(7)) == 20
+
+
+@pytest.mark.slow
+def test_recognize_proper_instance_agrees_with_exhaustive_search_on_graphs_of_8_nodes():
+    assert _recognized_and_lifted(all_graphs(8)) == 31
 
 
 def _p3_instance_with_swapped_triangles() -> tuple[Graph, list[str], list[OctopusWitness]]:
-    """The k = 2 instance of path_graph(3) plus the edge (8, 11), with inter
-    nodes 0, 4 and 11 and single-node heads 15 and 16: each height-2 port
-    triangle swaps its root and its leaf, and port leaf 8 carries two
-    attachments."""
+    """The k = 2 instance of path_graph(3) plus the edge (8, 11), read with
+    inter nodes 0, 4 and 11 and single-node heads 15 and 16: each height-2
+    port triangle swaps its root and its leaf.  Inter node 0 has one
+    attachment, and port leaf 8 carries two."""
     pi, _ = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
     g = make_graph(pi.graph.n, [*pi.graph.edge_list, (8, 11)])
     lam = [INTER if v in (0, 4, 11) else INTRA for v in range(g.n)]
@@ -652,16 +755,16 @@ def _p3_instance_with_swapped_triangles() -> tuple[Graph, list[str], list[Octopu
     return g, lam, octopi
 
 
-def test_p3_instance_with_swapped_triangles_is_proper():
+def test_p3_instance_with_swapped_triangles_is_not_proper():
     g, lam, octopi = _p3_instance_with_swapped_triangles()
-    make_proper_instance(g, lam, octopi)
-    assert reference_exhaustive_recognize(g) is not None
+    with pytest.raises(InputError, match="inter node 0 has 1 attachments"):
+        make_proper_instance(g, lam, octopi)
+    assert reference_exhaustive_recognize(g) is None
 
 
-@pytest.mark.xfail(strict=True, reason="the greedy repair misses the swapped-triangle decomposition (ROADMAP item 3)")
 def test_recognize_p3_instance_with_swapped_triangles():
     g, _, _ = _p3_instance_with_swapped_triangles()
-    assert recognize_proper_instance(g) is not None
+    assert recognize_proper_instance(g) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1488,7 +1591,7 @@ def reference_gen_proper_instance(
     pi = make_proper_instance(graph, lam, octopi)
     if n >= 3 and not (n <= graph.n <= n**3):
         raise ContractError(f"size law violated: n={n}, N={graph.n}")
-    port_map = PortMap(source=ig, root_to_edge=tuple(sorted(port_root_edge)))
+    port_map = PortMap(source=ig, root_to_edge=tuple(sorted(port_root_edge)), graph=graph)
     return pi, port_map
 
 

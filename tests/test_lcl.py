@@ -328,11 +328,26 @@ def test_check_constraints_builds_no_graph_per_node(monkeypatch):
     assert check_constraints(lg, constraints) == OK
 
 
-def test_numeric_form_keeps_bools_and_maps_fraction_subclasses():
-    assert _numeric_form(True) is True and _numeric_form(False) is False
+def test_numeric_form_maps_bools_floats_and_fraction_subclasses():
+    assert [(type(x), x) for x in map(_numeric_form, (True, False, 2.0))] == [(int, 1), (int, 0), (int, 2)]
+    assert type(_numeric_form(0.5)) is F and _numeric_form(0.5) == F(1, 2)
+    assert [repr(_numeric_form(x)) for x in (float("nan"), float("inf"))] == ["nan", "inf"]
     assert type(_numeric_form(_Ratio(4, 2))) is int and _numeric_form(_Ratio(4, 2)) == 2
     assert type(_numeric_form(_Ratio(1, 2))) is _Ratio
-    assert _numeric_form((F(2), ("a", _Ratio(3)), None, True)) == (2, ("a", 3), None, True)
+    assert repr(_numeric_form((F(2), ("a", _Ratio(3)), None, True))) == repr((2, ("a", 3), None, 1))
+
+
+@pytest.mark.parametrize(
+    "member, label",
+    [(1, 1), (1, True), (1, F(1)), (1, 1.0), ((1,), (True,)), (True, 1), (F(1, 2), 0.5)],
+    ids=["int", "bool", "fraction", "float", "tuple-of-bool", "bool-member", "half"],
+)
+def test_a_label_equal_to_the_alphabet_is_a_member(member, label):
+    """Alphabets are tested with `in`, so membership must read a label equal
+    under == as the same label: at one time True and 1.0 passed the
+    alphabet check of an all-1 C4 and then failed membership."""
+    constraints = make_constraint_set(1, 2, {member}, {"h"}, [centered_ball(uniform(cycle_graph(4), member), 0, 1)])
+    assert check_constraints(uniform(cycle_graph(4), label), constraints) == OK
 
 
 @pytest.mark.parametrize(
