@@ -442,9 +442,9 @@ def make_proper_instance(
         if frozenset(w.all_nodes()) not in comps:
             raise InputError("an octopus witness is not a connected intra component")
         fixed.update(_octopus_edges(w))
-    # each intra edge lies in one witness's component, so one comparison
-    # checks every witness's edges against the graph
-    if fixed.keys() != {frozenset((u, v)) for u, v in g.edge_list if lam[u] == lam[v] == INTRA}:
+    # each intra edge lies in one witness's component, so one comparison,
+    # with multiplicity, checks every witness's edges against the graph
+    if Counter(fixed.keys()) != Counter(frozenset((u, v)) for u, v in g.edge_list if lam[u] == lam[v] == INTRA):
         raise InputError("octopus witness edges do not match the graph")
     octopus_of_leaf = {p.leaf: i for i, w in enumerate(octopi) for p in w.ports}
     attached = Counter()
@@ -570,88 +570,85 @@ def _independent_neighborhood(g: Graph, v: int) -> bool:
 def recognize_proper_instance(
     g: Graph,
 ) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
-    """Search for the intra/inter bipartition and octopus decomposition.
+    """Find an intra/inter bipartition and octopus decomposition, or None.
 
-    A node in no triangle is inter (two neighbours) or a one-node head or
-    port (one or two), so only one with two neighbours is a candidate.  The
-    search starts from "every candidate is inter" and repairs failing intra
-    components by flipping adjacent candidates to intra (smallest flip sets
-    first); adjacent candidates are enumerated outright, so every inter set
-    is independent.  All work reads g's rows in host node ids.
+    A tree-like gadget of height >= 2 is two-edge-connected with each node in
+    a triangle; inter nodes and one-node heads and ports lie in none.  So in
+    any decomposition the blocks, the two-edge components of the triangle
+    nodes and each node in no triangle, are its gadgets and inter nodes.
+    With inter nodes, the block graph is the bipartite graph of heads and
+    inter nodes with each edge subdivided by a port: from a head or an inter
+    node, BFS distance mod 4 reads inter, port, head, port (or head first).
+    A component's smallest block is one of these or a port, whose neighbours
+    are its head and its inter node, so the readings from it and from its
+    smallest neighbour, at two phases, include every decomposition of the
+    component with inter nodes; each is checked once.  Without inter nodes,
+    every component is an octopus on its own.  Reads g's rows in host ids.
     """
     rows = g.neighbor_rows
     loose = [v for v in range(g.n) if _independent_neighborhood(g, v)]
+    # a node in no triangle is inter (two neighbours) or a one-node head or
+    # port (one or two)
     if any(len(rows[v]) not in (1, 2) for v in loose):
         return None
-    candidates = [v for v in loose if len(rows[v]) == 2]
-    groups = connected_components(g, candidates)
-    multi_groups = [sorted(grp) for grp in groups if len(grp) > 1]
-    singles = [min(grp) for grp in groups if len(grp) == 1]
-
-    def independent_subsets(nodes: list[int]) -> list[frozenset[int]]:
-        out = []
-        for mask in range(1 << len(nodes)):
-            subset = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-            if not any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
-                out.append(frozenset(subset))
-        out.sort(key=lambda s: -len(s))
-        return out
-
-    group_options = [independent_subsets(grp) for grp in multi_groups]
-    found: dict[frozenset[int], Optional[OctopusWitness]] = {}
+    tri = set(range(g.n)).difference(loose)
+    blocks = [*connected_components(g, tri, bridges(g, tri)), *(frozenset((v,)) for v in loose)]
+    block_of = {v: b for b in blocks for v in b}
+    near: dict[frozenset[int], set[frozenset[int]]] = {b: set() for b in blocks}
+    for u, v in g.edge_list:
+        if block_of[u] != block_of[v]:
+            near[block_of[u]].add(block_of[v])
+            near[block_of[v]].add(block_of[u])
 
     def witness(comp: frozenset[int]) -> Optional[OctopusWitness]:
         # its outside neighbours are inter, each on one leaf of comp by
         # `make_proper_instance`'s rule, so the witness follows from comp
-        if comp not in found:
-            outside = [(v, u) for v in comp for u in rows[v] if u not in comp]
-            attached = frozenset(v for v, _ in outside)
-            once = len(attached) == len({u for _, u in outside}) == len(outside)
-            found[comp] = recognize_octopus(g, attached, comp) if once else None
-        return found[comp]
+        outside = [(v, u) for v in comp for u in rows[v] if u not in comp]
+        attached = frozenset(v for v, _ in outside)
+        once = len(attached) == len({u for _, u in outside}) == len(outside)
+        return recognize_octopus(g, attached, comp) if once else None
 
-    def attempt(base_inter: frozenset[int]) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
-        inter = set(base_inter)
-        flippable = set(singles) & inter
-        while True:
-            comps = connected_components(g, (v for v in range(g.n) if v not in inter))
-            failing = next((c for c in comps if witness(c) is None), None)
-            if failing is None:
-                break
-            comp_of = {v: c for c in comps for v in c}
-            frontier = sorted(u for u in flippable if any(v in failing for v in rows[u]))
-            trials = (s for size in range(1, len(frontier) + 1) for s in itertools.combinations(frontier, size))
-            for subset in trials:
-                # a flipped single has only intra neighbours: it joins their
-                # components to the failing one
-                merged = failing.union(subset, *(comp_of[v] for u in subset for v in rows[u]))
-                if witness(merged) is not None:
-                    inter.difference_update(subset)
-                    flippable.difference_update(subset)
-                    break
-            else:
-                return None
-        octopi = [witness(c) for c in comps]
-        # the definition's "if and only if": with inter nodes present, every
-        # left-most port leaf must carry an attachment
-        if inter and any(not inter.intersection(rows[p.leaf]) for w in octopi for p in w.ports):
+    def reading(comp: frozenset[int], root: frozenset[int], phase: int) -> Optional[tuple[set[int], list]]:
+        dist = {root: 0}
+        queue = [root]
+        for b in queue:
+            for c in near[b].difference(dist):
+                dist[c] = dist[b] + 1
+                queue.append(c)
+        # the blocks read as inter must be single nodes with two neighbours,
+        # no two adjacent
+        at_inter = [b for b, d in dist.items() if (d + phase) % 4 == 0]
+        inter = {v for b in at_inter for v in b}
+        if len(inter) > len(at_inter) or any(len(rows[u]) != 2 or inter.intersection(rows[u]) for u in inter):
             return None
-        lam = tuple(INTER if v in inter else INTRA for v in range(g.n))
-        return lam, tuple(sorted(octopi, key=lambda w: min(w.all_nodes())))
+        octopi = []
+        for c in connected_components(g, comp - inter):
+            w = witness(c)
+            # every port leaf carries an attachment, so a reading with no
+            # inter nodes fails here
+            if w is None or any(not inter.intersection(rows[p.leaf]) for p in w.ports):
+                return None
+            octopi.append(w)
+        return inter, octopi
 
-    for combo in itertools.product(*group_options) if group_options else [()]:
-        base = frozenset(singles).union(*combo) if combo else frozenset(singles)
-        result = attempt(base)
-        if result is not None:
-            return result
-    # the repair never reaches the empty inter set, where every component
-    # must be an octopus (they come ordered by their smallest node)
+    inter: set[int] = set()
+    octopi: list[OctopusWitness] = []
     comps = connected_components(g)
-    if len(comps) > 1:
-        octopi = [witness(c) for c in comps]
-        if all(w is not None for w in octopi):
+    for comp in comps:
+        first = block_of[min(comp)]
+        roots = [first, *([min(near[first], key=min)] if near[first] else [])]
+        found = next(filter(None, (reading(comp, r, phase) for r in roots for phase in (0, 2))), None)
+        if found is None:
+            # with inter nodes present, this component's port leaves would
+            # stay unattached: every component must be an octopus alone
+            octopi = [witness(c) for c in comps]
+            if any(w is None for w in octopi):
+                return None
             return (INTRA,) * g.n, tuple(octopi)
-    return None
+        inter.update(found[0])
+        octopi.extend(found[1])
+    lam = tuple(INTER if v in inter else INTRA for v in range(g.n))
+    return lam, tuple(sorted(octopi, key=lambda w: min(w.all_nodes())))
 
 
 # ---------------------------------------------------------------------------

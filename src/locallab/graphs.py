@@ -835,7 +835,8 @@ class CenteredGraph:
 def _numeric_form(lab):
     """The label with each bool, finite float and Fraction, also inside
     tuples, as the rational it equals, an int when integral, so that labels
-    equal under == have one repr.  A NaN or an infinity stays as it is."""
+    equal under == have one repr (a Fraction subclass as a plain Fraction).
+    A NaN or an infinity stays as it is."""
     # exact types first: isinstance against Fraction goes through ABCMeta
     kind = type(lab)
     if kind is str or kind is int or lab is None:
@@ -844,8 +845,10 @@ def _numeric_form(lab):
         return tuple(map(_numeric_form, lab))
     if isinstance(lab, (bool, float)) and math.isfinite(lab):
         lab = Fraction(lab)
-    if isinstance(lab, Fraction) and lab.denominator == 1:
-        return lab.numerator
+    if isinstance(lab, Fraction):
+        if lab.denominator == 1:
+            return lab.numerator
+        return lab if type(lab) is Fraction else Fraction(lab)
     if isinstance(lab, tuple):
         return tuple(map(_numeric_form, lab))
     return lab

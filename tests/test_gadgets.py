@@ -2,11 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import pytest
@@ -239,6 +243,40 @@ def test_subdivided_petersen_graph_is_rejected_at_once():
     assert time.perf_counter() - start < 1
 
 
+def test_recognize_55_node_k1_instance_at_once():
+    """The k = 1 instance of this 6-node source has 55 nodes, 33 of them in
+    no triangle with two neighbours; a search over subsets of those did not
+    finish in 90 s.  It runs in a subprocess so that a regression fails by
+    its timeout instead of hanging the suite."""
+    code = """
+import time
+from locallab.gadgets import gen_proper_instance, lift_run, make_proper_instance, recognize_proper_instance
+from locallab.graphs import make_graph
+from locallab.linearize import incidence_graph_of
+source = make_graph(6, [(0, 1), (2, 4), (1, 3), (0, 5), (3, 4), (2, 5), (1, 2), (1, 5), (2, 3), (0, 4), (0, 2)])
+g = gen_proper_instance(incidence_graph_of(source), k=1)[0].graph
+start = time.perf_counter()
+found = recognize_proper_instance(g)
+print(g.n, time.perf_counter() - start)
+lift_run(make_proper_instance(g, *found))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(gadgets.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30, check=True)
+    n, seconds = run.stdout.split()
+    assert int(n) == 55 and float(seconds) < 1
+
+
+def test_recognize_every_rotation_of_the_k3_instance():
+    """Recognition does not depend on node numbering: the k = 2 instance of
+    K3 with its node ids rotated by 10, 18, 19 or 20 was once rejected."""
+    g = gen_proper_instance(incidence_graph_of(make_graph(3, [(0, 1), (1, 2), (0, 2)])), k=2)[0].graph
+    for r in range(g.n):
+        rotated = make_graph(g.n, [((u + r) % g.n, (v + r) % g.n) for u, v in g.edge_list])
+        found = recognize_proper_instance(rotated)
+        assert found is not None, r
+        lift_run(make_proper_instance(rotated, *found))
+
+
 def test_make_proper_instance_validation():
     ig = incidence_graph_of(path_graph(3))
     pi, _ = gen_proper_instance(ig, k=2)
@@ -246,6 +284,18 @@ def test_make_proper_instance_validation():
     lam[pi.inters()[0]] = "intra-octopus"
     with pytest.raises(InputError):
         make_proper_instance(pi.graph, lam, pi.octopi)
+
+
+def test_make_proper_instance_rejects_a_doubled_intra_edge():
+    """The witnesses give each intra edge once, so a parallel copy of one is
+    an edge no witness accounts for; the recognizer rejects the graph too."""
+    pi, _ = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    intra_edge = next(e for e in pi.graph.edge_list if pi.lam[e[0]] == pi.lam[e[1]] == INTRA)
+    g = make_graph(pi.graph.n, [*pi.graph.edge_list, intra_edge], multi=True)
+    assert g.m == 21
+    with pytest.raises(InputError, match="octopus witness edges do not match the graph"):
+        make_proper_instance(g, pi.lam, pi.octopi)
+    assert recognize_proper_instance(g) is None
 
 
 def test_contract_octopi_matches_source():
@@ -642,8 +692,9 @@ def test_proper_instance_json_roundtrip():
 
 
 def test_recognize_all_height_one_octopus():
-    # K2 is the smallest octopus: every node is an inter candidate, so the
-    # recognizer's group-enumeration path must settle on the all-intra reading
+    # K2 is the smallest octopus: each node lies in no triangle and is a
+    # one-node block, no reading with inter nodes passes, and the recognizer
+    # must settle on the all-intra reading
     tiny = gen_octopus(1, (1,), {(0, 1): 1})
     rec = recognize_proper_instance(tiny.graph)
     assert rec is not None
@@ -656,8 +707,9 @@ def test_recognize_all_height_one_octopus():
 
 
 def test_recognize_k1_port_instance_with_inters():
-    # height-1 ports put every gadget node into the candidate set; the
-    # chain-enumeration plus repair path must still find a decomposition
+    # height-1 heads and ports put every node outside the triangles, so each
+    # is a one-node block; a reading of the block graph must still find a
+    # decomposition
     ig = incidence_graph_of(path_graph(2))
     pi, _ = gen_proper_instance(ig, k=1)
     rec = recognize_proper_instance(pi.graph)
@@ -674,8 +726,9 @@ def test_recognize_k1_port_instance_with_inters():
     make_graph(9, [(1, 2), (2, 3), (1, 3), (1, 0), (5, 6), (6, 7), (5, 7), (5, 4), (2, 8)]),
 ], ids=["two-octopi", "p2-instance-cut"])
 def test_recognize_several_octopi_with_no_inter_nodes(g):
-    """Each component is an octopus, so every node is intra; the repair
-    search alone never tries the empty inter set."""
+    """Each component is an octopus, so every node is intra; a reading
+    with inter nodes fails on some component, and the recognizer falls back
+    to every component as an octopus on its own."""
     rec = recognize_proper_instance(g)
     assert rec is not None
     lam, octs = rec
@@ -729,6 +782,20 @@ def _recognized_and_lifted(graphs: Iterable[Graph]) -> int:
                 lift_run(make_proper_instance(g, *found))
         accepted += rec is not None
     return accepted
+
+
+def test_recognize_proper_instance_agrees_with_exhaustive_search_on_small_sources():
+    """Every connected source up to 3 nodes at each port height, as an
+    instance and with each single edge deleted; 22 of the 391 graphs are
+    proper instances."""
+    cases = []
+    for source in all_connected_graphs(3):
+        for k in (None, 1, 2, 3):
+            g = gen_proper_instance(incidence_graph_of(source), k=k)[0].graph
+            cases.append(g)
+            cases += [make_graph(g.n, [e for i, e in enumerate(g.edge_list) if i != j]) for j in range(g.m)]
+    assert len(cases) == 391
+    assert _recognized_and_lifted(cases) == 22
 
 
 def test_recognize_proper_instance_agrees_with_exhaustive_search_on_graphs_up_to_7_nodes():

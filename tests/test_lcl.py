@@ -333,14 +333,14 @@ def test_numeric_form_maps_bools_floats_and_fraction_subclasses():
     assert type(_numeric_form(0.5)) is F and _numeric_form(0.5) == F(1, 2)
     assert [repr(_numeric_form(x)) for x in (float("nan"), float("inf"))] == ["nan", "inf"]
     assert type(_numeric_form(_Ratio(4, 2))) is int and _numeric_form(_Ratio(4, 2)) == 2
-    assert type(_numeric_form(_Ratio(1, 2))) is _Ratio
+    assert type(_numeric_form(_Ratio(1, 2))) is F and repr(_numeric_form(_Ratio(1, 2))) == "Fraction(1, 2)"
     assert repr(_numeric_form((F(2), ("a", _Ratio(3)), None, True))) == repr((2, ("a", 3), None, 1))
 
 
 @pytest.mark.parametrize(
     "member, label",
-    [(1, 1), (1, True), (1, F(1)), (1, 1.0), ((1,), (True,)), (True, 1), (F(1, 2), 0.5)],
-    ids=["int", "bool", "fraction", "float", "tuple-of-bool", "bool-member", "half"],
+    [(1, 1), (1, True), (1, F(1)), (1, 1.0), ((1,), (True,)), (True, 1), (F(1, 2), 0.5), (F(1, 2), _Ratio(1, 2))],
+    ids=["int", "bool", "fraction", "float", "tuple-of-bool", "bool-member", "half", "fraction-subclass-half"],
 )
 def test_a_label_equal_to_the_alphabet_is_a_member(member, label):
     """Alphabets are tested with `in`, so membership must read a label equal
