@@ -11,14 +11,17 @@ ints.  `dequantize` works the same way: it decodes each support entry once
 into integers, checks it on the compiled rows, and adds it into integer
 column sums; it makes one Fraction per coordinate, at the end.
 
-The simplex is a two-phase dense tableau with Bland's rule (termination
+The simplex is a two-phase tableau with Bland's rule (termination
 guaranteed), written straight from the compiled rows and kept fraction-free
 (Edmonds 1967; Bareiss 1968): it holds integers over one common positive
-denominator, the basis determinant, and every pivot divides exactly.  It
-makes the pivots the rational tableau would make, so status, value and point
-do not depend on the arithmetic.  `exact_opt` does not trust the answer: it
-checks the certificate on integers over the tableau's denominator, the point
-against the compiled rows and the objective, and the dual read off the final
+denominator, the basis determinant, and every pivot divides exactly.  Its
+rows are sparse, and a pivot rewrites only the rows with a nonzero in the
+pivot column; untouched rows keep their denominator, and a row is brought to
+the current one only where exact values are read.  It makes the pivots the
+rational tableau would make, so status, value and point do not depend on the
+arithmetic.  `exact_opt` does not trust the answer: it checks the
+certificate on integers over the tableau's denominator, the point against
+the compiled rows and the objective, and the dual read off the final
 objective row for feasibility and equal value.  Fractions are made only at
 the end, for the value and the point.
 
@@ -389,69 +392,88 @@ class OptResult:
     point: Optional[LpPoint] = None
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, den: int) -> int:
-    """Fraction-free pivot on tableau[row][col]; returns the new denominator.
+# the right-hand side's key in a sparse tableau row
+_RHS = -1
 
-    The tableau stands for tableau/den.  The pivot row keeps its integers and
-    the pivot p becomes the denominator, so every other row turns into
-    (p*a - f*b) / den.  That division is exact: each entry is, up to sign,
-    a minor of the integer system and den the basis determinant.  A negative
-    p negates the whole tableau, so the denominator stays positive.
+
+def _at(row: dict[int, int], row_den: int, den: int) -> dict[int, int]:
+    """The row written at row_den, brought to den (exact: see `_pivot`)."""
+    return row if row_den == den else {j: a * den // row_den for j, a in row.items()}
+
+
+def _pivot(rows: list[dict[int, int]], dens: list[int], basis: list[int], row: int, col: int, den: int) -> int:
+    """Fraction-free pivot on rows[row][col]; returns the new denominator.
+
+    Row i is sparse, {column: int} without zeros, over its own denominator
+    dens[i].  Brought to the tableau's denominator den, the basis
+    determinant, each row holds the dense fraction-free tableau's integers,
+    so `_at` divides exactly.  The pivot row, at den, keeps its integers and
+    the pivot p becomes its denominator; each row with a nonzero f in the
+    pivot column turns into (p*a - f*b) / den over p.  That division is
+    exact: each entry is, up to sign, a minor of the integer system.
+    Untouched rows keep their integers and their denominator.  A negative p
+    negates the rows it writes, so every denominator stays positive.
     """
-    p = tableau[row][col]
-    prow = tableau[row]
-    for i, r in enumerate(tableau):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            tableau[i] = [(p * a - f * b) // den for a, b in zip(r, prow)]
-        elif p != den:
-            tableau[i] = [p * a // den for a in r]
+    prow = _at(rows[row], dens[row], den)
+    p = prow[col]
+    q = den if p > 0 else -den
+    for i, r in enumerate(rows):
+        if i != row and col in r:
+            a = _at(r, dens[i], den)
+            f = a[col]
+            new = {j: p * v // q for j, v in a.items() if j not in prow}
+            for j, b in prow.items():
+                v = p * a.get(j, 0) - f * b
+                if v:
+                    new[j] = v // q
+            rows[i], dens[i] = new, abs(p)
+    rows[row], dens[row] = (prow if p > 0 else {j: -b for j, b in prow.items()}), abs(p)
     basis[row] = col
-    if p < 0:
-        tableau[:] = [[-a for a in r] for r in tableau]
-        return -p
-    return p
+    return abs(p)
 
 
-def _price_out(tableau: list[list[int]], basis: list[int], den: int) -> None:
-    """Zero the objective row (the last) on the basic columns.
+def _price_out(rows: list[dict[int, int]], dens: list[int], basis: list[int], den: int) -> None:
+    """Zero the objective row (the last, written at den) on the basic columns.
 
-    Row i holds den on its basic column, and the objective row holds a
-    multiple of den there when this runs, so the quotient is exact.
+    Row i holds den on its basic column when brought to den, and the
+    objective row holds a multiple of den there when this runs, so the
+    quotient is exact.
     """
-    obj = tableau[-1]
+    obj = rows[-1]
     for i, b in enumerate(basis):
-        if obj[b]:
+        if obj.get(b):
             q = obj[b] // den
-            obj = [a - q * c for a, c in zip(obj, tableau[i])]
-    tableau[-1] = obj
+            for j, c in _at(rows[i], dens[i], den).items():
+                obj[j] = obj.get(j, 0) - q * c
+    rows[-1] = {j: a for j, a in obj.items() if a}
 
 
-def _optimize(tableau: list[list[int]], basis: list[int], allowed: list[bool], den: int) -> tuple[str, int]:
+def _optimize(rows: list[dict[int, int]], dens: list[int], basis: list[int], blocked: set[int], den: int) -> tuple[str, int]:
     """Bland's rule on the maximization tableau; objective is the last row.
 
-    Returns the status and the final denominator.  The ratio test compares
-    rhs/a across rows by cross-multiplication (every a is positive).
+    Returns the status and the final denominator.  The entering column is
+    the least one outside `blocked` with a negative reduced cost, and the
+    ratio test compares rhs/a across rows by cross-multiplication (every a
+    is positive).  Each row is read at its own denominator: a positive scale
+    changes neither a sign nor a ratio, so every choice is the dense
+    tableau's.
     """
-    last = len(tableau) - 1
+    last = len(rows) - 1
     while True:
-        obj = tableau[last]
-        col = next((j for j, ok in enumerate(allowed) if ok and obj[j] < 0), -1)
-        if col == -1:
+        col = min((j for j, c in rows[last].items() if c < 0 and j not in blocked), default=None)
+        if col is None:
             return "optimal", den
         row, best_rhs, best_a = -1, 0, 1
         for i in range(last):
-            a = tableau[i][col]
+            a = rows[i].get(col, 0)
             if a > 0:
-                rhs = tableau[i][-1]
+                rhs = rows[i].get(_RHS, 0)
                 lhs, rhs_best = rhs * best_a, best_rhs * a
                 if row == -1 or lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[row]):
                     row, best_rhs, best_a = i, rhs, a
         if row == -1:
             return "unbounded", den
-        den = _pivot(tableau, basis, row, col, den)
+        den = _pivot(rows, dens, basis, row, col, den)
 
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
@@ -462,9 +484,11 @@ def _solve(
 ) -> tuple[str, Optional[tuple[int, list[int], list[int], int]]]:
     """Maximize objective·x over {x >= 0 : comp's rows hold}.
 
-    A row with a negative bound is negated as it is written, its relation
-    flipped.  Columns: the variables, then a slack per <=/>= row, then an
-    artificial per >=/== row, each in row order.  Phase 1 weighs row i's
+    The tableau's rows are sparse (see `_pivot`); a row that a pivot leaves
+    untouched keeps its denominator.  A row with a negative bound is negated
+    as it is written, its relation flipped.  Columns: the variables, then a
+    slack per <=/>= row, then an artificial per >=/== row, each in row
+    order; the right-hand side sits at key _RHS.  Phase 1 weighs row i's
     artificial by 1/scale_i (times their lcm), so every pivot is the one the
     unscaled rational tableau would make.  Returns the status and, when
     optimal, (den, x, y, value): integer numerators over the one positive
@@ -482,68 +506,62 @@ def _solve(
     slack_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "=="), n)}
     art_start = n + len(slack_cols)
     art_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "<="), art_start)}
-    ncols = art_start + len(art_cols)
 
-    tableau: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
     for i, row in enumerate(comp.rows):
         sign = -1 if negated[i] else 1
-        r = [0] * (ncols + 1)
-        for j, a in row.terms:
-            r[j] = sign * a
+        r = {j: sign * a for j, a in row.terms}
         if i in slack_cols:
             r[slack_cols[i]] = 1 if rels[i] == "<=" else -1
         if i in art_cols:
             r[art_cols[i]] = 1
-        r[-1] = sign * row.bound
-        tableau.append(r)
+        if row.bound:
+            r[_RHS] = sign * row.bound
+        rows.append(r)
         basis.append(art_cols[i] if i in art_cols else slack_cols[i])
+    dens = [1] * m
 
     den = 1
-    allowed = [True] * ncols
+    blocked = {_RHS}
 
     if art_cols:
         # phase 1: maximize -(sum of artificials of the unscaled rows)
         weight = math.lcm(*(comp.rows[i].scale for i in art_cols))
-        obj_row = [0] * (ncols + 1)
-        for i, col in art_cols.items():
-            obj_row[col] = weight // comp.rows[i].scale
-        tableau.append(obj_row)
-        _price_out(tableau, basis, den)
-        _, den = _optimize(tableau, basis, allowed, den)
-        if tableau[-1][-1] != 0:
+        rows.append({col: weight // comp.rows[i].scale for i, col in art_cols.items()})
+        dens.append(den)
+        _price_out(rows, dens, basis, den)
+        _, den = _optimize(rows, dens, basis, blocked, den)
+        if _RHS in rows[-1]:
             return "infeasible", None
-        tableau.pop()
-        art_set = set(art_cols.values())
+        rows.pop()
+        dens.pop()
+        blocked.update(art_cols.values())
         # drive surviving artificials out of the basis where possible; a row
         # that keeps one is zero outside the artificial columns, so no
         # phase-2 pivot can choose it
         for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = next(
-                    (j for j in range(ncols) if j not in art_set and tableau[i][j] != 0),
-                    None,
-                )
+            if basis[i] in blocked:
+                pivot_col = min((j for j in rows[i] if j not in blocked), default=None)
                 if pivot_col is not None:
-                    den = _pivot(tableau, basis, i, pivot_col, den)
-        for col in art_set:
-            allowed[col] = False
+                    den = _pivot(rows, dens, basis, i, pivot_col, den)
 
-    tableau.append([-c * den for c in objective] + [0] * (ncols + 1 - n))
-    _price_out(tableau, basis, den)
-    status, den = _optimize(tableau, basis, allowed, den)
+    rows.append({j: -c * den for j, c in enumerate(objective) if c})
+    dens.append(den)
+    _price_out(rows, dens, basis, den)
+    status, den = _optimize(rows, dens, basis, blocked, den)
     if status == "unbounded":
         return status, None
     x = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tableau[i][-1]
-    obj_row = tableau[-1]
+            x[b] = rows[i].get(_RHS, 0) * den // dens[i]
+    obj_row = _at(rows[-1], dens[-1], den)
     y = [0] * m
     for i in range(m):
-        yi = obj_row[art_cols[i]] if rels[i] == "==" else obj_row[slack_cols[i]]
+        yi = obj_row.get(art_cols[i] if rels[i] == "==" else slack_cols[i], 0)
         y[i] = -yi if (rels[i] == ">=") != negated[i] else yi
-    return status, (den, x, y, obj_row[-1])
+    return status, (den, x, y, obj_row.get(_RHS, 0))
 
 
 def _check_certificate(

@@ -191,3 +191,12 @@ def test_half_integral_oracle_values():
     assert best_half_integral_matching_value(complete_graph(3)) == F(3, 2)
     assert best_half_integral_matching_value(cycle_graph(5)) == F(5, 2)
     assert best_half_integral_matching_value(path_graph(3)) == 1
+
+
+def test_maximum_matching_size_agrees_with_networkx_on_the_7_node_corpus():
+    nx = pytest.importorskip("networkx")
+    graphs = all_connected_graphs(7)
+    assert len(graphs) == 996
+    for g in graphs:
+        expected = len(nx.max_weight_matching(nx.Graph(list(g.edge_list)), maxcardinality=True))
+        assert maximum_matching_size(g) == expected

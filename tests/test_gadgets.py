@@ -736,6 +736,15 @@ def test_recognize_several_octopi_with_no_inter_nodes(g):
     make_proper_instance(g, lam, octs)
 
 
+def _reference_independent_neighborhood(g: Graph, v: int) -> bool:
+    nbrs = list(dict.fromkeys(g.neighbors(v)))
+    for i in range(len(nbrs)):
+        for j in range(i + 1, len(nbrs)):
+            if g.has_edge(nbrs[i], nbrs[j]):
+                return False
+    return True
+
+
 def reference_exhaustive_recognize(g: Graph) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
     """Try every independent set I of candidates (nodes with an independent
     neighbourhood), smallest first: accept when each node of I has two
@@ -1063,177 +1072,6 @@ def _reference_try_octopus_center(
     return None
 
 
-def _reference_components_within(g: Graph, keep: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(keep):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in keep and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _reference_independent_neighborhood(g: Graph, v: int) -> bool:
-    nbrs = list(dict.fromkeys(g.neighbors(v)))
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if g.has_edge(nbrs[i], nbrs[j]):
-                return False
-    return True
-
-
-def _reference_witness_to_host(w: OctopusWitness, host: Sequence[int]) -> OctopusWitness:
-    return OctopusWitness(
-        x=w.x,
-        eta=w.eta,
-        head_nodes=tuple(host[v] for v in w.head_nodes),
-        ports=tuple(
-            PortWitness(slot=p.slot, copy=p.copy, height=p.height,
-                        nodes=tuple(host[v] for v in p.nodes))
-            for p in w.ports
-        ),
-    )
-
-
-def _reference_validate_inter_set(g: Graph, inter: frozenset[int]) -> Optional[tuple[OctopusWitness, ...]]:
-    for v in inter:
-        for u in g.neighbors(v):
-            if u in inter:
-                return None
-    witnesses = []
-    intra = set(range(g.n)) - inter
-    for comp in _reference_components_within(g, intra):
-        sub, nodes = _reference_induced(g, comp)
-        index = {v: i for i, v in enumerate(nodes)}
-        leaf_req = frozenset(
-            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
-        )
-        local = reference_recognize_octopus(sub, leaf_req)
-        if local is None:
-            return None
-        witnesses.append(_reference_witness_to_host(local, nodes))
-    if inter:
-        # the definition's "if and only if": with inter nodes present, every
-        # left-most port leaf must carry an attachment
-        for w in witnesses:
-            for p in w.ports:
-                if not any(u in inter for u in g.neighbors(p.leaf)):
-                    return None
-    return tuple(witnesses)
-
-
-def _reference_failing_component(g: Graph, inter: frozenset[int]) -> Optional[list[int]]:
-    intra = set(range(g.n)) - inter
-    for comp in _reference_components_within(g, intra):
-        sub, nodes = _reference_induced(g, comp)
-        index = {v: i for i, v in enumerate(nodes)}
-        leaf_req = frozenset(
-            index[v] for v in comp if any(u in inter for u in g.neighbors(v))
-        )
-        if reference_recognize_octopus(sub, leaf_req) is None:
-            return comp
-    return None
-
-
-def reference_recognize_proper_instance(
-    g: Graph,
-) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
-    """Search for the intra/inter bipartition and octopus decomposition.
-
-    Only nodes with an independent neighborhood can be inter.  The search
-    starts from "every candidate is inter" and repairs failing intra
-    components by flipping adjacent candidates to intra (smallest flip sets
-    first); candidate clusters that are adjacent within the candidate set are
-    enumerated outright.
-    """
-    if g.n == 0:
-        return ((), ())
-    candidates = [v for v in range(g.n) if _reference_independent_neighborhood(g, v)]
-    cand_set = set(candidates)
-    groups = _reference_components_within(g, cand_set)
-    multi_groups = [grp for grp in groups if len(grp) > 1]
-    singles = [grp[0] for grp in groups if len(grp) == 1]
-
-    def independent_subsets(nodes: list[int]) -> list[frozenset[int]]:
-        out = []
-        for mask in range(1 << len(nodes)):
-            subset = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-            ok = True
-            for a in range(len(subset)):
-                for b in range(a + 1, len(subset)):
-                    if g.has_edge(subset[a], subset[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(frozenset(subset))
-        out.sort(key=lambda s: -len(s))
-        return out
-
-    group_options = [independent_subsets(grp) for grp in multi_groups]
-
-    def attempt(base_inter: frozenset[int]) -> Optional[tuple[tuple[str, ...], tuple[OctopusWitness, ...]]]:
-        inter = set(base_inter)
-        flippable = set(singles) & inter
-        for _ in range(g.n + 1):
-            comp = _reference_failing_component(g, frozenset(inter))
-            if comp is None:
-                break
-            frontier = sorted(
-                u for u in flippable
-                if any(g.has_edge(u, v) for v in comp)
-            )
-            fixed = False
-            for size in range(1, len(frontier) + 1):
-                for subset in itertools.combinations(frontier, size):
-                    trial = frozenset(inter) - frozenset(subset)
-                    merged = None
-                    intra = set(range(g.n)) - trial
-                    for c in _reference_components_within(g, intra):
-                        if comp[0] in c:
-                            merged = c
-                            break
-                    assert merged is not None
-                    sub, nodes = _reference_induced(g, merged)
-                    index = {v: i for i, v in enumerate(nodes)}
-                    leaf_req = frozenset(
-                        index[v] for v in merged
-                        if any(u in trial for u in g.neighbors(v))
-                    )
-                    if reference_recognize_octopus(sub, leaf_req) is not None:
-                        inter = set(trial)
-                        flippable -= set(subset)
-                        fixed = True
-                        break
-                if fixed:
-                    break
-            if not fixed:
-                return None
-        witnesses = _reference_validate_inter_set(g, frozenset(inter))
-        if witnesses is None:
-            return None
-        lam = tuple(INTER if v in inter else INTRA for v in range(g.n))
-        return lam, tuple(sorted(witnesses, key=lambda w: min(w.all_nodes())))
-
-    for combo in itertools.product(*group_options) if group_options else [()]:
-        base = frozenset(singles).union(*combo) if combo else frozenset(singles)
-        result = attempt(base)
-        if result is not None:
-            return result
-    return None
-
-
 def _mutants(g, rng, count):
     """Single-edge deletions and additions, in turn."""
     existing = {frozenset(e) for e in g.edge_list}
@@ -1315,19 +1153,37 @@ def test_recognize_octopus_matches_reference():
 
 
 def _proper_instances():
+    """Per generated instance: the instance, a shuffled copy and 4 mutants."""
     rng = random.Random(3)
     for n in range(2, 7):
         source = random_connected_graph(rng, n)
         for k in (None, 3):
             pi, _ = gen_proper_instance(incidence_graph_of(source), k=k)
-            yield pi.graph
-            yield _shuffled(pi.graph, rng)
-            yield from _mutants(pi.graph, rng, 4)
+            yield pi.graph, _shuffled(pi.graph, rng), _mutants(pi.graph, rng, 4)
 
 
-def test_recognize_proper_instance_matches_reference():
-    for g in _proper_instances():
-        assert recognize_proper_instance(g) == reference_recognize_proper_instance(g)
+def test_recognize_proper_instance_is_invariant_under_shuffling():
+    """Every generated instance and its shuffled copy are accepted, a
+    shuffled mutant gets its mutant's verdict, and every witness passes
+    `make_proper_instance` and `lift_run`."""
+    rng = random.Random(5)
+    for g, shuffled, mutants in _proper_instances():
+        pairs = [(g, shuffled), *((m, _shuffled(m, rng)) for m in mutants)]
+        for i, (original, copy) in enumerate(pairs):
+            verdicts = [recognize_proper_instance(h) for h in (original, copy)]
+            assert (verdicts[0] is None) == (verdicts[1] is None), original.edge_list
+            assert i or None not in verdicts, original.edge_list
+            for h, found in zip((original, copy), verdicts):
+                if found is not None:
+                    lift_run(make_proper_instance(h, *found))
+
+
+@pytest.mark.slow
+def test_recognize_proper_instance_agrees_with_exhaustive_search_on_generated_instances():
+    """60 graphs; the 10 instances and their 10 shuffled copies are the
+    proper ones, and no mutant is."""
+    graphs = [h for g, shuffled, mutants in _proper_instances() for h in (g, shuffled, *mutants)]
+    assert _recognized_and_lifted(graphs) == 20
 
 
 def test_recognize_proper_instance_builds_no_graph(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -571,6 +572,176 @@ def reference_simplex_solve(num_vars, objective, rows):
     return ("optimal", tableau[-1][-1], solution)
 
 
+# bit-identity against the dense fraction-free tableau
+#
+# `lp._solve` keeps sparse rows, each at its own denominator.  The dense
+# tableau below holds every row at the one denominator and rewrites every
+# entry on every pivot.  A positive scale changes no sign and no ratio, so
+# both make the same pivots, and `_solve` must return the identical tuple:
+# the same status and the same integers den, x, y and value.
+
+
+def _dense_pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, den: int) -> int:
+    """Fraction-free pivot on tableau[row][col]; returns the new denominator.
+
+    The tableau stands for tableau/den.  The pivot row keeps its integers and
+    the pivot p becomes the denominator, so every other row turns into
+    (p*a - f*b) / den.  That division is exact: each entry is, up to sign,
+    a minor of the integer system and den the basis determinant.  A negative
+    p negates the whole tableau, so the denominator stays positive.
+    """
+    p = tableau[row][col]
+    prow = tableau[row]
+    for i, r in enumerate(tableau):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tableau[i] = [(p * a - f * b) // den for a, b in zip(r, prow)]
+        elif p != den:
+            tableau[i] = [p * a // den for a in r]
+    basis[row] = col
+    if p < 0:
+        tableau[:] = [[-a for a in r] for r in tableau]
+        return -p
+    return p
+
+
+def _dense_price_out(tableau: list[list[int]], basis: list[int], den: int) -> None:
+    """Zero the objective row (the last) on the basic columns.
+
+    Row i holds den on its basic column, and the objective row holds a
+    multiple of den there when this runs, so the quotient is exact.
+    """
+    obj = tableau[-1]
+    for i, b in enumerate(basis):
+        if obj[b]:
+            q = obj[b] // den
+            obj = [a - q * c for a, c in zip(obj, tableau[i])]
+    tableau[-1] = obj
+
+
+def _dense_optimize(tableau: list[list[int]], basis: list[int], allowed: list[bool], den: int) -> tuple[str, int]:
+    """Bland's rule on the maximization tableau; objective is the last row.
+
+    Returns the status and the final denominator.  The ratio test compares
+    rhs/a across rows by cross-multiplication (every a is positive).
+    """
+    last = len(tableau) - 1
+    while True:
+        obj = tableau[last]
+        col = next((j for j, ok in enumerate(allowed) if ok and obj[j] < 0), -1)
+        if col == -1:
+            return "optimal", den
+        row, best_rhs, best_a = -1, 0, 1
+        for i in range(last):
+            a = tableau[i][col]
+            if a > 0:
+                rhs = tableau[i][-1]
+                lhs, rhs_best = rhs * best_a, best_rhs * a
+                if row == -1 or lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[row]):
+                    row, best_rhs, best_a = i, rhs, a
+        if row == -1:
+            return "unbounded", den
+        den = _dense_pivot(tableau, basis, row, col, den)
+
+
+def reference_dense_solve(comp, objective):
+    """`lp._solve` on the dense tableau: maximize objective·x over
+    {x >= 0 : comp's rows hold}.  Every row is a full list and every pivot
+    rewrites every row.
+
+    A row with a negative bound is negated as it is written, its relation
+    flipped.  Columns: the variables, then a slack per <=/>= row, then an
+    artificial per >=/== row, each in row order.  Phase 1 weighs row i's
+    artificial by 1/scale_i (times their lcm), so every pivot is the one the
+    unscaled rational tableau would make.  Returns the status and, when
+    optimal, (den, x, y, value): integer numerators over the one positive
+    denominator den of the point, the dual and the value.  The dual has one
+    entry per input row, read off the final objective row at the row's own
+    column (slack column of a <=/>= row, artificial column of an == row,
+    sign flipped for a negated row).  An artificial that phase 1 cannot
+    drive out of the basis sits in a redundant row, zero outside the
+    artificial columns; the row stays in the tableau, no phase-2 pivot
+    chooses it, and the artificial's unit column keeps a reduced cost of 0.
+    """
+    n, m = len(comp.names), len(comp.rows)
+    negated = [row.bound < 0 for row in comp.rows]
+    rels = [lp_module._FLIPPED[row.relation] if neg else row.relation for row, neg in zip(comp.rows, negated)]
+    slack_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "=="), n)}
+    art_start = n + len(slack_cols)
+    art_cols = {i: col for col, i in enumerate((i for i, rel in enumerate(rels) if rel != "<="), art_start)}
+    ncols = art_start + len(art_cols)
+
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    for i, row in enumerate(comp.rows):
+        sign = -1 if negated[i] else 1
+        r = [0] * (ncols + 1)
+        for j, a in row.terms:
+            r[j] = sign * a
+        if i in slack_cols:
+            r[slack_cols[i]] = 1 if rels[i] == "<=" else -1
+        if i in art_cols:
+            r[art_cols[i]] = 1
+        r[-1] = sign * row.bound
+        tableau.append(r)
+        basis.append(art_cols[i] if i in art_cols else slack_cols[i])
+
+    den = 1
+    allowed = [True] * ncols
+
+    if art_cols:
+        # phase 1: maximize -(sum of artificials of the unscaled rows)
+        weight = math.lcm(*(comp.rows[i].scale for i in art_cols))
+        obj_row = [0] * (ncols + 1)
+        for i, col in art_cols.items():
+            obj_row[col] = weight // comp.rows[i].scale
+        tableau.append(obj_row)
+        _dense_price_out(tableau, basis, den)
+        _, den = _dense_optimize(tableau, basis, allowed, den)
+        if tableau[-1][-1] != 0:
+            return "infeasible", None
+        tableau.pop()
+        art_set = set(art_cols.values())
+        # drive surviving artificials out of the basis where possible; a row
+        # that keeps one is zero outside the artificial columns, so no
+        # phase-2 pivot can choose it
+        for i in range(m):
+            if basis[i] in art_set:
+                pivot_col = next(
+                    (j for j in range(ncols) if j not in art_set and tableau[i][j] != 0),
+                    None,
+                )
+                if pivot_col is not None:
+                    den = _dense_pivot(tableau, basis, i, pivot_col, den)
+        for col in art_set:
+            allowed[col] = False
+
+    tableau.append([-c * den for c in objective] + [0] * (ncols + 1 - n))
+    _dense_price_out(tableau, basis, den)
+    status, den = _dense_optimize(tableau, basis, allowed, den)
+    if status == "unbounded":
+        return status, None
+    x = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[i][-1]
+    obj_row = tableau[-1]
+    y = [0] * m
+    for i in range(m):
+        yi = obj_row[art_cols[i]] if rels[i] == "==" else obj_row[slack_cols[i]]
+        y[i] = -yi if (rels[i] == ">=") != negated[i] else yi
+    return status, (den, x, y, obj_row[-1])
+
+
+def _assert_solve_matches_dense_tableau(lp):
+    comp = lp_module._compiled(lp)
+    sign = 1 if lp.sense == "maximize" else -1
+    objective = [sign * c for c in comp.objective]
+    assert lp_module._solve(comp, objective) == reference_dense_solve(comp, objective)
+
+
 def _dense(lp):
     """(num_vars, objective, rows) of a DistLP, maximized, as dense Fraction rows."""
     names = [v.name for v in lp.variables]
@@ -586,7 +757,9 @@ def _dense(lp):
 
 
 def _assert_matches_reference(lp):
-    """exact_opt agrees with the reference on one DistLP."""
+    """exact_opt agrees with the reference on one DistLP, and `_solve` with
+    the dense tableau."""
+    _assert_solve_matches_dense_tableau(lp)
     num_vars, objective, rows = _dense(lp)
     expected = reference_simplex_solve(num_vars, objective, rows)
     result = exact_opt(lp)
@@ -619,6 +792,33 @@ def test_simplex_matches_reference_on_matching_lps_of_the_corpus():
 def test_simplex_matches_reference_on_medium_ladder_shapes(n):
     g = _connected_graph(random.Random(f"ladder:{n}"), n, 30 + 5 * (n - 16))
     assert _assert_matches_reference(build_fractional_matching_lp(g)) == "optimal"
+
+
+def test_solve_matches_dense_tableau_on_a_70_node_200_edge_matching_lp():
+    """The Fraction reference takes seconds at this size; the dense integer
+    tableau does not, and exact_opt checks the optimum's certificate."""
+    lp = build_fractional_matching_lp(_connected_graph(random.Random("matching:70"), 70, 200))
+    _assert_solve_matches_dense_tableau(lp)
+    assert exact_opt(lp).status == "optimal"
+
+
+def _double_cover_matching_size(nx, g):
+    """ν(G×K₂) by networkx's blossom algorithm on the bipartite double cover."""
+    cover = nx.Graph()
+    cover.add_nodes_from((v, side) for v in range(g.n) for side in (0, 1))
+    for u, v in g.edge_list:
+        cover.add_edges_from((((u, 0), (v, 1)), ((v, 0), (u, 1))))
+    return len(nx.max_weight_matching(cover, maxcardinality=True))
+
+
+@pytest.mark.parametrize("n", [60, 90, 120, 150])
+def test_matching_lp_optimum_is_half_the_double_cover_matching(n):
+    """ν_f(G) = ν(G×K₂)/2, on sparse graphs where ν_f < n/2."""
+    nx = pytest.importorskip("networkx")
+    g = _connected_graph(random.Random(f"double cover:{n}"), n, min(13 * n // 10, 200))
+    value = exact_opt(build_fractional_matching_lp(g)).value
+    assert value == F(_double_cover_matching_size(nx, g), 2)
+    assert value < F(n, 2)
 
 
 def _general_lp(rng, sense):
