@@ -16,7 +16,8 @@ Witnesses try roots in ascending host id, layer 1 in ascending order first,
 and number ports in the edge-id order of their connectors.
 
 A proper instance is what the lift runs on: `make_proper_instance` states
-the attachment rule once, and the recognizer and `lift_run` follow it.
+the attachment rule once, and the recognizer, `lift_run` and
+`verify_pi_promise` follow it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .graphs import (
 from .lcl import OK, ConstraintSet, Verdict, _keyed_constraint_set, centered_ball, fail
 from .linearize import (
     BLACK,
+    PTR,
     WHITE,
     IncidenceGraph,
     LinearizableProblem,
@@ -64,7 +66,7 @@ from .linearize import (
 from .outcomes import Labeling, Outcome
 
 BOTTOM = "⊥"
-_MIXED = object()  # the label of a port gadget that is not uniform
+_MIXED = object()  # the one label of a port that is not uniform or leaves sigma
 
 
 def _tree_index(l: int, k: int) -> int:
@@ -717,7 +719,7 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
     # a port without an attachment lies in an instance with no inter nodes
     for oi, w in enumerate(pi.octopi):
         for r, p in enumerate(w.ports):
-            labels.update(dict.fromkeys(p.nodes, port_label.get((oi, r), "P")))
+            labels.update(dict.fromkeys(p.nodes, port_label.get((oi, r), PTR)))
     sim = 0
     if pi.octopi:
         # make_proper_instance checks a witness's edges against those its head
@@ -736,7 +738,11 @@ def lift_run(pi: ProperInstance, order: Optional[Sequence[int]] = None) -> LiftR
 def verify_pi_promise(
     pi: ProperInstance, out: Mapping[int, object], problem: LinearizableProblem
 ) -> Verdict:
-    """The five promise-problem conditions over a proper instance."""
+    """The five promise-problem conditions over a proper instance.  Each port
+    is read once, as its label when it is uniform and in sigma, else as
+    _MIXED; an octopus's port string (`problem.string_violations`) or an inter
+    node's multiset is checked only when it holds no _MIXED.  Attachments are
+    trusted to `make_proper_instance`: every inter node joins two port leaves."""
     g = pi.graph
     for v in range(g.n):
         if v not in out:
@@ -749,8 +755,6 @@ def verify_pi_promise(
                 bad.append((v, f"port node labeled {out[v]!r}, not in sigma"))
         elif out[v] != BOTTOM:
             bad.append((v, f"non-port node labeled {out[v]!r}, expected bottom"))
-    # each port's one label, or _MIXED when it is not uniform
-    sequences: list[list[object]] = []
     leaf_label: dict[int, object] = {}
     for w in pi.octopi:
         seq = []
@@ -758,33 +762,16 @@ def verify_pi_promise(
             labs = {out[v] for v in p.nodes}
             if len(labs) > 1:
                 bad.append((p.root, f"port gadget not uniform: {sorted(map(repr, labs))}"))
-            seq.append(labs.pop() if len(labs) == 1 else _MIXED)
+            lab = labs.pop() if len(labs) == 1 else _MIXED
+            seq.append(lab if lab in problem.sigma else _MIXED)
             leaf_label[p.leaf] = seq[-1]
-        sequences.append(seq)
-    for w, seq in zip(pi.octopi, sequences):
-        if not seq or any(lab not in problem.sigma for lab in seq):
-            continue
-        head_id = w.head_nodes[0]
-        if seq[0] not in problem.first:
-            bad.append((head_id, f"first port label {seq[0]!r} not in F"))
-        if seq[-1] not in problem.last:
-            bad.append((head_id, f"last port label {seq[-1]!r} not in L"))
-        for a, b in zip(seq, seq[1:]):
-            if (a, b) not in problem.pairs:
-                bad.append((head_id, f"consecutive port labels ({a!r},{b!r}) not allowed"))
-                break
+        if _MIXED not in seq:
+            for reason in problem.string_violations(seq):
+                bad.append((w.head_nodes[0], reason))
     for u in pi.inters():
-        labs = []
-        for v in g.neighbors(u):
-            if v not in leaf_label:
-                bad.append((u, f"inter node attaches to non-leaf {v}"))
-            if leaf_label.get(v, _MIXED) is _MIXED:
-                break
-            labs.append(leaf_label[v])
-        else:
-            ms = tuple(sorted(labs))
-            if ms and ms not in problem.black:
-                bad.append((u, f"inter configuration {ms} not allowed"))
+        labs = [leaf_label[v] for v in g.neighbors(u)]
+        if _MIXED not in labs and (ms := tuple(sorted(labs))) not in problem.black:
+            bad.append((u, f"inter configuration {ms} not allowed"))
     return OK if not bad else fail(bad)
 
 
@@ -839,60 +826,42 @@ def promise_labeling_of(pi: ProperInstance, labels: Mapping[int, object]) -> Lab
 FAMILY_RADIUS = 2
 
 
-@dataclass(frozen=True)
-class _FamilyBalls:
-    """One instance's labeled radius-FAMILY_RADIUS balls, one per canonical
-    key in first-seen node order, with the labels and the degree bound they
-    need."""
-
-    members: tuple[tuple[tuple, CenteredGraph], ...]  # (canonical key, ball)
-    node_alphabet: frozenset
-    half_edge_alphabet: frozenset
-    delta: int
-
-
-def _instance_balls(pi: ProperInstance) -> _FamilyBalls:
-    lg = pi.labeling
-    members: dict[tuple, CenteredGraph] = {}  # canonical key -> first ball with it
+def _instance_balls(lg: LabeledGraph) -> tuple[tuple[tuple, CenteredGraph], ...]:
+    """lg's radius-FAMILY_RADIUS balls as (key, ball), one per canonical key, first seen first."""
+    members: dict[tuple, CenteredGraph] = {}
     for v, key in enumerate(ball_keys(lg, FAMILY_RADIUS)):
         if key not in members:
             members[key] = centered_ball(lg, v, FAMILY_RADIUS)
-    return _FamilyBalls(
-        members=tuple(members.items()),
-        node_alphabet=frozenset(lg.node_labels),
-        half_edge_alphabet=frozenset(lab for _, lab in lg.half_edge_items()),
-        delta=max((lg.graph.degree(v) for v in range(lg.graph.n)), default=1),
-    )
+    return tuple(members.items())
 
 
 @functools.cache
-def _calibration_balls(k: int) -> tuple[_FamilyBalls, ...]:
+def _calibration_balls(k: int) -> tuple[tuple[tuple, CenteredGraph], ...]:
     """The balls of the calibration instances at port height k: the proper
     instances of the paths on 2, 3 and 4 nodes, in that order."""
-    return tuple(
-        _instance_balls(gen_proper_instance(incidence_graph_of(path_graph(n)), k=k)[0])
+    return tuple(itertools.chain.from_iterable(
+        _instance_balls(gen_proper_instance(incidence_graph_of(path_graph(n)), k=k)[0].labeling)
         for n in (2, 3, 4)
-    )
+    ))
 
 
 def family_constraint_set_for(pi: ProperInstance) -> ConstraintSet:
     """Constraint set whose calibration covers the instance's parameter ranges:
     pi's balls, then the calibration balls of its port heights in ascending
-    order, keeping the first ball of each canonical key."""
+    order, keeping the first ball of each canonical key.  The alphabets and
+    degree bound are read off the kept balls' centres: each node's label,
+    half-edge labels and degree sit at the centre of its key's kept ball."""
     heights = sorted({p.height for w in pi.octopi for p in w.ports} or {1})
-    parts = [_instance_balls(pi), *itertools.chain.from_iterable(map(_calibration_balls, heights))]
     members: dict[tuple, CenteredGraph] = {}
-    node_alpha: set = set()
-    he_alpha: set = set()
-    delta = 1
-    for part in parts:
-        for key, ball in part.members:
-            members.setdefault(key, ball)
-        node_alpha |= part.node_alphabet
-        he_alpha |= part.half_edge_alphabet
-        delta = max(delta, part.delta)
+    for key, ball in itertools.chain(_instance_balls(pi.labeling), *map(_calibration_balls, heights)):
+        members.setdefault(key, ball)
+    centres = [(ball.base.node_labels[ball.center], ball.base.port_labels[ball.center]) for ball in members.values()]
     return _keyed_constraint_set(
-        FAMILY_RADIUS, delta, frozenset(node_alpha), frozenset(he_alpha), members.items()
+        FAMILY_RADIUS,
+        max(len(ports) for _, ports in centres),
+        frozenset(lab for lab, _ in centres),
+        frozenset(itertools.chain.from_iterable(ports for _, ports in centres)),
+        members.items(),
     )
 
 

@@ -48,6 +48,19 @@ class LinearizableProblem:
     black: tuple[tuple, ...]  # allowed multisets, each stored sorted
     rank: int
 
+    def string_violations(self, s: Sequence) -> list[str]:
+        """Why the nonempty white string s breaks (F, L, P): first, last, first bad pair."""
+        bad = []
+        if s[0] not in self.first:
+            bad.append(f"first label {s[0]!r} not in F")
+        if s[-1] not in self.last:
+            bad.append(f"last label {s[-1]!r} not in L")
+        for a, b in zip(s, s[1:]):
+            if (a, b) not in self.pairs:
+                bad.append(f"consecutive pair ({a!r},{b!r}) not allowed")
+                break
+        return bad
+
 
 def make_linearizable_problem(sigma, first, last, pairs, black, rank) -> LinearizableProblem:
     sigma = frozenset(sigma)
@@ -197,16 +210,8 @@ def verify_linearizable(
             bad.append((b, f"black configuration {ms} not allowed"))
     for w in ig.whites():
         s = ig.white_string(w, labeling)
-        if not s:
-            continue
-        if s[0] not in problem.first:
-            bad.append((w, f"first label {s[0]!r} not in F"))
-        if s[-1] not in problem.last:
-            bad.append((w, f"last label {s[-1]!r} not in L"))
-        for a, b_ in zip(s, s[1:]):
-            if (a, b_) not in problem.pairs:
-                bad.append((w, f"consecutive pair ({a!r},{b_!r}) not allowed"))
-                break
+        for reason in problem.string_violations(s) if s else ():
+            bad.append((w, reason))
     return OK if not bad else fail(bad)
 
 

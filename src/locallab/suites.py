@@ -461,14 +461,10 @@ def _accepted_labelings(ig):
     problem = MATCHING_ENCODING
     g = ig.graph
     sigma = sorted(problem.sigma)
-
-    def allowed(string: tuple) -> bool:
-        return (string[0] in problem.first and string[-1] in problem.last
-                and all(pair in problem.pairs for pair in zip(string, string[1:])))
-
     whites = [w for w in ig.whites() if g.adjacency[w]]
     edges = [e for w in whites for e in g.adjacency[w]]
-    strings = [list(filter(allowed, itertools.product(sigma, repeat=g.degree(w)))) for w in whites]
+    strings = [[s for s in itertools.product(sigma, repeat=g.degree(w)) if not problem.string_violations(s)]
+               for w in whites]
     out = []
     for choice in itertools.product(*strings):
         labeling = dict(zip(edges, itertools.chain.from_iterable(choice)))

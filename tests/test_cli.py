@@ -466,6 +466,22 @@ def test_lift_verify_malformed_labels_are_usage_errors(fixtures, tmp_path, capsy
     assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 2
 
 
+@pytest.mark.parametrize("label", [None, 5])
+def test_lift_verify_reports_a_port_labeled_off_sigma(fixtures, tmp_path, capsys, label):
+    data = _lift_instance(fixtures, tmp_path, capsys)
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(data))
+    assert main(["lift", "run", "--instance", str(instance_path)]) == 0
+    run_out = json.loads(capsys.readouterr().out)
+    port_nodes = data["instance"]["octopi"][0]["ports"][0]["nodes"]
+    run_out["labels"].update(dict.fromkeys(map(str, port_nodes), label))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(run_out))
+    assert main(["lift", "verify", "--instance", str(instance_path), "--labels", str(labels_path)]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict == {"ok": False, "violations": [[v, f"port node labeled {label!r}, not in sigma"] for v in port_nodes]}
+
+
 def test_lin_verify_fractional_rank_is_usage_error(fixtures, tmp_path, capsys):
     _, _, ig_path = fixtures
     problem = linearizable_to_json(MATCHING_ENCODING)

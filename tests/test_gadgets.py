@@ -1296,13 +1296,14 @@ def reference_verify_pi_promise(pi: ProperInstance, out: Mapping[int, object], p
             continue
         head_id = w.head_nodes[0]
         if seq[0] not in problem.first:
-            bad.append((head_id, f"first port label {seq[0]!r} not in F"))
+            bad.append((head_id, f"first label {seq[0]!r} not in F"))
         if seq[-1] not in problem.last:
-            bad.append((head_id, f"last port label {seq[-1]!r} not in L"))
+            bad.append((head_id, f"last label {seq[-1]!r} not in L"))
         for a, b in zip(seq, seq[1:]):
             if (a, b) not in problem.pairs:
-                bad.append((head_id, f"consecutive port labels ({a!r},{b!r}) not allowed"))
+                bad.append((head_id, f"consecutive pair ({a!r},{b!r}) not allowed"))
                 break
+    # make_proper_instance puts every inter node between two port leaves
     leaf_port: dict[int, PortWitness] = {}
     for w in pi.octopi:
         for p in w.ports:
@@ -1311,20 +1312,15 @@ def reference_verify_pi_promise(pi: ProperInstance, out: Mapping[int, object], p
         labs = []
         ok_ms = True
         for v in g.neighbors(u):
-            p = leaf_port.get(v)
-            if p is None:
-                bad.append((u, f"inter node attaches to non-leaf {v}"))
-                ok_ms = False
-                break
-            vals = {out[x] for x in p.nodes}
-            if len(vals) != 1:
+            vals = {out[x] for x in leaf_port[v].nodes}
+            if len(vals) != 1 or next(iter(vals)) not in problem.sigma:
                 ok_ms = False
                 break
             labs.append(next(iter(vals)))
         if not ok_ms:
             continue
         ms = tuple(sorted(labs))
-        if ms and ms not in problem.black:
+        if ms not in problem.black:
             bad.append((u, f"inter configuration {ms} not allowed"))
     return OK if not bad else fail(bad)
 
@@ -1378,21 +1374,62 @@ def test_verify_pi_promise_matches_reference():
             verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
             assert verdict == reference_verify_pi_promise(pi, labels, MATCHING_ENCODING)
             reasons.update(reason.split(" ")[0] + " " + reason.split(" ")[1] for _, reason in verdict.violations)
-    assert reasons >= {"port gadget", "port node", "non-port node", "first port", "last port", "consecutive port", "inter configuration"}
+    assert reasons >= {"port gadget", "port node", "non-port node", "first label", "last label", "consecutive pair", "inter configuration"}
 
 
-def test_verify_pi_promise_inter_next_to_non_leaf_matches_reference():
-    # make_proper_instance refuses such a graph, so the instance is assembled directly
+def test_make_proper_instance_rejects_an_inter_node_on_a_non_leaf():
+    bent_graphs = 0
     for source in (path_graph(2), path_graph(3), star_graph(3)):
         pi, _ = gen_proper_instance(incidence_graph_of(source), k=2)
-        labels = lift_run(pi).labels
         for w in pi.octopi:
             for v in (w.head_nodes[0], w.ports[0].root):
                 g = make_graph(pi.graph.n, [*pi.graph.edge_list, (pi.inters()[0], v)])
-                bent = ProperInstance(graph=g, lam=pi.lam, octopi=pi.octopi, labeling=pi.labeling)
-                verdict = verify_pi_promise(bent, labels, MATCHING_ENCODING)
-                assert verdict == reference_verify_pi_promise(bent, labels, MATCHING_ENCODING)
-                assert (pi.inters()[0], f"inter node attaches to non-leaf {v}") in verdict.violations
+                with pytest.raises(InputError, match=f"^inter node {pi.inters()[0]} attaches to non-leaf intra node {v}$"):
+                    make_proper_instance(g, pi.lam, pi.octopi)
+                assert recognize_proper_instance(g) is None
+                bent_graphs += 1
+    assert bent_graphs == 18
+
+
+@pytest.mark.parametrize("label", [None, 5])
+def test_verify_pi_promise_names_a_port_labeled_off_sigma(label):
+    pi, _ = gen_proper_instance(incidence_graph_of(path_graph(3)), k=2)
+    port = pi.octopi[0].ports[0]
+    labels = {**lift_run(pi).labels, **dict.fromkeys(port.nodes, label)}
+    verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
+    assert verdict == fail((v, f"port node labeled {label!r}, not in sigma") for v in port.nodes)
+
+
+def test_verify_pi_promise_accepts_what_the_source_accepts_through_the_port_map():
+    """Pi' accepts a sigma-uniform labeling exactly when its pullback is a
+    solution of Pi: the lift's output and six seeded relabelings of one or
+    two ports, on every connected source with 2 to 5 nodes at k = 1, 2."""
+    rng = random.Random(30)
+    sigma = sorted(MATCHING_ENCODING.sigma)
+    instances = accepted = labelings = 0
+    for source in all_connected_graphs(5):
+        if source.n < 2:
+            continue
+        ig = incidence_graph_of(source)
+        for k in (1, 2):
+            pi, pm = gen_proper_instance(ig, k=k)
+            instances += 1
+            lifted = lift_run(pi).labels
+            ports = [p for w in pi.octopi for p in w.ports]
+            candidates = [lifted]
+            for _ in range(6):
+                relabeled = dict(lifted)
+                for p in rng.sample(ports, rng.randint(1, min(2, len(ports)))):
+                    relabeled.update(dict.fromkeys(p.nodes, rng.choice(sigma)))
+                candidates.append(relabeled)
+            for labels in candidates:
+                out = deterministic_outcome(label_graph(pi.graph), promise_labeling_of(pi, labels))
+                pulled = edge_labels_of_pullback(pullback_outcome(out, pm).support[0][0], ig)
+                verdict = verify_pi_promise(pi, labels, MATCHING_ENCODING)
+                assert bool(verdict) == bool(verify_linearizable(MATCHING_ENCODING, ig, pulled))
+                accepted += bool(verdict)
+                labelings += 1
+    assert (instances, labelings, accepted) == (60, 420, 122)
 
 
 def test_make_proper_instance_rejects_eta_that_disagrees_with_the_ports():
