@@ -60,6 +60,7 @@ from .linearize import (
     incidence_graph_from_json,
     incidence_graph_of,
     incidence_graph_to_json,
+    label_multiset,
     make_incidence_graph,
     multigraph_of_incidence,
 )
@@ -770,7 +771,7 @@ def verify_pi_promise(
                 bad.append((w.head_nodes[0], reason))
     for u in pi.inters():
         labs = [leaf_label[v] for v in g.neighbors(u)]
-        if _MIXED not in labs and (ms := tuple(sorted(labs))) not in problem.black:
+        if _MIXED not in labs and (ms := label_multiset(labs)) not in problem.black:
             bad.append((u, f"inter configuration {ms} not allowed"))
     return OK if not bad else fail(bad)
 

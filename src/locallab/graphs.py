@@ -422,13 +422,39 @@ def induced_labeled_subgraph(
 # views
 
 
+class _ViewTable:
+    """`View.ports` or `View.node_label`.  The first read of either builds both
+    and stores them with object.__setattr__ (a write through __dict__ would
+    slow every later field read), so later reads find them before this
+    non-data descriptor.  Lock-free: racing first reads build equal tables."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        lg, kept = view.source, view.edge_set
+        node_label, ports = {}, {}
+        for v in view.node_set:
+            node_label[v] = lg.node_labels[v]
+            row = []
+            for lab, e in zip(lg.port_labels[v], lg.graph.adjacency[v]):
+                row.append((lab, e if e in kept else None))
+            ports[v] = tuple(row)
+        object.__setattr__(view, "node_label", node_label)
+        object.__setattr__(view, "ports", ports)
+        return ports if self.name == "ports" else node_label
+
+
 @dataclass(frozen=True)
 class View:
-    """Radius-T view of an anchor set, with per-port data per retained node.
-
-    ports[v] is a tuple of (half_edge_label, edge_id or None) in v's original
-    port order; None marks an edge dropped by the view condition (or leading
-    outside), which a radius-T observer cannot tell apart.
+    """Radius-T view of an anchor set: its source, anchor, radius, node set and
+    edge set, all that equality and hashing read.  Two tables are built
+    together on the first read of either: node_label[v], and ports[v], a tuple
+    of (half_edge_label, edge_id or None) in v's original port order; None
+    marks an edge dropped by the view condition (or leading outside), which a
+    radius-T observer cannot tell apart.
     """
 
     source: LabeledGraph
@@ -436,8 +462,8 @@ class View:
     radius: int
     node_set: frozenset[int]
     edge_set: frozenset[int]
-    node_label: Mapping[int, object] = field(hash=False)
-    ports: Mapping[int, tuple] = field(hash=False)
+    node_label = _ViewTable()
+    ports = _ViewTable()
 
     def nodes(self) -> list[int]:
         return sorted(self.node_set)
@@ -460,7 +486,9 @@ class View:
 
 
 def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
-    """The view of anchor set A up to distance t (literal edge predicate)."""
+    """The view of anchor set A up to distance t (literal edge predicate): the
+    bounded BFS plus the inner nodes' incident edges; its tables wait for their
+    first read."""
     a = frozenset(anchor)
     if not a:
         raise InputError("anchor set must be nonempty")
@@ -474,22 +502,7 @@ def extract_view(lg: LabeledGraph, anchor: Iterable[int], t: int) -> View:
     for v, d in dist.items():
         if d < t:
             kept_edges.update(g.adjacency[v])
-    node_label = {v: lg.node_labels[v] for v in keep}
-    ports = {}
-    for v in keep:
-        row = []
-        for i, e in enumerate(g.adjacency[v]):
-            row.append((lg.port_labels[v][i], e if e in kept_edges else None))
-        ports[v] = tuple(row)
-    return View(
-        source=lg,
-        anchor=a,
-        radius=t,
-        node_set=keep,
-        edge_set=frozenset(kept_edges),
-        node_label=node_label,
-        ports=ports,
-    )
+    return View(source=lg, anchor=a, radius=t, node_set=keep, edge_set=frozenset(kept_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +517,26 @@ def view_key(view: View) -> tuple:
     in port order numbers it canonically; per node in that order the key
     lists its label and per port (label, far end's BFS index or None)."""
     g = view.source.graph
+    ports, node_label = view.ports, view.node_label
     order = [view.anchor_node()]
     index = {order[0]: 0}
     key = []
     for v in order:
         row = []
-        for lab, e in view.ports[v]:
+        for lab, e in ports[v]:
             w = None if e is None else g.other(e, v)
             if w is not None and w not in index:
                 index[w] = len(order)
                 order.append(w)
             row.append((lab, index.get(w)))
-        key.append((view.node_label[v], tuple(row)))
+        key.append((node_label[v], tuple(row)))
     return tuple(key)
 
 
-def _view_node_key(view: View, v: int):
-    port_sig = tuple((lab, e is not None) for (lab, e) in view.ports[v])
-    return (v in view.anchor, view.node_label[v], port_sig)
+def _view_node_keys(view: View) -> dict[int, tuple]:
+    """Per node: (anchored, label, per port (label, retained))."""
+    a, labels, ports = view.anchor, view.node_label, view.ports
+    return {v: (v in a, labels[v], tuple([(x, e is not None) for x, e in ports[v]])) for v in view.node_set}
 
 
 def view_isomorphisms(v1: View, v2: View) -> list[dict[int, int]]:
@@ -547,19 +562,21 @@ def view_isomorphisms(v1: View, v2: View) -> list[dict[int, int]]:
     if len(v1.anchor) != len(v2.anchor):
         return []
     nodes1 = sorted(v1.node_set)
+    key1 = _view_node_keys(v1)
     key2: dict[object, list[int]] = {}
-    for u in v2.node_set:
-        key2.setdefault(_view_node_key(v2, u), []).append(u)
+    for u, key in _view_node_keys(v2).items():
+        key2.setdefault(key, []).append(u)
     # the node keys must agree as multisets, compared by == as the search does
     unmatched = {key: len(us) for key, us in key2.items()}
     for v in nodes1:
-        key = _view_node_key(v1, v)
+        key = key1[v]
         if not unmatched.get(key):
             return []
         unmatched[key] -= 1
 
     # order: anchors first, then by BFS over retained edges for tight pruning
     order: list[int] = []
+    near1: dict[int, list[int]] = {}  # v1's neighbours in view, per node
     seen = set()
     pending = sorted(v1.anchor) + nodes1
     for s in pending:
@@ -572,20 +589,22 @@ def view_isomorphisms(v1: View, v2: View) -> list[dict[int, int]]:
             w = queue[head]
             head += 1
             order.append(w)
-            for x in v1.neighbors_in_view(w):
+            near1[w] = v1.neighbors_in_view(w)
+            for x in near1[w]:
                 if x not in seen:
                     seen.add(x)
                     queue.append(x)
 
     g1 = v1.source.graph
     g2 = v2.source.graph
+    ports1, ports2 = v1.ports, v2.ports
     phi: dict[int, int] = {}
     used: set[int] = set()
     found: list[dict[int, int]] = []
 
     def compatible(v: int, u: int) -> bool:
         # positional port check: retained ports must align structurally
-        for (lab1, e1), (lab2, e2) in zip(v1.ports[v], v2.ports[u]):
+        for (lab1, e1), (lab2, e2) in zip(ports1[v], ports2[u]):
             if lab1 != lab2 or (e1 is None) != (e2 is None):
                 return False
             if e1 is not None:
@@ -604,8 +623,8 @@ def view_isomorphisms(v1: View, v2: View) -> list[dict[int, int]]:
     def candidates(v: int) -> list[int]:
         # a compatible u neighbours phi(w) for every placed neighbour w of v,
         # so only those members of v's class are listed, in class order
-        options = key2.get(_view_node_key(v1, v), [])
-        for w in v1.neighbors_in_view(v):
+        options = key2.get(key1[v], [])
+        for w in near1[v]:
             if w in phi:
                 near = set(v2.neighbors_in_view(phi[w]))
                 return sorted((u for u in near if class2[u] is options), key=rank2.__getitem__)
@@ -1103,6 +1122,22 @@ def _label_to_json(lab):
     if isinstance(lab, tuple):
         return {"tuple": [_label_to_json(x) for x in lab]}
     return lab
+
+
+def label_order(lab) -> tuple:
+    """One total order on labels, as a sort key: numbers by value (int,
+    bool, float and Fraction together), then strings, then None, then tuples
+    element by element, then any other label by repr.  Labels of one type
+    keep their natural order."""
+    if isinstance(lab, str):
+        return (1, lab)
+    if isinstance(lab, (int, float, Fraction)):
+        return (0, lab)
+    if lab is None:
+        return (2,)
+    if isinstance(lab, tuple):
+        return (3, tuple(map(label_order, lab)))
+    return (4, repr(lab))
 
 
 def _label_from_json(lab):

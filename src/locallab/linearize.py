@@ -15,6 +15,7 @@ from .graphs import (
     ContractError,
     Graph,
     InputError,
+    _label_from_json,
     _label_to_json,
     _labels_from_json,
     edge_from_key,
@@ -23,6 +24,7 @@ from .graphs import (
     json_decoding,
     json_int,
     label_graph,
+    label_order,
     make_graph,
 )
 from .lcl import Verdict, OK, fail
@@ -45,7 +47,7 @@ class LinearizableProblem:
     first: frozenset
     last: frozenset
     pairs: frozenset  # of ordered label pairs
-    black: tuple[tuple, ...]  # allowed multisets, each stored sorted
+    black: tuple[tuple, ...]  # allowed multisets, each a `label_multiset`
     rank: int
 
     def string_violations(self, s: Sequence) -> list[str]:
@@ -62,6 +64,11 @@ class LinearizableProblem:
         return bad
 
 
+def label_multiset(labels: Iterable) -> tuple:
+    """A multiset of labels as the tuple of its labels in `label_order`."""
+    return tuple(sorted(labels, key=label_order))
+
+
 def make_linearizable_problem(sigma, first, last, pairs, black, rank) -> LinearizableProblem:
     sigma = frozenset(sigma)
     first = frozenset(first)
@@ -76,7 +83,7 @@ def make_linearizable_problem(sigma, first, last, pairs, black, rank) -> Lineari
             raise InputError(f"pair ({a!r},{b!r}) leaves sigma")
     multisets = []
     for ms in black:
-        ms = tuple(sorted(ms))
+        ms = label_multiset(ms)
         if len(ms) > rank:
             raise InputError(f"black configuration {ms} exceeds the rank bound {rank}")
         if any(x not in sigma for x in ms):
@@ -84,7 +91,7 @@ def make_linearizable_problem(sigma, first, last, pairs, black, rank) -> Lineari
         multisets.append(ms)
     return LinearizableProblem(
         sigma=sigma, first=first, last=last, pairs=pair_set,
-        black=tuple(sorted(set(multisets))), rank=rank,
+        black=tuple(sorted(set(multisets), key=label_order)), rank=rank,
     )
 
 
@@ -205,7 +212,7 @@ def verify_linearizable(
             raise InputError(f"label {labeling[e]!r} on edge {e} is outside sigma")
     bad: list[tuple[int, str]] = []
     for b in ig.blacks():
-        ms = tuple(sorted(labeling[e] for e in g.adjacency[b]))
+        ms = label_multiset([labeling[e] for e in g.adjacency[b]])
         if ms and ms not in problem.black:
             bad.append((b, f"black configuration {ms} not allowed"))
     for w in ig.whites():
@@ -303,7 +310,7 @@ def greedy_maximal_matching() -> SlocalAlgorithm:
     visible at radius 2; that makes claims race-free and the result a maximal
     matching for every processing order.  A node that is itself claimed
     answers after a radius-1 query; hence locality 2, observed locality 2 on
-    any run that must place a claim.
+    any run that must place a claim.  It reads the view's edge set, no table.
     """
 
     def step(ctx: SlocalContext) -> SlocalStep:
@@ -319,7 +326,8 @@ def greedy_maximal_matching() -> SlocalAlgorithm:
             return SlocalStep(
                 output=NodeOutput(node_label=e), state=("matched", e, frozenset((u, v)))
             )
-        if not view1.ports[v]:
+        g = view1.source.graph
+        if not g.adjacency[v]:
             return SlocalStep(output=NodeOutput(node_label=FREE), state=("free",))
         view2, states2 = ctx.query(2)
         claimed: set[int] = set()
@@ -327,10 +335,10 @@ def greedy_maximal_matching() -> SlocalAlgorithm:
             if state[0] == "matched":
                 claimed.update(state[2])
         candidates = []
-        for _, e in view2.ports[v]:
-            if e is None:
+        for e in g.adjacency[v]:
+            if e not in view2.edge_set:
                 continue
-            u = view2.source.graph.other(e, v)
+            u = g.other(e, v)
             if u in states2 or u in claimed:
                 continue
             candidates.append((u, e))
@@ -362,12 +370,17 @@ def greedy_matching(g: Graph, order: Sequence[int]) -> tuple[frozenset[int], int
 
 
 def linearizable_to_json(p: LinearizableProblem) -> dict:
+    """Each label set, pair list and multiset list in `label_order`."""
+
+    def labels(xs):
+        return [_label_to_json(x) for x in xs]
+
     return {
-        "sigma": sorted(p.sigma),
-        "first": sorted(p.first),
-        "last": sorted(p.last),
-        "pairs": sorted(list(x) for x in p.pairs),
-        "black": sorted(list(x) for x in p.black),
+        "sigma": labels(sorted(p.sigma, key=label_order)),
+        "first": labels(sorted(p.first, key=label_order)),
+        "last": labels(sorted(p.last, key=label_order)),
+        "pairs": [labels(x) for x in sorted(p.pairs, key=label_order)],
+        "black": [labels(x) for x in p.black],
         "rank": p.rank,
     }
 
@@ -375,11 +388,11 @@ def linearizable_to_json(p: LinearizableProblem) -> dict:
 def linearizable_from_json(data: Mapping) -> LinearizableProblem:
     with json_decoding("linearizable problem"):
         return make_linearizable_problem(
-            sigma=data["sigma"],
-            first=data["first"],
-            last=data["last"],
-            pairs=[tuple(x) for x in data["pairs"]],
-            black=[tuple(x) for x in data["black"]],
+            sigma=map(_label_from_json, data["sigma"]),
+            first=map(_label_from_json, data["first"]),
+            last=map(_label_from_json, data["last"]),
+            pairs=[tuple(map(_label_from_json, x)) for x in data["pairs"]],
+            black=[tuple(map(_label_from_json, x)) for x in data["black"]],
             rank=json_int(data["rank"]),
         )
 

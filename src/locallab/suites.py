@@ -37,6 +37,7 @@ from .linearize import (
     greedy_matching,
     incidence_graph_of,
     is_maximal_matching,
+    label_multiset,
     multigraph_of_incidence,
     verify_linearizable,
 )
@@ -468,7 +469,7 @@ def _accepted_labelings(ig):
     out = []
     for choice in itertools.product(*strings):
         labeling = dict(zip(edges, itertools.chain.from_iterable(choice)))
-        if all(tuple(sorted(labeling[e] for e in g.adjacency[b])) in problem.black
+        if all(label_multiset([labeling[e] for e in g.adjacency[b]]) in problem.black
                for b in ig.blacks() if g.adjacency[b]):
             out.append(labeling)
     return out

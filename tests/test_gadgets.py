@@ -44,6 +44,7 @@ from locallab.linearize import (
     incidence_graph_to_json,
     is_maximal_matching,
     make_incidence_graph,
+    make_linearizable_problem,
     multigraph_of_incidence,
     verify_linearizable,
 )
@@ -1729,3 +1730,25 @@ def test_family_constraint_set_for_matches_reference_on_sources_up_to_5_nodes(k,
         assert cold == expected and warm == expected
         checked += 1
     assert checked == accepted
+
+
+def test_verify_pi_promise_on_a_mixed_type_sigma():
+    """A port labeled "a" next to ports labeled 1: the inter multiset mixes
+    label types and is compared without ordering an int against a str."""
+    problem = make_linearizable_problem(
+        sigma={1, "a"}, first={1, "a"}, last={1, "a"},
+        pairs=[(1, 1), (1, "a"), ("a", 1), ("a", "a")], black=[(1, 1)], rank=2,
+    )
+    pi, _ = gen_proper_instance(incidence_graph_of(path_graph(2)), k=1)
+    assert pi.graph.n == 5
+    port = pi.octopi[0].ports[0]
+    labels = {v: 1 for v in range(pi.graph.n)}
+    labels.update(dict.fromkeys(port.nodes, "a"))
+    verdict = verify_pi_promise(pi, labels, problem)
+    (inter,) = pi.inters()
+    assert (inter, "inter configuration (1, 'a') not allowed") in verdict.violations
+    allowed = make_linearizable_problem(
+        sigma=problem.sigma, first=problem.first, last=problem.last,
+        pairs=problem.pairs, black=[(1, 1), ("a", 1)], rank=2,
+    )
+    assert not any("inter configuration" in reason for _, reason in verify_pi_promise(pi, labels, allowed).violations)

@@ -4,7 +4,7 @@ import random
 import time
 import timeit
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -301,6 +301,8 @@ def _literal_neighborhood(g, anchor, t):
 
 
 def _literal_view(lg, anchor, t):
+    """The five-field view, its literal node-label table and its literal
+    port table."""
     g = lg.graph
     dist = distances_from(g, anchor)
     keep = frozenset(v for v in range(g.n) if dist[v] <= t)
@@ -316,15 +318,8 @@ def _literal_view(lg, anchor, t):
         )
         for v in keep
     }
-    return View(
-        source=lg,
-        anchor=frozenset(anchor),
-        radius=t,
-        node_set=keep,
-        edge_set=kept,
-        node_label={v: lg.node_labels[v] for v in keep},
-        ports=ports,
-    )
+    view = View(source=lg, anchor=frozenset(anchor), radius=t, node_set=keep, edge_set=kept)
+    return view, {v: lg.node_labels[v] for v in keep}, ports
 
 
 def _literal_ball(lg, center, t):
@@ -364,7 +359,8 @@ def _assert_matches_literal(g, max_t=3):
     for t in range(max_t + 1):
         for anchor in singles + pairs:
             assert neighborhood(g, anchor, t) == _literal_neighborhood(g, anchor, t)
-            assert extract_view(lg, anchor, t) == _literal_view(lg, anchor, t)
+            view = extract_view(lg, anchor, t)
+            assert (view, view.node_label, view.ports) == _literal_view(lg, anchor, t)
         for (v,) in singles:
             assert centered_ball(lg, v, t) == _literal_ball(lg, v, t)
 
@@ -386,6 +382,46 @@ def test_bounded_bfs_matches_literal_definition_on_multigraph():
 def test_bounded_bfs_matches_literal_definition_on_disconnected_graph():
     parts = make_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (6, 5)])
     _assert_matches_literal(parts, max_t=4)
+
+
+# ---------------------------------------------------------------------------
+# a view is its five fields; its two tables are built on first read
+
+
+def test_view_fields_are_the_five_that_define_it():
+    assert [f.name for f in fields(View)] == ["source", "anchor", "radius", "node_set", "edge_set"]
+
+
+@pytest.mark.parametrize("first", ["ports", "node_label"])
+def test_first_read_of_either_table_stores_both(first):
+    lg = _distinctly_labeled(cycle_graph(7))
+    view = extract_view(lg, [0], 2)
+    assert "ports" not in vars(view) and "node_label" not in vars(view)
+    table = getattr(view, first)
+    assert vars(view)["ports"] is view.ports and vars(view)["node_label"] is view.node_label
+    assert getattr(view, first) is table
+    _, node_label, ports = _literal_view(lg, [0], 2)
+    assert view.node_label == node_label and view.ports == ports
+
+
+def test_two_extractions_of_one_view_agree_in_fields_hash_and_tables():
+    lg = _distinctly_labeled(make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]))
+    for anchor in ([0], [3], [1, 4]):
+        for t in range(4):
+            a, b = extract_view(lg, anchor, t), extract_view(lg, anchor, t)
+            assert a == b and hash(a) == hash(b)
+            assert a.ports == b.ports and a.node_label == b.node_label
+            assert list(a.ports) == list(b.ports) and list(a.node_label) == list(b.node_label)
+
+
+def test_a_view_read_equals_a_view_never_read():
+    lg = _distinctly_labeled(cycle_graph(5))
+    read, unread = extract_view(lg, [2], 1), extract_view(lg, [2], 1)
+    read.view_degree(2)
+    assert "ports" in vars(read) and "ports" not in vars(unread)
+    assert read == unread and unread == read and hash(read) == hash(unread)
+    assert {read: 1}[unread] == 1
+    assert "ports" not in vars(unread)
 
 
 # ---------------------------------------------------------------------------

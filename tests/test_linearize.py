@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from locallab.corpus import all_connected_graphs, all_graphs, all_maximal_matchings
-from locallab.graphs import ContractError, InputError, make_graph, path_graph, star_graph
+from locallab.graphs import ContractError, InputError, label_graph, make_graph, path_graph, star_graph
 from locallab.linearize import (
     AFTER,
     BLACK,
@@ -13,11 +14,13 @@ from locallab.linearize import (
     MATCHING_ENCODING,
     PTR,
     WHITE,
+    FREE,
     decode_to_matching,
     edge_labeling_from_json,
     edge_labeling_to_json,
     encode_matching,
     greedy_matching,
+    greedy_maximal_matching,
     incidence_graph_of,
     incidence_graph_from_json,
     incidence_graph_to_json,
@@ -29,6 +32,7 @@ from locallab.linearize import (
     multigraph_of_incidence,
     verify_linearizable,
 )
+from locallab.outcomes import NodeOutput, SlocalAlgorithm, SlocalStep, run_slocal
 
 
 def test_matching_encoding_constants_are_the_published_sets():
@@ -191,6 +195,72 @@ def test_greedy_on_multigraph():
     assert len(matching) == 1 and is_maximal_matching(g, matching).ok
 
 
+def _reference_greedy_maximal_matching() -> SlocalAlgorithm:
+    """The greedy step as it read the anchor's edges off `view.ports`."""
+
+    def step(ctx):
+        v = ctx.node
+        view1, states1 = ctx.query(1)
+        claims = []
+        for u, state in states1.items():
+            if u != v and state[0] == "matched" and v in state[2]:
+                claims.append((u, state[1]))
+        if claims:
+            claims.sort()
+            u, e = claims[0]
+            return SlocalStep(output=NodeOutput(node_label=e), state=("matched", e, frozenset((u, v))))
+        if not view1.ports[v]:
+            return SlocalStep(output=NodeOutput(node_label=FREE), state=("free",))
+        view2, states2 = ctx.query(2)
+        claimed = set()
+        for state in states2.values():
+            if state[0] == "matched":
+                claimed.update(state[2])
+        candidates = []
+        for _, e in view2.ports[v]:
+            if e is None:
+                continue
+            u = view2.source.graph.other(e, v)
+            if u in states2 or u in claimed:
+                continue
+            candidates.append((u, e))
+        if candidates:
+            candidates.sort()
+            u, e = candidates[0]
+            return SlocalStep(output=NodeOutput(node_label=e), state=("matched", e, frozenset((u, v))))
+        return SlocalStep(output=NodeOutput(node_label=FREE), state=("free",))
+
+    return SlocalAlgorithm(locality=2, step=step)
+
+
+def _random_tree(rng, n):
+    """A tree on n nodes: each node but a random root joins an earlier one in a
+    shuffled order, its edges listed in shuffled order."""
+    order = rng.sample(range(n), n)
+    edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    rng.shuffle(edges)
+    return make_graph(n, edges)
+
+
+def test_greedy_step_matches_the_step_that_reads_ports():
+    """The step on the edge set gives the labeling and observed locality of
+    the step on `view.ports`: on every connected graph with at most 6 nodes
+    under 3 seeded orders, and on 20 seeded random trees of 50-300 nodes."""
+    rng = random.Random(31)
+    runs = []
+    for g in all_connected_graphs(6):
+        runs.extend((g, rng.sample(range(g.n), g.n)) for _ in range(3))
+    for _ in range(20):
+        tree = _random_tree(rng, rng.randint(50, 300))
+        runs.append((tree, rng.sample(range(tree.n), tree.n)))
+    for g, order in runs:
+        lg = label_graph(g)
+        assert run_slocal(greedy_maximal_matching(), lg, order) == run_slocal(
+            _reference_greedy_maximal_matching(), lg, order
+        ), (g.edge_list, order)
+    assert len(runs) == 3 * 143 + 20
+
+
 def test_multigraph_of_incidence_errors():
     g = make_graph(3, [(0, 1), (0, 2)])
     ig = make_incidence_graph(g, [BLACK, WHITE, WHITE])
@@ -209,3 +279,66 @@ def test_json_roundtrips():
     assert enc == MATCHING_ENCODING
     labeling = {0: MATCHED, 1: ("t", Fraction(1, 3)), 2: Fraction(2)}
     assert edge_labeling_from_json(json.loads(json.dumps(edge_labeling_to_json(labeling)))) == labeling
+
+
+# ---------------------------------------------------------------------------
+# a sigma that mixes label types
+
+
+MIXED_PAIRS = [(1, 1), (1, "a"), ("a", 1), ("a", "a")]
+
+
+def _mixed_problem(black):
+    return make_linearizable_problem(
+        sigma={1, "a"}, first={1, "a"}, last={1, "a"}, pairs=MIXED_PAIRS, black=black, rank=2
+    )
+
+
+def test_make_linearizable_problem_accepts_a_mixed_type_black_multiset():
+    p = make_linearizable_problem(sigma={1, "a"}, first={1}, last={1}, pairs=[(1, 1)], black=[(1, "a")], rank=2)
+    assert p.black == ((1, "a"),)
+    assert make_linearizable_problem(
+        sigma={1, "a"}, first={1}, last={1}, pairs=[(1, 1)], black=[("a", 1)], rank=2
+    ) == p
+
+
+def test_verify_linearizable_on_a_mixed_type_black_multiset():
+    ig = incidence_graph_of(path_graph(2))
+    verdict = verify_linearizable(_mixed_problem([(1, 1)]), ig, {0: 1, 1: "a"})
+    assert not verdict.ok
+    assert verdict.violations == ((2, "black configuration (1, 'a') not allowed"),)
+    assert verify_linearizable(_mixed_problem([(1, 1), (1, "a")]), ig, {0: 1, 1: "a"}).ok
+    assert verify_linearizable(_mixed_problem([(1, 1), ("a", 1)]), ig, {0: "a", 1: 1}).ok
+
+
+def test_mixed_type_problem_round_trips_through_json():
+    p = make_linearizable_problem(
+        sigma={1, "a", Fraction(1, 2), ("t", 2)},
+        first={1, "a"},
+        last={Fraction(1, 2), ("t", 2)},
+        pairs=[(1, "a"), ("a", Fraction(1, 2)), (Fraction(1, 2), ("t", 2)), (1, 1)],
+        black=[(1, "a"), (Fraction(1, 2), 1), (("t", 2), "a"), ("a", "a")],
+        rank=2,
+    )
+    data = linearizable_to_json(p)
+    # numbers (in value order), then strings, then tuples
+    assert data["sigma"] == [{"fraction": "1/2"}, 1, "a", {"tuple": ["t", 2]}]
+    assert data["black"] == [[{"fraction": "1/2"}, 1], [1, "a"], ["a", "a"], ["a", {"tuple": ["t", 2]}]]
+    assert linearizable_from_json(json.loads(json.dumps(data))) == p
+    mixed = _mixed_problem([(1, "a")])
+    data = linearizable_to_json(mixed)
+    assert data["sigma"] == [1, "a"] and data["black"] == [[1, "a"]]
+    assert linearizable_from_json(json.loads(json.dumps(data))) == mixed
+
+
+def test_linearizable_json_keeps_the_order_of_labels_of_one_type():
+    assert json.dumps(linearizable_to_json(MATCHING_ENCODING)) == json.dumps(
+        {
+            "sigma": ["A", "B", "M", "P"],
+            "first": ["B", "M", "P"],
+            "last": ["A", "M", "P"],
+            "pairs": [["A", "A"], ["B", "B"], ["B", "M"], ["M", "A"], ["P", "P"]],
+            "black": [["A", "A"], ["A", "B"], ["A", "P"], ["B", "B"], ["B", "P"], ["M", "M"]],
+            "rank": 2,
+        }
+    )
